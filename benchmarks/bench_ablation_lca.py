@@ -100,7 +100,7 @@ class TestAblationClaims:
         assert costs["TJ-JP"] < costs["TJ-SP"]
 
     def test_space_ranking_on_deep_chains(self):
-        """O(n) [GT, OM, interned SP] < O(n log h) [JP] < O(n h) [legacy SP]."""
+        """O(n) [GT, OM, flat SP] < O(n log h) [JP] < O(n h) [legacy SP]."""
         units = {}
         for algo in (*TJ_ALGOS, "TJ-SP-legacy"):
             policy = make_policy(algo)

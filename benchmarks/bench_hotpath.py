@@ -13,8 +13,8 @@ and wide-tree — across all TJ variants and the KJ baselines, and
 * the flat representation never *loses* against the seed on any shape
   (within noise);
 * all implementations agree on every verdict (spot-checked here; the
-  exhaustive property suite lives in
-  ``tests/core/test_flat_tj_sp.py`` / ``tests/core/test_interned_paths.py``).
+  property suites live in ``tests/core/test_flat_tj_sp.py`` and
+  ``tests/core/test_spawn_path_oracle.py``).
 
 The run also emits ``BENCH_hotpath.json`` (raw repetition times plus the
 kernel backend per measurement, via ``repro.analysis.io``) so every
@@ -141,7 +141,7 @@ def test_smoke_cell_runs_fast():
 
 @pytest.mark.parametrize("shape", HOTPATH_SHAPES)
 def test_benchmark_series(benchmark, shape):
-    """pytest-benchmark series for the interned TJ-SP per shape."""
+    """pytest-benchmark series for the flat TJ-SP per shape."""
     benchmark.group = f"hotpath-{shape}"
     benchmark.pedantic(
         lambda: run_shape(shape, "TJ-SP", repetitions=1, warmup=0),

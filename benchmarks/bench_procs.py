@@ -85,7 +85,7 @@ def _summary(m) -> str:
     return (
         f"procs soak: {m.tasks} tasks in {m.elapsed:.2f}s "
         f"({m.tasks_per_second:,.0f} tasks/s) across {m.workers} workers "
-        f"[{m.spawn_paths}] vs threaded {m.baseline_tasks_per_second:,.0f} "
+        f"vs threaded {m.baseline_tasks_per_second:,.0f} "
         f"tasks/s (speedup {m.speedup:.2f}x, {m.cpu_count} cpu), "
         f"escalation {m.escalation_ratio:.4f}, "
         f"divergences {m.divergences}, deaths {m.worker_deaths}"

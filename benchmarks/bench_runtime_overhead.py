@@ -1,12 +1,12 @@
-"""Experiment E7 — end-to-end runtime overhead and the wakeup gate.
+"""Experiment E7 — end-to-end runtime overhead and the unwind bound.
 
 Measures whole programs on the real runtimes with the supervision layer
 in the loop, and *asserts* the perf properties the event-driven runtime
 rewrite claims:
 
-* the event-driven wait protocol is at least 2x faster than the
-  poll-loop baseline on the join-latency microshape (a fork-chain
-  unwind whose wakeup lags compound under polling);
+* the join-latency microshape (a fork-chain unwind where every wakeup
+  gates the next) costs far less than one 50 ms poll tick beyond its
+  leaf sleep — lagging wakeups would compound up the chain;
 * TJ-SP's end-to-end geomean overhead over ``policy=None`` on the
   Table-2-style configs stays under a stated bound — the number the
   paper's 1.06x headline rests on;
@@ -14,8 +14,8 @@ rewrite claims:
   chain — the journal's durability worst case, since every level blocks
   and so pays a critical flush-before-sleep ``block`` record on top of
   fork/verdict/unblock/join;
-* swapping wait protocols never changes program results (checked inside
-  the microshape runner).
+* the microshape's program result is checked on every repetition, so a
+  wait that mis-delivers a wakeup cannot pass by being fast.
 
 The run also emits ``BENCH_runtime.json`` (raw samples, via
 ``repro.analysis.io``) so every future PR has a stored perf trajectory;
@@ -43,16 +43,11 @@ from repro.analysis.runtime_overhead import (
     JOURNAL_MODES,
     OVERHEAD_PARAMS,
     RUNTIME_POLICIES,
-    WAIT_MODES,
-    join_wakeup_speedup,
     measure_join_chain,
     overhead_factor,
     render_runtime_table,
     run_runtime_suite,
 )
-
-#: the headline regression gate: event-driven joins vs the poll loop
-JOIN_WAKEUP_GATE = 2.0
 
 #: end-to-end TJ-SP geomean overhead bound on these configs (measured
 #: ~1.05x on an idle machine; the bound leaves room for CI noise while
@@ -83,7 +78,7 @@ def test_emits_bench_runtime_json(result):
     save_runtime(result, OUTPUT)
     with open(OUTPUT) as fh:
         loaded = runtime_from_json(fh.read())
-    assert set(loaded.join_chain) == set(WAIT_MODES)
+    assert set(loaded.join_chain) == {"event"}
     assert len(loaded.reports) == len(OVERHEAD_PARAMS)
     for m in loaded.join_chain.values():
         assert m.times
@@ -94,25 +89,18 @@ def test_emits_bench_runtime_json(result):
     assert set(loaded.journal) == set(JOURNAL_MODES)
     for m in loaded.journal.values():
         assert m.times
-    # the serialised factors must survive the round trip exactly
-    assert loaded.join_speedup == pytest.approx(result.join_speedup)
+    # the serialised numbers must survive the round trip exactly
+    assert loaded.join_chain["event"].best_time == pytest.approx(
+        result.join_chain["event"].best_time
+    )
     assert loaded.overhead("TJ-SP") == pytest.approx(result.overhead("TJ-SP"))
     assert loaded.journal_overhead == pytest.approx(result.journal_overhead)
-
-
-def test_join_wakeup_speedup_gate(result):
-    """Targeted wakeups must beat the poll loop by >= 2x on the unwind."""
-    factor = result.join_speedup
-    print("\n" + render_runtime_table(result))
-    assert factor >= JOIN_WAKEUP_GATE, (
-        f"event-driven join speedup regressed to {factor:.2f}x "
-        f"(gate: {JOIN_WAKEUP_GATE}x over the polling baseline)"
-    )
 
 
 def test_event_unwind_is_tickless(result):
     """The event-driven unwind costs far less than one 50 ms poll tick
     beyond the leaf sleep, even with a whole chain of joins stacked."""
+    print("\n" + render_runtime_table(result))
     assert result.join_chain["event"].unwind_overhead < 0.05
 
 
@@ -148,15 +136,9 @@ def test_every_policy_reported(result):
 def test_smoke_suite_runs_fast():
     """The CI smoke probe (one microshape cell) completes quickly."""
     t0 = time.perf_counter()
-    m = measure_join_chain("event", depth=4, leaf_sleep=0.01, repetitions=1)
+    m = measure_join_chain(depth=4, leaf_sleep=0.01, repetitions=1)
     assert time.perf_counter() - t0 < 10.0
     assert m.times
-
-
-def test_speedup_helper_matches_manual(result):
-    chain = result.join_chain
-    manual = chain["polling"].best_time / chain["event"].best_time
-    assert join_wakeup_speedup(chain) == pytest.approx(manual)
 
 
 if __name__ == "__main__":
@@ -168,8 +150,6 @@ if __name__ == "__main__":
         argv.remove("--smoke")
         cli_args.append("--smoke")
     cli_args += [
-        "--min-join-speedup",
-        str(JOIN_WAKEUP_GATE),
         "--max-overhead",
         str(TJSP_OVERHEAD_BOUND),
         "--max-journal-overhead",

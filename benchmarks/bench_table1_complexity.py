@@ -123,7 +123,7 @@ class TestScalingShape:
         assert ratio > 30.0  # O(n h) = O(n^2) on chains: ideal 64x
 
     def test_tj_sp_interned_space_linear_on_chains(self):
-        """Interning shares path prefixes: one node per task, O(n) space."""
+        """Flat rows share path prefixes: one row per task, O(n) space."""
         small, big = self._costs("TJ-SP", "chain")
         ratio = big.space_units / small.space_units
         assert 7.0 < ratio < 9.0  # exactly 8x tasks -> 8x space

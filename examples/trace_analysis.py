@@ -9,7 +9,7 @@ Run:  python examples/trace_analysis.py
 """
 
 from repro import TaskRuntime
-from repro.core import TJSpawnPaths
+from repro.core import TJSpawnPathsLegacy
 from repro.formal import (
     ForkTree,
     KJFamily,
@@ -22,7 +22,7 @@ from repro.tools import TraceRecordingPolicy
 
 
 def main() -> None:
-    recorder = TraceRecordingPolicy(TJSpawnPaths())
+    recorder = TraceRecordingPolicy(TJSpawnPathsLegacy())
     rt = TaskRuntime(policy=recorder)
 
     # The Figure 1 (right) program: e joins c directly, *without* anyone

@@ -39,7 +39,6 @@ from .core import (
     TJGlobalTree,
     TJJumpPointers,
     TJOrderMaintenance,
-    TJSpawnPaths,
     TJSpawnPathsFlat,
     Verifier,
     make_policy,
@@ -75,7 +74,6 @@ __all__ = [
     "NullPolicy",
     "TJGlobalTree",
     "TJJumpPointers",
-    "TJSpawnPaths",
     "TJSpawnPathsFlat",
     "TJOrderMaintenance",
     "KJVectorClock",

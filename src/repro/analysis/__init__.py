@@ -36,7 +36,6 @@ from .runtime_overhead import (
     RUNTIME_POLICIES,
     JoinChainMeasurement,
     RuntimeOverheadResult,
-    join_wakeup_speedup,
     render_runtime_table,
     run_runtime_suite,
 )
@@ -82,5 +81,4 @@ __all__ = [
     "RUNTIME_POLICIES",
     "run_runtime_suite",
     "render_runtime_table",
-    "join_wakeup_speedup",
 ]

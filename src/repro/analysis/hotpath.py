@@ -10,7 +10,7 @@ terms:
   in which the same waiters re-check joins against the same targets
   (the phaser/finish pattern the monotone verdict cache accelerates);
 * ``fork-heavy`` — thousands of forks on a bushy tree with only a few
-  checks (stresses per-fork allocation: O(1) interned node vs O(h)
+  checks (stresses per-fork allocation: O(1) array append vs O(h)
   tuple copy);
 * ``deep-tree`` — a degenerate chain with random order queries
   (stresses the ``Less`` walk length);
@@ -54,11 +54,10 @@ __all__ = [
     "render_hotpath_table",
 ]
 
-#: policies covered by the suite: the flat TJ-SP, its object and seed
-#: baselines, the other TJ variants, and the KJ baselines.
+#: policies covered by the suite: the flat TJ-SP, its seed baseline,
+#: the other TJ variants, and the KJ baselines.
 HOTPATH_POLICIES = (
     "TJ-SP",
-    "TJ-SP-obj",
     "TJ-SP-legacy",
     "TJ-GT",
     "TJ-JP",

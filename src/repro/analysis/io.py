@@ -258,7 +258,6 @@ def runtime_to_json(result) -> str:
                 "baseline_tasks": m.baseline_tasks,
                 "baseline_elapsed": m.baseline_elapsed,
                 "cpu_count": m.cpu_count,
-                "spawn_paths": m.spawn_paths,
                 "local_joins": m.local_joins,
                 "cross_joins": m.cross_joins,
                 "degraded_joins": m.degraded_joins,
@@ -375,7 +374,9 @@ def runtime_from_json(text: str):
         )
     procs = None
     if "procs" in payload:
-        m = payload["procs"]["measurement"]
+        m = dict(payload["procs"]["measurement"])
+        # Older files name the retired shm/wire spawn-path choice.
+        m.pop("spawn_paths", None)
         procs = ProcsSoakMeasurement(**m)
     predict = None
     if "predict" in payload:

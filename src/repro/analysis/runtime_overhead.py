@@ -7,16 +7,11 @@ real runtimes, with the supervision layer in the loop.  Two instruments:
 * **join-latency microshape** — a fork chain of depth *d* whose leaf
   sleeps briefly; every other task immediately joins its child, so the
   unwind is a cascade of blocked joins where each wakeup gates the next.
-  The shape is run under two wait protocols: the live event-driven one
-  (targeted wakeups; :func:`~repro.runtime.supervisor.wait_for_future`)
-  and the poll-loop baseline it replaced
-  (:func:`~repro.runtime.supervisor.wait_for_future_polling`, which
-  observes every condition only at 1 ms → 50 ms backoff ticks).  Under
-  polling each unwind level eats up to a full tick of wakeup lag and the
-  lags *compound* up the chain; under targeted wakeups the whole unwind
-  costs microseconds beyond the leaf sleep.  The headline regression
-  gate asserts the event protocol is at least 2× faster end-to-end on
-  this shape (in practice it is far more).
+  Under the event-driven wait protocol (targeted wakeups;
+  :func:`~repro.runtime.supervisor.wait_for_future`) the whole unwind
+  costs microseconds beyond the leaf sleep; a wakeup that lags (a
+  regression back to tick-based polling, say) compounds up the chain.
+  The gate bounds the unwind well below one 50 ms poll tick.
 
 * **journal overhead on the fork chain** — the same fork-chain
   microshape (with a short leaf sleep) run with the crash-consistent
@@ -69,17 +64,14 @@ from __future__ import annotations
 
 import math
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..benchsuite import make_benchmark
 from ..benchsuite.harness import BenchmarkReport, Harness, PolicyMeasurement
-from ..runtime import supervisor
 from ..runtime.threaded import TaskRuntime
 
 __all__ = [
-    "WAIT_MODES",
     "JOURNAL_MODES",
     "RUNTIME_POLICIES",
     "JOIN_CHAIN_PARAMS",
@@ -98,10 +90,8 @@ __all__ = [
     "ObsOverheadMeasurement",
     "ServiceSoakMeasurement",
     "RuntimeOverheadResult",
-    "wait_protocol",
     "measure_join_chain",
     "run_join_chain_suite",
-    "join_wakeup_speedup",
     "measure_journal_mode",
     "run_journal_suite",
     "journal_overhead_factor",
@@ -116,19 +106,15 @@ __all__ = [
     "render_runtime_table",
 ]
 
-#: the two wait protocols the microshape compares
-WAIT_MODES = ("event", "polling")
-
 #: policies measured against the ``policy=None`` baseline
 RUNTIME_POLICIES = ("TJ-SP", "TJ-OM", "KJ-VC", "KJ-SS")
 
 #: join-latency microshape: chain depth and leaf sleep (seconds).  The
-#: leaf sleep is sized so the polling baseline's backoff reaches its
-#: 50 ms ceiling before the unwind starts — each level then pays a large
-#: fraction of a tick, and the lags compound up the chain.
+#: leaf sleep outlasts a 1 ms → 50 ms poll backoff's ramp, so a
+#: tick-bound wakeup would pay a large fraction of a tick per level.
 JOIN_CHAIN_PARAMS: dict[str, float] = {"depth": 8, "leaf_sleep": 0.03}
 
-#: smaller microshape for CI smoke runs (still far beyond the 2× gate).
+#: smaller microshape for CI smoke runs.
 SMOKE_JOIN_CHAIN_PARAMS: dict[str, float] = {"depth": 6, "leaf_sleep": 0.02}
 
 #: the journal instrument's two configurations
@@ -265,37 +251,16 @@ SMOKE_OBS_DIST_PARAMS: dict[str, int] = {
 
 
 # ----------------------------------------------------------------------
-# wait-protocol selection
-# ----------------------------------------------------------------------
-@contextmanager
-def wait_protocol(mode: str) -> Iterator[None]:
-    """Run the enclosed block under the given blocked-wait protocol.
-
-    ``"event"`` is the live protocol (no change); ``"polling"`` swaps
-    the supervisor's module-global ``wait_for_future`` for the poll-loop
-    baseline — ``SupervisedJoinMixin._supervised_wait`` looks the global
-    up at call time precisely so this benchmark can do the swap.
-    Restores the live protocol on exit, exception or not.
-    """
-    if mode not in WAIT_MODES:
-        raise ValueError(f"unknown wait mode {mode!r}; known: {WAIT_MODES}")
-    if mode == "event":
-        yield
-        return
-    original = supervisor.wait_for_future
-    supervisor.wait_for_future = supervisor.wait_for_future_polling
-    try:
-        yield
-    finally:
-        supervisor.wait_for_future = original
-
-
-# ----------------------------------------------------------------------
 # the join-latency microshape
 # ----------------------------------------------------------------------
 @dataclass
 class JoinChainMeasurement:
-    """All timed repetitions of the chain unwind under one wait mode."""
+    """All timed repetitions of the chain unwind.
+
+    *mode* names the wait protocol; runs record ``"event"``, and files
+    written before the poll-loop baseline was retired also hold a
+    ``"polling"`` arm.
+    """
 
     mode: str
     depth: int
@@ -332,32 +297,28 @@ def _chain_main(rt: TaskRuntime, depth: int, leaf_sleep: float):
 
 
 def measure_join_chain(
-    mode: str,
     *,
     depth: int = 8,
     leaf_sleep: float = 0.03,
     repetitions: int = 3,
     warmup: int = 1,
 ) -> JoinChainMeasurement:
-    """Time the chain unwind under one wait protocol.
+    """Time the chain unwind under the event-driven wait protocol.
 
     Every repetition uses a fresh runtime (runtimes host one root run),
     and the result is checked — a protocol that mis-delivers a wakeup
     cannot pass by being fast.
     """
-    m = JoinChainMeasurement(mode=mode, depth=depth, leaf_sleep=leaf_sleep)
-    with wait_protocol(mode):
-        for i in range(warmup + repetitions):
-            rt = TaskRuntime(policy=None)
-            t0 = time.perf_counter()
-            result = rt.run(_chain_main(rt, depth, leaf_sleep))
-            elapsed = time.perf_counter() - t0
-            if result != depth:
-                raise RuntimeError(
-                    f"join chain returned {result!r}, expected {depth}"
-                )
-            if i >= warmup:
-                m.times.append(elapsed)
+    m = JoinChainMeasurement(mode="event", depth=depth, leaf_sleep=leaf_sleep)
+    for i in range(warmup + repetitions):
+        rt = TaskRuntime(policy=None)
+        t0 = time.perf_counter()
+        result = rt.run(_chain_main(rt, depth, leaf_sleep))
+        elapsed = time.perf_counter() - t0
+        if result != depth:
+            raise RuntimeError(f"join chain returned {result!r}, expected {depth}")
+        if i >= warmup:
+            m.times.append(elapsed)
     return m
 
 
@@ -367,23 +328,15 @@ def run_join_chain_suite(
     repetitions: int = 3,
     warmup: int = 1,
 ) -> dict[str, JoinChainMeasurement]:
-    """The microshape under both protocols; returns mode -> measurement."""
+    """The microshape; returns mode -> measurement (one ``"event"`` arm)."""
     p = dict(params if params is not None else JOIN_CHAIN_PARAMS)
-    return {
-        mode: measure_join_chain(
-            mode,
-            depth=int(p["depth"]),
-            leaf_sleep=float(p["leaf_sleep"]),
-            repetitions=repetitions,
-            warmup=warmup,
-        )
-        for mode in WAIT_MODES
-    }
-
-
-def join_wakeup_speedup(chain: dict[str, JoinChainMeasurement]) -> float:
-    """Best-time factor of the event protocol over the polling baseline."""
-    return chain["polling"].best_time / chain["event"].best_time
+    m = measure_join_chain(
+        depth=int(p["depth"]),
+        leaf_sleep=float(p["leaf_sleep"]),
+        repetitions=repetitions,
+        warmup=warmup,
+    )
+    return {m.mode: m}
 
 
 # ----------------------------------------------------------------------
@@ -811,7 +764,6 @@ class ProcsSoakMeasurement:
     baseline_tasks: int
     baseline_elapsed: float
     cpu_count: int
-    spawn_paths: str
     local_joins: int
     cross_joins: int
     degraded_joins: int
@@ -846,7 +798,6 @@ class ProcsSoakMeasurement:
 def run_procs_soak(
     *,
     params: Optional[dict[str, int]] = None,
-    spawn_paths: str = "auto",
     sidecar: Optional[str] = None,
 ) -> ProcsSoakMeasurement:
     """Soak the multi-process runtime and measure its aggregate throughput.
@@ -889,7 +840,7 @@ def run_procs_soak(
     baseline_tasks = dispatches * per_subtree
 
     # --- the multi-process arm ----------------------------------------
-    rt = ProcessRuntime(workers=workers, spawn_paths=spawn_paths, sidecar=sidecar)
+    rt = ProcessRuntime(workers=workers, sidecar=sidecar)
 
     def procs_root():
         futs = [
@@ -920,7 +871,6 @@ def run_procs_soak(
         baseline_tasks=baseline_tasks,
         baseline_elapsed=baseline_elapsed,
         cpu_count=cpu_count,
-        spawn_paths=rt.spawn_paths,
         local_joins=joins["local_joins"],
         cross_joins=joins["cross_joins"],
         degraded_joins=joins["degraded_joins"],
@@ -1256,8 +1206,8 @@ def geomean_overhead(reports: Sequence[BenchmarkReport], policy: str) -> float:
 # ----------------------------------------------------------------------
 @dataclass
 class RuntimeOverheadResult:
-    """One full run: the microshape under both protocols + the overhead
-    grid, with the parameters that produced them embedded."""
+    """One full run: the microshape + the overhead grid, with the
+    parameters that produced them embedded."""
 
     join_chain: dict[str, JoinChainMeasurement]
     reports: list[BenchmarkReport]
@@ -1281,10 +1231,6 @@ class RuntimeOverheadResult:
     #: distributed-telemetry arms on the procs shape; None in files v1-v6
     obs_dist: Optional[ObsDistMeasurement] = None
     obs_dist_params: dict[str, int] = field(default_factory=dict)
-
-    @property
-    def join_speedup(self) -> float:
-        return join_wakeup_speedup(self.join_chain)
 
     @property
     def journal_overhead(self) -> float:
@@ -1417,13 +1363,11 @@ def render_runtime_table(result: RuntimeOverheadResult) -> str:
             f"{'protocol':<10} {'best ms':>9} {'mean ms':>9} {'unwind ms':>10}",
             "-" * 42,
         ]
-        for mode in WAIT_MODES:
-            m = result.join_chain[mode]
+        for m in result.join_chain.values():
             lines.append(
-                f"{mode:<10} {m.best_time * 1e3:>9.2f} {m.mean_time * 1e3:>9.2f} "
+                f"{m.mode:<10} {m.best_time * 1e3:>9.2f} {m.mean_time * 1e3:>9.2f} "
                 f"{m.unwind_overhead * 1e3:>10.2f}"
             )
-        lines.append(f"event-driven join speedup: {result.join_speedup:.2f}x")
         lines.append("")
     if result.journal:
         on = result.journal["on"]

@@ -34,7 +34,6 @@ TABLE1_BOUNDS = {
     "TJ-GT": ("O(1)", "O(h)", "O(n)"),
     "TJ-JP": ("O(log h)", "O(log h)", "O(n log h)"),
     "TJ-SP": ("O(1)", "O(h)", "O(n)"),  # flat arrays; amortised O(1) re-joins
-    "TJ-SP-obj": ("O(1)", "O(h)", "O(n)"),  # interned prefix-tree objects
     "TJ-SP-legacy": ("O(h)", "O(h)", "O(n h)"),  # the paper's Algorithm 3 bounds
     "TJ-OM": ("O(1)*", "O(1)", "O(n)"),
 }

@@ -14,8 +14,8 @@ TJ-OM      O(1) amort  O(1)        O(n)          extension
 plus the :class:`NullPolicy` baseline and the Algorithm 1 verifier shell.
 ``"TJ-SP"`` resolves to the struct-of-arrays :class:`TJSpawnPathsFlat`
 (compiled kernel when available, pure Python otherwise — see
-:mod:`repro.core._cbuild`); the interned object implementation survives
-as ``"TJ-SP-obj"`` and the seed tuples as ``"TJ-SP-legacy"``.
+:mod:`repro.core._cbuild`); the paper's tuple-per-task Algorithm 3
+survives as ``"TJ-SP-legacy"``.
 """
 
 from .policy import (
@@ -29,7 +29,7 @@ from .policy import (
 from .tj_gt import GTNode, TJGlobalTree
 from .tj_jp import JPNode, TJJumpPointers
 from .tj_om import OMNode, TJOrderMaintenance
-from .tj_sp import LegacySPNode, SPNode, TJSpawnPaths, TJSpawnPathsLegacy
+from .tj_sp import LegacySPNode, TJSpawnPathsLegacy
 from .tj_sp_flat import FlatTreePy, TJSpawnPathsFlat
 from .verifier import Verifier, VerifierStats
 
@@ -44,14 +44,12 @@ __all__ = [
     "evict_chunk",
     "TJGlobalTree",
     "TJJumpPointers",
-    "TJSpawnPaths",
     "TJSpawnPathsFlat",
     "TJSpawnPathsLegacy",
     "TJOrderMaintenance",
     "FlatTreePy",
     "GTNode",
     "JPNode",
-    "SPNode",
     "LegacySPNode",
     "OMNode",
     "Verifier",

@@ -92,7 +92,7 @@ class JoinPolicy(ABC):
         """Vectorised ``permits`` for one joiner against many joinees.
 
         The default just loops; implementations may override to amortise
-        per-call overhead (see :class:`~repro.core.tj_sp.TJSpawnPaths`).
+        per-call overhead (see :class:`~repro.core.tj_sp_flat.TJSpawnPathsFlat`).
         """
         permits = self.permits
         return [permits(joiner, joinee) for joinee in joinees]

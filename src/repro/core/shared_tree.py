@@ -64,28 +64,18 @@ import threading
 import time
 from contextlib import contextmanager
 from contextlib import nullcontext as _nullcontext
-from typing import NamedTuple, Optional, Sequence
+from multiprocessing import resource_tracker, shared_memory
+from typing import NamedTuple, Optional
 
 from .policy import JoinPolicy
 
-try:  # pragma: no cover - always present on CPython >= 3.8
-    from multiprocessing import resource_tracker, shared_memory
-except ImportError:  # pragma: no cover - exotic platforms
-    shared_memory = None
-    resource_tracker = None
-
-__all__ = ["SharedTreeHandle", "SharedFlatTree", "SharedTJPolicy", "shm_available"]
+__all__ = ["SharedTreeHandle", "SharedFlatTree", "SharedTJPolicy"]
 
 _I64 = 8
 #: data segments hold 4 int64 arrays per row: parent | edge | depth | children
 _FIELDS = 4
 #: control words: [stripe, seg0, nprocs, segment high-water hint]
 _CTL_WORDS = 4
-
-
-def shm_available() -> bool:
-    """Can this platform host the shared-memory spawn-path forest?"""
-    return shared_memory is not None
 
 
 class SharedTreeHandle(NamedTuple):
@@ -114,9 +104,6 @@ def _no_tracking():
     registration outright; the owning runtime keeps its registrations
     (crash insurance) and unlinks everything in :meth:`close`.
     """
-    if resource_tracker is None:  # pragma: no cover
-        yield
-        return
     with _track_lock:
         real = resource_tracker.register
         resource_tracker.register = lambda name, rtype: None
@@ -194,8 +181,6 @@ class SharedFlatTree:
         stripe: int = 1024,
         seg0: int = 1 << 14,
     ) -> "SharedFlatTree":
-        if shared_memory is None:  # pragma: no cover
-            raise RuntimeError("multiprocessing.shared_memory unavailable")
         if nprocs < 1:
             raise ValueError("nprocs must be at least 1")
         if stripe < 1 or seg0 < stripe:
@@ -215,8 +200,6 @@ class SharedFlatTree:
 
     @classmethod
     def attach(cls, handle: SharedTreeHandle, region: int) -> "SharedFlatTree":
-        if shared_memory is None:  # pragma: no cover
-            raise RuntimeError("multiprocessing.shared_memory unavailable")
         handle = SharedTreeHandle(*handle)
         with _no_tracking():
             ctl = shared_memory.SharedMemory(name=f"{handle.base}-ctl")
@@ -455,10 +438,6 @@ class SharedTJPolicy(JoinPolicy):
             self._last_ok[joiner] = joinee
             return True
         return False
-
-    def permits_many(self, joiner: int, joinees: Sequence[int]) -> list[bool]:
-        permits = self.permits
-        return [permits(joiner, joinee) for joinee in joinees]
 
     def space_units(self) -> int:
         """4 slots per vertex *this process* created, plus the cache.

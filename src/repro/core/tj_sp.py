@@ -1,209 +1,23 @@
-"""TJ-SP: the task-local spawn-path algorithm (Algorithm 3), interned.
+"""TJ-SP: the task-local spawn-path algorithm (Algorithm 3), as evaluated.
 
-The seed implementation stored each task's *spawn path* — the array of
+The seed implementation stores each task's *spawn path* — the array of
 child indices from the root down to itself — as an immutable Python
-tuple: a fork copied the parent's path (O(h) allocation) and ``Less``
-scanned for the longest common prefix.  That is the variant the paper
+tuple: a fork copies the parent's path (O(h) allocation) and ``Less``
+scans for the longest common prefix.  That is the variant the paper
 evaluates, and it is kept verbatim below as :class:`TJSpawnPathsLegacy`
-(registered as ``"TJ-SP-legacy"``) so benchmarks can measure against it.
-
-:class:`TJSpawnPaths` (registered as ``"TJ-SP-obj"``) replaces the
-per-task tuple with a *hash-consed prefix tree* in the style of DePa's
-compact fork paths: every task holds one interned :class:`SPNode` with a
-parent pointer, its edge label (sibling index), a precomputed depth and
-a stable id.  The production ``"TJ-SP"`` name now resolves to the
-struct-of-arrays policy of :mod:`repro.core.tj_sp_flat`, which drops the
-node objects altogether; this object implementation is retained for
-differential testing and as a benchmark rung between the legacy tuples
-and the flat core.  A fork is then a single O(1) node allocation — the whole
-prefix is shared structurally — and ``Less`` resolves at the lowest
-common ancestor by climbing the two node chains in lockstep instead of
-re-scanning tuples from the root.
-
-On top of the interned representation sit two caches that exploit TJ's
-key invariant: the fork-tree order ``<_T`` is *fixed at fork time*, so
-the verdict of ``Less(a, b)`` can never change over the lifetime of the
-program (monotonicity — see docs/verifiers.md).  Both positive and
-negative verdicts are therefore stable and safe to memoise:
-
-* each node remembers the id of the joinee it was most recently
-  permitted against (``_last_ok``), making the phaser/barrier pattern of
-  re-joining the same partner an O(1) field compare;
-* the policy keeps a bounded insertion-ordered cache of
-  ``(joiner-id, joinee-id) -> verdict`` entries, so repeated joins in
-  finish/fan-in patterns become O(1) dict hits.  The cache is capacity
-  bounded and so adds O(1) space; at capacity the *oldest eighth* is
-  evicted in one sweep (one-at-a-time FIFO eviction thrashed: a working
-  set just over capacity paid an eviction on every insert, forever).
-  Evictions are counted in ``cache_evictions``; races on the cache are
-  benign because verdicts are deterministic and immutable, so a racy
-  eviction may simply clear it wholesale.
-
-The Section 5.1 concurrency contract still holds without locks: the only
-shared mutable fields are the parent's ``children`` counter (written
-solely by the owning task) and the caches (benign, idempotent writes).
+(registered as ``"TJ-SP-legacy"``): Table 1 reports its bounds and the
+hot-path speedup gate measures the production policy against it.  The
+production ``"TJ-SP"`` name resolves to the struct-of-arrays policy of
+:mod:`repro.core.tj_sp_flat`.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import Optional
 
-from .policy import JoinPolicy, evict_chunk as _evict_chunk, register_policy
+from .policy import JoinPolicy, register_policy
 
-__all__ = ["SPNode", "TJSpawnPaths", "TJSpawnPathsLegacy", "LegacySPNode"]
-
-
-class SPNode:
-    """An interned spawn-path node: one vertex of the shared prefix tree.
-
-    ``parent``/``edge``/``depth`` encode the spawn path structurally
-    (the path is the edge labels from the root down); ``sid`` is a
-    stable id used as a cache key; ``children`` is the fork counter;
-    ``_path`` lazily materialises the legacy tuple form for debugging
-    and differential tests; ``_last_ok`` is the per-task monotone
-    permission cache (id of the last joinee this node was permitted
-    against, or -1).
-    """
-
-    __slots__ = ("parent", "edge", "depth", "sid", "children", "_path", "_last_ok")
-
-    def __init__(self, parent: Optional["SPNode"], edge: int, depth: int, sid: int) -> None:
-        self.parent = parent
-        self.edge = edge
-        self.depth = depth
-        self.sid = sid
-        self.children = 0
-        self._path: Optional[tuple[int, ...]] = () if parent is None else None
-        self._last_ok = -1
-
-    @property
-    def path(self) -> tuple[int, ...]:
-        """The spawn path as the legacy tuple, materialised on demand."""
-        cached = self._path
-        if cached is not None:
-            return cached
-        rev: list[int] = []
-        node: SPNode = self
-        while node._path is None:
-            rev.append(node.edge)
-            assert node.parent is not None
-            node = node.parent
-        path = node._path + tuple(reversed(rev))
-        self._path = path
-        return path
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"SPNode(path={self.path})"
-
-
-class TJSpawnPaths(JoinPolicy):
-    """Transitive Joins over interned (structurally shared) spawn paths."""
-
-    name = "TJ-SP-obj"
-    stable_permits = True
-
-    #: verdict-cache capacity; past it the oldest eighth is evicted
-    CACHE_CAPACITY = 1 << 16
-
-    def __init__(self) -> None:
-        self._n_nodes = 0
-        self._sid = itertools.count()
-        self._verdicts: dict[tuple[int, int], bool] = {}
-        #: total verdict-cache entries evicted over this policy's lifetime
-        self.cache_evictions = 0
-
-    def add_child(self, parent: Optional[SPNode]) -> SPNode:
-        self._n_nodes += 1
-        if parent is None:
-            return SPNode(None, 0, 0, next(self._sid))
-        node = SPNode(parent, parent.children, parent.depth + 1, next(self._sid))
-        parent.children += 1
-        return node
-
-    # ------------------------------------------------------------------
-    def permits(self, joiner: SPNode, joinee: SPNode) -> bool:
-        jid = joinee.sid
-        if joiner._last_ok == jid:
-            return True  # monotone: a permitted pair stays permitted
-        cache = self._verdicts
-        key = (joiner.sid, jid)
-        verdict = cache.get(key)
-        if verdict is None:
-            verdict = self._less_nodes(joiner, joinee)
-            if len(cache) >= self.CACHE_CAPACITY:
-                self.cache_evictions += _evict_chunk(cache, self.CACHE_CAPACITY)
-            cache[key] = verdict
-        if verdict:
-            joiner._last_ok = jid
-        return verdict
-
-    def cache_stats(self) -> dict[str, int]:
-        """Size and total evictions of the verdict cache."""
-        return {
-            "pair_entries": len(self._verdicts),
-            "evictions": self.cache_evictions,
-        }
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _less_nodes(a: SPNode, b: SPNode) -> bool:
-        """``Less`` on interned nodes: lockstep climb to the LCA.
-
-        Equivalent to the legacy tuple LCP scan: the edges taken from
-        the LCA toward the two originals are exactly the tuple entries
-        at the divergence index.
-        """
-        if a is b:
-            return False
-        e1: Optional[int] = None
-        e2: Optional[int] = None
-        d1, d2 = a.depth, b.depth
-        while d2 > d1:
-            e2 = b.edge
-            b = b.parent  # type: ignore[assignment]
-            d2 -= 1
-        while d1 > d2:
-            e1 = a.edge
-            a = a.parent  # type: ignore[assignment]
-            d1 -= 1
-        while a is not b:
-            e1 = a.edge
-            e2 = b.edge
-            a = a.parent  # type: ignore[assignment]
-            b = b.parent  # type: ignore[assignment]
-        if e1 is None:
-            # a never moved: proper ancestor of the original b (anc+).
-            return e2 is not None
-        if e2 is None:
-            # b is a proper ancestor of a (dec*): never permitted.
-            return False
-        return e1 > e2  # sib case: later sibling is smaller
-
-    @staticmethod
-    def _less(p1: tuple[int, ...], p2: tuple[int, ...]) -> bool:
-        """The seed Algorithm 3 ``Less``: longest-common-prefix scan.
-
-        Kept as the executable reference semantics; the property tests
-        assert :meth:`_less_nodes` agrees with it on random fork trees.
-        """
-        for i in range(min(len(p1), len(p2))):
-            if p1[i] != p2[i]:
-                return p1[i] > p2[i]  # sib case: later sibling is smaller
-        # One path is a prefix of the other (or they are equal): the
-        # shorter path is the ancestor, and only a proper ancestor is less.
-        return len(p1) < len(p2)
-
-    def space_units(self) -> int:
-        """Live storage in atomic slots.
-
-        Each *unique prefix-tree node* is counted exactly once, at 4
-        slots (parent pointer, edge label, depth, stable id) — interned
-        prefixes are shared, so total space is O(n) in the number of
-        tasks, not the legacy O(n·h) of one full tuple per task.  The
-        bounded verdict cache is O(1) by construction and not counted.
-        """
-        return 4 * self._n_nodes
+__all__ = ["TJSpawnPathsLegacy", "LegacySPNode"]
 
 
 class LegacySPNode:
@@ -224,8 +38,8 @@ class TJSpawnPathsLegacy(JoinPolicy):
 
     Task-local arrays trade O(n·h) total space for zero sharing: a fork
     copies the parent's tuple and appends the child index; ``Less`` is
-    the Algorithm 3 LCP scan.  ``bench_hotpath`` measures the interned
-    :class:`TJSpawnPaths` against this implementation.
+    the Algorithm 3 LCP scan.  ``bench_hotpath`` measures the flat
+    ``TJ-SP`` against this implementation.
     """
 
     name = "TJ-SP-legacy"
@@ -245,13 +59,20 @@ class TJSpawnPathsLegacy(JoinPolicy):
         return LegacySPNode(path)
 
     def permits(self, joiner: LegacySPNode, joinee: LegacySPNode) -> bool:
-        return TJSpawnPaths._less(joiner.path, joinee.path)
+        return self._less(joiner.path, joinee.path)
 
-    _less = staticmethod(TJSpawnPaths._less)
+    @staticmethod
+    def _less(p1: tuple[int, ...], p2: tuple[int, ...]) -> bool:
+        """Algorithm 3 ``Less``: longest-common-prefix scan."""
+        for i in range(min(len(p1), len(p2))):
+            if p1[i] != p2[i]:
+                return p1[i] > p2[i]  # sib case: later sibling is smaller
+        # One path is a prefix of the other (or they are equal): the
+        # shorter path is the ancestor, and only a proper ancestor is less.
+        return len(p1) < len(p2)
 
     def space_units(self) -> int:
         return self._n_nodes + self._path_slots
 
 
-register_policy(TJSpawnPaths.name, TJSpawnPaths)
 register_policy(TJSpawnPathsLegacy.name, TJSpawnPathsLegacy)

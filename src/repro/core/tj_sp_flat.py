@@ -1,9 +1,9 @@
 """TJ-SP over a struct-of-arrays core: the flat-array policy (``TJ-SP``).
 
-The interned prefix tree of :mod:`repro.core.tj_sp` won the asymptotics
-(O(1) forks, O(n) space) but kept one Python object per task, so every
-``Less`` step paid attribute loads and every batch check paid a Python
-loop.  This module removes the objects entirely, in the style of DePa's
+A hash-consed prefix tree of node objects gets the asymptotics right
+(O(1) forks, O(n) space) but keeps one Python object per task, so every
+``Less`` step pays attribute loads and every batch check a Python loop.
+This module removes the objects entirely, in the style of DePa's
 machine-word path encodings: the whole spawn-path forest lives in
 parallel int64 buffers —
 
@@ -43,10 +43,11 @@ into one dict hit per drain.  The cache evicts in chunks (the oldest
 eighth, via :func:`repro.core.policy.evict_chunk`) rather than one
 entry per insert, and counts evictions (``cache_stats()``).
 
-The object policy survives as ``"TJ-SP-obj"`` and the seed tuples as
-``"TJ-SP-legacy"``; ``tests/core/test_flat_tj_sp.py`` proves all four
-implementations (legacy / object / flat-pure / flat-compiled) verdict
-identical on 1000+ random trees.
+The seed tuples survive as ``"TJ-SP-legacy"``;
+``tests/core/test_spawn_path_oracle.py`` checks every spawn-path store
+(legacy, flat-pure, flat-compiled, the multi-process runtime's
+shared-memory forest and the sidecar's tenant mirror) against the formal
+TJ order.
 """
 
 from __future__ import annotations
@@ -464,8 +465,8 @@ class TJSpawnPathsFlat(JoinPolicy):
 
     def space_units(self) -> int:
         """Live storage in atomic slots: 4 per vertex (parent, edge,
-        depth, last-ok), same accounting as the interned object policy;
-        the bounded batch cache is O(1) by construction and not counted."""
+        depth, last-ok); the bounded batch cache is O(1) by construction
+        and not counted."""
         return 4 * len(self._core)
 
     # Debug/differential helpers (never on the hot path) -----------------

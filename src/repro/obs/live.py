@@ -34,6 +34,8 @@ from ..service.client import parse_remote_url
 from ..service.wire import (
     WIRE_VERSION,
     RecordStream,
+    dial,
+    set_nodelay,
     validate_record,
 )
 
@@ -124,6 +126,7 @@ class IntrospectionServer:
                 sock, _ = self._listener.accept()
             except OSError:
                 return  # listener closed
+            set_nodelay(sock)
             self.connections += 1
             with self._conns_lock:
                 self._conns.add(sock)
@@ -203,31 +206,15 @@ def fetch_stats(url: str, *, timeout: float = 5.0, session: str = "top-live") ->
     refuses the exchange (e.g. a wire-version mismatch).
     """
     host, port = parse_remote_url(url)
+    hello = {
+        "kind": "hello",
+        "session": session,
+        "policy": "TJ-SP",
+        "fail_mode": "open",
+        "wire": WIRE_VERSION,
+    }
+    stream, _ = dial(host, port, hello, timeout=timeout)
     try:
-        sock = socket.create_connection((host, port), timeout=timeout)
-    except OSError as exc:
-        raise ServiceUnavailableError(f"cannot reach {url}: {exc}") from exc
-    try:
-        sock.settimeout(timeout)
-        stream = RecordStream(sock)
-        stream.send(
-            {
-                "kind": "hello",
-                "session": session,
-                "policy": "TJ-SP",
-                "fail_mode": "open",
-                "wire": WIRE_VERSION,
-            }
-        )
-        reply = stream.recv()
-        if reply is None:
-            raise ServiceUnavailableError(f"{url} closed during handshake")
-        if reply.get("kind") == "error":
-            raise ServiceProtocolError(str(reply.get("message")))
-        if reply.get("kind") != "welcome":
-            raise ServiceProtocolError(
-                f"expected welcome from {url}, got {reply.get('kind')!r}"
-            )
         stream.send({"kind": "stats", "req": 0})
         while True:
             reply = stream.recv()
@@ -245,7 +232,4 @@ def fetch_stats(url: str, *, timeout: float = 5.0, session: str = "top-live") ->
                 raise ServiceProtocolError(str(reply.get("message")))
             # acks/pongs/quarantine announcements: keep reading
     finally:
-        try:
-            sock.close()
-        except OSError:
-            pass
+        stream.sock.close()

@@ -18,19 +18,13 @@ Results stream back on a shared result queue; a collector thread in the
 parent completes the dispatched futures.
 
 Spawn paths — the TJ-SP fork tree every verdict derives from — live in
-one of two representations, chosen by ``spawn_paths``:
-
-* ``"shm"`` (default where available): the struct-of-arrays forest of
-  :class:`~repro.core.shared_tree.SharedFlatTree` in
-  ``multiprocessing.shared_memory``.  Every process reads the same rows
-  through int64 loads; segments double in capacity and are attached
-  lazily via the generation handshake, and ids are striped per process
-  so ``AddChild`` never takes an interprocess lock.
-* ``"wire"``: no shared memory at all.  Each process keeps a private
-  DePa-style path store (:class:`WireSpawnPaths`) and every dispatch
-  ships the task's spawn-path lineage — a compact list of
-  ``(vid, parent, edge, depth)`` rows — so the worker can verify
-  locally against paths alone.
+the struct-of-arrays forest of
+:class:`~repro.core.shared_tree.SharedFlatTree` in
+``multiprocessing.shared_memory``.  Every process reads the same rows
+through int64 loads; segments double in capacity and are attached
+lazily via the generation handshake, and ids are striped per process so
+``AddChild`` never takes an interprocess lock.  A dispatch therefore
+ships only the vertex id: the worker finds its spawn path in the forest.
 
 Join resolution — the local shard and the escalation rule
 ---------------------------------------------------------
@@ -48,11 +42,10 @@ and asks the sidecar's tenant mirror for the verdict via the existing
 ``check``/``check_batch`` wire vocabulary.
 
 Degradation is sound by construction: TJ-SP verdicts depend only on the
-fork tree, which every process can already see (shared memory) or
-reconstruct (shipped lineages) — so when the sidecar dies mid-run the
-:class:`~repro.service.client.SessionClient` degrades permanently and
-the shard answers escalated checks from the local authority instead,
-counting every such resolution.  Nothing blocks, nothing is unsound;
+fork tree, which every process can already see in shared memory — so
+when the sidecar dies mid-run the :class:`~repro.service.client.SessionClient`
+degrades permanently and the shard answers escalated checks from the
+local authority instead, counting every such resolution.  Nothing blocks, nothing is unsound;
 the sidecar is an arbiter and an observer, not the source of truth.
 
 Worker death (at-least-once redispatch)
@@ -83,26 +76,20 @@ import secrets
 import threading
 import time
 from multiprocessing.connection import wait as _mpc_wait
-from typing import Any, Callable, Optional, Sequence, Union
+from typing import Any, Callable, Optional, Union
 
 from .context import require_current_task, task_scope
 from .future import Future
 from .supervisor import StallWatchdog, SupervisedJoinMixin
 from .task import TaskHandle, TaskState
 from .threaded import TaskRuntime
-from ..core.shared_tree import (
-    SharedFlatTree,
-    SharedTJPolicy,
-    SharedTreeHandle,
-    shm_available,
-)
+from ..core.shared_tree import SharedFlatTree, SharedTJPolicy, SharedTreeHandle
 from ..core.verifier import Verifier
 from ..errors import ReproError, RuntimeStateError
 from ..obs.metrics import CounterGroup, label_snapshot, merge_snapshots
 from ..obs.tracing import current_trace_context, flow_id
-from ..service.mirror import MirroredSpawnPaths
 
-__all__ = ["ProcessRuntime", "ShardVerifier", "WireSpawnPaths"]
+__all__ = ["ProcessRuntime", "ShardVerifier"]
 
 #: worker -> parent result-queue message kinds
 _R_DONE = "done"
@@ -118,55 +105,6 @@ _STATS_IDLE_PUSH = 1.0
 #: how often the monitor thread pings the parent's sidecar connection
 #: (well inside the server's 5 s liveness window)
 _CLIENT_PING_EVERY = 1.0
-
-
-# ----------------------------------------------------------------------
-# wire-mode spawn paths: DePa-style rows, striped id allocation
-# ----------------------------------------------------------------------
-class WireSpawnPaths(MirroredSpawnPaths):
-    """Per-process TJ-SP path store for the no-shared-memory fallback.
-
-    Same Algorithm 3 verdicts as the mirror policy it extends, but ids
-    are *allocated* here (striped per process, like the shared tree:
-    process ``r`` of ``n`` owns ids ``r, r+n, r+2n, ...``), and remote
-    lineages arrive via :meth:`adopt` — the compact
-    ``(vid, parent, edge, depth)`` row lists a dispatch ships.
-    """
-
-    backend = "wire"
-
-    def __init__(self, region: int, nprocs: int) -> None:
-        super().__init__("TJ-SP")
-        self.name = "TJ-SP-wire"
-        self._next = region
-        self._step = nprocs
-        self._children: dict[int, int] = {}
-
-    def add_child(self, parent: Optional[int]) -> int:
-        vid = self._next
-        self._next += self._step
-        if parent is None or parent < 0:
-            self.rows[vid] = (-1, 0, 0)
-        else:
-            edge = self._children.get(parent, 0)
-            self._children[parent] = edge + 1
-            self.rows[vid] = (parent, edge, self.rows[parent][2] + 1)
-        return vid
-
-    def adopt(self, rows: Sequence[tuple]) -> None:
-        """Install remote rows (a shipped lineage) verbatim."""
-        for vid, parent, edge, depth in rows:
-            self.rows[vid] = (parent, edge, depth)
-
-    def lineage(self, vid: int) -> list[tuple]:
-        """Root-first ``(vid, parent, edge, depth)`` rows for *vid*."""
-        out = []
-        while vid >= 0:
-            parent, edge, depth = self.rows[vid]
-            out.append((vid, parent, edge, depth))
-            vid = parent
-        out.reverse()
-        return out
 
 
 # ----------------------------------------------------------------------
@@ -212,17 +150,6 @@ class ShardVerifier(Verifier):
 
     def procs_stats(self) -> dict:
         return self._procs_events.totals()
-
-    def adopt(self, vid: int, rows: Optional[Sequence[tuple]] = None) -> None:
-        """Make a remotely-forked vertex resolvable here (NOT local).
-
-        In wire mode *rows* carries the shipped lineage; in shm mode the
-        shared forest already has the rows and there is nothing to copy.
-        Adopted vertices stay outside the local set on purpose: joins
-        from them are cross-process edges and must escalate.
-        """
-        if rows is not None:
-            self.policy.adopt(rows)
 
     # -- announcements --------------------------------------------------
     def _announce(self, kind: str, vid: int) -> None:
@@ -467,15 +394,11 @@ def _worker_main(cfg: dict) -> None:
             trace_id=tcfg.get("trace_id"),
         )
 
-    tree = None
     with _obs_mod.using(session):
-        if cfg["tree_handle"] is not None:
-            tree = SharedFlatTree.attach(
-                SharedTreeHandle(*cfg["tree_handle"]), region=cfg["region"]
-            )
-            policy = SharedTJPolicy(tree)
-        else:
-            policy = WireSpawnPaths(cfg["region"], cfg["nprocs"])
+        tree = SharedFlatTree.attach(
+            SharedTreeHandle(*cfg["tree_handle"]), region=cfg["region"]
+        )
+        policy = SharedTJPolicy(tree)
 
         client = None
         if cfg["sidecar_url"] is not None:
@@ -536,8 +459,7 @@ def _worker_main(cfg: dict) -> None:
                 continue
             if item is None:
                 break
-            vid, payload, lineage, tctx = item
-            shard.adopt(vid, lineage)
+            vid, payload, tctx = item
             try:
                 fn, args, kwargs = pickle.loads(payload)
             except Exception as exc:  # noqa: BLE001
@@ -563,8 +485,7 @@ def _worker_main(cfg: dict) -> None:
             pass
         if client is not None:
             client.close()
-        if tree is not None:
-            tree.close()
+        tree.close()
 
 
 # ----------------------------------------------------------------------
@@ -612,16 +533,15 @@ class ProcessRuntime(SupervisedJoinMixin):
     Parameters
     ----------
     policy:
-        Only the TJ-SP family is supported: cross-process soundness
-        leans on verdicts that are fixed at fork time and derivable from
-        spawn paths alone.  Pass ``"TJ-SP"`` (the default).
+        Only ``"TJ-SP"`` (the default): cross-process soundness leans on
+        verdicts that are fixed at fork time and derivable from spawn
+        paths alone, and every process verifies against the one
+        shared-memory forest.
     workers:
         Worker process count (the parent is an additional process that
         hosts the root and the dispatch plumbing).
     spawn_paths:
-        ``"shm"`` — shared-memory forest; ``"wire"`` — per-process path
-        stores with shipped lineages; ``"auto"`` (default) picks shm
-        where the platform has it.
+        Only ``"shm"`` (the default), the shared-memory forest.
     sidecar:
         ``None`` — no sidecar: cross-process edges resolve against the
         local authority from the start (counted as degraded);
@@ -638,7 +558,7 @@ class ProcessRuntime(SupervisedJoinMixin):
         protocol so ``repro top --live`` can attach while the run is in
         flight (see :mod:`repro.obs.live`).
     stripe, seg0:
-        Shared-tree allocation geometry (shm mode), for tests.
+        Shared-tree allocation geometry, for tests.
 
     ``fail_mode``, ``default_join_timeout``, ``watchdog``,
     ``on_unjoined_failure`` behave as on :class:`TaskRuntime`.  There is
@@ -651,7 +571,7 @@ class ProcessRuntime(SupervisedJoinMixin):
         policy: str = "TJ-SP",
         *,
         workers: int = 4,
-        spawn_paths: str = "auto",
+        spawn_paths: str = "shm",
         sidecar: Union[None, str] = None,
         redispatch: bool = True,
         fail_mode: str = "raise",
@@ -667,19 +587,15 @@ class ProcessRuntime(SupervisedJoinMixin):
             policy_name = policy
         else:
             policy_name = getattr(policy, "name", str(policy))
-        if not policy_name.startswith("TJ-SP"):
+        if policy_name != "TJ-SP":
             raise ValueError(
-                "ProcessRuntime requires a TJ-SP-family policy (verdicts "
-                f"fixed at fork time); got {policy_name!r}"
+                "ProcessRuntime requires the 'TJ-SP' policy (verdicts fixed "
+                f"at fork time, on the shared-memory forest); got {policy_name!r}"
             )
         if workers < 1:
             raise ValueError("workers must be at least 1")
-        if spawn_paths not in ("auto", "shm", "wire"):
-            raise ValueError("spawn_paths must be 'auto', 'shm' or 'wire'")
-        if spawn_paths == "auto":
-            spawn_paths = "shm" if shm_available() else "wire"
-        if spawn_paths == "shm" and not shm_available():  # pragma: no cover
-            raise RuntimeError("shared memory unavailable; use spawn_paths='wire'")
+        if spawn_paths != "shm":
+            raise ValueError(f"spawn_paths must be 'shm'; got {spawn_paths!r}")
         self.workers_requested = workers
         self.spawn_paths = spawn_paths
         self.redispatch = redispatch
@@ -922,17 +838,14 @@ class ProcessRuntime(SupervisedJoinMixin):
 
             self._client = SessionClient(url, f"{self.run_id}-p", tenant=self.run_id)
             self._client.connect()
-        if self.spawn_paths == "shm":
-            self._tree = SharedFlatTree.create(
-                nprocs=self._nprocs, stripe=self._stripe, seg0=self._seg0
-            )
-            policy = SharedTJPolicy(self._tree)
-            tree_handle = tuple(self._tree.handle())
-        else:
-            policy = WireSpawnPaths(0, self._nprocs)
-            tree_handle = None
+        self._tree = SharedFlatTree.create(
+            nprocs=self._nprocs, stripe=self._stripe, seg0=self._seg0
+        )
+        tree_handle = tuple(self._tree.handle())
         self._verifier = ShardVerifier(
-            policy, fail_mode=self._fail_mode, sidecar=self._client
+            SharedTJPolicy(self._tree),
+            fail_mode=self._fail_mode,
+            sidecar=self._client,
         )
         obs = self._obs
         telemetry_cfg = None
@@ -955,7 +868,6 @@ class ProcessRuntime(SupervisedJoinMixin):
             cfg = {
                 "index": i,
                 "region": i + 1,
-                "nprocs": self._nprocs,
                 "tree_handle": tree_handle,
                 "sidecar_url": url,
                 "run_id": self.run_id,
@@ -1122,9 +1034,6 @@ class ProcessRuntime(SupervisedJoinMixin):
         task = TaskHandle(vertex, code=fn, parent_uid=parent.uid)
         future = Future(self, task)
         task.state = TaskState.RUNNING
-        lineage = None
-        if self.spawn_paths == "wire":
-            lineage = self._verifier.policy.lineage(vertex)
         with self._plock:
             self.tasks_dispatched += 1
             worker = self._pick_worker_locked()
@@ -1144,7 +1053,7 @@ class ProcessRuntime(SupervisedJoinMixin):
                     args={"child": vertex, "worker": worker.index},
                 )
                 obs.tracer.flow("s", "dispatch", flow_id(tctx))
-        worker.dispatch_q.put((vertex, payload, lineage, tctx))
+        worker.dispatch_q.put((vertex, payload, tctx))
         return future
 
     def _pick_worker_locked(self) -> Optional[_WorkerHandle]:
@@ -1291,9 +1200,6 @@ class ProcessRuntime(SupervisedJoinMixin):
         self._verifier.announce_fork(new_vid)
         self._verifier.flush_announcements()
         future.task.vertex = new_vid
-        lineage = None
-        if self.spawn_paths == "wire":
-            lineage = self._verifier.policy.lineage(new_vid)
         with self._plock:
             worker = self._pick_worker_locked()
             if worker is None:
@@ -1309,7 +1215,7 @@ class ProcessRuntime(SupervisedJoinMixin):
             )
         # Redispatch carries no trace context: the original dispatch span
         # may be long gone, so the retry's run span roots its own tree.
-        worker.dispatch_q.put((new_vid, entry.payload, lineage, None))
+        worker.dispatch_q.put((new_vid, entry.payload, None))
 
     # join / join_batch / _join_one come from SupervisedJoinMixin, driving
     # the parent's ShardVerifier exactly like TaskRuntime drives its own.

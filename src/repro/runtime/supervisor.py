@@ -60,9 +60,7 @@ protocol for :class:`~repro.runtime.threaded.TaskRuntime` and
 :class:`~repro.runtime.pool.WorkSharingRuntime`; the two runtimes
 differ only in the hooks (`_before_block`, `_wait_helper`,
 `_helper_tick`) the pool uses for worker compensation and
-help-while-blocked.  :func:`wait_for_future_polling` preserves the
-PR 2 poll-loop implementation as the measured baseline of
-``benchmarks/bench_runtime_overhead.py``.
+help-while-blocked.
 """
 
 from __future__ import annotations
@@ -100,7 +98,6 @@ __all__ = [
     "WallClock",
     "WALL_CLOCK",
     "wait_for_future",
-    "wait_for_future_polling",
 ]
 
 
@@ -133,9 +130,9 @@ class WallClock:
 #: the shared wall-clock instance (stateless)
 WALL_CLOCK = WallClock()
 
-#: first poll interval of a saturated-pool (or legacy polling) wait
+#: first poll interval of a saturated-pool wait
 _MIN_TICK = 0.001
-#: ceiling for the poll interval of a saturated-pool (or legacy) wait
+#: ceiling for the poll interval of a saturated-pool wait
 _MAX_TICK = 0.05
 #: re-check cadence on the main thread, purely for Ctrl-C delivery —
 #: completion still wakes the wait immediately via the event
@@ -437,70 +434,6 @@ def wait_for_future(
             registry.unregister(record)
         future._discard_waiter(record)
         token._discard_waker(record)
-
-
-def wait_for_future_polling(
-    future: "Future",
-    joiner: "TaskHandle",
-    *,
-    registry: Optional[JoinRegistry] = None,
-    watchdog: Optional[StallWatchdog] = None,
-    deadline: Optional[float] = None,
-    timeout_value: Optional[float] = None,
-    helper: Optional[Callable[[], bool]] = None,
-    helper_tick: Optional[Callable[[], bool]] = None,
-    max_tick: float = _MAX_TICK,
-    main_tick: float = _MAIN_TICK,
-    clock: Optional[WallClock] = None,
-) -> int:
-    """The poll-loop wait protocol the event rewrite replaced, kept as
-    the measured baseline.
-
-    Every condition — completion included — is observed only at poll
-    ticks: the loop sleeps ``_MIN_TICK`` doubling up to ``max_tick`` and
-    re-checks, with no wake event anywhere.  This is the uniform
-    embodiment of the pre-rewrite supervision protocol (which delivered
-    cancellation, deadlines and watchdog verdicts at exactly this
-    cadence), so the difference against :func:`wait_for_future` isolates
-    the wakeup mechanism itself — which is what
-    ``benchmarks/bench_runtime_overhead.py`` measures (the ≥2×
-    join-wakeup gate).  Not used by the runtimes.
-    """
-    if clock is None:
-        clock = WALL_CLOCK
-    if future._done:
-        return 0
-    record = registry.register(joiner, future.task, future) if registry is not None else None
-    if watchdog is not None:
-        watchdog.ensure_running()
-    tick = _MIN_TICK
-    wakeups = 0
-    try:
-        while True:
-            if record is not None and record.exc is not None:
-                raise record.exc
-            token = joiner.cancel_token
-            if token.cancelled():
-                raise TaskCancelledError(joiner)
-            if future._done:
-                return wakeups
-            wait = tick
-            if deadline is not None:
-                remaining = deadline - clock.monotonic()
-                if remaining <= 0:
-                    raise JoinTimeoutError(joiner, future.task, timeout_value)
-                wait = min(wait, remaining)
-            clock.sleep(wait)
-            wakeups += 1
-            if record is not None:
-                record.wakeups += 1
-            if helper is not None and helper():
-                tick = _MIN_TICK  # we did useful work; stay responsive
-                continue
-            tick = min(tick * 2, max_tick)
-    finally:
-        if record is not None:
-            registry.unregister(record)
 
 
 class _LatchArm:
@@ -1075,8 +1008,6 @@ class SupervisedJoinMixin:
         deadline: Optional[float],
         timeout_value: Optional[float],
     ) -> None:
-        # Module-level lookup on purpose: the runtime-overhead benchmark
-        # swaps in wait_for_future_polling to measure the old protocol.
         obs = self._obs
         if obs is None:
             wait_for_future(

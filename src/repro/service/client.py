@@ -64,7 +64,7 @@ from ..errors import (
 from ..obs.metrics import RTT_NS_BUCKETS
 from ..obs.tracing import current_trace_context
 from ..runtime.retry import RetryPolicy
-from .wire import SERVER_KINDS, WIRE_VERSION, RecordStream, validate_record
+from .wire import SERVER_KINDS, WIRE_VERSION, RecordStream, dial, validate_record
 
 __all__ = ["RemoteVerifier", "RemoteVertex", "SessionClient", "parse_remote_url"]
 
@@ -425,49 +425,34 @@ class RemoteVerifier(Verifier):
 
     def _try_connect(self) -> bool:
         """One connect + handshake + reconcile attempt; False on failure."""
+        hello = {
+            "kind": "hello",
+            "session": self.session_id,
+            "policy": self.policy.name,
+            "fail_mode": self.fail_mode,
+            "wire": WIRE_VERSION,
+            "resume": True,
+        }
         try:
-            sock = socket.create_connection(
-                (self.host, self.port), timeout=self.liveness_timeout
+            stream, welcome = dial(
+                self.host,
+                self.port,
+                hello,
+                timeout=self.liveness_timeout,
+                handshake_timeout=self.liveness_timeout * 2,
             )
-        except OSError:
-            return False
-        try:
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            sock.settimeout(self.liveness_timeout * 2)
-            stream = RecordStream(sock)
-            stream.send(
-                {
-                    "kind": "hello",
-                    "session": self.session_id,
-                    "policy": self.policy.name,
-                    "fail_mode": self.fail_mode,
-                    "wire": WIRE_VERSION,
-                    "resume": True,
-                }
+        except ServiceProtocolError as exc:
+            # The server *rejected* us (policy mismatch, version skew):
+            # retrying cannot help, and hiding it would mask misconfig.
+            warnings.warn(
+                f"sidecar refused session {self.session_id!r}: {exc}",
+                ServiceDegradedWarning,
+                stacklevel=3,
             )
-            welcome = stream.recv()
-            if welcome is None:
-                raise ServiceUnavailableError("server closed during handshake")
-            kind = validate_record(welcome, SERVER_KINDS)
-            if kind == "error":
-                raise ServiceProtocolError(welcome["message"])
-            if kind != "welcome":
-                raise ServiceProtocolError(f"expected welcome, got {kind!r}")
-            sock.settimeout(None)
-        except (ServiceUnavailableError, ServiceProtocolError, OSError) as exc:
-            try:
-                sock.close()
-            except OSError:
-                pass
-            if isinstance(exc, ServiceProtocolError):
-                # The server *rejected* us (policy mismatch, version skew):
-                # retrying cannot help, and hiding it would mask misconfig.
-                warnings.warn(
-                    f"sidecar refused session {self.session_id!r}: {exc}",
-                    ServiceDegradedWarning,
-                    stacklevel=3,
-                )
             return False
+        except ServiceUnavailableError:
+            return False
+        stream.sock.settimeout(None)
         # Handshake done: install the stream and reconcile under the send
         # lock so no fresh event can jump ahead of the replayed gap.
         with self._send_lock:
@@ -784,24 +769,18 @@ class SessionClient:
     def connect(self) -> bool:
         """Dial and handshake; False (and degraded) if the sidecar is gone."""
         host, port = parse_remote_url(self.url)
+        hello = {
+            "kind": "hello",
+            "wire": WIRE_VERSION,
+            "session": self.session_id,
+            "policy": self.policy_name,
+            "fail_mode": self.fail_mode,
+        }
+        if self.tenant is not None:
+            hello["tenant"] = self.tenant
         try:
-            sock = socket.create_connection((host, port), timeout=self.timeout)
-            sock.settimeout(self.timeout)
-            stream = RecordStream(sock)
-            hello = {
-                "kind": "hello",
-                "wire": WIRE_VERSION,
-                "session": self.session_id,
-                "policy": self.policy_name,
-                "fail_mode": self.fail_mode,
-            }
-            if self.tenant is not None:
-                hello["tenant"] = self.tenant
-            stream.send(hello)
-            welcome = stream.recv()
-            if welcome is None or welcome.get("kind") != "welcome":
-                raise ServiceProtocolError(f"expected welcome, got {welcome!r}")
-        except (OSError, ServiceError) as exc:
+            stream, _ = dial(host, port, hello, timeout=self.timeout)
+        except ServiceError as exc:
             self._degrade(f"connect: {exc}")
             return False
         with self._lock:

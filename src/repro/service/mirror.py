@@ -27,7 +27,7 @@ TJ-SP by construction.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 from ..core.policy import JoinPolicy
 
@@ -109,10 +109,6 @@ class MirroredSpawnPaths(JoinPolicy):
             self._last_ok[joiner] = joinee
             return True
         return False
-
-    def permits_many(self, joiner: int, joinees: Sequence[int]) -> list[bool]:
-        permits = self.permits
-        return [permits(joiner, joinee) for joinee in joinees]
 
     def space_units(self) -> int:
         return 4 * len(self.rows) + len(self._last_ok)

@@ -54,6 +54,7 @@ from .wire import (
     MAX_FRAME,
     WIRE_VERSION,
     RecordStream,
+    set_nodelay,
     validate_record,
 )
 
@@ -213,6 +214,7 @@ class _Connection:
     __slots__ = ("sock", "stream", "send_lock", "last_heard", "session_id", "peer")
 
     def __init__(self, sock: socket.socket, peer: str) -> None:
+        set_nodelay(sock)
         self.sock = sock
         self.stream = RecordStream(sock)
         self.send_lock = threading.Lock()

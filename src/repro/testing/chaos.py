@@ -1143,7 +1143,6 @@ class ProcsChaosResult:
     #: dispatched subtree count and per-subtree leaf fanout
     dispatches: int
     fanout: int
-    spawn_paths: str
     #: worker index SIGKILLed mid-run (None when no kill was requested)
     killed_worker: Optional[int]
     worker_deaths: int
@@ -1169,7 +1168,6 @@ def run_procs_divergence(
     workers: int = 4,
     tasks: int = 2000,
     fanout: int = 20,
-    spawn_paths: str = "auto",
     sidecar: Optional[str] = None,
     kill_worker: bool = True,
     check: bool = True,
@@ -1215,12 +1213,7 @@ def run_procs_divergence(
     local_rejected = local_rt.verifier.stats.snapshot()["joins_rejected"]
 
     # --- the multi-process run, with the seeded kill ------------------
-    rt = ProcessRuntime(
-        workers=workers,
-        spawn_paths=spawn_paths,
-        sidecar=sidecar,
-        introspect=introspect,
-    )
+    rt = ProcessRuntime(workers=workers, sidecar=sidecar, introspect=introspect)
     victim_index = rng.randrange(workers) if kill_worker else None
     kill_at = 1 + rng.randrange(max(1, dispatches // 2)) if kill_worker else None
     killed: list[int] = []
@@ -1292,7 +1285,7 @@ def run_procs_divergence(
         problems.append("no cross-process joins were ever reported")
     if check and problems:
         raise ChaosInvariantError(
-            f"seed {seed} procs workers={workers} spawn_paths={spawn_paths} "
+            f"seed {seed} procs workers={workers} "
             f"({elapsed:.1f}s): " + "; ".join(problems)
         )
     return ProcsChaosResult(
@@ -1300,7 +1293,6 @@ def run_procs_divergence(
         workers=workers,
         dispatches=dispatches,
         fanout=fanout,
-        spawn_paths=rt.spawn_paths,
         killed_worker=victim_index if killed else None,
         worker_deaths=rt.worker_deaths,
         tasks_redispatched=rt.tasks_redispatched,

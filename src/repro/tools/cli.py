@@ -26,10 +26,10 @@ Commands
     ``BENCH_hotpath.json`` with the TJ-SP kernel backend recorded per
     measurement; optionally enforce the legacy-speedup and KJ-VC-parity
     gates.
-``bench-runtime [--reps N] [--smoke] [--json PATH] [--min-join-speedup F]
-[--max-overhead F] [--max-journal-overhead F]``
+``bench-runtime [--reps N] [--smoke] [--json PATH] [--max-overhead F]
+[--max-journal-overhead F]``
     Run the end-to-end runtime overhead suite: the join-latency
-    microshape under the event-driven and polling wait protocols, the
+    microshape (a fork-chain unwind of blocked joins), the
     journal-on vs journal-off fork chain, plus Table-2-style
     policy-vs-baseline configs; writes ``BENCH_runtime.json`` and
     enforces the regression gates.
@@ -304,7 +304,6 @@ def _cmd_procs(args: argparse.Namespace) -> int:
                 workers=args.workers,
                 tasks=args.tasks,
                 fanout=args.fanout,
-                spawn_paths=args.spawn_paths,
                 sidecar=args.sidecar,
                 kill_worker=args.kill_worker,
                 check=args.check_divergence,
@@ -316,7 +315,7 @@ def _cmd_procs(args: argparse.Namespace) -> int:
         js = result.join_stats
         print(
             f"procs: workers={result.workers} dispatches={result.dispatches} "
-            f"fanout={result.fanout} spawn_paths={result.spawn_paths}"
+            f"fanout={result.fanout}"
         )
         print(
             f"  killed_worker={result.killed_worker} deaths={result.worker_deaths} "
@@ -876,13 +875,6 @@ def _cmd_bench_runtime(args: argparse.Namespace) -> int:
     save_runtime(result, args.json)
     print(f"raw samples written to {args.json}")
     status = 0
-    speedup = result.join_speedup
-    if args.min_join_speedup and speedup < args.min_join_speedup:
-        print(
-            f"REGRESSION: event-driven join speedup {speedup:.2f}x "
-            f"below the {args.min_join_speedup:.2f}x gate"
-        )
-        status = 1
     if args.max_overhead:
         factor = result.overhead("TJ-SP")
         if factor > args.max_overhead:
@@ -1025,7 +1017,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p.add_argument(
         "--fanout", type=int, default=20, help="leaves per dispatched subtree"
     )
-    p.add_argument("--spawn-paths", choices=["auto", "shm", "wire"], default="auto")
     p.add_argument(
         "--sidecar",
         default=None,
@@ -1289,14 +1280,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--smoke", action="store_true", help="tiny CI-sized configurations"
     )
     p.add_argument("--json", default="BENCH_runtime.json", help="output path")
-    p.add_argument(
-        "--min-join-speedup",
-        type=float,
-        default=0.0,
-        metavar="FACTOR",
-        help="fail (exit 1) if the event-driven join speedup over the "
-        "polling baseline drops below FACTOR",
-    )
     p.add_argument(
         "--max-overhead",
         type=float,

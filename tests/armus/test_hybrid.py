@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.armus.hybrid import HybridVerifier, replay_trace
-from repro.core import TJSpawnPaths, make_policy
+from repro.core import make_policy
 from repro.formal.actions import Fork, Init, Join
 from repro.formal.generators import random_tj_valid_trace
 from repro.kj import KJSnapshotSets
@@ -13,7 +13,7 @@ from repro.kj import KJSnapshotSets
 
 class TestHybridVerifier:
     def test_permitted_join_no_fallback_activity(self):
-        h = HybridVerifier(TJSpawnPaths())
+        h = HybridVerifier(make_policy("TJ-SP"))
         root_v = h.on_init()
         child_v = h.on_fork(root_v)
         blocked = h.begin_join("root", "child", root_v, child_v, joinee_done=False)
@@ -23,7 +23,7 @@ class TestHybridVerifier:
         h.on_join_completed(root_v, child_v)
 
     def test_flagged_join_on_done_task_is_vacuous_false_positive(self):
-        h = HybridVerifier(TJSpawnPaths())
+        h = HybridVerifier(make_policy("TJ-SP"))
         root_v = h.on_init()
         child_v = h.on_fork(root_v)
         # child joining root is TJ-invalid, but the root has "terminated"

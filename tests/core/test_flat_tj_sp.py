@@ -3,21 +3,22 @@
 The load-bearing property: on the same fork tree, the flat policy —
 under the pure-Python kernel *and* the compiled kernel, scalar *and*
 vectorized batch — returns verdicts identical to the seed tuple
-implementation (``TJ-SP-legacy``) and the interned object implementation
-(``TJ-SP-obj``), across 1000+ random trees and across the kernels'
-growth/reallocation boundaries.  Plus the backend-selection contract
-(``REPRO_TJ_BACKEND`` / ``backend=``), the chunked verdict-cache
-eviction, the generic ``permits_many``/scalar agreement for every other
-policy, and the per-backend verifier histogram labels.
+implementation (``TJ-SP-legacy``), across 1000+ random trees and across
+the kernels' growth/reallocation boundaries.  (The formal TJ order
+itself is the oracle of ``test_spawn_path_oracle.py``.)  Plus the
+backend-selection contract (``REPRO_TJ_BACKEND`` / ``backend=``), the
+chunked verdict-cache eviction, the generic ``permits_many``/scalar
+agreement for every other policy, and the per-backend verifier
+histogram labels.
 """
 
 import random
 
 import pytest
 
-from repro.core import Verifier, make_policy
+from repro.core import POLICY_REGISTRY, Verifier, make_policy
 from repro.core._cbuild import BACKEND_ENV, compiled_module
-from repro.core.tj_sp import TJSpawnPaths, TJSpawnPathsLegacy
+from repro.core.tj_sp import TJSpawnPathsLegacy
 from repro.core.tj_sp_flat import VECTOR_MIN, FlatTreePy, TJSpawnPathsFlat
 
 HAVE_C = compiled_module() is not None
@@ -47,19 +48,17 @@ def grow_all(policies, parents):
 class TestDifferential:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_1000_trees_scalar_verdicts_identical(self, backend):
-        """legacy == object == flat on every queried pair, 1000 trees."""
+        """legacy == flat on every queried pair, 1000 trees."""
         rng = random.Random(0xF1A7)
         for tree in range(1000):
             n = rng.randint(2, 14)
             parents = random_parents(rng, n)
             flat = TJSpawnPathsFlat(backend=backend)
             legacy = TJSpawnPathsLegacy()
-            obj = TJSpawnPaths()
-            fv, lv, ov = grow_all([flat, legacy, obj], parents)
+            fv, lv = grow_all([flat, legacy], parents)
             for a in range(n):
                 for b in range(n):
                     want = legacy.permits(lv[a], lv[b])
-                    assert obj.permits(ov[a], ov[b]) == want
                     assert flat.permits(fv[a], fv[b]) == want, (
                         f"tree {tree} ({backend}): disagree on ({a}, {b})"
                     )
@@ -238,31 +237,16 @@ class TestBackendSelection:
         p = make_policy("TJ-SP")
         assert isinstance(p, TJSpawnPathsFlat)
         assert p.backend in ("c", "py")
-        assert make_policy("TJ-SP-obj").name == "TJ-SP-obj"
         assert make_policy("TJ-SP-legacy").name == "TJ-SP-legacy"
+        # the flat core and the paper's Algorithm 3 are the only TJ-SP names
+        spawn_paths = sorted(n for n in POLICY_REGISTRY if n.startswith("TJ-SP"))
+        assert spawn_paths == ["TJ-SP", "TJ-SP-legacy"]
 
 
 # ----------------------------------------------------------------------
-# verdict-cache eviction (the chunked fix, both policies)
+# verdict-cache eviction (the chunked fix)
 # ----------------------------------------------------------------------
 class TestChunkedEviction:
-    def test_object_policy_evicts_in_chunks(self):
-        p = TJSpawnPaths()
-        p.CACHE_CAPACITY = 64
-        root = p.add_child(None)
-        kids = [p.add_child(root) for _ in range(80)]
-        for kid in kids[:64]:
-            p.permits(kid, root)  # False verdicts: cached, no last-ok
-        assert len(p._verdicts) == 64
-        p.permits(kids[64], root)  # trips one chunk eviction
-        stats = p.cache_stats()
-        assert stats["evictions"] == 8  # capacity >> 3
-        assert len(p._verdicts) == 64 - 8 + 1
-        # steady state: the next few inserts pay no eviction at all
-        for kid in kids[65:70]:
-            p.permits(kid, root)
-        assert p.cache_stats()["evictions"] == 8
-
     def test_flat_batch_cache_evicts_in_chunks(self):
         p = TJSpawnPathsFlat(backend="py")
         p.BATCH_CACHE_CAPACITY = 16

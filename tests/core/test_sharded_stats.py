@@ -13,7 +13,7 @@ import threading
 
 import pytest
 
-from repro.core import TJSpawnPaths, Verifier
+from repro.core import TJSpawnPathsFlat, Verifier
 from repro.core.policy import NullPolicy
 
 N_THREADS = 8
@@ -23,7 +23,7 @@ CHECKS_PER_THREAD = 900
 
 @pytest.fixture
 def verifier():
-    return Verifier(TJSpawnPaths())
+    return Verifier(TJSpawnPathsFlat())
 
 
 class TestShardedCountsExact:
@@ -57,7 +57,7 @@ class TestShardedCountsExact:
         assert stats.joins_permitted + stats.joins_rejected == stats.joins_checked
 
     def test_rejections_counted_exactly_across_threads(self):
-        verifier = Verifier(TJSpawnPaths())
+        verifier = Verifier(TJSpawnPathsFlat())
         root = verifier.on_init()
         children = [verifier.on_fork(root) for _ in range(N_THREADS)]
         rounds = 500

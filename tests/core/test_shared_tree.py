@@ -11,18 +11,8 @@ from __future__ import annotations
 import glob
 import multiprocessing
 
-import pytest
-
-from repro.core.shared_tree import (
-    SharedFlatTree,
-    SharedTJPolicy,
-    shm_available,
-)
+from repro.core.shared_tree import SharedFlatTree, SharedTJPolicy
 from repro.core.tj_sp_flat import TJSpawnPathsFlat
-
-pytestmark = pytest.mark.skipif(
-    not shm_available(), reason="multiprocessing.shared_memory unavailable"
-)
 
 
 def _leaked(base: str) -> list[str]:

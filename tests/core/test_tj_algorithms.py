@@ -8,7 +8,7 @@ from repro.core.policy import NullPolicy, make_policy
 from repro.core.tj_gt import GTNode, TJGlobalTree
 from repro.core.tj_jp import JPNode, TJJumpPointers
 from repro.core.tj_om import TJOrderMaintenance
-from repro.core.tj_sp import SPNode, TJSpawnPaths
+from repro.core.tj_sp import TJSpawnPathsLegacy
 
 
 class TestTJGT:
@@ -79,7 +79,7 @@ class TestTJJP:
 
 class TestTJSP:
     def test_paths(self):
-        p = TJSpawnPaths()
+        p = TJSpawnPathsLegacy()
         root = p.add_child(None)
         a = p.add_child(root)
         b = p.add_child(root)
@@ -90,13 +90,13 @@ class TestTJSP:
         assert aa.path == (0, 0)
 
     def test_prefix_means_ancestor(self):
-        p = TJSpawnPaths()
+        p = TJSpawnPathsLegacy()
         assert p._less((0,), (0, 3))  # ancestor
         assert not p._less((0, 3), (0,))  # descendant
         assert not p._less((0, 3), (0, 3))  # equal
 
     def test_divergence_compares_reversed(self):
-        p = TJSpawnPaths()
+        p = TJSpawnPathsLegacy()
         assert p._less((2, 5), (1,))  # younger branch < older branch
         assert not p._less((1,), (2, 5))
 
@@ -198,4 +198,4 @@ class TestRegistry:
     def test_same_factory_reregistration_is_idempotent(self):
         from repro.core.policy import register_policy
 
-        register_policy(TJSpawnPaths.name, TJSpawnPaths)  # no error
+        register_policy(TJSpawnPathsLegacy.name, TJSpawnPathsLegacy)  # no error

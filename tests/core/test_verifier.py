@@ -2,18 +2,18 @@
 
 import pytest
 
-from repro.core import TJSpawnPaths, Verifier
+from repro.core import TJSpawnPathsFlat, Verifier
 from repro.errors import PolicyViolationError
 
 
 @pytest.fixture
 def verifier():
-    return Verifier(TJSpawnPaths())
+    return Verifier(TJSpawnPathsFlat())
 
 
 class TestVerifier:
     def test_name(self, verifier):
-        assert verifier.name == "TJ-SP-obj"
+        assert verifier.name == "TJ-SP"
 
     def test_fork_counting(self, verifier):
         root = verifier.on_init()
@@ -41,13 +41,13 @@ class TestVerifier:
         with pytest.raises(PolicyViolationError) as exc_info:
             verifier.require_join(child, root)
         err = exc_info.value
-        assert err.policy == "TJ-SP-obj"
+        assert err.policy == "TJ-SP"
         assert err.joiner is child and err.joinee is root
 
     def test_on_join_completed_delegates(self):
         calls = []
 
-        class Spy(TJSpawnPaths):
+        class Spy(TJSpawnPathsFlat):
             def on_join(self, joiner, joinee):
                 calls.append((joiner, joinee))
 

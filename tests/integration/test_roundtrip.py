@@ -4,7 +4,7 @@
 import queue
 
 from repro import TaskRuntime
-from repro.core import TJSpawnPaths
+from repro.core import TJSpawnPathsLegacy
 from repro.formal.actions import Fork, Join
 from repro.formal.deadlock import contains_deadlock
 from repro.formal.trace import is_structurally_valid, is_tj_valid
@@ -12,7 +12,7 @@ from repro.tools import TraceRecordingPolicy, replay_on_runtime
 
 
 def record(program_builder):
-    recorder = TraceRecordingPolicy(TJSpawnPaths())
+    recorder = TraceRecordingPolicy(TJSpawnPathsLegacy())
     rt = TaskRuntime(policy=recorder)
     result = rt.run(program_builder(rt))
     return result, recorder.snapshot(), rt
@@ -98,7 +98,7 @@ class TestRoundTrip:
             return shape(tree.root)
 
         _, trace1, _ = record(fib_program)
-        recorder = TraceRecordingPolicy(TJSpawnPaths())
+        recorder = TraceRecordingPolicy(TJSpawnPathsLegacy())
         replay_on_runtime(trace1, recorder)
         trace2 = recorder.snapshot()
         assert canonical(trace1) == canonical(trace2)

@@ -24,10 +24,10 @@ from repro.errors import (
     TaskFailedError,
 )
 from repro.runtime import ProcessRuntime, require_current_task
-from repro.runtime.procs import ShardVerifier, WireSpawnPaths
-from repro.core.shared_tree import shm_available
+from repro.runtime.procs import ShardVerifier
+from repro.core.shared_tree import SharedFlatTree, SharedTJPolicy
 
-MODES = ["wire"] + (["shm"] if shm_available() else [])
+MODES = ["shm"]
 
 
 def _rt(**kw):
@@ -292,8 +292,18 @@ def test_redispatch_off_fails_the_stranded_futures():
 # guard rails
 # ----------------------------------------------------------------------
 def test_rejects_non_tj_sp_policies():
-    with pytest.raises(ValueError, match="TJ-SP"):
-        ProcessRuntime(policy="KJ-VC")
+    # Only the flat TJ-SP runs on the shared-memory forest; other TJ-SP
+    # names must not be accepted and then silently replaced by it.
+    for policy in ("KJ-VC", "TJ-SP-legacy"):
+        with pytest.raises(ValueError, match="TJ-SP"):
+            ProcessRuntime(policy=policy)
+
+
+def test_rejects_spawn_paths_other_than_shm():
+    for spawn_paths in ("wire", "auto"):
+        with pytest.raises(ValueError, match="shm"):
+            ProcessRuntime(spawn_paths=spawn_paths)
+    assert ProcessRuntime(workers=1, spawn_paths="shm").spawn_paths == "shm"
 
 
 def test_one_root_per_runtime():
@@ -303,39 +313,24 @@ def test_one_root_per_runtime():
         rt.run(lambda: "second")
 
 
-def test_wire_spawn_paths_striping_and_lineage():
-    a = WireSpawnPaths(0, 3)
-    b = WireSpawnPaths(1, 3)
-    root = a.add_child(None)
-    kids = [a.add_child(root) for _ in range(4)]
-    assert root == 0 and kids == [3, 6, 9, 12]
-    assert all(v % 3 == 0 for v in kids)
-    # region 1 allocates 1, 4, 7, ... - disjoint by construction
-    b.adopt(a.lineage(kids[2]))
-    remote = b.add_child(kids[2])
-    assert remote % 3 == 1
-    assert b.rows[kids[2]] == a.rows[kids[2]]
-    # verdicts agree across stores that share the adopted lineage
-    assert b.permits(kids[2], remote) == a.permits(kids[2], kids[2]) or True
-    lineage = a.lineage(kids[2])
-    assert lineage[0][0] == root and lineage[-1][0] == kids[2]
-    assert [d for _, _, _, d in lineage] == [0, 1]
-
-
 def test_shard_verifier_counts_and_locality():
-    pol = WireSpawnPaths(0, 1)
-    shard = ShardVerifier(pol)
-    root = shard.on_init()
-    child = shard.on_fork(root)
-    assert shard.is_local(root) and shard.is_local(child)
-    assert shard.check_join(root, child) is True
-    # a remotely-forked joiner: adopted, not local -> counted as cross
-    remote = pol.add_child(root)
-    shard.adopt(remote)
-    grand = shard.on_fork(remote)
-    assert not shard.is_local(remote) and shard.is_local(grand)
-    assert shard.check_join(remote, grand) is True
-    stats = shard.procs_stats()
-    assert stats["local_joins"] == 1
-    assert stats["cross_joins"] == 1
-    assert stats["degraded_joins"] == 1  # no sidecar attached
+    with SharedFlatTree.create(nprocs=2, stripe=8, seg0=16) as tree:
+        shard = ShardVerifier(SharedTJPolicy(tree))
+        root = shard.on_init()
+        child = shard.on_fork(root)
+        assert shard.is_local(root) and shard.is_local(child)
+        assert shard.check_join(root, child) is True
+        # a joiner forked by another process (region 1): visible in the
+        # forest but not local -> its joins count as cross-process edges
+        other = SharedFlatTree.attach(tree.handle(), region=1)
+        try:
+            remote = SharedTJPolicy(other).add_child(root)
+        finally:
+            other.close()
+        grand = shard.on_fork(remote)
+        assert not shard.is_local(remote) and shard.is_local(grand)
+        assert shard.check_join(remote, grand) is True
+        stats = shard.procs_stats()
+        assert stats["local_joins"] == 1
+        assert stats["cross_joins"] == 1
+        assert stats["degraded_joins"] == 1  # no sidecar attached

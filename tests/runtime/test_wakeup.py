@@ -1,18 +1,16 @@
 """Wakeup-latency and no-busy-wait properties of the event-driven
 supervision layer.
 
-The rewrite's contract: task completion, cancellation and watchdog
-verdicts deliver *targeted* wakes, so a blocked join (off the main
-thread) performs O(1) wakeups and unblocks in far less than the old
-50 ms maximum poll tick — while the poll-loop baseline, kept for the
-runtime-overhead benchmark, still pays a wakeup per backoff tick.
+The contract: task completion, cancellation and watchdog verdicts
+deliver *targeted* wakes, so a blocked join (off the main thread)
+performs O(1) wakeups and unblocks in far less than the 50 ms maximum
+poll tick of the poll-loop protocol the event rewrite replaced.
 """
 
 import threading
 import time
 
 from repro import TaskRuntime
-from repro.analysis.runtime_overhead import wait_protocol
 from repro.runtime import Phaser
 
 #: the old protocol's maximum poll tick — the latency bar to beat
@@ -100,27 +98,6 @@ class TestWakeupCounts:
         assert len(records) == 1
         # the completion wake and at most a spurious straggler
         assert records[0].wakeups <= 2
-
-    def test_polling_baseline_pays_a_wakeup_per_tick(self):
-        """The contrast case: the poll loop wakes once per backoff tick."""
-        rt = TaskRuntime(policy="TJ-SP")
-
-        def main():
-            slow = rt.fork(lambda: time.sleep(0.3) or 7)
-
-            def waiter():
-                return slow.join()
-
-            w = rt.fork(waiter)
-            records = _capture_records(rt, w.task, 1)
-            assert w.join() == 7
-            return records
-
-        with wait_protocol("polling"):
-            records = rt.run(main)
-        assert len(records) == 1
-        # 1+2+4+...+50ms ticks across a 300ms block: several wakeups
-        assert records[0].wakeups >= 5
 
     def test_batch_prewait_shares_one_wake_event(self):
         """A known-permitted batch blocks on one latch: one shared event,

@@ -10,11 +10,15 @@ record vocabulary both endpoints validate against.
 from __future__ import annotations
 
 import json
+import socket
 import struct
 
 import pytest
 
 from repro.errors import ServiceProtocolError
+from repro.obs.live import IntrospectionServer
+from repro.service.client import SessionClient
+from repro.service.server import VerificationServer
 from repro.service.wire import (
     CLIENT_KINDS,
     MAX_FRAME,
@@ -22,6 +26,7 @@ from repro.service.wire import (
     SERVER_KINDS,
     WIRE_VERSION,
     FrameDecoder,
+    dial,
     encode_frame,
     validate_record,
 )
@@ -185,3 +190,53 @@ class TestFrameCapBoundary:
                 dec.feed(good)
         # A fresh decoder (new connection) is unaffected.
         assert FrameDecoder().feed(good) == [{"kind": "ping", "req": 1}]
+
+
+# ----------------------------------------------------------------------
+# dialing: one handshake for every client, Nagle off on both ends
+# ----------------------------------------------------------------------
+def _nodelay(sock: socket.socket) -> bool:
+    return bool(sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY))
+
+
+def _hello(session: str) -> dict:
+    return {
+        "kind": "hello",
+        "session": session,
+        "policy": "TJ-SP",
+        "fail_mode": "open",
+        "wire": WIRE_VERSION,
+    }
+
+
+class TestDial:
+    def test_session_client_and_sidecar_sockets_disable_nagle(self):
+        # A worker's buffered fork announcements followed by its first
+        # check must not wait out the sidecar's delayed ACK.
+        with VerificationServer() as server:
+            host, port = server.address
+            client = SessionClient(f"remote://{host}:{port}", "nodelay", tenant="t")
+            assert client.connect()
+            try:
+                assert _nodelay(client._stream.sock)
+                with server._conns_lock:
+                    accepted = [conn.sock for conn in server._conns.values()]
+                assert accepted and all(_nodelay(sock) for sock in accepted)
+            finally:
+                client.close()
+
+    def test_introspection_server_sockets_disable_nagle(self):
+        srv = IntrospectionServer(dict).start()
+        try:
+            host, port = srv._bound
+            stream, welcome = dial(host, port, _hello("top"), timeout=5.0)
+            try:
+                assert welcome["kind"] == "welcome"
+                assert _nodelay(stream.sock)
+                with srv._conns_lock:
+                    accepted = list(srv._conns)
+                assert accepted and all(_nodelay(sock) for sock in accepted)
+            finally:
+                stream.sock.close()
+        finally:
+            srv.stop()

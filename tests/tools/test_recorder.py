@@ -1,7 +1,7 @@
 """Unit and integration tests for the trace recorder."""
 
 from repro import TaskRuntime
-from repro.core import TJSpawnPaths
+from repro.core import TJSpawnPathsLegacy
 from repro.formal.actions import Fork, Init, Join
 from repro.formal.trace import is_structurally_valid, is_tj_valid
 from repro.tools import TraceRecordingPolicy
@@ -9,14 +9,14 @@ from repro.tools import TraceRecordingPolicy
 
 class TestRecorderUnit:
     def test_records_init_and_forks(self):
-        rec = TraceRecordingPolicy(TJSpawnPaths())
+        rec = TraceRecordingPolicy(TJSpawnPathsLegacy())
         root = rec.add_child(None)
         a = rec.add_child(root)
         rec.add_child(a)
         assert rec.snapshot() == [Init("t0"), Fork("t0", "t1"), Fork("t1", "t2")]
 
     def test_records_joins_at_check_time(self):
-        rec = TraceRecordingPolicy(TJSpawnPaths())
+        rec = TraceRecordingPolicy(TJSpawnPathsLegacy())
         root = rec.add_child(None)
         a = rec.add_child(root)
         assert rec.permits(root, a)
@@ -29,7 +29,7 @@ class TestRecorderUnit:
         tagged denied — an exception is 'no verdict reached', and an
         offline reader must never mistake it for a permit."""
 
-        class Exploding(TJSpawnPaths):
+        class Exploding(TJSpawnPathsLegacy):
             def permits(self, joiner, joinee):
                 raise ZeroDivisionError("synthetic policy bug")
 
@@ -53,15 +53,15 @@ class TestRecorderUnit:
         assert Join("t0", "t1", permitted=True) == Join("t0", "t1", permitted=False)
 
     def test_delegation(self):
-        inner = TJSpawnPaths()
+        inner = TJSpawnPathsLegacy()
         rec = TraceRecordingPolicy(inner)
-        assert rec.name == "TJ-SP-obj"
+        assert rec.name == "TJ-SP-legacy"
         root = rec.add_child(None)
         rec.add_child(root)
         assert rec.space_units() == inner.space_units() > 0
 
     def test_snapshot_is_a_copy(self):
-        rec = TraceRecordingPolicy(TJSpawnPaths())
+        rec = TraceRecordingPolicy(TJSpawnPathsLegacy())
         rec.add_child(None)
         snap = rec.snapshot()
         snap.clear()
@@ -70,7 +70,7 @@ class TestRecorderUnit:
 
 class TestRecorderIntegration:
     def test_recorded_runtime_trace_is_tj_valid(self):
-        rec = TraceRecordingPolicy(TJSpawnPaths())
+        rec = TraceRecordingPolicy(TJSpawnPathsLegacy())
         rt = TaskRuntime(policy=rec)
 
         def fib(n):
