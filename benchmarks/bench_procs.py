@@ -9,6 +9,9 @@ asserts the properties the multi-process runtime claims:
 * the worker-local shard resolves the overwhelming majority of joins —
   only the dispatched tasks' own joins escalate, so the escalation
   ratio must stay a small minority;
+* every escalated join reaches the soak's own sidecar (``"auto"``): no
+  join degrades to the local shard, so the escalation numbers measure
+  the wire and not the fallback;
 * at full parameters the soak verifies **over one million tasks across
   at least four workers**;
 * aggregate verified tasks/second reaches **>=3x** the single-process
@@ -87,7 +90,8 @@ def _summary(m) -> str:
         f"({m.tasks_per_second:,.0f} tasks/s) across {m.workers} workers "
         f"vs threaded {m.baseline_tasks_per_second:,.0f} "
         f"tasks/s (speedup {m.speedup:.2f}x, {m.cpu_count} cpu), "
-        f"escalation {m.escalation_ratio:.4f}, "
+        f"escalation {m.escalation_ratio:.4f} "
+        f"({m.degraded_joins} degraded), "
         f"divergences {m.divergences}, deaths {m.worker_deaths}"
     )
 
@@ -95,7 +99,7 @@ def _summary(m) -> str:
 @pytest.fixture(scope="module")
 def soak():
     t0 = time.perf_counter()
-    m = run_procs_soak(params=_PARAMS)
+    m = run_procs_soak(params=_PARAMS, sidecar="auto")
     print(f"\n{_summary(m)} (total wall {time.perf_counter() - t0:.1f}s)")
     return m
 
@@ -110,6 +114,11 @@ def test_soak_local_shard_resolves_the_majority(soak):
     assert soak.local_joins > soak.cross_joins
     assert soak.escalation_ratio <= ESCALATION_GATE
     assert soak.cross_joins > 0  # the escalation path did run
+
+
+def test_soak_reaches_the_sidecar(soak):
+    """A degraded join resolved locally: the sidecar was never reached."""
+    assert soak.degraded_joins == 0
 
 
 @pytest.mark.skipif(_SMOKE, reason="volume gate needs the full parameters")
@@ -152,7 +161,7 @@ if __name__ == "__main__":
     smoke = "--smoke" in sys.argv[1:] or _SMOKE
     params = SMOKE_PROCS_PARAMS if smoke else PROCS_PARAMS
     _PARAMS = params
-    m = run_procs_soak(params=params)
+    m = run_procs_soak(params=params, sidecar="auto")
     print(_summary(m))
     status = 0
     if m.divergences or m.worker_deaths:
@@ -163,6 +172,9 @@ if __name__ == "__main__":
             f"FAIL: escalation ratio {m.escalation_ratio:.4f} — the local "
             f"shard must resolve the majority of joins"
         )
+        status = 1
+    if m.degraded_joins:
+        print(f"FAIL: {m.degraded_joins} joins degraded: the sidecar was not reached")
         status = 1
     if not smoke:
         if m.tasks < MIN_TASKS or m.workers < 4:

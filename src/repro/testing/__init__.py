@@ -1,16 +1,19 @@
 """Deterministic fault injection and chaos testing for the runtimes.
 
 :mod:`repro.testing.faults` provides :class:`FaultPlan` — a seeded,
-site-keyed source of injected crashes, delays and verifier faults — and
-:class:`FaultyPolicy`, a policy wrapper that injects
-:class:`~repro.errors.InjectedFaultError` into the verification path.
+site-keyed source of injected delays, verifier faults, policy crashes
+and sidecar faults — and :class:`FaultyPolicy`, a policy wrapper that
+injects :class:`~repro.errors.InjectedFaultError` into the verification
+path.
 
 :mod:`repro.testing.chaos` generates seeded random fork/join programs
-(deadlock-free by construction) and runs them under any registered
-policy on any blocking runtime, checking a battery of invariants:
-verifier statistics exactly match the program spec, the Armus graph and
-join registry end empty, no task leaks a BLOCKED state, and — for
-``stable_permits`` policies — the permission verdicts are identical
+(deadlock-free by construction) and runs them through one runner,
+:func:`run_chaos_program`, under any registered policy on either
+blocking runtime, with crashes, delays, verifier faults and flaky
+retried leaves injected.  It checks a battery of invariants: verifier
+statistics exactly match the program spec, the run quiesces (Armus
+graph and join registry empty, no task leaks a BLOCKED state), and —
+for ``stable_permits`` policies — the permission verdicts are identical
 with and without injected delays.
 """
 
@@ -24,8 +27,6 @@ from .chaos import (
     run_chaos_program,
     run_with_policy_quarantine,
     run_with_service_faults,
-    run_with_task_retries,
-    run_with_verifier_faults,
 )
 
 __all__ = [
@@ -40,6 +41,4 @@ __all__ = [
     "run_chaos_program",
     "run_with_policy_quarantine",
     "run_with_service_faults",
-    "run_with_task_retries",
-    "run_with_verifier_faults",
 ]

@@ -20,23 +20,28 @@ a crashed task never abandons children; every crash is observed by the
 parent's join as :class:`~repro.errors.TaskFailedError` and swallowed by
 the harness, which records it.
 
-After the run, :func:`run_chaos_program` checks the invariants the
-supervised runtimes promise (raising :class:`ChaosInvariantError` on any
-violation):
-
-* every future completed and no task is left in ``BLOCKED`` state;
-* the supervision registry and the Armus waits-for graph are empty, and
-  no forced edge is live;
-* verifier statistics match the spec exactly: ``forks == n_tasks`` and
-  ``joins_checked == total_joins`` (both are computable from the spec
-  because every planned join runs exactly once);
-* the watchdog delivered no diagnosis (the program is deadlock-free);
-* the set of observed failures equals the planned crash set.
+:func:`run_chaos_program` is the one runner of a :class:`ChaosSpec`.  It
+also injects what its :class:`FaultPlan` schedules — delays, and
+``permits`` faults at ``verifier_fault_rate`` (each faulted join is
+retried) — and, with ``fail_attempts``, flaky leaves that a retry
+policy re-runs to success.  After the run it checks (raising
+:class:`ChaosInvariantError` on any violation) that the runtime
+quiesced (:func:`quiescence_violations`), that the accounting is exact
+(``forks == n_tasks + retries``, ``joins_checked == attempts - faults
+== total_joins``), that no join was refused, and that the observed
+failures equal the planned crash set.
 
 For ``stable_permits`` policies the result also carries the post-hoc
 permission verdict of every join edge (queried directly from the policy,
 which is side-effect free), so callers can assert the verdict stream is
 identical with and without injected delays.
+
+The quarantine, procs and predict runners drive programs that are not
+ChaosSpecs — deadlock pairs under a crashing policy, dispatched
+subtrees on worker processes, planted cycles.  The sidecar runner walks
+a ChaosSpec against a remote verifier.  The sweep, verifier-fault,
+retry, quarantine and sidecar slices build their runtimes with
+:func:`_make_runtime` and end with :func:`quiescence_violations`.
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ from __future__ import annotations
 import random
 import threading
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Union
 
 from ..core.policy import JoinPolicy
@@ -60,7 +65,7 @@ from ..runtime.context import require_current_task
 from ..runtime.pool import WorkSharingRuntime
 from ..runtime.retry import RetryPolicy
 from ..runtime.task import TaskState
-from ..runtime.threaded import TaskRuntime
+from ..runtime.threaded import TaskRuntime, resolve_policy
 from .faults import FaultPlan, FaultyPolicy
 
 __all__ = [
@@ -69,12 +74,12 @@ __all__ = [
     "ChaosSpec",
     "ProcsChaosResult",
     "QuarantineChaosResult",
-    "RetryChaosResult",
     "ServiceChaosResult",
     "PredictChaosResult",
     "PredictSpec",
     "generate_predict_spec",
     "generate_spec",
+    "quiescence_violations",
     "repro_command",
     "run_chaos_program",
     "run_predict_loop",
@@ -82,11 +87,20 @@ __all__ = [
     "run_procs_divergence",
     "run_with_policy_quarantine",
     "run_with_service_faults",
-    "run_with_task_retries",
-    "run_with_verifier_faults",
 ]
 
 RUNTIMES = ("threaded", "pool")
+
+#: a join a verifier fault aborted is retried at most this often
+_MAX_FAULT_RETRIES = 50
+#: share of the join-free leaves a ``fail_attempts`` run makes flaky
+_FLAKY_RATE = 0.6
+#: true deadlock pairs a fail-open quarantine run seeds
+_QUARANTINE_PAIRS = 3
+#: leaves a fail-closed quarantine run forks and joins
+_QUARANTINE_LEAVES = 4
+#: how long the service runner's client waits on a silent sidecar
+_SERVICE_LIVENESS_TIMEOUT = 0.5
 
 
 class ChaosInvariantError(AssertionError):
@@ -147,6 +161,12 @@ class ChaosResult:
     failures_observed: frozenset[int]
     false_positives: int = 0
     deadlocks_avoided: int = 0
+    #: leaves forked with a retry policy (each fails ``fail_attempts`` times)
+    flaky_tasks: frozenset[int] = frozenset()
+    #: re-forks the supervisor performed
+    retries: int = 0
+    #: join attempts a verifier fault aborted (each one was retried)
+    faults: int = 0
     violations: list[str] = field(default_factory=list)
 
 
@@ -195,65 +215,171 @@ def _make_runtime(
     runtime: str,
     policy: Union[None, str, JoinPolicy],
     *,
-    watchdog: Union[bool, float] = True,
     workers: int = 4,
+    **options,
 ):
+    """The blocking runtime a threaded/pool slice runs on.
+
+    *options* (``fail_mode``, ``verifier``) pass through to the runtime;
+    the watchdog stays on and unjoined failures stay quiet, because the
+    runners observe every failure themselves.
+    """
     if runtime == "threaded":
-        return TaskRuntime(policy, watchdog=watchdog, on_unjoined_failure="ignore")
+        return TaskRuntime(policy, on_unjoined_failure="ignore", **options)
     if runtime == "pool":
         return WorkSharingRuntime(
-            policy, workers=workers, watchdog=watchdog, on_unjoined_failure="ignore"
+            policy, workers=workers, on_unjoined_failure="ignore", **options
         )
     raise ValueError(f"unknown runtime {runtime!r}; known: {RUNTIMES}")
 
 
-def _run_spec(spec: ChaosSpec, rt, plan: FaultPlan):
-    """Execute *spec* on runtime *rt*; returns (handles, futures, observed).
+def quiescence_violations(rt, handles: dict, futures: dict) -> list[str]:
+    """The end state every threaded/pool slice must reach, as violations.
 
-    ``handles``/``futures`` map task id -> TaskHandle / Future (the root
-    has a handle but no future); ``observed`` is the set of task ids
-    whose failure surfaced at some join.
+    *handles* and *futures* map a task label to its TaskHandle and its
+    Future.  One message per breach of: every future done, no task left
+    ``BLOCKED``, an empty join registry, an empty Armus graph, no live
+    forced edge, no watchdog diagnosis.
     """
-    futures: dict[int, object] = {}
-    handles: dict[int, object] = {}
-    observed: set[int] = set()
-    guard = threading.Lock()
+    problems = [
+        f"task {label} future not done after run()"
+        for label, fut in futures.items()
+        if not fut.done()
+    ]
+    problems += [
+        f"task {label} left in BLOCKED state"
+        for label, handle in handles.items()
+        if handle.state is TaskState.BLOCKED
+    ]
+    if rt.blocked_joins():
+        problems.append(f"join registry not empty: {rt.blocked_joins()}")
+    detector = rt.detector
+    if detector is not None:
+        if len(detector.graph):
+            problems.append(f"Armus graph not empty: {detector.graph.edges()}")
+        if detector.live_forced_edges:
+            problems.append(f"{detector.live_forced_edges} forced edges still live")
+    if rt.watchdog is not None and rt.watchdog.deadlocks_detected:
+        problems.append("watchdog diagnosed a deadlock")
+    return problems
 
-    def join_observed(future, tid: int) -> None:
-        try:
-            future.join()
-        except TaskFailedError:
+
+@dataclass
+class _Walk:
+    """What one execution of a ChaosSpec left behind."""
+
+    #: task id -> TaskHandle of its last run
+    handles: dict = field(default_factory=dict)
+    #: task id -> Future (the root has none)
+    futures: dict = field(default_factory=dict)
+    #: task ids whose failure surfaced at some join
+    observed: set = field(default_factory=set)
+    #: join calls made, faulted ones included
+    attempts: int = 0
+    #: join calls a verifier fault aborted
+    faults: int = 0
+    #: flaky task id -> body runs
+    runs: dict = field(default_factory=dict)
+
+
+def _walk(
+    spec: ChaosSpec,
+    rt,
+    plan: FaultPlan,
+    flaky: frozenset[int] = frozenset(),
+    fail_attempts: int = 0,
+) -> _Walk:
+    """Execute *spec* on runtime *rt*: the one walk every slice shares.
+
+    A join that raises :class:`InjectedFaultError` (a verifier fault,
+    recorded before any statistic or edge) is retried; each retry is a
+    fresh fault site.  Tasks in *flaky* are forked with a retry policy
+    and fail their first *fail_attempts* runs.
+    """
+    walk = _Walk()
+    guard = threading.Lock()
+    retry = None
+    if flaky:
+        retry = RetryPolicy(
+            max_attempts=fail_attempts + 1, base_delay=0.0005, max_delay=0.002,
+            seed=spec.seed,
+        )
+
+    def join(tid: int, target: int) -> None:
+        plan.sleep(("pre-join", tid, target))
+        for _ in range(_MAX_FAULT_RETRIES):
             with guard:
-                observed.add(tid)
+                walk.attempts += 1
+            try:
+                walk.futures[target].join()
+                return
+            except InjectedFaultError:
+                with guard:
+                    walk.faults += 1
+            except TaskFailedError:
+                with guard:
+                    walk.observed.add(target)
+                return
+        raise ChaosInvariantError(
+            f"join {tid}->{target} still faulting after {_MAX_FAULT_RETRIES} "
+            f"retries (seed {spec.seed})"
+        )
 
     def body(tid: int):
-        handles[tid] = require_current_task()
+        walk.handles[tid] = require_current_task()
         plan.sleep(("start", tid))
         kids = spec.children.get(tid, ())
         for cid in kids:
-            futures[cid] = rt.fork(body, cid)
+            walk.futures[cid] = rt.fork(body, cid, retry=retry if cid in flaky else None)
         for sib in spec.sibling_joins.get(tid, ()):
-            plan.sleep(("pre-join", tid, sib))
-            join_observed(futures[sib], sib)
+            join(tid, sib)
         if tid in spec.batch_parents:
-            batch = [futures[c] for c in kids]
-            for c, outcome in zip(kids, rt.join_batch(batch, return_exceptions=True)):
-                if isinstance(outcome, TaskFailedError):
-                    with guard:
-                        observed.add(c)
+            outcomes = rt.join_batch(
+                [walk.futures[c] for c in kids], return_exceptions=True
+            )
+            with guard:
+                walk.attempts += len(kids)
+                walk.observed.update(
+                    c for c, o in zip(kids, outcomes) if isinstance(o, TaskFailedError)
+                )
         else:
             for c in kids:
-                plan.sleep(("pre-join", tid, c))
-                join_observed(futures[c], c)
+                join(tid, c)
         for g in spec.grandchild_joins.get(tid, ()):
-            plan.sleep(("pre-join", tid, g))
-            join_observed(futures[g], g)
+            join(tid, g)
+        if tid in flaky:
+            with guard:
+                walk.runs[tid] = run = walk.runs.get(tid, 0) + 1
+            if run <= fail_attempts:
+                raise RuntimeError(f"flaky task {tid} attempt {run}")
         if tid in spec.crash_tasks:
             raise InjectedFaultError(site=("task", tid))
         return tid
 
     rt.run(body, 0)
-    return handles, futures, observed
+    return walk
+
+
+def _flaky_leaves(spec: ChaosSpec) -> tuple[ChaosSpec, frozenset[int]]:
+    """Pick the seeded flaky tasks among the join-free leaves.
+
+    A join-free leaf (no children, no sibling joins) forks and joins
+    nothing, so re-running its body cannot change the join accounting.
+    When every leaf joins a sibling, the youngest leaf is freed of its
+    sibling joins so that one candidate exists.
+    """
+    leaves = [t for t in range(1, spec.n_tasks) if not spec.children.get(t)]
+    eligible = [t for t in leaves if not spec.sibling_joins.get(t)]
+    if not eligible:
+        victim = leaves[-1]
+        spec = replace(
+            spec,
+            sibling_joins={t: s for t, s in spec.sibling_joins.items() if t != victim},
+        )
+        eligible = [victim]
+    rng = random.Random(f"chaos-retry|{spec.seed}")
+    n_flaky = max(1, round(len(eligible) * _FLAKY_RATE))
+    return spec, frozenset(rng.sample(eligible, n_flaky))
 
 
 def run_chaos_program(
@@ -264,10 +390,18 @@ def run_chaos_program(
     max_tasks: int = 12,
     crash_rate: float = 0.0,
     plan: Optional[FaultPlan] = None,
-    watchdog: Union[bool, float] = True,
+    fail_attempts: int = 0,
     check: bool = True,
 ) -> ChaosResult:
     """Run one seeded chaos program and verify the runtime's invariants.
+
+    *plan* schedules the delays and, through ``verifier_fault_rate``,
+    faults raised from inside ``permits``.  A faulted call records no
+    statistic and no waits-for edge, so the runner retries the join; it
+    then also joins one at a time, since a fault inside a batch
+    ``check_joins`` would discard the whole batch's accounting.  With
+    *fail_attempts*, a seeded share of the join-free leaves fails that
+    many times before its retry policy re-runs it to success.
 
     With ``check=True`` (default) any violated invariant raises
     :class:`ChaosInvariantError`; with ``check=False`` violations are
@@ -280,199 +414,73 @@ def run_chaos_program(
         spec = generate_spec(spec_or_seed, max_tasks=max_tasks, crash_rate=crash_rate)
     if plan is None:
         plan = FaultPlan(seed=spec.seed)
-    rt = _make_runtime(runtime, policy, watchdog=watchdog)
-    handles, futures, observed = _run_spec(spec, rt, plan)
+    inner = resolve_policy(policy)
+    faulty = None
+    if plan.verifier_fault_rate > 0:
+        spec = replace(spec, batch_parents=frozenset())
+        faulty = FaultyPolicy(inner, plan)
+    flaky: frozenset[int] = frozenset()
+    if fail_attempts:
+        spec, flaky = _flaky_leaves(spec)
+    rt = _make_runtime(runtime, faulty or inner)
+    walk = _walk(spec, rt, plan, flaky, fail_attempts)
 
-    violations: list[str] = []
-
-    def require(cond: bool, message: str) -> None:
-        if not cond:
-            violations.append(message)
-
-    require(
-        set(futures) == set(range(1, spec.n_tasks)),
-        f"expected futures for tasks 1..{spec.n_tasks - 1}, got {sorted(futures)}",
-    )
-    for tid, fut in futures.items():
-        require(fut.done(), f"task {tid} future not done after run()")
-    for tid, handle in handles.items():
-        require(
-            handle.state is not TaskState.BLOCKED,
-            f"task {tid} left in BLOCKED state",
-        )
-    require(
-        len(rt.blocked_joins()) == 0,
-        f"join registry not empty: {rt.blocked_joins()}",
-    )
-    detector = rt.detector
-    if detector is not None:
-        require(
-            len(detector.graph) == 0,
-            f"Armus graph not empty: {detector.graph.edges()}",
-        )
-        require(
-            detector.live_forced_edges == 0,
-            f"{detector.live_forced_edges} forced edges still live",
-        )
-        require(
-            detector.stats.deadlocks_avoided == 0,
-            "deadlock-free program had a join refused",
-        )
     stats = rt.verifier.stats
-    require(
-        stats.forks == spec.n_tasks,
-        f"forks {stats.forks} != n_tasks {spec.n_tasks}",
-    )
-    require(
-        stats.joins_checked == spec.total_joins,
-        f"joins_checked {stats.joins_checked} != planned {spec.total_joins}",
-    )
-    if rt.watchdog is not None:
-        require(
-            rt.watchdog.deadlocks_detected == 0,
-            "watchdog diagnosed a deadlock in a deadlock-free program",
-        )
-    require(
-        observed == set(spec.crash_tasks),
-        f"observed failures {sorted(observed)} != planned {sorted(spec.crash_tasks)}",
-    )
+    detector = rt.detector
+    retries = fail_attempts * len(flaky)
+    joined = walk.attempts - walk.faults
+    injected = faulty.faults_injected if faulty else 0
+    runs = {tid: walk.runs.get(tid, 0) for tid in sorted(flaky)}
+    checks = [
+        (set(walk.futures) == set(range(1, spec.n_tasks)),
+         f"expected futures for tasks 1..{spec.n_tasks - 1}, got {sorted(walk.futures)}"),
+        (not detector or detector.stats.deadlocks_avoided == 0,
+         "deadlock-free program had a join refused"),
+        (rt.tasks_retried == retries,
+         f"tasks_retried {rt.tasks_retried} != expected {retries}"),
+        (stats.forks == spec.n_tasks + retries,
+         f"forks {stats.forks} != n_tasks + retries {spec.n_tasks + retries}"),
+        (stats.joins_checked == joined,
+         f"joins_checked {stats.joins_checked} != attempts - faults {joined}"),
+        (joined == spec.total_joins,
+         f"successful joins {joined} != planned {spec.total_joins}"),
+        (walk.faults == injected,
+         f"harness saw {walk.faults} faults, policy injected {injected}"),
+        (all(n == fail_attempts + 1 for n in runs.values()),
+         f"flaky task runs {runs}, expected {fail_attempts + 1} each"),
+        (walk.observed == set(spec.crash_tasks),
+         f"observed failures {sorted(walk.observed)} != planned "
+         f"{sorted(spec.crash_tasks)}"),
+    ]
+    violations = quiescence_violations(rt, walk.handles, walk.futures)
+    violations += [message for ok, message in checks if not ok]
 
     verdicts: Optional[dict[tuple[int, int], bool]] = None
-    policy_obj = rt.policy
-    if policy_obj.stable_permits and not violations:
+    if inner.stable_permits and not violations:
         verdicts = {
-            (a, b): policy_obj.permits(handles[a].vertex, handles[b].vertex)
+            (a, b): inner.permits(walk.handles[a].vertex, walk.handles[b].vertex)
             for a, b in spec.join_edges()
         }
 
+    policy_name = rt.policy.name
     if check and violations:
         raise ChaosInvariantError(
-            f"seed {spec.seed} policy {policy_obj.name} runtime {runtime}: "
+            f"seed {spec.seed} policy {policy_name} runtime {runtime}: "
             + "; ".join(violations)
         )
     return ChaosResult(
         spec=spec,
-        policy_name=policy_obj.name,
+        policy_name=policy_name,
         runtime=runtime,
         stats=stats,
         verdicts=verdicts,
-        failures_observed=frozenset(observed),
+        failures_observed=frozenset(walk.observed),
         false_positives=detector.stats.false_positives if detector else 0,
         deadlocks_avoided=detector.stats.deadlocks_avoided if detector else 0,
+        flaky_tasks=flaky,
+        retries=rt.tasks_retried,
+        faults=walk.faults,
         violations=violations,
-    )
-
-
-def run_with_verifier_faults(
-    seed: int,
-    *,
-    policy: Union[str, JoinPolicy] = "TJ-SP",
-    runtime: str = "threaded",
-    max_tasks: int = 10,
-    fault_rate: float = 0.2,
-    max_retries: int = 50,
-) -> ChaosResult:
-    """Chaos run with :class:`FaultyPolicy` faults injected into ``permits``.
-
-    Every join is retried until it succeeds (each retry is a fresh fault
-    site).  A faulted ``permits`` call aborts *before* any statistics or
-    waits-for edge are recorded, so the exact-accounting invariant
-    becomes ``joins_checked == attempts - faults`` — which this function
-    asserts, together with the usual clean-state invariants.
-
-    Uses individual joins only: a fault inside a *batch* ``check_joins``
-    discards the whole batch's accounting, which would make exactness
-    unstateable.
-    """
-    spec = generate_spec(seed, max_tasks=max_tasks, crash_rate=0.0)
-    # Strip batch parents: individual joins keep the accounting exact.
-    spec = ChaosSpec(
-        seed=spec.seed,
-        n_tasks=spec.n_tasks,
-        children=spec.children,
-        sibling_joins=spec.sibling_joins,
-        grandchild_joins=spec.grandchild_joins,
-        batch_parents=frozenset(),
-        crash_tasks=frozenset(),
-    )
-    plan = FaultPlan(seed=seed, verifier_fault_rate=fault_rate)
-    if isinstance(policy, JoinPolicy):
-        inner = policy
-    else:
-        from ..core.policy import make_policy
-
-        inner = make_policy(policy)
-    faulty = FaultyPolicy(inner, plan)
-    rt = _make_runtime(runtime, faulty)
-
-    futures: dict[int, object] = {}
-    handles: dict[int, object] = {}
-    counters = {"attempts": 0, "faults": 0}
-    guard = threading.Lock()
-
-    def join_with_retry(future) -> None:
-        for _ in range(max_retries):
-            with guard:
-                counters["attempts"] += 1
-            try:
-                future.join()
-                return
-            except InjectedFaultError:
-                with guard:
-                    counters["faults"] += 1
-        raise ChaosInvariantError(
-            f"join still faulting after {max_retries} retries (seed {seed})"
-        )
-
-    def body(tid: int):
-        handles[tid] = require_current_task()
-        for cid in spec.children.get(tid, ()):
-            futures[cid] = rt.fork(body, cid)
-        for sib in spec.sibling_joins.get(tid, ()):
-            join_with_retry(futures[sib])
-        for c in spec.children.get(tid, ()):
-            join_with_retry(futures[c])
-        for g in spec.grandchild_joins.get(tid, ()):
-            join_with_retry(futures[g])
-        return tid
-
-    rt.run(body, 0)
-
-    stats = rt.verifier.stats
-    expected = counters["attempts"] - counters["faults"]
-    problems: list[str] = []
-    if stats.joins_checked != expected:
-        problems.append(
-            f"joins_checked {stats.joins_checked} != attempts - faults {expected}"
-        )
-    if counters["faults"] != faulty.faults_injected:
-        problems.append(
-            f"harness saw {counters['faults']} faults, policy injected "
-            f"{faulty.faults_injected}"
-        )
-    if expected != spec.total_joins:
-        problems.append(
-            f"successful joins {expected} != planned {spec.total_joins}"
-        )
-    detector = rt.detector
-    if detector is not None and len(detector.graph) != 0:
-        problems.append(f"Armus graph not empty: {detector.graph.edges()}")
-    if len(rt.blocked_joins()) != 0:
-        problems.append("join registry not empty after faulted run")
-    if problems:
-        raise ChaosInvariantError(
-            f"seed {seed} policy {faulty.name} runtime {runtime}: "
-            + "; ".join(problems)
-        )
-    return ChaosResult(
-        spec=spec,
-        policy_name=faulty.name,
-        runtime=runtime,
-        stats=stats,
-        verdicts=None,
-        failures_observed=frozenset(),
-        false_positives=detector.stats.false_positives if detector else 0,
-        deadlocks_avoided=detector.stats.deadlocks_avoided if detector else 0,
     )
 
 
@@ -499,8 +507,6 @@ def run_with_policy_quarantine(
     policy: Union[str, JoinPolicy] = "TJ-SP",
     runtime: str = "threaded",
     fail_mode: str = "open",
-    n_pairs: int = 3,
-    n_children: int = 4,
 ) -> QuarantineChaosResult:
     """Crash the policy on its first ``permits`` call and prove degradation.
 
@@ -510,7 +516,7 @@ def run_with_policy_quarantine(
     depends on ``fail_mode``:
 
     * ``"open"`` — the run degrades to Armus-only detection.  After a
-      sacrificial join trips the quarantine, the program forks *n_pairs*
+      sacrificial join trips the quarantine, the program forks three
       genuine deadlock pairs (two tasks joining each other through
       exchanged futures).  The TJ layer is gone — every verdict is a
       blanket permit — yet the Armus fallback must refuse **exactly one**
@@ -519,38 +525,29 @@ def run_with_policy_quarantine(
     * ``"closed"`` — after the quarantine trips, every later
       policy-facing call must raise the *stored*
       :class:`~repro.errors.PolicyQuarantinedError` deterministically.
-      The program forks *n_children* leaves up-front, then counts one
+      The program forks four leaves up-front, then counts one
       quarantine error per attempted join.
 
-    Either way the run must terminate with empty supervision state.
+    Either way the run must end quiescent (:func:`quiescence_violations`).
     """
     if fail_mode not in ("open", "closed"):
         raise ValueError(f"fail_mode must be 'open' or 'closed', got {fail_mode!r}")
-    plan = FaultPlan(seed=seed, policy_crash_rate=1.0)
-    if isinstance(policy, JoinPolicy):
-        inner = policy
-    else:
-        from ..core.policy import make_policy
-
-        inner = make_policy(policy)
-    faulty = FaultyPolicy(inner, plan)
-    if runtime == "threaded":
-        rt = TaskRuntime(faulty, fail_mode=fail_mode, on_unjoined_failure="ignore")
-    elif runtime == "pool":
-        rt = WorkSharingRuntime(
-            faulty, workers=max(4, 2 * n_pairs + 1), fail_mode=fail_mode,
-            on_unjoined_failure="ignore",
-        )
-    else:
-        raise ValueError(f"unknown runtime {runtime!r}; known: {RUNTIMES}")
-
+    faulty = FaultyPolicy(
+        resolve_policy(policy), FaultPlan(seed=seed, policy_crash_rate=1.0)
+    )
+    # a pool worker for every pair member, plus one for the root
+    rt = _make_runtime(
+        runtime, faulty, workers=2 * _QUARANTINE_PAIRS + 1, fail_mode=fail_mode
+    )
+    handles: dict = {}
+    futures: dict = {}
     quarantined_joins = 0
-    avoided = 0
 
-    def leaf(value: int) -> int:
-        return value
+    def leaf(label: str) -> None:
+        handles[label] = require_current_task()
 
-    def pair_member(idx: int, box: list, ready: threading.Event) -> str:
+    def pair_member(label: str, idx: int, box: list, ready: threading.Event) -> str:
+        handles[label] = require_current_task()
         ready.wait()
         try:
             box[1 - idx].join()
@@ -560,19 +557,20 @@ def run_with_policy_quarantine(
 
     def body_open():
         # 1. Trip the quarantine on a harmless join.
-        sacrificial = rt.fork(leaf, -1)
-        sacrificial.join()
+        futures["sacrificial"] = rt.fork(leaf, "sacrificial")
+        futures["sacrificial"].join()
         if not rt.verifier.quarantined:
             raise ChaosInvariantError(
                 f"seed {seed}: sacrificial join did not trip the quarantine"
             )
         # 2. Seed true deadlocks under the degraded verifier.
         outcomes: list[tuple[str, str]] = []
-        for _ in range(n_pairs):
+        for k in range(_QUARANTINE_PAIRS):
             box: list = [None, None]
             ready = threading.Event()
-            box[0] = rt.fork(pair_member, 0, box, ready)
-            box[1] = rt.fork(pair_member, 1, box, ready)
+            for idx in (0, 1):
+                label = f"pair {k}.{idx}"
+                box[idx] = futures[label] = rt.fork(pair_member, label, idx, box, ready)
             ready.set()
             outcomes.append((box[0].join(), box[1].join()))
         return outcomes
@@ -581,12 +579,15 @@ def run_with_policy_quarantine(
         nonlocal quarantined_joins
         # Fork everything *before* the first join: once quarantined, a
         # fail-closed verifier refuses on_fork too.
-        futures = [rt.fork(leaf, i) for i in range(n_children)]
-        for fut in futures:
+        for i in range(_QUARANTINE_LEAVES):
+            futures[f"leaf {i}"] = rt.fork(leaf, f"leaf {i}")
+        for fut in list(futures.values()):
             try:
                 fut.join()
             except PolicyQuarantinedError:
                 quarantined_joins += 1
+                # a refused join never waited: let the leaf finish unverified
+                fut._wait(5.0)
         return quarantined_joins
 
     with warnings.catch_warnings():
@@ -600,35 +601,29 @@ def run_with_policy_quarantine(
     if stats.policy_faults < 1:
         problems.append(f"policy_faults {stats.policy_faults} < 1")
     detector = rt.detector
+    avoided = 0
     if fail_mode == "open":
         avoided = detector.stats.deadlocks_avoided if detector else 0
-        if avoided != n_pairs:
+        if avoided != _QUARANTINE_PAIRS:
             problems.append(
-                f"degraded run avoided {avoided} deadlocks, expected {n_pairs}"
+                f"degraded run avoided {avoided} deadlocks, "
+                f"expected {_QUARANTINE_PAIRS}"
             )
         for i, pair in enumerate(outcomes):
             if sorted(pair) != ["avoided", "joined"]:
                 problems.append(f"pair {i} outcomes {pair}, expected one refusal")
     else:
-        if quarantined_joins != n_children:
+        if quarantined_joins != _QUARANTINE_LEAVES:
             problems.append(
                 f"{quarantined_joins} joins raised PolicyQuarantinedError, "
-                f"expected {n_children}"
+                f"expected {_QUARANTINE_LEAVES}"
             )
         if stats.policy_faults != 1:
             problems.append(
                 f"fail-closed policy_faults {stats.policy_faults} != 1 "
                 "(stored error should be re-raised, not re-diagnosed)"
             )
-    if detector is not None:
-        if len(detector.graph) != 0:
-            problems.append(f"Armus graph not empty: {detector.graph.edges()}")
-        if detector.live_forced_edges != 0:
-            problems.append(f"{detector.live_forced_edges} forced edges still live")
-    if len(rt.blocked_joins()) != 0:
-        problems.append("join registry not empty after quarantined run")
-    if rt.watchdog is not None and rt.watchdog.deadlocks_detected != 0:
-        problems.append("watchdog fired in a run the fallback should have handled")
+    problems += quiescence_violations(rt, handles, futures)
     if problems:
         raise ChaosInvariantError(
             f"seed {seed} policy {faulty.name} runtime {runtime} "
@@ -640,188 +635,9 @@ def run_with_policy_quarantine(
         runtime=runtime,
         fail_mode=fail_mode,
         stats=stats,
-        deadlock_pairs=n_pairs if fail_mode == "open" else 0,
+        deadlock_pairs=_QUARANTINE_PAIRS if fail_mode == "open" else 0,
         deadlocks_avoided=avoided,
         quarantined_joins=quarantined_joins,
-    )
-
-
-@dataclass
-class RetryChaosResult:
-    """Outcome of one :func:`run_with_task_retries` run."""
-
-    spec: ChaosSpec
-    policy_name: str
-    runtime: str
-    stats: VerifierStats
-    #: leaf tasks given a retry policy (each fails ``fail_attempts`` times)
-    flaky_tasks: frozenset[int]
-    #: total re-forks performed by the supervisor
-    retries: int
-
-
-def run_with_task_retries(
-    seed: int,
-    *,
-    policy: Union[str, JoinPolicy] = "TJ-SP",
-    runtime: str = "threaded",
-    max_tasks: int = 12,
-    fail_attempts: int = 2,
-    flaky_rate: float = 0.6,
-) -> RetryChaosResult:
-    """Chaos run where flaky leaf tasks succeed only after retries.
-
-    A deterministic subset of *join-free leaves* (no children, no sibling
-    joins — so a re-run of the task body performs no joins and forks no
-    tasks) is forked with a :class:`~repro.runtime.retry.RetryPolicy` and
-    made to fail ``fail_attempts`` times before succeeding.  Because each
-    retry is a fresh fork re-verified by the policy, the exact-accounting
-    invariants become:
-
-    * ``forks == n_tasks + retries`` where
-      ``retries == fail_attempts * len(flaky)``;
-    * ``joins_checked == spec.total_joins`` exactly (retried bodies
-      perform no joins);
-    * zero failures observed at any join (retries exhaust *before* the
-      parent sees anything);
-    * supervision state drains: empty registry, empty Armus graph, **no
-      live forced edges** (stale-verdict edges forced during a retry must
-      be discharged by the joiner's wakeup), no watchdog diagnosis.
-    """
-    spec = generate_spec(seed, max_tasks=max_tasks, crash_rate=0.0)
-    leaves = [t for t in range(1, spec.n_tasks) if not spec.children.get(t)]
-    eligible = [t for t in leaves if not spec.sibling_joins.get(t)]
-    if not eligible:
-        # Every leaf joins a sibling: free the youngest leaf of its
-        # sibling joins so at least one flaky candidate exists.
-        victim = leaves[-1]
-        sibling_joins = {
-            t: s for t, s in spec.sibling_joins.items() if t != victim
-        }
-        spec = ChaosSpec(
-            seed=spec.seed,
-            n_tasks=spec.n_tasks,
-            children=spec.children,
-            sibling_joins=sibling_joins,
-            grandchild_joins=spec.grandchild_joins,
-            batch_parents=spec.batch_parents,
-            crash_tasks=frozenset(),
-        )
-        eligible = [victim]
-    rng = random.Random(f"chaos-retry|{seed}")
-    n_flaky = max(1, round(len(eligible) * flaky_rate))
-    flaky = frozenset(rng.sample(eligible, n_flaky))
-    retry_spec = RetryPolicy(
-        max_attempts=fail_attempts + 1,
-        base_delay=0.0005,
-        max_delay=0.002,
-        seed=seed,
-    )
-
-    if isinstance(policy, JoinPolicy):
-        inner = policy
-    else:
-        from ..core.policy import make_policy
-
-        inner = make_policy(policy)
-    rt = _make_runtime(runtime, inner)
-
-    futures: dict[int, object] = {}
-    attempts: dict[int, int] = {}
-    failures_seen: list[int] = []
-    guard = threading.Lock()
-
-    def body(tid: int):
-        require_current_task()
-        for cid in spec.children.get(tid, ()):
-            if cid in flaky:
-                futures[cid] = rt.fork(body, cid, retry=retry_spec)
-            else:
-                futures[cid] = rt.fork(body, cid)
-        for sib in spec.sibling_joins.get(tid, ()):
-            try:
-                futures[sib].join()
-            except TaskFailedError:
-                with guard:
-                    failures_seen.append(sib)
-        if tid in spec.batch_parents:
-            kids = spec.children.get(tid, ())
-            batch = [futures[c] for c in kids]
-            for c, outcome in zip(kids, rt.join_batch(batch, return_exceptions=True)):
-                if isinstance(outcome, TaskFailedError):
-                    with guard:
-                        failures_seen.append(c)
-        else:
-            for c in spec.children.get(tid, ()):
-                try:
-                    futures[c].join()
-                except TaskFailedError:
-                    with guard:
-                        failures_seen.append(c)
-        for g in spec.grandchild_joins.get(tid, ()):
-            try:
-                futures[g].join()
-            except TaskFailedError:
-                with guard:
-                    failures_seen.append(g)
-        if tid in flaky:
-            with guard:
-                attempts[tid] = attempts.get(tid, 0) + 1
-                attempt = attempts[tid]
-            if attempt <= fail_attempts:
-                raise RuntimeError(f"flaky task {tid} attempt {attempt}")
-        return tid
-
-    rt.run(body, 0)
-
-    expected_retries = fail_attempts * len(flaky)
-    stats = rt.verifier.stats
-    problems: list[str] = []
-    if failures_seen:
-        problems.append(f"joins observed failures {sorted(failures_seen)}")
-    if rt.tasks_retried != expected_retries:
-        problems.append(
-            f"tasks_retried {rt.tasks_retried} != expected {expected_retries}"
-        )
-    if stats.forks != spec.n_tasks + expected_retries:
-        problems.append(
-            f"forks {stats.forks} != n_tasks + retries "
-            f"{spec.n_tasks + expected_retries}"
-        )
-    if stats.joins_checked != spec.total_joins:
-        problems.append(
-            f"joins_checked {stats.joins_checked} != planned {spec.total_joins}"
-        )
-    for tid in flaky:
-        if attempts.get(tid, 0) != fail_attempts + 1:
-            problems.append(
-                f"flaky task {tid} ran {attempts.get(tid, 0)} attempts, "
-                f"expected {fail_attempts + 1}"
-            )
-    detector = rt.detector
-    if detector is not None:
-        if len(detector.graph) != 0:
-            problems.append(f"Armus graph not empty: {detector.graph.edges()}")
-        if detector.live_forced_edges != 0:
-            problems.append(f"{detector.live_forced_edges} forced edges still live")
-        if detector.stats.deadlocks_avoided != 0:
-            problems.append("deadlock-free retry program had a join refused")
-    if len(rt.blocked_joins()) != 0:
-        problems.append("join registry not empty after retry run")
-    if rt.watchdog is not None and rt.watchdog.deadlocks_detected != 0:
-        problems.append("watchdog diagnosed a deadlock in a retry run")
-    if problems:
-        raise ChaosInvariantError(
-            f"seed {seed} policy {inner.name} runtime {runtime}: "
-            + "; ".join(problems)
-        )
-    return RetryChaosResult(
-        spec=spec,
-        policy_name=inner.name,
-        runtime=runtime,
-        stats=stats,
-        flaky_tasks=flaky,
-        retries=rt.tasks_retried,
     )
 
 
@@ -852,6 +668,41 @@ class ServiceChaosResult:
     verdict_mismatches: list
 
 
+def _journal_task_ids(
+    records: list, session_id: str, spec: ChaosSpec
+) -> Optional[dict[int, int]]:
+    """Map a session's journalled rids to spec task ids via the fork tree.
+
+    A parent forks its children sequentially from its own thread in spec
+    order, and rids are assigned at fork time, so within one parent
+    ascending rid == ascending spec child id.  None when the journal has
+    no init record for the session or its tree does not match the spec.
+    """
+    tree: dict[int, list[int]] = {}
+    root: Optional[int] = None
+    for r in records:
+        if r.get("session") != session_id:
+            continue
+        if r.get("kind") == "init":
+            root = r["task"]
+        elif r.get("kind") == "fork":
+            tree.setdefault(r["parent"], []).append(r["child"])
+    if root is None:
+        return None
+    rid_to_tid = {root: 0}
+    stack = [root]
+    while stack:
+        prid = stack.pop()
+        kids_r = sorted(set(tree.get(prid, ())))
+        kids_t = spec.children.get(rid_to_tid[prid], ())
+        if len(kids_r) != len(kids_t):
+            return None
+        for rk, tk in zip(kids_r, kids_t):
+            rid_to_tid[rk] = tk
+            stack.append(rk)
+    return rid_to_tid
+
+
 def run_with_service_faults(
     seed: int,
     *,
@@ -860,15 +711,14 @@ def run_with_service_faults(
     max_tasks: int = 12,
     service_crash_rate: float = 1.0,
     connection_drop_rate: float = 0.0,
-    liveness_timeout: float = 0.5,
-    journal_dir: Optional[str] = None,
     check: bool = True,
 ) -> ServiceChaosResult:
     """Kill -9 the verification sidecar mid-run; prove nothing diverged.
 
     Runs the same seeded deadlock-free program twice: once all-local
-    (the reference), once against a real sidecar subprocess with faults
-    injected per the :class:`FaultPlan` —
+    through :func:`run_chaos_program` (the reference), once against a
+    real sidecar subprocess with faults injected per the
+    :class:`FaultPlan` —
 
     * ``service_crash_rate`` decides whether the sidecar is SIGKILLed;
       *when* is a deterministic join-check count drawn from the seed, so
@@ -880,7 +730,8 @@ def run_with_service_faults(
     journal (rebuilding its sessions), the client reconciles, and the
     runner asserts:
 
-    * the workload completed with the exact planned fork/join counts on
+    * the remote runtime quiesced (:func:`quiescence_violations`) and
+      the workload completed with the exact planned fork/join counts on
       the *client* — no unverified join ever unblocked;
     * every verdict the sidecar's journal holds (live, recheck-replayed,
       and restart-re-derived alike) equals the reference run's verdict
@@ -892,6 +743,7 @@ def run_with_service_faults(
     import tempfile
     import time
 
+    from ..errors import ServiceDegradedWarning
     from ..service.client import RemoteVerifier
     from ..service.proc import SidecarProcess
     from ..tools.journal import read_journal
@@ -911,26 +763,24 @@ def run_with_service_faults(
         k for k in range(1, total + 1) if plan.connection_drop(("join-count", k))
     )
 
-    owns_dir = journal_dir is None
-    if owns_dir:
-        tmp = tempfile.TemporaryDirectory(prefix="repro-service-chaos-")
-        journal_dir = tmp.name
-    journal_path = os.path.join(journal_dir, f"sidecar-{seed}.jsonl")
-
-    if isinstance(policy, JoinPolicy):
-        policy_obj = policy
-    else:
-        from ..core.policy import make_policy
-
-        policy_obj = make_policy(policy)
+    policy_obj = resolve_policy(policy)
     session_id = f"chaos-service-{seed}"
+
+    def session_verdicts(records: list) -> list:
+        return [
+            r
+            for r in records
+            if r.get("kind") == "verdict" and r.get("session") == session_id
+        ]
+
     problems: list[str] = []
     drops_done = 0
 
-    with warnings.catch_warnings():
-        from ..errors import ServiceDegradedWarning
-
+    with tempfile.TemporaryDirectory(
+        prefix="repro-service-chaos-"
+    ) as journal_dir, warnings.catch_warnings():
         warnings.simplefilter("ignore", ServiceDegradedWarning)
+        journal_path = os.path.join(journal_dir, f"sidecar-{seed}.jsonl")
         sidecar = SidecarProcess(journal_path=journal_path, ack_every=8)
         try:
             rv = RemoteVerifier(
@@ -938,25 +788,9 @@ def run_with_service_faults(
                 policy_obj,
                 fail_mode="open",
                 session=session_id,
-                liveness_timeout=liveness_timeout,
+                liveness_timeout=_SERVICE_LIVENESS_TIMEOUT,
             )
-            if runtime == "threaded":
-                rt = TaskRuntime(
-                    policy_obj,
-                    fail_mode="open",
-                    verifier=rv,
-                    on_unjoined_failure="ignore",
-                )
-            elif runtime == "pool":
-                rt = WorkSharingRuntime(
-                    policy_obj,
-                    workers=4,
-                    fail_mode="open",
-                    verifier=rv,
-                    on_unjoined_failure="ignore",
-                )
-            else:
-                raise ValueError(f"unknown runtime {runtime!r}; known: {RUNTIMES}")
+            rt = _make_runtime(runtime, policy_obj, fail_mode="open", verifier=rv)
 
             stop_monitor = threading.Event()
 
@@ -978,10 +812,11 @@ def run_with_service_faults(
             monitor_thread = threading.Thread(target=monitor, daemon=True)
             monitor_thread.start()
             try:
-                _run_spec(spec, rt, plan.without_faults())
+                walk = _walk(spec, rt, plan.without_faults())
             finally:
                 stop_monitor.set()
                 monitor_thread.join(timeout=5.0)
+            problems += quiescence_violations(rt, walk.handles, walk.futures)
 
             # The kill must happen even if the workload outran the monitor.
             if kill_planned and sidecar.alive():
@@ -996,12 +831,7 @@ def run_with_service_faults(
             while time.monotonic() < deadline:
                 if rv.degraded:
                     rv.try_reconnect()
-                records = read_journal(journal_path).records
-                n_verdicts = sum(
-                    1
-                    for r in records
-                    if r.get("kind") == "verdict" and r.get("session") == session_id
-                )
+                n_verdicts = len(session_verdicts(read_journal(journal_path).records))
                 if not rv.degraded and n_verdicts >= remote_stats.joins_checked:
                     break
                 time.sleep(0.05)
@@ -1009,72 +839,26 @@ def run_with_service_faults(
         finally:
             sidecar.stop()
 
-        result = read_journal(journal_path)
+        records = read_journal(journal_path).records
 
-    # Map the journal's rids back to spec task ids by walking the fork
-    # tree: a parent forks its children sequentially from its own thread
-    # in spec order, and rids are assigned at fork time, so within one
-    # parent ascending rid == ascending spec child id.
-    rid_to_tid: dict[int, int] = {}
+    verdict_records = session_verdicts(records)
     verdict_mismatches: list = []
-    n_verdicts = 0
     if local.verdicts is not None:
-        local_by_edge = dict(local.verdicts)
-        tree: dict[int, list[int]] = {}
-        root_rid: Optional[int] = None
-        for r in result.records:
-            if r.get("session") != session_id:
+        rid_to_tid = _journal_task_ids(records, session_id, spec)
+        if rid_to_tid is None:
+            problems.append("journal fork tree does not match the spec")
+            verdict_records = []
+        for r in verdict_records:
+            a = rid_to_tid.get(r["waiter"])
+            b = rid_to_tid.get(r["joinee"])
+            if a is None or b is None:
+                problems.append(f"verdict references unknown rid: {r}")
                 continue
-            if r.get("kind") == "init":
-                root_rid = r["task"]
-            elif r.get("kind") == "fork":
-                tree.setdefault(r["parent"], []).append(r["child"])
-        if root_rid is not None:
-            rid_to_tid[root_rid] = 0
-            stack = [root_rid]
-            ok_map = True
-            while stack:
-                prid = stack.pop()
-                ptid = rid_to_tid[prid]
-                kids_r = sorted(set(tree.get(prid, ())))
-                kids_t = list(spec.children.get(ptid, ()))
-                if len(kids_r) != len(kids_t):
-                    ok_map = False
-                    break
-                # rids are assigned in fork order and _run_spec forks a
-                # task's children in spec order from the parent's own
-                # thread, so ascending rid == ascending spec child id.
-                for rk, tk in zip(kids_r, kids_t):
-                    rid_to_tid[rk] = tk
-                    stack.append(rk)
-            if not ok_map:
-                problems.append("journal fork tree does not match the spec")
-            else:
-                for r in result.records:
-                    if (
-                        r.get("session") != session_id
-                        or r.get("kind") != "verdict"
-                    ):
-                        continue
-                    n_verdicts += 1
-                    a = rid_to_tid.get(r["waiter"])
-                    b = rid_to_tid.get(r["joinee"])
-                    if a is None or b is None:
-                        problems.append(f"verdict references unknown rid: {r}")
-                        continue
-                    want = local_by_edge.get((a, b))
-                    if want is not None and bool(r["ok"]) != want:
-                        verdict_mismatches.append((a, b, want, bool(r["ok"])))
-        else:
-            problems.append("journal holds no init record for the session")
-    else:
-        n_verdicts = sum(
-            1
-            for r in result.records
-            if r.get("kind") == "verdict" and r.get("session") == session_id
-        )
+            want = local.verdicts.get((a, b))
+            if want is not None and bool(r["ok"]) != want:
+                verdict_mismatches.append((a, b, want, bool(r["ok"])))
+    n_verdicts = len(verdict_records)
 
-    remote_stats = rv.stats
     if remote_stats.forks != spec.n_tasks:
         problems.append(
             f"remote forks {remote_stats.forks} != n_tasks {spec.n_tasks}"
@@ -1097,8 +881,6 @@ def run_with_service_faults(
             f"{verdict_mismatches[:5]}"
         )
 
-    if owns_dir:
-        tmp.cleanup()
     if check and problems:
         raise ChaosInvariantError(
             f"seed {seed} policy {policy_obj.name} runtime {runtime} (service): "
@@ -1186,7 +968,10 @@ def run_procs_divergence(
     single result or verdict diverging.
 
     *tasks* is the total leaf count; it is split into ``tasks // fanout``
-    dispatched subtrees of *fanout* leaves each.
+    dispatched subtrees of *fanout* leaves each.  With a *sidecar*, the
+    run also fails unless its cross joins actually reached it: no
+    degraded join on a kill-free run, and fewer degraded than cross
+    joins on any run.
     """
     import math
     import os
@@ -1283,6 +1068,21 @@ def run_procs_divergence(
         )
     if killed and join_stats["cross_joins"] <= 0:
         problems.append("no cross-process joins were ever reported")
+    if sidecar is not None:
+        # The escalation path must have reached the sidecar: a dead one
+        # degrades every cross join to the local shard, which stays sound
+        # and would otherwise pass unnoticed.
+        degraded = join_stats["degraded_joins"]
+        if degraded and not killed:
+            problems.append(
+                f"{degraded} joins degraded on a kill-free run: the sidecar "
+                f"{sidecar} was not reached"
+            )
+        if degraded >= join_stats["cross_joins"]:
+            problems.append(
+                f"degraded joins {degraded} >= cross joins "
+                f"{join_stats['cross_joins']}: no join reached the sidecar {sidecar}"
+            )
     if check and problems:
         raise ChaosInvariantError(
             f"seed {seed} procs workers={workers} "

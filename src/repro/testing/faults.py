@@ -4,11 +4,12 @@ Every injection decision is a pure function of ``(seed, site)``: the
 plan seeds a private :class:`random.Random` with the string
 ``f"{seed}|{site!r}"`` (string seeding hashes through SHA-512, so the
 stream is identical across processes and immune to ``PYTHONHASHSEED``).
-Two runs of the same program with the same plan therefore crash, delay
-and fault at exactly the same sites — and a plan with delays stripped
-(:meth:`FaultPlan.without_delays`) makes *identical* crash/fault
-decisions, which is what lets the chaos suite assert that verdict
-streams do not depend on timing.
+Two runs of the same program with the same plan therefore delay and
+fault at exactly the same sites — and a plan with delays stripped
+(:meth:`FaultPlan.without_delays`) makes *identical* fault decisions,
+which is what lets the chaos suite assert that verdict streams do not
+depend on timing.  (Task crashes are part of the program, not the plan:
+:func:`~repro.testing.chaos.generate_spec` draws them from the seed.)
 
 Sites are arbitrary hashable-and-reprable keys chosen by the harness,
 conventionally tuples like ``("task", 7)`` or ``("join", 3, 5)``.  Key
@@ -53,8 +54,6 @@ class FaultPlan:
 
     Rates are independent probabilities evaluated per *site*:
 
-    * ``crash_rate`` — probability :meth:`should_crash` returns True;
-      the harness raises :class:`~repro.errors.InjectedFaultError` there;
     * ``delay_rate`` / ``max_delay`` — probability and bound (seconds)
       of a :meth:`sleep` at a site;
     * ``verifier_fault_rate`` — probability a :class:`FaultyPolicy`
@@ -76,7 +75,6 @@ class FaultPlan:
     """
 
     seed: int = 0
-    crash_rate: float = 0.0
     delay_rate: float = 0.0
     max_delay: float = 0.002
     verifier_fault_rate: float = 0.0
@@ -93,14 +91,6 @@ class FaultPlan:
         if rate <= 0.0:
             return False
         return self._rng(("decide", site)).random() < rate
-
-    def should_crash(self, site: object) -> bool:
-        return self.decide(("crash", site), self.crash_rate)
-
-    def crash_if_planned(self, site: object) -> None:
-        """Raise :class:`InjectedFaultError` when *site* is scheduled to crash."""
-        if self.should_crash(site):
-            raise InjectedFaultError(site=site)
 
     def delay(self, site: object) -> float:
         """The planned delay (seconds) at *site*; 0.0 when none."""
@@ -131,15 +121,14 @@ class FaultPlan:
 
     # ------------------------------------------------------------------
     def without_delays(self) -> "FaultPlan":
-        """The same plan with delays stripped; crash/fault decisions are
-        keyed by site, not by history, so they are unchanged."""
+        """The same plan with delays stripped; fault decisions are keyed
+        by site, not by history, so they are unchanged."""
         return replace(self, delay_rate=0.0)
 
     def without_faults(self) -> "FaultPlan":
         """The same plan with every injection disabled (delays included)."""
         return replace(
             self,
-            crash_rate=0.0,
             delay_rate=0.0,
             verifier_fault_rate=0.0,
             policy_crash_rate=0.0,

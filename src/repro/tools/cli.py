@@ -350,208 +350,158 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
 
 def _chaos_body(args: argparse.Namespace) -> int:
-    from ..testing.chaos import (
-        RUNTIMES,
-        repro_command,
-        run_chaos_program,
-        run_with_policy_quarantine,
-        run_with_task_retries,
-        run_with_verifier_faults,
-    )
+    from collections import Counter
+    from functools import partial
+
+    from ..testing import chaos
     from ..testing.faults import FaultPlan
 
-    program_id = getattr(args, "program_id", None)
+    program_id = args.program_id
 
     def indices(n: int) -> list:
+        # --program-id K narrows every slice that runs at all to program
+        # K; a slice of size 0 (the sweep under --programs 0) runs none.
+        if n <= 0:
+            return []
         return [program_id] if program_id is not None else list(range(n))
-
-    repro_printed = [False]
-
-    def print_repro(kind: str, i, **flags) -> None:
-        # one single-line repro command per red run, at the first failure
-        if repro_printed[0]:
-            return
-        repro_printed[0] = True
-        print("repro: " + repro_command(kind, args.seed, i, **flags))
 
     if args.smoke:
         programs = args.programs if args.programs is not None else 2
         policies = args.policies or ["TJ-SP", "KJ-CC", "none"]
-        runtimes = args.runtimes or list(RUNTIMES)
+        runtimes = args.runtimes or list(chaos.RUNTIMES)
         crash_rate = args.crash_rate if args.crash_rate is not None else 0.15
         delay_rate = args.delay_rate if args.delay_rate is not None else 0.3
         max_tasks = args.max_tasks or 8
     else:
         programs = args.programs if args.programs is not None else 12
         policies = args.policies or sorted(POLICY_REGISTRY)
-        runtimes = args.runtimes or list(RUNTIMES)
+        runtimes = args.runtimes or list(chaos.RUNTIMES)
         crash_rate = args.crash_rate if args.crash_rate is not None else 0.15
         delay_rate = args.delay_rate if args.delay_rate is not None else 0.25
         max_tasks = args.max_tasks or 12
+    fault_rate = args.fault_rate if args.fault_rate is not None else 0.2
+    half = max(1, programs // 2)
 
-    total = 0
-    bad = 0
+    def sweep(seed: int, policy: str, runtime: str) -> str:
+        result = chaos.run_chaos_program(
+            seed,
+            policy=None if policy == "none" else policy,
+            runtime=runtime,
+            max_tasks=max_tasks,
+            crash_rate=crash_rate,
+            plan=FaultPlan(seed=seed, delay_rate=delay_rate),
+            check=False,
+        )
+        return "".join(f"\n  {violation}" for violation in result.violations)
+
+    def service(seed: int, runtime: str) -> None:
+        result = chaos.run_with_service_faults(
+            seed, policy="TJ-SP", runtime=runtime, max_tasks=max_tasks
+        )
+        print(
+            f"service seed={seed} runtime={runtime}: "
+            f"killed={result.sidecar_killed} "
+            f"degradations={result.degradations} "
+            f"reconciles={result.reconciles} "
+            f"verdicts={result.journal_verdicts}"
+        )
+
+    def failure(runner, *runner_args, **runner_kwargs) -> str:
+        try:
+            runner(*runner_args, **runner_kwargs)
+        except AssertionError as exc:
+            return f" {exc}"
+        return ""
+
+    # One row per program: its summary bucket, its FAIL label, a run that
+    # returns the text after "FAIL <label>:" ("" on a pass), and its repro
+    # line.  A repro line reruns only its own slice: --programs 0 drops the
+    # sweep, --fault-rate 0 the verifier faults and --policies none the
+    # quarantine runs.  (No option drops the retry program, so a
+    # quarantine repro reruns that one too.)
+    rows: list = []
+
+    def add(bucket, label, run, kind, index, **flags) -> None:
+        rows.append((bucket, label, run, kind, index, flags))
+
     for policy in policies:
         for runtime in runtimes:
             for i in indices(programs):
                 seed = args.seed + i
-                plan = FaultPlan(seed=seed, delay_rate=delay_rate)
-                result = run_chaos_program(
-                    seed,
-                    policy=None if policy == "none" else policy,
-                    runtime=runtime,
-                    max_tasks=max_tasks,
-                    crash_rate=crash_rate,
-                    plan=plan,
-                    check=False,
-                )
-                total += 1
-                if result.violations:
-                    bad += 1
-                    print(
-                        f"FAIL seed={seed} policy={policy} runtime={runtime}:"
-                    )
-                    for violation in result.violations:
-                        print(f"  {violation}")
-                    print_repro(
-                        "",
-                        i,
-                        policies=policy,
-                        runtimes=runtime,
-                        max_tasks=max_tasks,
-                        crash_rate=crash_rate,
-                        delay_rate=delay_rate,
-                        fault_rate=0,
-                    )
-    fault_rate = args.fault_rate if args.fault_rate is not None else 0.2
-    fault_runs = 0
+                add("sweep", f"seed={seed} policy={policy} runtime={runtime}",
+                    partial(sweep, seed, policy, runtime), "", i,
+                    policies=policy, runtimes=runtime, max_tasks=max_tasks,
+                    crash_rate=crash_rate, delay_rate=delay_rate, fault_rate=0)
     if fault_rate > 0:
         for runtime in runtimes:
-            for i in indices(max(1, programs // 2)):
+            for i in indices(half):
                 seed = args.seed + i
-                try:
-                    run_with_verifier_faults(
-                        seed,
-                        policy="TJ-SP",
-                        runtime=runtime,
-                        max_tasks=max_tasks,
-                        fault_rate=fault_rate,
-                    )
-                except AssertionError as exc:
-                    bad += 1
-                    print(f"FAIL verifier-faults seed={seed} runtime={runtime}: {exc}")
-                    print_repro(
-                        "",
-                        i,
-                        policies="TJ-SP",
-                        runtimes=runtime,
-                        max_tasks=max_tasks,
-                        fault_rate=fault_rate,
-                        programs=0,
-                    )
-                total += 1
-                fault_runs += 1
-    recovery_runs = 0
+                plan = FaultPlan(seed=seed, verifier_fault_rate=fault_rate)
+                add("fault", f"verifier-faults seed={seed} runtime={runtime}",
+                    partial(failure, chaos.run_chaos_program, seed, policy="TJ-SP",
+                            runtime=runtime, max_tasks=max_tasks, plan=plan), "", i,
+                    policies="TJ-SP", runtimes=runtime, max_tasks=max_tasks,
+                    fault_rate=fault_rate, programs=0)
     if args.recovery:
-        recovery_policies = [p for p in policies if p != "none"]
         for runtime in runtimes:
-            for policy in recovery_policies:
-                for fail_mode in ("open", "closed"):
-                    try:
-                        run_with_policy_quarantine(
-                            args.seed,
-                            policy=policy,
-                            runtime=runtime,
-                            fail_mode=fail_mode,
-                        )
-                    except AssertionError as exc:
-                        bad += 1
-                        print(
-                            f"FAIL quarantine policy={policy} runtime={runtime} "
-                            f"fail_mode={fail_mode}: {exc}"
-                        )
-                        print_repro(
-                            "--recovery",
-                            None,
-                            policies=policy,
-                            runtimes=runtime,
-                            fault_rate=0,
-                        )
-                    total += 1
-                    recovery_runs += 1
-            for i in indices(max(1, programs // 2)):
+            for policy in (p for p in policies if p != "none"):
+                for mode in ("open", "closed"):
+                    add("recovery",
+                        f"quarantine policy={policy} runtime={runtime} fail_mode={mode}",
+                        partial(failure, chaos.run_with_policy_quarantine, args.seed,
+                                policy=policy, runtime=runtime, fail_mode=mode),
+                        "--recovery", None,
+                        policies=policy, runtimes=runtime, fault_rate=0, programs=0)
+            for i in indices(half):
                 seed = args.seed + i
-                try:
-                    run_with_task_retries(
-                        seed, policy="TJ-SP", runtime=runtime, max_tasks=max_tasks
-                    )
-                except AssertionError as exc:
-                    bad += 1
-                    print(f"FAIL retries seed={seed} runtime={runtime}: {exc}")
-                    print_repro(
-                        "--recovery",
-                        i,
-                        runtimes=runtime,
-                        max_tasks=max_tasks,
-                        fault_rate=0,
-                    )
-                total += 1
-                recovery_runs += 1
-    service_runs = 0
+                add("recovery", f"retries seed={seed} runtime={runtime}",
+                    partial(failure, chaos.run_chaos_program, seed, policy="TJ-SP",
+                            runtime=runtime, max_tasks=max_tasks, fail_attempts=2),
+                    "--recovery", i,
+                    policies="none", runtimes=runtime, max_tasks=max_tasks,
+                    fault_rate=0, programs=0)
     if args.service:
-        from ..testing.chaos import run_with_service_faults
-
-        service_programs = max(1, programs // 2) if args.smoke else max(2, programs // 2)
         for runtime in runtimes:
-            for i in range(service_programs):
+            for i in indices(half if args.smoke else max(2, programs // 2)):
                 seed = args.seed + i
-                try:
-                    result = run_with_service_faults(
-                        seed,
-                        policy="TJ-SP",
-                        runtime=runtime,
-                        max_tasks=max_tasks,
-                    )
-                    print(
-                        f"service seed={seed} runtime={runtime}: "
-                        f"killed={result.sidecar_killed} "
-                        f"degradations={result.degradations} "
-                        f"reconciles={result.reconciles} "
-                        f"verdicts={result.journal_verdicts}"
-                    )
-                except AssertionError as exc:
-                    bad += 1
-                    print(f"FAIL service seed={seed} runtime={runtime}: {exc}")
-                    print_repro(
-                        "--service",
-                        i,
-                        runtimes=runtime,
-                        max_tasks=max_tasks,
-                        fault_rate=0,
-                    )
-                total += 1
-                service_runs += 1
-        # the service loop is seed-indexed like the main sweep
-    predict_runs = 0
-    if args.predict:
-        from ..testing.chaos import run_predict_loop
+                add("service", f"service seed={seed} runtime={runtime}",
+                    partial(failure, service, seed, runtime), "--service", i,
+                    runtimes=runtime, max_tasks=max_tasks, fault_rate=0, programs=0)
 
+    repro_printed = False
+
+    def print_repro(kind: str, index, **flags) -> None:
+        # one single-line repro command per red run, at the first failure
+        nonlocal repro_printed
+        if not repro_printed:
+            repro_printed = True
+            print("repro: " + chaos.repro_command(kind, args.seed, index, **flags))
+
+    runs: Counter = Counter()
+    bad = 0
+    for bucket, label, run, kind, index, flags in rows:
+        detail = run()
+        runs[bucket] += 1
+        if detail:
+            bad += 1
+            print(f"FAIL {label}:{detail}")
+            print_repro(kind, index, **flags)
+    if args.predict:
         predict_programs = max(2, programs // 2) if args.smoke else max(4, programs // 2)
-        result = run_predict_loop(
+        result = chaos.run_predict_loop(
             predict_programs,
             seed=args.seed,
             journal_dir=args.journal_dir,
             check=False,
             program_id=program_id,
         )
-        predict_runs = len(result.journals)
-        total += predict_runs
+        runs["predict"] = len(result.journals)
         flagged_paths = {path for path, _ in result.predictions}
         for path in result.journals:
             if path in flagged_paths:
                 print(f"flagged journal={path}")
         print(
-            f"predict: {predict_runs} journals, "
+            f"predict: {runs['predict']} journals, "
             f"{result.flagged_programs} flagged "
             f"({result.clean_flagged} from clean runs), "
             f"{len(result.predictions)} witnesses verified"
@@ -563,13 +513,15 @@ def _chaos_body(args: argparse.Namespace) -> int:
             print_repro(
                 "--predict",
                 program_id if program_id is not None else 0,
-                programs=predict_programs,
+                programs=0,
+                fault_rate=0,
                 journal_dir=args.journal_dir,
             )
+    total = sum(runs.values())
     print(
-        f"chaos: {total} programs ({fault_runs} with verifier faults, "
-        f"{recovery_runs} recovery, {service_runs} service, "
-        f"{predict_runs} predict), "
+        f"chaos: {total} programs ({runs['fault']} with verifier faults, "
+        f"{runs['recovery']} recovery, {runs['service']} service, "
+        f"{runs['predict']} predict), "
         f"{total - bad} passed, {bad} failed"
     )
     return 1 if bad else 0

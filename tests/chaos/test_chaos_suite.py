@@ -12,15 +12,14 @@ deterministic per seed, so failures replay.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.core.policy import POLICY_REGISTRY
-from repro.testing import (
-    FaultPlan,
-    generate_spec,
-    run_chaos_program,
-    run_with_verifier_faults,
-)
+from repro.runtime.task import TaskState
+from repro.testing import FaultPlan, generate_spec, run_chaos_program
+from repro.testing.chaos import quiescence_violations
 
 POLICIES = sorted(POLICY_REGISTRY)
 RUNTIMES = ["threaded", "pool"]
@@ -85,16 +84,93 @@ class TestDelayEquivalence:
 class TestVerifierFaultInjection:
     """A fault raised from inside ``permits`` must leave the verifier
     accounting exact: ``joins_checked == attempts - injected faults``,
-    the Armus graph and supervision registry empty."""
+    and the run quiescent."""
 
     def test_faulty_policy_accounting_is_exact(self, runtime):
+        faults = 0
         for seed in range(6):
-            run_with_verifier_faults(
-                seed, policy="TJ-SP", runtime=runtime, fault_rate=0.25
+            result = run_chaos_program(
+                seed,
+                policy="TJ-SP",
+                runtime=runtime,
+                max_tasks=10,
+                plan=FaultPlan(seed=seed, verifier_fault_rate=0.25),
             )
+            assert result.policy_name == "faulty(TJ-SP)"
+            faults += result.faults
+        assert faults > 0  # the storm actually hit some joins
 
     def test_zero_fault_rate_injects_nothing(self, runtime):
-        run_with_verifier_faults(0, policy="TJ-SP", runtime=runtime, fault_rate=0.0)
+        result = run_chaos_program(
+            0,
+            policy="TJ-SP",
+            runtime=runtime,
+            max_tasks=10,
+            plan=FaultPlan(seed=0, verifier_fault_rate=0.0),
+        )
+        assert result.faults == 0
+
+
+class _Graph(list):
+    def edges(self):
+        return list(self)
+
+
+class _Runtime:
+    """Just enough of a runtime for :func:`quiescence_violations`."""
+
+    def __init__(self, blocked=(), graph=(), forced=0, diagnoses=0):
+        self._blocked = list(blocked)
+        self.detector = SimpleNamespace(graph=_Graph(graph), live_forced_edges=forced)
+        self.watchdog = SimpleNamespace(deadlocks_detected=diagnoses)
+
+    def blocked_joins(self):
+        return list(self._blocked)
+
+
+class TestQuiescenceCheck:
+    """Each of the six end-of-run conditions is reported on its own, so
+    an edit that drops one from the shared check fails here."""
+
+    HANDLES = {0: SimpleNamespace(state=TaskState.DONE)}
+    FUTURES = {1: SimpleNamespace(done=lambda: True)}
+
+    def check(self, rt=None, handles=None, futures=None):
+        return quiescence_violations(
+            rt or _Runtime(), handles or self.HANDLES, futures or self.FUTURES
+        )
+
+    def test_quiescent_state_passes(self):
+        assert self.check() == []
+
+    def test_pending_future(self):
+        [problem] = self.check(futures={3: SimpleNamespace(done=lambda: False)})
+        assert "task 3 future not done" in problem
+
+    def test_blocked_task(self):
+        [problem] = self.check(handles={4: SimpleNamespace(state=TaskState.BLOCKED)})
+        assert "task 4 left in BLOCKED state" in problem
+
+    def test_join_registry_not_empty(self):
+        [problem] = self.check(rt=_Runtime(blocked=["edge"]))
+        assert "join registry not empty" in problem
+
+    def test_armus_graph_not_empty(self):
+        [problem] = self.check(rt=_Runtime(graph=[("a", "b")]))
+        assert "Armus graph not empty" in problem
+
+    def test_live_forced_edge(self):
+        [problem] = self.check(rt=_Runtime(forced=2))
+        assert "2 forced edges still live" in problem
+
+    def test_watchdog_diagnosis(self):
+        [problem] = self.check(rt=_Runtime(diagnoses=1))
+        assert "watchdog diagnosed a deadlock" in problem
+
+    def test_runtime_without_detector_or_watchdog(self):
+        rt = _Runtime()
+        rt.detector = rt.watchdog = None
+        assert self.check(rt=rt) == []
 
 
 class TestDeterminism:
@@ -103,16 +179,22 @@ class TestDeterminism:
         assert generate_spec(7) != generate_spec(8)
 
     def test_fault_plan_sites_are_independent(self):
-        plan = FaultPlan(seed=3, crash_rate=0.5)
+        plan = FaultPlan(seed=3, verifier_fault_rate=0.5)
         # the same site always answers the same; distinct sites are
         # independently seeded, not a shared stream
-        assert plan.should_crash(("crash", 1)) == plan.should_crash(("crash", 1))
-        answers = {site: plan.should_crash(("crash", site)) for site in range(64)}
+        site = ("permits", 1)
+        assert plan.verifier_fault(site) == plan.verifier_fault(site)
+        assert plan.decide(site, 0.5) == plan.decide(site, 0.5)
+        answers = {n: plan.verifier_fault(("permits", n)) for n in range(64)}
         assert len(set(answers.values())) == 2  # both outcomes occur
 
     def test_without_delays_preserves_crash_decisions(self):
-        plan = FaultPlan(seed=11, crash_rate=0.4, delay_rate=0.9)
+        plan = FaultPlan(
+            seed=11, verifier_fault_rate=0.4, policy_crash_rate=0.4, delay_rate=0.9
+        )
         calm = plan.without_delays()
-        for site in range(64):
-            assert plan.should_crash(("t", site)) == calm.should_crash(("t", site))
+        for n in range(64):
+            site = ("permits", n)
+            assert plan.verifier_fault(site) == calm.verifier_fault(site)
+            assert plan.policy_crash(site) == calm.policy_crash(site)
         assert calm.delay_rate == 0.0

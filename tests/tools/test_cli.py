@@ -239,6 +239,63 @@ class TestChaosCommand:
         assert rc == 0
         assert "with verifier faults" in out
 
+    @pytest.mark.parametrize(
+        "target", ["sweep", "verifier-faults", "retries", "service"]
+    )
+    def test_repro_line_reruns_only_the_failed_slice(
+        self, target, monkeypatch, capsys
+    ):
+        from types import SimpleNamespace
+
+        from repro.testing import chaos
+
+        calls = []
+
+        def outcome(slice_name, runtime, check):
+            # every slice is stubbed: only the target fails, and only on pool
+            calls.append((slice_name, runtime))
+            failed = slice_name == target and runtime == "pool"
+            if failed and check:
+                raise chaos.ChaosInvariantError(f"{slice_name} stub failure")
+            return ["stub violation"] if failed else []
+
+        def program(seed, *, runtime, plan=None, fail_attempts=0, check=True, **_):
+            if fail_attempts:
+                name = "retries"
+            elif plan is not None and plan.verifier_fault_rate > 0:
+                name = "verifier-faults"
+            else:
+                name = "sweep"
+            return SimpleNamespace(violations=outcome(name, runtime, check))
+
+        def quarantine(seed, *, runtime, **_):
+            outcome("quarantine", runtime, True)
+
+        def service(seed, *, runtime, **_):
+            outcome("service", runtime, True)
+            return SimpleNamespace(
+                sidecar_killed=True, degradations=1, reconciles=1, journal_verdicts=1
+            )
+
+        monkeypatch.setattr(chaos, "run_chaos_program", program)
+        monkeypatch.setattr(chaos, "run_with_policy_quarantine", quarantine)
+        monkeypatch.setattr(chaos, "run_with_service_faults", service)
+
+        rc = main(["chaos", "--smoke", "--recovery", "--service", "--seed", "0"])
+        out = capsys.readouterr().out
+        assert rc == 1
+        [repro] = [line for line in out.splitlines() if line.startswith("repro: ")]
+        assert {name for name, _ in calls} == {
+            "sweep", "verifier-faults", "quarantine", "retries", "service"
+        }
+
+        calls.clear()
+        rc = main(repro.split()[2:])  # drop "repro:" and the program name
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert calls == [(target, "pool")]
+        assert "chaos: 1 programs" in out and "0 passed, 1 failed" in out
+
 
 class TestPredictAndSimulateCommands:
     @pytest.fixture
