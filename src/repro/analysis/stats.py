@@ -1,7 +1,8 @@
 """Statistics helpers for the evaluation (Section 6.2).
 
-Mean, sample standard deviation, geometric mean of overhead factors, and
-Student-t 95% confidence intervals (the error bars of Figure 2).  scipy
+Mean, median, sample standard deviation, geometric mean of overhead
+factors, and Student-t 95% confidence intervals (the error bars of
+Figure 2).  scipy
 is used for the t quantile when present; otherwise a small critical-value
 table covers the low sample counts the harness produces.
 """
@@ -11,7 +12,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-__all__ = ["mean", "stdev", "geometric_mean", "t_critical", "confidence_interval"]
+__all__ = ["mean", "median", "stdev", "geometric_mean", "t_critical", "confidence_interval"]
 
 # two-sided 95% t critical values for df = 1..30 (then ~normal)
 _T95 = [
@@ -25,6 +26,21 @@ def mean(xs: Sequence[float]) -> float:
     if not xs:
         raise ValueError("mean of empty sequence")
     return sum(xs) / len(xs)
+
+
+def median(xs: Sequence[float]) -> float:
+    """Middle sample; the mean of the two middle ones for even counts.
+
+    The benchmark ratios use it: one lucky outlier in a denominator
+    wrecks a best-time ratio but not a median one.
+    """
+    if not xs:
+        raise ValueError("median of empty sequence")
+    ordered = sorted(xs)
+    mid = len(ordered) // 2
+    if len(ordered) % 2:
+        return ordered[mid]
+    return (ordered[mid - 1] + ordered[mid]) / 2.0
 
 
 def stdev(xs: Sequence[float]) -> float:

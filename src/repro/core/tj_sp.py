@@ -38,8 +38,9 @@ class TJSpawnPathsLegacy(JoinPolicy):
 
     Task-local arrays trade O(n·h) total space for zero sharing: a fork
     copies the parent's tuple and appends the child index; ``Less`` is
-    the Algorithm 3 LCP scan.  ``bench_hotpath`` measures the flat
-    ``TJ-SP`` against this implementation.
+    the Algorithm 3 LCP scan.  The ``hotpath`` suite of
+    ``repro bench-record`` measures the flat ``TJ-SP`` against this
+    implementation.
     """
 
     name = "TJ-SP-legacy"

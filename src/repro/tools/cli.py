@@ -15,24 +15,17 @@ Commands
     Run one benchmark once and print verification/fallback statistics.
 ``table1 [--sizes ...]``
     Regenerate the empirical complexity table (Table 1).
-``table2 [--reps N] [--scale small|default]``
-    Regenerate the overhead table (Table 2).
+``table2 [--reps N] [--scale small|default] [--json PATH]``
+    Regenerate the overhead table (Table 2); ``--json`` appends its
+    records to a trajectory file.
 ``figure2 [--reps N]``
     Regenerate the execution-time chart (Figure 2).
-``bench-hotpath [--reps N] [--smoke] [--json PATH] [--min-speedup F]
-[--max-kj-ratio F]``
-    Run the verifier hot-path microbenchmarks (join-heavy, fork-heavy,
-    deep-tree, wide-tree across all TJ/KJ policies) and write
-    ``BENCH_hotpath.json`` with the TJ-SP kernel backend recorded per
-    measurement; optionally enforce the legacy-speedup and KJ-VC-parity
-    gates.
-``bench-runtime [--reps N] [--smoke] [--json PATH] [--max-overhead F]
-[--max-journal-overhead F]``
-    Run the end-to-end runtime overhead suite: the join-latency
-    microshape (a fork-chain unwind of blocked joins), the
-    journal-on vs journal-off fork chain, plus Table-2-style
-    policy-vs-baseline configs; writes ``BENCH_runtime.json`` and
-    enforces the regression gates.
+``bench-record [--smoke] [--json PATH]``
+    Run every benchmark suite (verifier hot path, runtime overhead,
+    telemetry, sidecar soak, multi-process soak, distributed telemetry,
+    prediction) at one scale, append the run to the trajectory file
+    (default ``BENCH_trajectory.json``), print every record and every
+    bound row, and exit 1 if any row FAILs.
 ``run <trace-file> [--runtime threaded|pool] [--policy P] [--timeout S]
 [--watchdog-interval S] [--no-watchdog] [--fail-mode raise|open|closed]
 [--journal PATH] [--verifier remote://HOST:PORT]``
@@ -90,8 +83,7 @@ trace), ``--metrics-out`` (merged fleet metrics snapshot), and
 
 ``run`` and ``chaos`` additionally accept ``--trace-out PATH`` (write a
 Perfetto/Chrome-trace JSON of the execution) and ``--metrics-out PATH``
-(write the final metrics snapshot as JSON); ``bench-runtime`` accepts
-``--telemetry`` to run the suite with telemetry enabled.
+(write the final metrics snapshot as JSON).
 """
 
 from __future__ import annotations
@@ -660,10 +652,16 @@ def _cmd_table2(args: argparse.Namespace) -> int:
     reports = _suite_reports(args)
     print(render_table2(reports))
     if args.json:
-        from ..analysis.io import save_reports
+        from ..analysis.record import append_run, fingerprint
+        from ..analysis.stats import mean
+        from ..analysis.suites import report_records
 
-        save_reports(reports, args.json)
-        print(f"raw samples written to {args.json}")
+        records = [m for r in reports for m in report_records("table2", r, mean)]
+        append_run(
+            args.json,
+            {"fingerprint": fingerprint(), "scale": args.scale, "measurements": records, "bounds": []},
+        )
+        print(f"records appended to {args.json}")
     return 0
 
 
@@ -677,46 +675,6 @@ def _cmd_figure2(args: argparse.Namespace) -> int:
             fh.write(render_figure2_svg(reports))
         print(f"SVG chart written to {args.svg}")
     return 0
-
-
-def _cmd_bench_hotpath(args: argparse.Namespace) -> int:
-    from ..analysis.hotpath import (
-        SHAPE_PARAMS,
-        SMOKE_PARAMS,
-        render_hotpath_table,
-        run_hotpath_suite,
-        speedup,
-    )
-    from ..analysis.io import save_hotpath
-
-    params = SMOKE_PARAMS if args.smoke else SHAPE_PARAMS
-    measurements = run_hotpath_suite(repetitions=args.reps, params=params)
-    print(render_hotpath_table(measurements))
-    tj = next(
-        (m for m in measurements if (m.shape, m.policy) == ("join-heavy", "TJ-SP")),
-        None,
-    )
-    if tj is not None:
-        print(f"TJ-SP kernel backend: {tj.backend}")
-    save_hotpath(measurements, args.json, params)
-    print(f"raw samples written to {args.json}")
-    status = 0
-    factor = speedup(measurements, "join-heavy")
-    if args.min_speedup and factor < args.min_speedup:
-        print(
-            f"REGRESSION: join-heavy TJ-SP speedup {factor:.2f}x "
-            f"below the {args.min_speedup:.2f}x gate"
-        )
-        status = 1
-    if args.max_kj_ratio:
-        ratio = 1.0 / speedup(measurements, "join-heavy", baseline="KJ-VC")
-        if ratio > args.max_kj_ratio:
-            print(
-                f"REGRESSION: join-heavy TJ-SP costs {ratio:.2f}x KJ-VC "
-                f"per event, above the {args.max_kj_ratio:.2f}x gate"
-            )
-            status = 1
-    return status
 
 
 def _top_live(args: argparse.Namespace) -> int:
@@ -808,42 +766,26 @@ def _cmd_top(args: argparse.Namespace) -> int:
     return 0 if box["outcome"].clean else 1
 
 
-def _cmd_bench_runtime(args: argparse.Namespace) -> int:
-    from ..analysis.io import save_runtime
-    from ..analysis.runtime_overhead import (
-        render_runtime_table,
-        run_runtime_suite,
-    )
+def _cmd_bench_record(args: argparse.Namespace) -> int:
+    import json as _json
 
-    if args.telemetry:
-        from .. import obs
+    from ..analysis.bounds import FAIL, judge
+    from ..analysis.record import append_run, fingerprint, render_records, render_rows
+    from ..analysis.suites import SUITES
 
-        scope = obs.enabled()
-    else:
-        scope = contextlib.nullcontext(None)
-    with scope:
-        result = run_runtime_suite(smoke=args.smoke, repetitions=args.reps)
-    print(render_runtime_table(result))
-    save_runtime(result, args.json)
-    print(f"raw samples written to {args.json}")
-    status = 0
-    if args.max_overhead:
-        factor = result.overhead("TJ-SP")
-        if factor > args.max_overhead:
-            print(
-                f"REGRESSION: TJ-SP end-to-end overhead {factor:.3f}x "
-                f"above the {args.max_overhead:.2f}x bound"
-            )
-            status = 1
-    if args.max_journal_overhead:
-        factor = result.journal_overhead
-        if factor > args.max_journal_overhead:
-            print(
-                f"REGRESSION: journal-on overhead {factor:.3f}x "
-                f"above the {args.max_journal_overhead:.2f}x bound"
-            )
-            status = 1
-    return status
+    scale = "smoke" if args.smoke else "full"
+    finger = fingerprint()
+    print(f"{scale} run: {_json.dumps(finger, sort_keys=True)}")
+    records = []
+    for name, suite in SUITES.items():
+        got = suite(scale)
+        print(f"\n[{name}]\n{render_records(got)}", flush=True)
+        records += got
+    rows = judge(records, scale, finger)
+    print(f"\n[bounds]\n{render_rows(rows)}")
+    append_run(args.json, {"fingerprint": finger, "scale": scale, "measurements": records, "bounds": rows})
+    print(f"\nrun appended to {args.json}")
+    return 1 if any(r["status"] == FAIL for r in rows) else 0
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
@@ -1200,60 +1142,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "--benchmarks", nargs="*", choices=ALL_BENCHMARKS, metavar="NAME"
         )
         if name == "table2":
-            p.add_argument("--json", help="also dump raw samples to this file")
+            p.add_argument("--json", help="also append the records to this trajectory file")
         else:
             p.add_argument("--svg", help="also render an SVG chart to this file")
         p.set_defaults(fn=fn)
 
-    p = sub.add_parser("bench-hotpath", help="verifier hot-path microbenchmarks")
-    p.add_argument("--reps", type=int, default=3)
-    p.add_argument("--smoke", action="store_true", help="tiny CI-sized workloads")
-    p.add_argument("--json", default="BENCH_hotpath.json", help="output path")
-    p.add_argument(
-        "--min-speedup",
-        type=float,
-        default=0.0,
-        metavar="FACTOR",
-        help="fail (exit 1) if join-heavy TJ-SP vs TJ-SP-legacy drops below FACTOR",
-    )
-    p.add_argument(
-        "--max-kj-ratio",
-        type=float,
-        default=0.0,
-        metavar="FACTOR",
-        help="fail (exit 1) if join-heavy TJ-SP per-event cost exceeds "
-        "KJ-VC by more than FACTOR",
-    )
-    p.set_defaults(fn=_cmd_bench_hotpath)
-
-    p = sub.add_parser("bench-runtime", help="end-to-end runtime overhead suite")
-    p.add_argument("--reps", type=int, default=3)
-    p.add_argument(
-        "--smoke", action="store_true", help="tiny CI-sized configurations"
-    )
-    p.add_argument("--json", default="BENCH_runtime.json", help="output path")
-    p.add_argument(
-        "--max-overhead",
-        type=float,
-        default=0.0,
-        metavar="FACTOR",
-        help="fail (exit 1) if the TJ-SP end-to-end geomean overhead "
-        "exceeds FACTOR",
-    )
-    p.add_argument(
-        "--max-journal-overhead",
-        type=float,
-        default=0.0,
-        metavar="FACTOR",
-        help="fail (exit 1) if journal-on vs journal-off on the fork chain "
-        "exceeds FACTOR",
-    )
-    p.add_argument(
-        "--telemetry",
-        action="store_true",
-        help="run the suite with telemetry (metrics + tracing) enabled",
-    )
-    p.set_defaults(fn=_cmd_bench_runtime)
+    p = sub.add_parser("bench-record", help="run every benchmark suite and judge every bound")
+    p.add_argument("--smoke", action="store_true", help="CI-sized shapes")
+    p.add_argument("--json", default="BENCH_trajectory.json", help="trajectory file to append to")
+    p.set_defaults(fn=_cmd_bench_record)
 
     p = sub.add_parser("report", help="full reproduction report (markdown)")
     p.add_argument("--reps", type=int, default=3)

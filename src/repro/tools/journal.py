@@ -182,8 +182,8 @@ class TraceJournal:
 
         *body* is the record's JSON fields sans ``seq`` (built with
         f-strings, not :func:`json.dumps` — record-dense programs put
-        this call on the hot path, and the per-record overhead gate in
-        ``benchmarks/bench_runtime_overhead.py`` prices every
+        this call on the hot path, and the ``runtime.journal`` bound of
+        ``repro bench-record`` prices every
         microsecond here).  Task names are internal (``tN``) and never
         need escaping; methods carrying arbitrary strings (policy names,
         error reprs) quote those fields with :func:`json.dumps`.

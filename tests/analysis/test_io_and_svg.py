@@ -1,14 +1,11 @@
-"""Tests for report serialisation and the SVG Figure 2 renderer."""
+"""Tests for Table 2's records and the SVG Figure 2 renderer."""
 
 import pytest
 
 from repro.analysis.figure2_svg import render_figure2_svg
-from repro.analysis.io import (
-    load_reports,
-    reports_from_json,
-    reports_to_json,
-    save_reports,
-)
+from repro.analysis.record import append_run, load_trajectory
+from repro.analysis.stats import mean
+from repro.analysis.suites import report_records
 
 from .test_reports import fake_report
 
@@ -22,31 +19,44 @@ def reports():
     ]
 
 
+def _table2_run(reports):
+    records = [m for r in reports for m in report_records("table2", r, mean)]
+    return {"fingerprint": {"nproc": 1}, "scale": "small", "measurements": records, "bounds": []}
+
+
 class TestJsonRoundTrip:
-    def test_roundtrip_preserves_everything(self, reports):
-        text = reports_to_json(reports)
-        back = reports_from_json(text)
-        assert len(back) == 2
-        for orig, copy in zip(reports, back):
-            assert copy.name == orig.name
-            assert copy.baseline.times == orig.baseline.times
-            assert set(copy.policies) == set(orig.policies)
-            for p in orig.policies:
-                assert copy.policies[p].times == orig.policies[p].times
-                assert copy.time_overhead(p) == pytest.approx(orig.time_overhead(p))
+    def test_roundtrip_preserves_everything(self, reports, tmp_path):
+        path = str(tmp_path / "table2.json")
+        append_run(path, _table2_run(reports))
+        (run,) = load_trajectory(path)
+        back = {m.name: m for m in run["measurements"]}
+        for r in reports:
+            base = back[f"table2.{r.name}.none.time"]
+            assert base.samples == r.baseline.times
+            assert base.params["peak_bytes"] == r.baseline.peak_bytes
+            for p in r.policies:
+                assert back[f"table2.{r.name}.{p}.time"].samples == r.policies[p].times
+                assert back[f"table2.{r.name}.{p}.overhead"].value == pytest.approx(r.time_overhead(p))
 
     def test_file_roundtrip(self, reports, tmp_path):
-        path = str(tmp_path / "reports.json")
-        save_reports(reports, path)
-        back = load_reports(path)
-        assert [r.name for r in back] == ["Alpha", "Beta"]
+        path = str(tmp_path / "table2.json")
+        append_run(path, _table2_run(reports))
+        (run,) = load_trajectory(path)
+        names = [m.name for m in run["measurements"]]
+        assert names[0] == "table2.Alpha.none.time"
+        assert names[-1] == "table2.Beta.TJ-SP.overhead"
 
-    def test_schema_version_checked(self):
-        with pytest.raises(ValueError, match="unsupported schema"):
-            reports_from_json('{"schema": 99, "reports": []}')
+    def test_schema_version_checked(self, tmp_path):
+        path = tmp_path / "table2.json"
+        path.write_text('{"schema": 99, "runs": []}')
+        with pytest.raises(ValueError, match="unsupported trajectory schema"):
+            load_trajectory(str(path))
 
-    def test_json_is_deterministic(self, reports):
-        assert reports_to_json(reports) == reports_to_json(reports)
+    def test_json_is_deterministic(self, reports, tmp_path):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        append_run(str(a), _table2_run(reports))
+        append_run(str(b), _table2_run(reports))
+        assert a.read_bytes() == b.read_bytes()
 
 
 class TestSvg:

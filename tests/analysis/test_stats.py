@@ -10,6 +10,7 @@ from repro.analysis.stats import (
     confidence_interval,
     geometric_mean,
     mean,
+    median,
     stdev,
     t_critical,
 )
@@ -30,6 +31,14 @@ class TestMeanStdev:
 
     def test_stdev_short(self):
         assert stdev([1.0]) == 0.0
+
+    def test_median_odd_and_even(self):
+        assert median([3.0, 1.0, 2.0]) == 2.0
+        assert median([4.0, 1.0, 3.0, 2.0]) == 2.5
+
+    def test_median_empty(self):
+        with pytest.raises(ValueError):
+            median([])
 
 
 class TestGeometricMean:

@@ -1,6 +1,6 @@
 """Disabled telemetry is allocation-free, not merely cheap.
 
-The timing gate in ``benchmarks/bench_obs_overhead.py`` bounds the
+The ``telemetry`` bounds of ``repro bench-record`` limit the
 *relative* cost of enabled telemetry; the qualitative claims for the
 default (disabled) state are stronger, and pinned with ``tracemalloc``:
 

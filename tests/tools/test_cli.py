@@ -131,16 +131,18 @@ class TestReportCommands:
         assert "95% CI" in out and "NQueens" in out
 
     def test_table2_json_export(self, tmp_path, capsys):
-        from repro.analysis.io import load_reports
+        from repro.analysis.record import load_trajectory
 
         path = str(tmp_path / "raw.json")
         rc = main(
             ["table2", "--reps", "1", "--benchmarks", "NQueens", "--json", path]
         )
         assert rc == 0
-        reports = load_reports(path)
-        assert [r.name for r in reports] == ["NQueens"]
-        assert len(reports[0].baseline.times) == 1
+        (run,) = load_trajectory(path)
+        assert run["scale"] == "small" and run["fingerprint"]["nproc"] >= 1
+        by_name = {m.name: m for m in run["measurements"]}
+        assert len(by_name["table2.NQueens.none.time"].samples) == 1
+        assert {"table2.NQueens.TJ-SP.time", "table2.NQueens.TJ-SP.overhead"} <= set(by_name)
 
     def test_figure2_svg_export(self, tmp_path, capsys):
         path = str(tmp_path / "fig2.svg")
@@ -154,6 +156,55 @@ class TestReportCommands:
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
             main([])
+
+
+class TestBenchRecordCommand:
+    """``bench-record`` on stub suites and a two-row table: the real suites
+    run in the bench CI job, not here."""
+
+    @pytest.fixture
+    def stubbed(self, monkeypatch):
+        from repro.analysis import bounds, suites
+        from repro.analysis.bounds import Bound
+        from repro.analysis.record import Measurement
+
+        box = {"speedup": 2.5}
+        monkeypatch.setattr(suites, "SUITES", {
+            "stub": lambda scale: [Measurement("stub.speedup", "x", box["speedup"], [1.0, 2.0])],
+        })
+        monkeypatch.setattr(bounds, "BOUNDS", (
+            Bound("stub.speedup", "stub.speedup", ">=", 2.0, 1.5),
+            Bound("stub.full_only", "stub.speedup", ">=", 2.0, None),
+        ))
+        return box
+
+    def test_pass_appends_the_run_and_prints_records_and_rows(self, stubbed, tmp_path, capsys):
+        from repro.analysis.record import load_trajectory
+
+        path = str(tmp_path / "trajectory.json")
+        assert main(["bench-record", "--smoke", "--json", path]) == 0
+        out = capsys.readouterr().out
+        assert "stub.speedup" in out and "n=2" in out
+        assert "PASS" in out and "NOT ENFORCEABLE" in out and "full scale only" in out
+        (run,) = load_trajectory(path)
+        assert run["scale"] == "smoke" and run["fingerprint"]["nproc"] >= 1
+        assert [r["status"] for r in run["bounds"]] == ["PASS", "NOT ENFORCEABLE"]
+
+    def test_a_failed_row_exits_1_and_still_appends(self, stubbed, tmp_path, capsys):
+        from repro.analysis.record import load_trajectory
+
+        stubbed["speedup"] = 1.0
+        path = str(tmp_path / "trajectory.json")
+        assert main(["bench-record", "--json", path]) == 1
+        assert "FAIL" in capsys.readouterr().out
+        assert [r["status"] for r in load_trajectory(path)[0]["bounds"]] == ["FAIL", "FAIL"]
+
+    def test_a_malformed_trajectory_is_refused_untouched(self, stubbed, tmp_path):
+        path = tmp_path / "trajectory.json"
+        path.write_text("{}")
+        with pytest.raises(ValueError):
+            main(["bench-record", "--smoke", "--json", str(path)])
+        assert path.read_text() == "{}"
 
 
 class TestRunCommand:
