@@ -14,12 +14,11 @@ close a cycle (a classic TOCTOU race).
 
 from __future__ import annotations
 
-import threading
 from dataclasses import asdict, dataclass
 from time import perf_counter_ns
-from typing import Hashable
+from typing import Callable, Hashable, Optional, Sequence
 
-from .graph import WaitsForGraph
+from .graph import Entry, WaitsForGraph
 from ..errors import DeadlockAvoidedError
 from ..obs import active as _active_telemetry
 
@@ -43,7 +42,17 @@ class ArmusStats:
 
 
 class ArmusDetector:
-    """Waits-for-graph cycle detection with atomic blocking registration."""
+    """Waits-for-graph cycle detection with atomic blocking registration.
+
+    While no *forced* entry is live (the graph's ``_live_forced`` count
+    is zero), every blocked edge is policy-consistent and the policy's
+    soundness theorem guarantees acyclicity, so checks on *permitted*
+    joins can be skipped.  The moment one forced edge is live, permitted
+    joins must be checked too: a permitted edge can close a cycle through
+    forced edges (see
+    tests/armus/test_detector.py::TestPermittedJoinChecking::test_permitted_join_closing_cycle_through_forced_edge_is_refused
+    for a 3-task example).
+    """
 
     def __init__(self) -> None:
         self.graph = WaitsForGraph()
@@ -52,20 +61,29 @@ class ArmusDetector:
         self._obs = obs
         if obs is not None:
             obs.registry.add_source("armus", self.stats.snapshot)
-        #: number of currently blocked edges that a policy had flagged.
-        #: While this is zero, every blocked edge is policy-consistent and
-        #: the policy's soundness theorem guarantees acyclicity, so checks
-        #: on *permitted* joins can be skipped.  The moment one forced edge
-        #: is live, permitted joins must be checked too: a permitted edge
-        #: can close a cycle through forced edges (see
-        #: tests/armus/test_forced_edge_soundness.py for a 3-task example).
-        self._live_forced = 0
-        self._forced_edges: set[tuple[Hashable, Hashable]] = set()
         self._lock = self.graph.lock
 
     # ------------------------------------------------------------------
+    def _closes_cycle(self, joiner: Hashable, joinee: Hashable) -> Optional[list]:
+        """One counted cycle check (caller holds the lock): the path
+        ``joinee ⇝ joiner`` the edge would close, or None."""
+        obs = self._obs
+        if obs is not None:
+            t0 = perf_counter_ns()
+        self.stats.cycle_checks += 1
+        path = self.graph._find_path(joinee, joiner)
+        if obs is not None:
+            obs.cycle_check_ns.observe(perf_counter_ns() - t0)
+        return path
+
     def block(
-        self, waiter: Hashable, joinee: Hashable, *, flagged: bool, force_check: bool = False
+        self,
+        waiter: Hashable,
+        joinee: Hashable,
+        *,
+        flagged: bool,
+        force_check: bool = False,
+        entry: Optional[Entry] = None,
     ) -> None:
         """Atomically verify and register the blocking edge ``waiter->joinee``.
 
@@ -76,46 +94,57 @@ class ArmusDetector:
         *every* blocking edge must be checked (Armus-only degradation).
         A forced check does not count as a policy false positive.  Raises
         :class:`DeadlockAvoidedError` (and registers nothing) if the edge
-        would close a cycle.
+        would close a cycle.  ``entry`` is the caller's record of the
+        wait (its edge must be ``waiter->joinee``); a plain
+        :class:`Entry` is made when none is given.
         """
         with self._lock:
-            if flagged or force_check or self._live_forced:
-                obs = self._obs
-                if obs is not None:
-                    t0 = perf_counter_ns()
-                self.stats.cycle_checks += 1
-                path = self.graph._find_path(joinee, waiter)
-                if obs is not None:
-                    obs.cycle_check_ns.observe(perf_counter_ns() - t0)
+            if flagged or force_check or self.graph._live_forced:
+                path = self._closes_cycle(waiter, joinee)
                 if path is not None:
                     self.stats.deadlocks_avoided += 1
                     raise DeadlockAvoidedError(cycle=tuple(path) + (joinee,))
+            if entry is None:
+                entry = Entry(waiter, joinee)
             if flagged:
                 self.stats.false_positives += 1
-                self._live_forced += 1
-            self.graph._add_edge(waiter, joinee)
-            if flagged:
-                self._forced_edges.add((waiter, joinee))
+                entry.forced = True
+            self.graph._add(entry)
 
-    def force_edge(self, waiter: Hashable, joinee: Hashable) -> bool:
-        """Upgrade an already-registered edge to *forced* status.
+    def block_all(self, entries: Sequence[Entry], *, force_check: bool) -> bool:
+        """Register a batch of permitted joins of one joiner, or none of them.
 
-        Used when a blocked edge's policy verdict goes stale — a task
-        retry gives the joinee a fresh vertex, and a join verified
-        against the old vertex may no longer be permitted against the
-        new one.  Marking the edge forced makes every later permitted
-        join pay the cycle check while the stale edge lives (the
-        ``_live_forced`` mechanism), restoring the avoidance guarantee.
-        Returns False (and does nothing) when the edge is not currently
-        registered or is already forced.
+        Every edge faces the check a permitted join faces.  If one would
+        close a cycle nothing is registered and False is returned: that
+        refusal avoids no join by itself — the caller then joins one by
+        one, and the sequential join meets the same cycle at its own
+        position and is refused (and counted) there.
         """
         with self._lock:
-            edge = (waiter, joinee)
-            if edge in self._forced_edges or not self.graph._has_edge(waiter, joinee):
-                return False
-            self._forced_edges.add(edge)
-            self._live_forced += 1
+            if force_check or self.graph._live_forced:
+                for entry in entries:
+                    if self._closes_cycle(entry.joiner, entry.joinee) is not None:
+                        return False
+            for entry in entries:
+                self.graph._add(entry)
             return True
+
+    def force(self, stale: Callable[[Entry], bool]) -> None:
+        """Upgrade every registered entry *stale* selects to forced.
+
+        Used when blocked edges' policy verdicts go stale — a task retry
+        gives the joinee a fresh vertex, and a join verified against the
+        old vertex may no longer be permitted against the new one.
+        Forcing them makes every later permitted join pay the cycle check
+        while they live, restoring the avoidance guarantee.  One pass
+        over the graph under its lock; *stale* is asked about already
+        forced entries too, so it sees every entry exactly once.
+        """
+        with self._lock:
+            for entry in self.graph._entries():
+                if stale(entry) and not entry.forced:
+                    entry.forced = True
+                    self.graph._live_forced += 1
 
     def count_false_positive(self) -> None:
         """Record a policy false positive diagnosed without blocking.
@@ -130,13 +159,9 @@ class ArmusDetector:
 
     def unblock(self, waiter: Hashable, joinee: Hashable) -> None:
         """Remove the edge once the join has completed (or was abandoned)."""
-        with self._lock:
-            self.graph._remove_edge(waiter, joinee)
-            if (waiter, joinee) in self._forced_edges:
-                self._forced_edges.discard((waiter, joinee))
-                self._live_forced -= 1
+        self.graph.remove(waiter, joinee)
 
     @property
     def live_forced_edges(self) -> int:
         with self._lock:
-            return self._live_forced
+            return self.graph._live_forced

@@ -1,22 +1,18 @@
-"""A concurrent waits-for graph.
+"""The waits-for graph: the one store of a runtime's blocked joins.
 
 Vertices are task identities (any hashable — the runtimes use task
 objects); an edge ``a -> b`` means task *a* is currently blocked joining
-on task *b*.  In the futures model a blocked task waits on exactly one
-join at a time, but the structure is kept general.
+on task *b*, and holds one :class:`Entry` per wait blocked on it (a
+batch ``join_batch([f, g, f])`` holds one edge twice).  A runtime owns
+exactly one graph — its Armus detector's when the fallback is on, a bare
+one otherwise — and Armus's check-then-register, the stall watchdog, the
+cooperative stuck report, ``blocked_joins()`` and the fleet view all
+read it, so no blocked edge can exist outside the set Armus searches.
 
 All mutation and path queries happen under one lock: the graph only ever
 contains *currently blocked* tasks, so it is small (bounded by the number
 of live tasks, not by n), and the simplicity buys the atomic
 check-then-block needed for race-free avoidance.
-
-The path query — the only non-O(1) operation, and the one Armus runs
-under the lock on every fallback block — has a compiled twin in the
-TJ-SP kernel extension (``find_path``): same DFS, same parent-chain
-reconstruction, C loop instead of Python.  Each graph resolves it at
-construction through :mod:`repro.core._cbuild`, so ``REPRO_TJ_BACKEND``
-governs it together with the policy kernel and the pure-Python DFS
-remains the portable fallback.
 """
 
 from __future__ import annotations
@@ -24,30 +20,37 @@ from __future__ import annotations
 import threading
 from typing import Hashable, Iterator, Optional
 
-from ..core import _cbuild
-
-__all__ = ["WaitsForGraph"]
+__all__ = ["Entry", "WaitsForGraph"]
 
 
-def _compiled_find_path():
-    """The C ``find_path(succ, src, dst)``, or None (pure Python)."""
-    try:
-        module = _cbuild.compiled_module()
-    except RuntimeError:
-        # REPRO_TJ_BACKEND=c with no toolchain: the policy constructor is
-        # the enforcement point for that contract; the detector should
-        # still work, on the Python DFS.
-        return None
-    return getattr(module, "find_path", None) if module is not None else None
+class Entry:
+    """One blocked wait on the edge ``joiner -> joinee``.
+
+    Runtimes subclass it to carry their own wait state (the supervisor's
+    :class:`~repro.runtime.supervisor.BlockedJoin` adds the wait's wake
+    and delivery slots), which the graph never reads.  ``forced`` marks
+    an edge whose policy verdict does not vouch for it (a flagged join
+    Armus admitted, or a verdict a task retry made stale); while one is
+    live, Armus checks permitted joins too.
+    """
+
+    __slots__ = ("joiner", "joinee", "forced")
+
+    def __init__(self, joiner: Hashable, joinee: Hashable) -> None:
+        self.joiner = joiner
+        self.joinee = joinee
+        self.forced = False
 
 
 class WaitsForGraph:
-    """Directed graph of blocked join operations."""
+    """Directed graph of blocked join operations, one entry per wait."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._succ: dict[Hashable, set[Hashable]] = {}
-        self._c_find_path = _compiled_find_path()
+        #: joiner -> its entries (one per wait; a batch parks on several)
+        self._succ: dict[Hashable, list[Entry]] = {}
+        #: live entries with ``forced`` set (Armus's fast-path test)
+        self._live_forced = 0
 
     # The lock is exposed so a caller can perform check+add atomically.
     @property
@@ -57,24 +60,35 @@ class WaitsForGraph:
     # ------------------------------------------------------------------
     # unlocked primitives (caller must hold .lock)
     # ------------------------------------------------------------------
-    def _add_edge(self, waiter: Hashable, joinee: Hashable) -> None:
-        self._succ.setdefault(waiter, set()).add(joinee)
+    def _add(self, entry: Entry) -> None:
+        entries = self._succ.get(entry.joiner)
+        if entries is None:
+            self._succ[entry.joiner] = [entry]
+        else:
+            entries.append(entry)
+        if entry.forced:
+            self._live_forced += 1
 
-    def _has_edge(self, waiter: Hashable, joinee: Hashable) -> bool:
-        succs = self._succ.get(waiter)
-        return succs is not None and joinee in succs
+    def _remove(self, joiner: Hashable, joinee: Hashable) -> Optional[Entry]:
+        """Drop the newest entry of the edge; None when it holds none."""
+        entries = self._succ.get(joiner, ())
+        for i in range(len(entries) - 1, -1, -1):
+            entry = entries[i]
+            if entry.joinee == joinee:
+                del entries[i]
+                if not entries:
+                    del self._succ[joiner]
+                if entry.forced:
+                    self._live_forced -= 1
+                return entry
+        return None
 
-    def _remove_edge(self, waiter: Hashable, joinee: Hashable) -> None:
-        succs = self._succ.get(waiter)
-        if succs is not None:
-            succs.discard(joinee)
-            if not succs:
-                del self._succ[waiter]
+    def _entries(self) -> Iterator[Entry]:
+        for entries in self._succ.values():
+            yield from entries
 
     def _find_path(self, src: Hashable, dst: Hashable) -> Optional[list[Hashable]]:
         """A path src ⇝ dst through blocked edges, or None.  Iterative DFS."""
-        if self._c_find_path is not None:
-            return self._c_find_path(self._succ, src, dst)
         if src == dst:
             return [src]
         if src not in self._succ:
@@ -84,7 +98,8 @@ class WaitsForGraph:
         seen = {src}
         while stack:
             node = stack.pop()
-            for succ in self._succ.get(node, ()):
+            for entry in self._succ.get(node, ()):
+                succ = entry.joinee
                 if succ in seen:
                     continue
                 parent[succ] = node
@@ -99,24 +114,46 @@ class WaitsForGraph:
         return None
 
     # ------------------------------------------------------------------
-    # locked convenience API
+    # locked API
     # ------------------------------------------------------------------
-    def add_edge(self, waiter: Hashable, joinee: Hashable) -> None:
+    def add(self, *entries: Entry) -> None:
+        """Register *entries* in one critical section (no cycle check)."""
         with self._lock:
-            self._add_edge(waiter, joinee)
+            for entry in entries:
+                self._add(entry)
 
-    def remove_edge(self, waiter: Hashable, joinee: Hashable) -> None:
+    def remove(self, joiner: Hashable, joinee: Hashable) -> Optional[Entry]:
+        """Release one wait on ``joiner -> joinee`` (no-op when none)."""
         with self._lock:
-            self._remove_edge(waiter, joinee)
+            return self._remove(joiner, joinee)
 
     def has_path(self, src: Hashable, dst: Hashable) -> bool:
         with self._lock:
             return self._find_path(src, dst) is not None
 
-    def edges(self) -> list[tuple[Hashable, Hashable]]:
+    def entries(self) -> list[Entry]:
+        """An atomic copy of the live entries."""
         with self._lock:
-            return [(a, b) for a, succs in self._succ.items() for b in succs]
+            return list(self._entries())
+
+    def adjacency(self) -> dict[Hashable, dict[Hashable, list[Entry]]]:
+        """An atomic copy of the graph for whole-graph searches.
+
+        Maps joiner -> joinee -> that edge's entries, with every vertex
+        a key (a vertex nothing waits on maps to ``{}``), which is the
+        shape :func:`~repro.formal.deadlock.find_cycle` walks.
+        """
+        graph: dict[Hashable, dict[Hashable, list[Entry]]] = {}
+        for entry in self.entries():
+            graph.setdefault(entry.joiner, {}).setdefault(entry.joinee, []).append(entry)
+        for succs in list(graph.values()):
+            for joinee in succs:
+                graph.setdefault(joinee, {})
+        return graph
+
+    def edges(self) -> list[tuple[Hashable, Hashable]]:
+        return [(e.joiner, e.joinee) for e in self.entries()]
 
     def __len__(self) -> int:
         with self._lock:
-            return sum(len(s) for s in self._succ.values())
+            return sum(map(len, self._succ.values()))

@@ -21,6 +21,7 @@ from __future__ import annotations
 from typing import Hashable, Iterable, Optional
 
 from .detector import ArmusDetector
+from .graph import Entry
 from ..core.policy import JoinPolicy
 from ..core.verifier import Verifier
 from ..errors import DeadlockAvoidedError
@@ -82,6 +83,7 @@ class HybridVerifier:
         *,
         joinee_done: bool,
         flagged: Optional[bool] = None,
+        entry: Optional[Entry] = None,
     ) -> bool:
         """Gate a join about to block.
 
@@ -89,6 +91,8 @@ class HybridVerifier:
         call :meth:`end_join` after the wait); False when no edge was
         needed because the joinee had already terminated.  Raises
         :class:`DeadlockAvoidedError` for a join that would truly deadlock.
+        ``entry`` is the caller's record of the wait, registered as the
+        edge's entry in the same critical section as the cycle check.
 
         ``flagged`` lets a caller that already verified the join in a
         batch (``Verifier.check_joins``) pass the precomputed verdict in,
@@ -114,6 +118,7 @@ class HybridVerifier:
             joinee_task,
             flagged=flagged,
             force_check=self.verifier.unsound,
+            entry=entry,
         )
         return True
 

@@ -1,4 +1,4 @@
-/* Compiled kernel for the flat-array TJ-SP core (and the Armus DFS).
+/* Compiled kernel for the flat-array TJ-SP core.
  *
  * This is the optional compiled backend of `repro.core.tj_sp_flat`: the
  * same struct-of-arrays representation as the pure-Python `FlatTreePy`
@@ -15,10 +15,6 @@
  * strictly stronger than the Section 5.1 contract needs (concurrent
  * `add_child` calls never share a parent; `permits` may race with
  * `add_child` but only ever names already-published ids).
- *
- * `find_path` is the Armus waits-for DFS (`WaitsForGraph._find_path`)
- * over the ordinary dict-of-sets adjacency, returning the same
- * `[src, ..., dst]` list (or None) as the Python implementation.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -318,160 +314,11 @@ static PyTypeObject FlatTreeType = {
     .tp_new = flattree_new,
 };
 
-/* ------------------------------------------------------------------ */
-/* find_path: the Armus waits-for DFS over a dict-of-sets adjacency    */
-/* ------------------------------------------------------------------ */
-
-static PyObject *
-reconstruct_path(PyObject *parent, PyObject *src, PyObject *dst)
-{
-    PyObject *path = PyList_New(0);
-    PyObject *cur = dst;
-    if (path == NULL)
-        return NULL;
-    Py_INCREF(cur);
-    for (;;) {
-        int eq;
-        PyObject *prev;
-        if (PyList_Append(path, cur) < 0)
-            goto fail;
-        eq = PyObject_RichCompareBool(cur, src, Py_EQ);
-        if (eq < 0)
-            goto fail;
-        if (eq)
-            break;
-        prev = PyDict_GetItemWithError(parent, cur);
-        if (prev == NULL) {
-            if (!PyErr_Occurred())
-                PyErr_SetString(PyExc_KeyError, "broken DFS parent chain");
-            goto fail;
-        }
-        Py_INCREF(prev);
-        Py_DECREF(cur);
-        cur = prev;
-    }
-    Py_DECREF(cur);
-    if (PyList_Reverse(path) < 0) {
-        Py_DECREF(path);
-        return NULL;
-    }
-    return path;
-fail:
-    Py_DECREF(cur);
-    Py_DECREF(path);
-    return NULL;
-}
-
-static PyObject *
-mod_find_path(PyObject *Py_UNUSED(module), PyObject *args)
-{
-    PyObject *succ, *src, *dst;
-    PyObject *parent = NULL, *seen = NULL, *stack = NULL, *result = NULL;
-    int eq, contains;
-    if (!PyArg_ParseTuple(args, "OOO:find_path", &succ, &src, &dst))
-        return NULL;
-    eq = PyObject_RichCompareBool(src, dst, Py_EQ);
-    if (eq < 0)
-        return NULL;
-    if (eq) {
-        PyObject *path = PyList_New(1);
-        if (path == NULL)
-            return NULL;
-        Py_INCREF(src);
-        PyList_SET_ITEM(path, 0, src);
-        return path;
-    }
-    contains = PyDict_Contains(succ, src);
-    if (contains < 0)
-        return NULL;
-    if (!contains)
-        Py_RETURN_NONE;
-    parent = PyDict_New();
-    seen = PySet_New(NULL);
-    stack = PyList_New(0);
-    if (parent == NULL || seen == NULL || stack == NULL)
-        goto done;
-    if (PySet_Add(seen, src) < 0 || PyList_Append(stack, src) < 0)
-        goto done;
-    while (PyList_GET_SIZE(stack) > 0) {
-        Py_ssize_t top = PyList_GET_SIZE(stack) - 1;
-        PyObject *node = PyList_GET_ITEM(stack, top); /* borrowed */
-        PyObject *succs, *iter, *s;
-        Py_INCREF(node);
-        if (PyList_SetSlice(stack, top, top + 1, NULL) < 0) {
-            Py_DECREF(node);
-            goto done;
-        }
-        succs = PyDict_GetItemWithError(succ, node);
-        if (succs == NULL) {
-            Py_DECREF(node);
-            if (PyErr_Occurred())
-                goto done;
-            continue;
-        }
-        iter = PyObject_GetIter(succs);
-        if (iter == NULL) {
-            Py_DECREF(node);
-            goto done;
-        }
-        while ((s = PyIter_Next(iter)) != NULL) {
-            int in_seen = PySet_Contains(seen, s);
-            if (in_seen < 0)
-                goto inner_fail;
-            if (in_seen) {
-                Py_DECREF(s);
-                continue;
-            }
-            if (PyDict_SetItem(parent, s, node) < 0)
-                goto inner_fail;
-            eq = PyObject_RichCompareBool(s, dst, Py_EQ);
-            if (eq < 0)
-                goto inner_fail;
-            if (eq) {
-                result = reconstruct_path(parent, src, dst);
-                Py_DECREF(s);
-                Py_DECREF(iter);
-                Py_DECREF(node);
-                goto done;
-            }
-            if (PySet_Add(seen, s) < 0 || PyList_Append(stack, s) < 0)
-                goto inner_fail;
-            Py_DECREF(s);
-            continue;
-        inner_fail:
-            Py_DECREF(s);
-            Py_DECREF(iter);
-            Py_DECREF(node);
-            goto done;
-        }
-        Py_DECREF(iter);
-        Py_DECREF(node);
-        if (PyErr_Occurred())
-            goto done;
-    }
-    result = Py_None;
-    Py_INCREF(result);
-done:
-    Py_XDECREF(parent);
-    Py_XDECREF(seen);
-    Py_XDECREF(stack);
-    if (result == NULL && !PyErr_Occurred())
-        PyErr_SetString(PyExc_SystemError, "find_path failed");
-    return result;
-}
-
-static PyMethodDef module_methods[] = {
-    {"find_path", mod_find_path, METH_VARARGS,
-     "find_path(succ_dict, src, dst) -> [src, ..., dst] or None"},
-    {NULL, NULL, 0, NULL},
-};
-
 static struct PyModuleDef tj_sp_c_module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "_tj_sp_c",
-    .m_doc = "Compiled flat-array TJ-SP kernel and Armus DFS",
+    .m_doc = "Compiled flat-array TJ-SP kernel",
     .m_size = -1,
-    .m_methods = module_methods,
 };
 
 PyMODINIT_FUNC

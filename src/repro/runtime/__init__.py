@@ -13,7 +13,7 @@ from .context import current_task, require_current_task, task_scope
 from .cooperative import CooperativeRuntime
 from .future import Future
 from .retry import RetryPolicy
-from .supervisor import BlockedJoin, JoinRegistry, StallWatchdog
+from .supervisor import BlockedJoin, StallWatchdog
 from .task import CancelToken, TaskHandle, TaskState
 from .threaded import TaskRuntime, resolve_policy
 
@@ -29,7 +29,6 @@ __all__ = [
     "TaskState",
     "CancelToken",
     "BlockedJoin",
-    "JoinRegistry",
     "StallWatchdog",
     "current_task",
     "require_current_task",

@@ -28,7 +28,9 @@ scheduler observes completion synchronously at each scheduling step, so
 the event-driven waker protocol on :class:`~repro.runtime.future.Future`
 (targeted wakes for the blocking runtimes' supervised waits) is simply
 unused here — blocked generators are parked in data structures and
-resumed when their future's task terminates.
+resumed when their future's task terminates.  Their blocked edges live
+in the runtime's one waits-for graph (the Armus detector's with the
+fallback on, a bare one otherwise), which the stuck report searches.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from typing import Any, Callable, Generator, Optional, Union
 from .context import current_task, require_current_task, task_scope
 from .future import Future
 from .task import TaskHandle, TaskState
+from ..armus.graph import Entry, WaitsForGraph
 from ..armus.hybrid import HybridVerifier
 from ..core.policy import JoinPolicy
 from ..core.verifier import Verifier
@@ -88,8 +91,9 @@ class CooperativeRuntime:
         self._resume: dict[TaskHandle, _Resume] = {}
         self._gen: dict[TaskHandle, Generator] = {}
         self._future: dict[TaskHandle, Future] = {}
-        #: task -> future it is blocked on (the cooperative waits-for map)
-        self._blocked_on: dict[TaskHandle, Future] = {}
+        #: the one store of blocked joins (a parked task's edge to its joinee)
+        self._store = self._hybrid.detector.graph if self._hybrid else WaitsForGraph()
+        #: future -> tasks parked on it (scheduling state: whom to resume)
         self._waiters: dict[Future, list[TaskHandle]] = {}
         self._running = False
         self._root_started = False
@@ -239,7 +243,7 @@ class CooperativeRuntime:
         means the program is done.  :class:`~repro.runtime.sim.SimRuntime`
         overrides this to advance its virtual clock and fire timers.
         """
-        if self._blocked_on:
+        if len(self._store):
             self._report_stuck()
         return False
 
@@ -250,13 +254,10 @@ class CooperativeRuntime:
         work); with verification disabled this converts a hang into a
         diagnosable error carrying the cycle.
         """
-        graph: dict[Any, set[Any]] = {}
-        for task, future in self._blocked_on.items():
-            graph.setdefault(task, set()).add(future.task)
-            graph.setdefault(future.task, set())
+        graph = self._store.adjacency()
         cycle = find_cycle(graph)
         raise DeadlockDetectedError(
-            cycle=tuple(cycle) if cycle else tuple(self._blocked_on),
+            cycle=tuple(cycle) if cycle else tuple(t for t, succs in graph.items() if succs),
             message=None
             if cycle
             else "all tasks blocked but no cycle found (external future?)",
@@ -308,7 +309,7 @@ class CooperativeRuntime:
         joinee = future.task
         try:
             if self._hybrid is not None:
-                blocked = self._hybrid.begin_join(
+                self._hybrid.begin_join(
                     task, joinee, task.vertex, joinee.vertex, joinee_done=future.done()
                 )
             else:
@@ -322,8 +323,9 @@ class CooperativeRuntime:
             self._ready.append(task)
             return
         # Genuinely blocked: park until the joinee completes.
+        if self._hybrid is None:
+            self._store.add(Entry(task, joinee))
         task.state = TaskState.BLOCKED
-        self._blocked_on[task] = future
         self._waiters.setdefault(future, []).append(task)
         self._parked(task, future)
 
@@ -360,10 +362,7 @@ class CooperativeRuntime:
             future._set_result(value)
         del self._gen[task]
         for waiter in self._waiters.pop(future, ()):
-            blocked_future = self._blocked_on.pop(waiter, None)
-            assert blocked_future is future
-            if self._hybrid is not None:
-                self._hybrid.end_join(waiter, task)
+            self._store.remove(waiter, task)
             waiter.state = TaskState.RUNNING
             self._finish_join(waiter, future)
             self._ready.append(waiter)

@@ -340,23 +340,20 @@ def _worker_stats(engine: _WorkerEngine, shard: ShardVerifier, done: int) -> dic
     return stats
 
 
-def _serialize_blocked(session) -> list:
-    """The session's blocked joins as queue-portable plain dicts."""
+def _serialize_blocked(records: list, **labels: str) -> list:
+    """Blocked-join records (a waits-for graph snapshot) as queue-portable
+    plain dicts: *labels*, then ``joiner``/``joinee``/``age``/``wakeups``."""
     now = time.monotonic()
-    out = []
-    for record in session.blocked_joins():
-        try:
-            out.append(
-                {
-                    "joiner": record.joiner.name,
-                    "joinee": record.joinee.name,
-                    "age": max(0.0, now - record.since),
-                    "wakeups": record.wakeups,
-                }
-            )
-        except Exception:  # noqa: BLE001 - a join mid-wake is not an error
-            continue
-    return out
+    return [
+        {
+            **labels,
+            "joiner": record.joiner.name,
+            "joinee": record.joinee.name,
+            "age": max(0.0, now - record.since),
+            "wakeups": record.wakeups,
+        }
+        for record in records
+    ]
 
 
 def _worker_obs_payload(session, index: int) -> Optional[dict]:
@@ -365,7 +362,7 @@ def _worker_obs_payload(session, index: int) -> Optional[dict]:
         return None
     payload: dict = {
         "metrics": session.snapshot(),
-        "blocked": _serialize_blocked(session),
+        "blocked": _serialize_blocked(session.blocked_joins()),
     }
     if session.tracer is not None:
         payload["trace"] = session.tracer.export_state(label=f"worker-{index}")
@@ -741,23 +738,8 @@ class ProcessRuntime(SupervisedJoinMixin):
         most :data:`_STATS_IDLE_PUSH` seconds stale); parent entries are
         live.
         """
-        out: list = []
         obs = self._obs
-        if obs is not None:
-            now = time.monotonic()
-            for record in obs.blocked_joins():
-                try:
-                    out.append(
-                        {
-                            "process": "parent",
-                            "joiner": record.joiner.name,
-                            "joinee": record.joinee.name,
-                            "age": max(0.0, now - record.since),
-                            "wakeups": record.wakeups,
-                        }
-                    )
-                except Exception:  # noqa: BLE001 - join mid-wake
-                    continue
+        out = _serialize_blocked(obs.blocked_joins(), process="parent") if obs is not None else []
         with self._plock:
             blocked = {i: list(v) for i, v in self._worker_blocked.items()}
         for index in sorted(blocked):

@@ -275,18 +275,16 @@ class SimRuntime(CooperativeRuntime):
                 self._ready.append(task)
                 return True
             # Join deadline: only live while the task still blocks on
-            # that same future (lazy cancellation).
-            if self._blocked_on.get(task) is not future or future.done():
+            # that same future (lazy cancellation); releasing its edge
+            # from the store is the test.
+            if future.done() or self._store.remove(task, future.task) is None:
                 continue
             self.clock.advance_to(deadline)
-            del self._blocked_on[task]
             waiters = self._waiters.get(future)
             if waiters is not None:
                 waiters.remove(task)
                 if not waiters:
                     del self._waiters[future]
-            if self._hybrid is not None:
-                self._hybrid.end_join(task, future.task)
             self.timeouts_fired += 1
             task.state = TaskState.RUNNING
             self._resume[task] = _Resume(

@@ -11,12 +11,13 @@ no-hang guarantee the cooperative scheduler has had from the start:
   raises :class:`~repro.errors.JoinTimeoutError` (carrying the blocked
   edge) when it expires, after unregistering the wait-for edge;
 * **a stall watchdog** — :class:`StallWatchdog`, a background monitor
-  that periodically snapshots the runtime's :class:`JoinRegistry` (an
-  edge registry independent of any policy or detector, so it works even
-  for ``policy=None`` / ``fallback=False``), diagnoses cycles of
-  blocked joins, and delivers :class:`~repro.errors.DeadlockDetectedError`
-  (cycle attached) to every blocked task in the cycle instead of
-  letting them hang;
+  that periodically copies the runtime's waits-for graph (the one store
+  of its blocked joins: the Armus detector's graph with the fallback on,
+  a bare :class:`~repro.armus.graph.WaitsForGraph` otherwise, so it
+  works even for ``policy=None`` / ``fallback=False``), diagnoses cycles
+  of blocked joins, and delivers
+  :class:`~repro.errors.DeadlockDetectedError` (cycle attached) to every
+  blocked task in the cycle instead of letting them hang;
 * **cooperative cancellation** — blocked waits observe the joiner's
   :class:`~repro.runtime.task.CancelToken` and abort with
   :class:`~repro.errors.TaskCancelledError`;
@@ -48,7 +49,8 @@ the event *before* re-checking the flags — a wake that lands during the
 re-check leaves the event set, so the next wait falls through.
 
 ``join_batch`` adds a **collective pre-wait**: all blocking edges of a
-batch are registered at once against one shared wake event, and a
+batch are registered at once — through the same Armus check a permitted
+join faces — against one shared wake event, and a
 countdown latch fires a *single* notify when the last joinee completes
 (or the first failure arrives, when failures abort the batch) — one
 wakeup per drain instead of one blocked wait per future.  The harvest
@@ -71,6 +73,7 @@ import warnings
 from time import perf_counter_ns
 from typing import Callable, List, Optional, Sequence, TYPE_CHECKING, Union
 
+from ..armus.graph import Entry, WaitsForGraph
 from ..obs import active as _active_telemetry
 from ..errors import (
     DeadlockAvoidedError,
@@ -92,7 +95,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = [
     "BlockedJoin",
-    "JoinRegistry",
     "StallWatchdog",
     "SupervisedJoinMixin",
     "WallClock",
@@ -139,10 +141,11 @@ _MAX_TICK = 0.05
 _MAIN_TICK = 0.05
 
 
-class BlockedJoin:
+class BlockedJoin(Entry):
     """One currently blocked join: the wait-for edge ``joiner -> joinee``.
 
-    The record doubles as the wait's *wake slot*: ``_wake`` is the event
+    The record is the edge's entry in the runtime's waits-for graph, and
+    doubles as the wait's *wake slot*: ``_wake`` is the event
     the blocked thread sleeps on, and :meth:`set` (the waker protocol)
     is what the joinee's future and the joiner's cancel token fire.
     ``exc`` is the delivery slot: the watchdog stores an exception via
@@ -158,7 +161,7 @@ class BlockedJoin:
     OS-level sleep; the no-busy-wait tests read it.
     """
 
-    __slots__ = ("joiner", "joinee", "future", "since", "exc", "wakeups", "_wake")
+    __slots__ = ("future", "since", "exc", "wakeups", "_wake")
 
     def __init__(
         self,
@@ -167,8 +170,7 @@ class BlockedJoin:
         future: "Future",
         wake: Optional[threading.Event] = None,
     ) -> None:
-        self.joiner = joiner
-        self.joinee = joinee
+        super().__init__(joiner, joinee)
         self.future = future
         self.since = time.monotonic()
         self.exc: Optional[BaseException] = None
@@ -188,47 +190,11 @@ class BlockedJoin:
         return f"<BlockedJoin {self.joiner.name} -> {self.joinee.name}>"
 
 
-class JoinRegistry:
-    """Thread-safe registry of the currently blocked joins of one runtime.
-
-    This is the supervision layer's *own* edge registry: unlike the
-    Armus wait-for graph it exists for every configuration — including
-    ``policy=None`` and ``fallback=False``, where no detector is
-    registered — so the watchdog always has ground truth to scan.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._records: set[BlockedJoin] = set()
-
-    def register(self, joiner: "TaskHandle", joinee: "TaskHandle", future: "Future") -> BlockedJoin:
-        record = BlockedJoin(joiner, joinee, future)
-        self.add(record)
-        return record
-
-    def add(self, record: BlockedJoin) -> None:
-        with self._lock:
-            self._records.add(record)
-
-    def unregister(self, record: BlockedJoin) -> None:
-        with self._lock:
-            self._records.discard(record)
-
-    def snapshot(self) -> list[BlockedJoin]:
-        """An atomic copy of the current records (for the watchdog)."""
-        with self._lock:
-            return list(self._records)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._records)
-
-
 class StallWatchdog:
     """Background monitor that converts true join-cycle stalls into errors.
 
-    Every ``interval`` seconds the watchdog snapshots the registry,
-    builds the task-level wait-for graph, and looks for cycles.  A cycle
+    Every ``interval`` seconds the watchdog copies the runtime's
+    waits-for graph and looks for cycles.  A cycle
     whose every member's future is still pending can never resolve (each
     joinee is itself blocked, and an edge only disappears when its
     joinee terminates), so it is a true deadlock: the watchdog delivers
@@ -239,14 +205,14 @@ class StallWatchdog:
     which is what makes false positives impossible.
 
     The monitor thread is started lazily by the first blocked join and
-    exits after the registry has stayed empty for ``idle_scans``
+    exits after the graph has stayed empty for ``idle_scans``
     consecutive scans; it restarts on the next blocked join.  Idle
     runtimes therefore hold no thread and can be garbage collected.
     """
 
     def __init__(
         self,
-        registry: JoinRegistry,
+        store: WaitsForGraph,
         *,
         interval: float = 0.1,
         idle_scans: int = 10,
@@ -254,7 +220,7 @@ class StallWatchdog:
     ) -> None:
         if interval <= 0:
             raise ValueError("watchdog interval must be positive")
-        self.registry = registry
+        self.store = store
         self.interval = interval
         self.clock = clock if clock is not None else WALL_CLOCK
         self._idle_scans = idle_scans
@@ -271,7 +237,7 @@ class StallWatchdog:
 
         The running flag — not ``Thread.is_alive()`` — is the source of
         truth: the monitor only clears it under the lock *after*
-        re-checking that the registry is empty, so a join registered
+        re-checking that the graph is empty, so a join registered
         concurrently with the monitor's idle exit can never be left
         unwatched.
         """
@@ -298,70 +264,55 @@ class StallWatchdog:
                 if self._stopped:
                     self._running = False
                     return
-            records = self.registry.snapshot()
-            if not records:
+            if not len(self.store):
                 idle += 1
                 if idle >= self._idle_scans:
                     with self._lock:
                         # Atomic with ensure_running: a waiter that
-                        # registered after our snapshot either sees
+                        # registered after our check either sees
                         # _running still True here (and the non-empty
-                        # registry keeps us alive), or takes the lock
+                        # graph keeps us alive), or takes the lock
                         # after us and starts a fresh monitor.
-                        if len(self.registry) == 0:
+                        if len(self.store) == 0:
                             self._running = False
                             return
                     idle = 0
                 continue
             idle = 0
-            self.scan(records)
+            self.scan()
 
-    def scan(self, records: Optional[list[BlockedJoin]] = None) -> list[tuple]:
+    def scan(self) -> list[tuple]:
         """One diagnosis pass; returns the cycles delivered.
 
         Exposed for synchronous use in tests — the background thread
         calls this on every tick.
         """
-        if records is None:
-            records = self.registry.snapshot()
-        # A batch pre-wait blocks one joiner on many joinees at once, so
-        # records are keyed by *edge*, not by joiner.
-        by_edge: dict[tuple, BlockedJoin] = {}
-        graph: dict["TaskHandle", set["TaskHandle"]] = {}
-        for record in records:
-            by_edge[(record.joiner, record.joinee)] = record
-            graph.setdefault(record.joiner, set()).add(record.joinee)
-            graph.setdefault(record.joinee, set())
+        # joiner -> joinee -> the records blocked on that edge (a batch
+        # pre-wait may hold one edge twice), copied under the graph lock
+        graph = self.store.adjacency()
         delivered: list[tuple] = []
         while True:
             cycle = find_cycle(graph)
             if cycle is None:
                 return delivered
-            n = len(cycle)
-            edges = [(cycle[i], cycle[(i + 1) % n]) for i in range(n)]
             # Drop this cycle's edges from the working graph either way,
             # so the loop terminates and other cycles are still found.
-            for joiner, joinee in edges:
-                graph[joiner].discard(joinee)
-            cycle_records = [by_edge[e] for e in edges if e in by_edge]
-            if len(cycle_records) < n:
-                continue  # an edge raced away between snapshot and scan
-            if any(r.future.done() for r in cycle_records):
+            edges = zip(cycle, cycle[1:] + cycle[:1])
+            records = [r for joiner, joinee in edges for r in graph[joiner].pop(joinee)]
+            if any(r.future.done() for r in records):
                 continue  # snapshot transient: a waiter is unblocking
             stall = tuple(cycle)
-            for record in cycle_records:
+            for record in records:
                 if record.exc is None:
                     record.deliver(DeadlockDetectedError(cycle=stall))
             with self._lock:
-                self.deadlocks_detected += len(cycle_records)
+                self.deadlocks_detected += len(cycle)
             delivered.append(stall)
 
 
 def wait_for_future(
-    future: "Future",
-    joiner: "TaskHandle",
+    record: BlockedJoin,
     *,
-    registry: Optional[JoinRegistry] = None,
     watchdog: Optional[StallWatchdog] = None,
     deadline: Optional[float] = None,
     timeout_value: Optional[float] = None,
@@ -373,6 +324,8 @@ def wait_for_future(
 ) -> int:
     """The supervised blocked wait used by every blocking join.
 
+    *record* is the wait's entry, already registered in the runtime's
+    waits-for graph by the caller (who also removes it after the wait).
     Sleeps on the record's wake event and re-checks, in priority order:
     a watchdog-delivered diagnosis (``record.exc``), the joiner's
     cancellation token, completion, and the deadline.  All three notify
@@ -381,19 +334,17 @@ def wait_for_future(
     invoked after each wakeup and may execute queued work (the pool's
     help-while-blocked loop); ``helper_tick`` reports whether the
     current pool state requires the wait to poll for such work (with
-    ``_MIN_TICK``..``max_tick`` backoff).  The registry record is always
-    removed on exit, so no supervision state outlives the wait.
+    ``_MIN_TICK``..``max_tick`` backoff).  The record's waker slots are
+    always removed on exit, so no supervision state outlives the wait.
     Returns the number of OS-level wakeups the wait performed (telemetry
     feeds this into the ``repro_runtime_wakeups_total`` counter).
     """
+    future = record.future
     if future._done:
         return 0
     if clock is None:
         clock = WALL_CLOCK
-    joinee = future.task
-    record = BlockedJoin(joiner, joinee, future)
-    if registry is not None:
-        registry.add(record)
+    joiner, joinee = record.joiner, record.joinee
     if watchdog is not None:
         watchdog.ensure_running()
     token = joiner.cancel_token
@@ -430,8 +381,6 @@ def wait_for_future(
             else:
                 backoff = min(backoff * 2, max_tick)
     finally:
-        if registry is not None:
-            registry.unregister(record)
         future._discard_waiter(record)
         token._discard_waker(record)
 
@@ -521,7 +470,10 @@ class SupervisedJoinMixin:
         #: time source for deadlines, watchdog ticks and retry backoff —
         #: swap in a VirtualClock for deterministic-simulation tests
         self._clock = clock if clock is not None else WALL_CLOCK
-        self._registry = JoinRegistry()
+        #: the one store of this runtime's blocked joins
+        self._store = (
+            self._hybrid.detector.graph if self._hybrid is not None else WaitsForGraph()
+        )
         if isinstance(watchdog, StallWatchdog):
             self._watchdog: Optional[StallWatchdog] = watchdog
         elif watchdog:
@@ -531,7 +483,7 @@ class SupervisedJoinMixin:
                 else watchdog_interval
             )
             self._watchdog = StallWatchdog(
-                self._registry, interval=interval, clock=self._clock
+                self._store, interval=interval, clock=self._clock
             )
         else:
             self._watchdog = None
@@ -553,7 +505,7 @@ class SupervisedJoinMixin:
         """Uniform stats-source protocol; concrete runtimes extend it."""
         return {
             "tasks_retried": self._tasks_retried_count,
-            "blocked_joins": len(self._registry.snapshot()),
+            "blocked_joins": len(self._store),
             "deadlocks_detected": (
                 self._watchdog.deadlocks_detected if self._watchdog is not None else 0
             ),
@@ -569,7 +521,7 @@ class SupervisedJoinMixin:
 
     def blocked_joins(self) -> list[BlockedJoin]:
         """A snapshot of the joins currently blocked in this runtime."""
-        return self._registry.snapshot()
+        return self._store.entries()
 
     @property
     def tasks_retried(self) -> int:
@@ -638,8 +590,8 @@ class SupervisedJoinMixin:
         final and the caller must complete the future with *exc*.
 
         The :class:`~repro.runtime.task.TaskHandle` itself is reused
-        across attempts: runtime identity (the Armus wait-for graph, the
-        join registry, blocked joiners' records) must stay stable so a
+        across attempts: runtime identity (the waits-for graph and the
+        blocked joiners' records in it) must stay stable so a
         join blocked across the retry still names the right task and the
         watchdog still sees true cycles.  Only the *policy* identity —
         the vertex — is fresh.
@@ -650,8 +602,9 @@ class SupervisedJoinMixin:
         verdict may go stale in the safe direction only.  To keep full
         avoidance (not just watchdog detection) for those edges, any
         blocked edge whose verdict does not hold against the new vertex
-        is upgraded to a *forced* edge in the detector, which re-enables
-        cycle checking on every join while it lives.
+        is upgraded to a *forced* edge in the detector — one pass over
+        the graph — which re-enables cycle checking on every join while
+        it lives.
         """
         state = future._retry
         if state is None:
@@ -668,21 +621,20 @@ class SupervisedJoinMixin:
         # happens-before this failure), so it is always present here.
         with parent.fork_lock:
             new_vertex = self._verifier.on_fork(parent.vertex)
-        detector = self._hybrid.detector if self._hybrid is not None else None
-        if detector is not None:
-            for record in self._registry.snapshot():
+        if self._hybrid is not None:
+            verifier = self._verifier
+
+            def stale(record: BlockedJoin) -> bool:
                 if record.future is not future:
-                    continue
-                still_ok = False
-                if not self._verifier.unsound:
-                    try:
-                        still_ok = self._verifier.policy.permits(
-                            record.joiner.vertex, new_vertex
-                        )
-                    except Exception:  # broken policy: be conservative
-                        still_ok = False
-                if not still_ok:
-                    detector.force_edge(record.joiner, task)
+                    return False
+                if verifier.unsound:
+                    return True
+                try:
+                    return not verifier.policy.permits(record.joiner.vertex, new_vertex)
+                except Exception:  # broken policy: be conservative
+                    return True
+
+            self._hybrid.detector.force(stale)
         delay = spec.delay(attempt, site=getattr(task.code, "__name__", None))
         task.vertex = new_vertex
         task.state = TaskState.RUNNING
@@ -742,13 +694,14 @@ class SupervisedJoinMixin:
         verdicts may flip as earlier joins in the batch teach knowledge.
 
         When every verdict in the batch is known permitted, the batch
-        first blocks *collectively*: all wait-for edges are registered
-        against one shared wake event and a countdown latch delivers a
-        single wakeup when the last joinee completes (or the first
-        failure arrives, if failures abort the batch) — after which the
-        per-future joins below run without blocking.  Flagged or
-        unknown verdicts skip the pre-wait so policy faults and Armus
-        referrals fire at exactly the sequential position.
+        first blocks *collectively*: all wait-for edges are registered —
+        through the Armus check any permitted join faces — against one
+        shared wake event and a countdown latch delivers a single wakeup
+        when the last joinee completes (or the first failure arrives, if
+        failures abort the batch) — after which the per-future joins
+        below run without blocking.  Flagged or unknown verdicts skip the
+        pre-wait so policy faults and Armus referrals fire at exactly the
+        sequential position.
 
         Results are returned in input order.  With
         ``return_exceptions=True``, a failed task contributes its
@@ -829,11 +782,13 @@ class SupervisedJoinMixin:
         """Collectively block on a batch of known-permitted joins.
 
         Registers one :class:`BlockedJoin` per pending future — all
-        sharing one wake event, so the watchdog sees every edge — and
-        sleeps until the countdown latch fires.  Never raises timeouts
-        or task failures itself: on deadline expiry or a fail-fast
-        failure it simply returns, and the sequential harvest reproduces
-        the exact sequential outcome (the earliest failing or still
+        sharing one wake event, so Armus and the watchdog see every edge
+        — and sleeps until the countdown latch fires.  Never raises
+        timeouts, task failures or avoided deadlocks itself: on deadline
+        expiry, a fail-fast failure, or an edge Armus refuses (possible
+        only while a forced edge is live or the verifier is unsound) it
+        simply returns, and the sequential harvest reproduces the exact
+        sequential outcome (the earliest failing, refused or still
         pending future in input order wins).  Watchdog diagnoses and
         cancellation do raise here, as they would in any blocked wait.
         """
@@ -851,9 +806,11 @@ class SupervisedJoinMixin:
         token = joiner.cancel_token
         records = [BlockedJoin(joiner, f.task, f, wake=wake) for f in pending]
         arms = [_LatchArm(latch, f) for f in pending]
-        registry = self._registry
-        for record in records:
-            registry.add(record)
+        store = self._store
+        if self._hybrid is None:
+            store.add(*records)
+        elif not self._hybrid.detector.block_all(records, force_check=self._verifier.unsound):
+            return  # an edge would close a cycle: the harvest refuses its join
         journal = self._verifier.journal
         # Edge keys are captured once so the unblock below pairs exactly
         # with the block even if a retry re-points a vertex mid-wait.
@@ -912,25 +869,11 @@ class SupervisedJoinMixin:
             for future, arm in zip(pending, arms):
                 future._discard_waiter(arm)
             for record in records:
-                registry.unregister(record)
+                store.remove(joiner, record.joinee)
             for a, b in journal_edges:
                 journal.log_unblock(a, b)
             if obs is not None:
-                tracer = obs.tracer
-                if tracer is not None:
-                    tracer.instant("wake", cat="join", args={"task": joiner.name})
-                dur = perf_counter_ns() - t0
-                obs.blocked_wait_ns.observe(dur)
-                obs.blocked_waits.inc()
-                obs.wakeups.inc(rounds)
-                if tracer is not None:
-                    tracer.complete(
-                        "block",
-                        t0,
-                        dur,
-                        cat="join",
-                        args={"task": joiner.name, "batch": len(pending)},
-                    )
+                self._observe_block(t0, rounds, {"task": joiner.name, "batch": len(pending)})
 
     def _join_one(
         self,
@@ -946,32 +889,26 @@ class SupervisedJoinMixin:
         journal = self._verifier.journal
         if self._hybrid is not None:
             joiner_vertex, joinee_vertex = joiner.vertex, joinee.vertex
+            # The wait's record exists before its edge does, so
+            # registering it through the Armus check is one critical
+            # section on the store, and releasing it another.
+            record = None if future.done() else BlockedJoin(joiner, joinee, future)
             try:
                 blocked = self._hybrid.begin_join(
                     joiner,
                     joinee,
                     joiner_vertex,
                     joinee_vertex,
-                    joinee_done=future.done(),
+                    joinee_done=record is None,
                     flagged=flagged,
+                    entry=record,
                 )
             except DeadlockAvoidedError:
                 if journal is not None:
                     journal.log_avoided(joiner_vertex, joinee_vertex)
                 raise
             if blocked:
-                if journal is not None:
-                    journal.log_block(joiner_vertex, joinee_vertex, timeout=timeout_value)
-                self._before_block(future)
-                prev_state = joiner.state
-                joiner.state = TaskState.BLOCKED
-                try:
-                    self._supervised_wait(joiner, future, deadline, timeout_value)
-                finally:
-                    self._hybrid.end_join(joiner, joinee)
-                    joiner.state = prev_state
-                    if journal is not None:
-                        journal.log_unblock(joiner_vertex, joinee_vertex)
+                self._blocked_wait(record, deadline, timeout_value, joiner_vertex, joinee_vertex)
             self._hybrid.on_join_completed(joiner.vertex, joinee.vertex)
             if journal is not None:
                 journal.log_join(joiner_vertex, joinee_vertex)
@@ -983,52 +920,37 @@ class SupervisedJoinMixin:
                     self._verifier.policy.name, joiner.vertex, joinee.vertex
                 )
             if not future.done():
-                joiner_vertex, joinee_vertex = joiner.vertex, joinee.vertex
-                if journal is not None:
-                    journal.log_block(joiner_vertex, joinee_vertex, timeout=timeout_value)
-                self._before_block(future)
-                prev_state = joiner.state
-                joiner.state = TaskState.BLOCKED
-                try:
-                    self._supervised_wait(joiner, future, deadline, timeout_value)
-                finally:
-                    joiner.state = prev_state
-                    if journal is not None:
-                        journal.log_unblock(joiner_vertex, joinee_vertex)
+                record = BlockedJoin(joiner, joinee, future)
+                self._store.add(record)
+                self._blocked_wait(record, deadline, timeout_value, joiner.vertex, joinee.vertex)
             self._verifier.on_join_completed(joiner.vertex, joinee.vertex)
             if journal is not None:
                 journal.log_join(joiner.vertex, joinee.vertex)
         future._joined = True
         return future._result_now()
 
-    def _supervised_wait(
+    def _blocked_wait(
         self,
-        joiner: "TaskHandle",
-        future: "Future",
+        record: BlockedJoin,
         deadline: Optional[float],
         timeout_value: Optional[float],
+        joiner_vertex: object,
+        joinee_vertex: object,
     ) -> None:
+        """Wait out a join whose *record* is registered, then release it."""
+        joiner = record.joiner
+        journal = self._verifier.journal
+        if journal is not None:
+            journal.log_block(joiner_vertex, joinee_vertex, timeout=timeout_value)
+        self._before_block(record.future)
+        prev_state = joiner.state
+        joiner.state = TaskState.BLOCKED
         obs = self._obs
-        if obs is None:
-            wait_for_future(
-                future,
-                joiner,
-                registry=self._registry,
-                watchdog=self._watchdog,
-                deadline=deadline,
-                timeout_value=timeout_value,
-                helper=self._wait_helper(),
-                helper_tick=self._helper_tick(),
-                clock=self._clock,
-            )
-            return
-        t0 = perf_counter_ns()
+        t0 = perf_counter_ns() if obs is not None else 0
         wakeups = 0
         try:
             wakeups = wait_for_future(
-                future,
-                joiner,
-                registry=self._registry,
+                record,
                 watchdog=self._watchdog,
                 deadline=deadline,
                 timeout_value=timeout_value,
@@ -1037,20 +959,27 @@ class SupervisedJoinMixin:
                 clock=self._clock,
             )
         finally:
-            tracer = obs.tracer
-            if tracer is not None:
-                # wake lands inside the block span: its timestamp is
-                # taken before the span's end below.
-                tracer.instant("wake", cat="join", args={"task": joiner.name})
-            dur = perf_counter_ns() - t0
-            obs.blocked_wait_ns.observe(dur)
-            obs.blocked_waits.inc()
-            obs.wakeups.inc(wakeups or 0)
-            if tracer is not None:
-                tracer.complete(
-                    "block",
-                    t0,
-                    dur,
-                    cat="join",
-                    args={"task": joiner.name, "joinee": future.task.name},
+            if obs is not None:
+                self._observe_block(
+                    t0, wakeups, {"task": joiner.name, "joinee": record.joinee.name}
                 )
+            # the store is the Armus graph when there is one: end_join
+            self._store.remove(joiner, record.joinee)
+            joiner.state = prev_state
+            if journal is not None:
+                journal.log_unblock(joiner_vertex, joinee_vertex)
+
+    def _observe_block(self, t0: int, wakeups: int, args: dict) -> None:
+        """Telemetry of one finished blocked wait (a session is active)."""
+        obs = self._obs
+        tracer = obs.tracer
+        if tracer is not None:
+            # wake lands inside the block span: its timestamp is
+            # taken before the span's end below.
+            tracer.instant("wake", cat="join", args={"task": args["task"]})
+        dur = perf_counter_ns() - t0
+        obs.blocked_wait_ns.observe(dur)
+        obs.blocked_waits.inc()
+        obs.wakeups.inc(wakeups)
+        if tracer is not None:
+            tracer.complete("block", t0, dur, cat="join", args=args)

@@ -11,8 +11,8 @@ path.
 :func:`run_chaos_program`, under any registered policy on either
 blocking runtime, with crashes, delays, verifier faults and flaky
 retried leaves injected.  It checks a battery of invariants: verifier
-statistics exactly match the program spec, the run quiesces (Armus
-graph and join registry empty, no task leaks a BLOCKED state), and —
+statistics exactly match the program spec, the run quiesces (waits-for
+graph empty, no task leaks a BLOCKED state), and —
 for ``stable_permits`` policies — the permission verdicts are identical
 with and without injected delays.
 """

@@ -238,8 +238,9 @@ def quiescence_violations(rt, handles: dict, futures: dict) -> list[str]:
 
     *handles* and *futures* map a task label to its TaskHandle and its
     Future.  One message per breach of: every future done, no task left
-    ``BLOCKED``, an empty join registry, an empty Armus graph, no live
-    forced edge, no watchdog diagnosis.
+    ``BLOCKED``, an empty waits-for graph (the runtime's one store of
+    blocked joins, Armus's included), no live forced edge, no watchdog
+    diagnosis.
     """
     problems = [
         f"task {label} future not done after run()"
@@ -251,14 +252,12 @@ def quiescence_violations(rt, handles: dict, futures: dict) -> list[str]:
         for label, handle in handles.items()
         if handle.state is TaskState.BLOCKED
     ]
-    if rt.blocked_joins():
-        problems.append(f"join registry not empty: {rt.blocked_joins()}")
+    blocked = rt.blocked_joins()
+    if blocked:
+        problems.append(f"waits-for graph not empty: {blocked}")
     detector = rt.detector
-    if detector is not None:
-        if len(detector.graph):
-            problems.append(f"Armus graph not empty: {detector.graph.edges()}")
-        if detector.live_forced_edges:
-            problems.append(f"{detector.live_forced_edges} forced edges still live")
+    if detector is not None and detector.live_forced_edges:
+        problems.append(f"{detector.live_forced_edges} forced edges still live")
     if rt.watchdog is not None and rt.watchdog.deadlocks_detected:
         problems.append("watchdog diagnosed a deadlock")
     return problems

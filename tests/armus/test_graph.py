@@ -2,7 +2,7 @@
 
 import threading
 
-from repro.armus.graph import WaitsForGraph
+from repro.armus.graph import Entry, WaitsForGraph
 
 
 class TestWaitsForGraph:
@@ -13,14 +13,14 @@ class TestWaitsForGraph:
 
     def test_add_remove(self):
         g = WaitsForGraph()
-        g.add_edge("a", "b")
+        g.add(Entry("a", "b"))
         assert g.edges() == [("a", "b")]
-        g.remove_edge("a", "b")
+        g.remove("a", "b")
         assert len(g) == 0
 
     def test_remove_missing_is_noop(self):
         g = WaitsForGraph()
-        g.remove_edge("a", "b")
+        g.remove("a", "b")
         assert len(g) == 0
 
     def test_trivial_path(self):
@@ -29,25 +29,25 @@ class TestWaitsForGraph:
 
     def test_transitive_path(self):
         g = WaitsForGraph()
-        g.add_edge("a", "b")
-        g.add_edge("b", "c")
-        g.add_edge("c", "d")
+        g.add(Entry("a", "b"))
+        g.add(Entry("b", "c"))
+        g.add(Entry("c", "d"))
         assert g.has_path("a", "d")
         assert not g.has_path("d", "a")
 
     def test_branching_paths(self):
         g = WaitsForGraph()
-        g.add_edge("a", "b")
-        g.add_edge("a", "c")
-        g.add_edge("c", "d")
+        g.add(Entry("a", "b"))
+        g.add(Entry("a", "c"))
+        g.add(Entry("c", "d"))
         assert g.has_path("a", "d")
         assert not g.has_path("b", "d")
 
     def test_path_disappears_after_removal(self):
         g = WaitsForGraph()
-        g.add_edge("a", "b")
-        g.add_edge("b", "c")
-        g.remove_edge("b", "c")
+        g.add(Entry("a", "b"))
+        g.add(Entry("b", "c"))
+        g.remove("b", "c")
         assert not g.has_path("a", "c")
 
     def test_concurrent_mutation_is_safe(self):
@@ -55,10 +55,10 @@ class TestWaitsForGraph:
 
         def worker(base):
             for i in range(300):
-                g.add_edge((base, i), (base, i + 1))
+                g.add(Entry((base, i), (base, i + 1)))
                 g.has_path((base, 0), (base, i + 1))
             for i in range(300):
-                g.remove_edge((base, i), (base, i + 1))
+                g.remove((base, i), (base, i + 1))
 
         threads = [threading.Thread(target=worker, args=(k,)) for k in range(6)]
         for t in threads:
@@ -66,3 +66,10 @@ class TestWaitsForGraph:
         for t in threads:
             t.join()
         assert len(g) == 0
+
+    def test_find_path_returns_the_vertex_chain(self):
+        g = WaitsForGraph()
+        g.add(Entry("a", "b"), Entry("b", "c"))
+        assert g._find_path("a", "c") == ["a", "b", "c"]
+        assert g._find_path("a", "a") == ["a"]
+        assert g._find_path("c", "a") is None

@@ -16,7 +16,9 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.armus.graph import Entry
 from repro.core.policy import POLICY_REGISTRY
+from repro.runtime import TaskRuntime
 from repro.runtime.task import TaskState
 from repro.testing import FaultPlan, generate_spec, run_chaos_program
 from repro.testing.chaos import quiescence_violations
@@ -111,17 +113,12 @@ class TestVerifierFaultInjection:
         assert result.faults == 0
 
 
-class _Graph(list):
-    def edges(self):
-        return list(self)
-
-
 class _Runtime:
     """Just enough of a runtime for :func:`quiescence_violations`."""
 
-    def __init__(self, blocked=(), graph=(), forced=0, diagnoses=0):
+    def __init__(self, blocked=(), forced=0, diagnoses=0):
         self._blocked = list(blocked)
-        self.detector = SimpleNamespace(graph=_Graph(graph), live_forced_edges=forced)
+        self.detector = SimpleNamespace(live_forced_edges=forced)
         self.watchdog = SimpleNamespace(deadlocks_detected=diagnoses)
 
     def blocked_joins(self):
@@ -129,7 +126,7 @@ class _Runtime:
 
 
 class TestQuiescenceCheck:
-    """Each of the six end-of-run conditions is reported on its own, so
+    """Each of the five end-of-run conditions is reported on its own, so
     an edit that drops one from the shared check fails here."""
 
     HANDLES = {0: SimpleNamespace(state=TaskState.DONE)}
@@ -153,11 +150,15 @@ class TestQuiescenceCheck:
 
     def test_join_registry_not_empty(self):
         [problem] = self.check(rt=_Runtime(blocked=["edge"]))
-        assert "join registry not empty" in problem
+        assert "waits-for graph not empty" in problem
 
     def test_armus_graph_not_empty(self):
-        [problem] = self.check(rt=_Runtime(graph=[("a", "b")]))
-        assert "Armus graph not empty" in problem
+        """One condition for the one store: blocked_joins() reads the
+        graph Armus searches, so an edge left there is reported."""
+        rt = TaskRuntime(policy="TJ-SP", watchdog=False)
+        rt.detector.graph.add(Entry("a", "b"))
+        [problem] = self.check(rt=rt)
+        assert "waits-for graph not empty" in problem
 
     def test_live_forced_edge(self):
         [problem] = self.check(rt=_Runtime(forced=2))

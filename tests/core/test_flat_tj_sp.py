@@ -312,49 +312,3 @@ class TestBackendObservability:
             verifier = Verifier(make_policy("KJ-VC"))
             labels = dict(verifier._check_hist.labels)
         assert labels == {"policy": "KJ-VC", "backend": "py"}
-
-
-# ----------------------------------------------------------------------
-# the compiled Armus DFS mirrors the Python one
-# ----------------------------------------------------------------------
-@needs_c
-class TestCompiledFindPath:
-    def test_matches_python_dfs_on_random_graphs(self):
-        from repro.armus.graph import WaitsForGraph
-
-        find_path = compiled_module().find_path
-        rng = random.Random(0x60D)
-        for _ in range(200):
-            n = rng.randint(2, 12)
-            g = WaitsForGraph()
-            g._c_find_path = None  # force the Python DFS as reference
-            succ = {}
-            for _ in range(rng.randint(1, 20)):
-                a, b = rng.randrange(n), rng.randrange(n)
-                succ.setdefault(a, set()).add(b)
-                g._add_edge(a, b)
-            for src in range(n):
-                for dst in range(n):
-                    py_path = g._find_path(src, dst)
-                    c_path = find_path(succ, src, dst)
-                    if py_path is None:
-                        assert c_path is None
-                    else:
-                        # Paths may differ (DFS order), but both must be
-                        # real paths with the same endpoints.
-                        assert c_path is not None
-                        assert c_path[0] == src and c_path[-1] == dst
-                        for x, y in zip(c_path, c_path[1:]):
-                            assert y in succ.get(x, ())
-
-    def test_graph_uses_compiled_kernel_when_available(self):
-        from repro.armus.graph import WaitsForGraph
-
-        g = WaitsForGraph()
-        assert g._c_find_path is not None
-        g.add_edge("a", "b")
-        g.add_edge("b", "c")
-        assert g.has_path("a", "c")
-        assert not g.has_path("c", "a")
-        assert g._find_path("a", "c") == ["a", "b", "c"]
-        assert g._find_path("a", "a") == ["a"]

@@ -182,41 +182,68 @@ class TestFailClosed:
         assert v.stats.policy_faults == 1
 
 
-def test_degraded_run_still_avoids_a_true_deadlock():
-    """Fail-open end-to-end: with the policy quarantined, the Armus
-    fallback force-checks every blocking join and refuses the edge that
-    would close a real cycle."""
+def _mutual_joins(policy, join):
+    """Fail-open end-to-end: two tasks join each other (plus a leaf)
+    through *join*, after the policy is quarantined; returns the runtime
+    and each member's outcome."""
     import threading
 
+    from repro.errors import DeadlockDetectedError
     from repro.runtime.threaded import TaskRuntime
 
-    rt = TaskRuntime(
-        policy=BrokenPolicy(), fail_mode="open", on_unjoined_failure="ignore"
-    )
+    rt = TaskRuntime(policy=policy, fail_mode="open", on_unjoined_failure="ignore")
     outcomes: dict[int, str] = {}
 
     def main():
-        box: dict[int, object] = {}
-        go = threading.Event()  # set only after both futures are in the box
+        box: dict = {}
+        go = threading.Event()  # set only after every future is in the box
 
         def member(idx):
             go.wait()
             try:
-                box[1 - idx].join()
+                join(rt, box[1 - idx], box["leaf"])
                 outcomes[idx] = "joined"
             except DeadlockAvoidedError:
                 outcomes[idx] = "avoided"
+            except DeadlockDetectedError:
+                outcomes[idx] = "detected"
 
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", PolicyQuarantineWarning)
-            box[0] = rt.fork(member, 0)
-            box[1] = rt.fork(member, 1)
-            go.set()
-            for f in box.values():
-                f.join()
+        box["leaf"] = rt.fork(lambda: go.wait())
+        box[0] = rt.fork(member, 0)
+        box[1] = rt.fork(member, 1)
+        go.set()
+        for f in box.values():
+            f.join()
 
     rt.run(main)
     assert rt.verifier.quarantined
-    assert sorted(outcomes.values()) == ["avoided", "joined"]
-    assert len(rt.detector.graph) == 0
+    assert len(rt.detector.graph) == 0 and rt.detector.live_forced_edges == 0
+    return rt, sorted(outcomes.values())
+
+
+def test_degraded_run_still_avoids_a_true_deadlock():
+    """With the policy quarantined, the Armus fallback force-checks every
+    blocking join and refuses the edge that would close a real cycle."""
+    rt, outcomes = _mutual_joins(BrokenPolicy(), lambda rt, other, leaf: other.join())
+    assert outcomes == ["avoided", "joined"]
     assert rt.detector.stats.deadlocks_avoided == 1
+
+
+class StableBrokenPolicy(BrokenPolicy):
+    """A broken policy that claims stable verdicts, so ``join_batch``
+    precomputes its (degraded) permits and parks in the pre-wait."""
+
+    stable_permits = True
+
+
+def test_degraded_batch_prewaits_still_avoid_a_true_deadlock():
+    """The same with ``join_batch([other, leaf])``: both degraded batches
+    park in the pre-wait, whose edges face the forced check too, so the
+    second batch backs off and its sequential join is refused — the
+    outcome of sequential joins, not a watchdog diagnosis."""
+    rt, outcomes = _mutual_joins(
+        StableBrokenPolicy(), lambda rt, other, leaf: rt.join_batch([other, leaf])
+    )
+    assert outcomes == ["avoided", "joined"]
+    assert rt.detector.stats.deadlocks_avoided == 1
+    assert rt.watchdog.deadlocks_detected == 0

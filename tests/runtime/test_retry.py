@@ -205,8 +205,8 @@ def test_cancelled_task_is_not_retried():
 
 def test_join_timeout_then_retry_then_success_leaves_nothing_behind():
     """timeout -> retry -> success, with the watchdog on: afterwards the
-    Armus graph and the join registry are empty and exactly one retry is
-    on record (satellite: watchdog x retry interaction)."""
+    waits-for graph is empty and exactly one retry is on record
+    (satellite: watchdog x retry interaction)."""
     rt = TaskRuntime(policy="TJ-SP", watchdog_interval=0.01)
     release = threading.Event()
     attempts = []
@@ -233,6 +233,39 @@ def test_join_timeout_then_retry_then_success_leaves_nothing_behind():
     assert rt.watchdog is not None and rt.watchdog.deadlocks_detected == 0
     assert len(rt.detector.graph) == 0
     assert rt.blocked_joins() == []
+    assert rt.detector.live_forced_edges == 0
+
+
+def test_a_join_blocked_across_a_retry_turns_forced_while_stale():
+    """A younger sibling ``u`` blocked on ``t`` was permitted against
+    ``t``'s first vertex; the retry makes ``t`` the youngest child, so
+    that verdict goes stale and the blocked edge must turn forced (Armus
+    then checks every join) for as long as the join stays blocked."""
+    import time
+
+    rt = TaskRuntime(policy="TJ-SP")
+    fail_now, attempts, forced_during_retry = threading.Event(), [], []
+
+    def t_body():
+        attempts.append(1)
+        if len(attempts) == 1:
+            fail_now.wait(5.0)
+            raise ValueError("first attempt")
+        forced_during_retry.append(rt.detector.live_forced_edges)
+        return "ok"
+
+    def main():
+        t = rt.fork(t_body, retry=RetryPolicy(max_attempts=2, base_delay=0.0005))
+        u = rt.fork(lambda: t.join())  # older sibling: permitted
+        deadline = time.monotonic() + 5.0
+        while not any(r.joinee is t.task for r in rt.blocked_joins()):
+            assert time.monotonic() < deadline, "u never blocked on t"
+            time.sleep(0.001)
+        fail_now.set()
+        return u.join()
+
+    assert rt.run(main) == "ok"
+    assert forced_during_retry == [1]
     assert rt.detector.live_forced_edges == 0
 
 

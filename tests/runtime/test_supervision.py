@@ -21,7 +21,8 @@ from repro.errors import (
     TaskFailedError,
 )
 from repro.runtime import Future, TaskHandle, TaskRuntime, WorkSharingRuntime
-from repro.runtime.supervisor import JoinRegistry, StallWatchdog
+from repro.armus.graph import WaitsForGraph
+from repro.runtime.supervisor import BlockedJoin, StallWatchdog
 
 RUNTIMES = [
     ("threaded", lambda **kw: TaskRuntime(**kw)),
@@ -166,23 +167,15 @@ class TestWatchdog:
 
 
 class TestWatchdogScan:
-    """Synchronous scan() behaviour on a hand-built registry."""
-
-    def _record(self, registry, done=False):
-        joiner = TaskHandle(None, name=f"j{id(registry)}")
-        joinee = TaskHandle(None)
-        fut = Future(None, joinee)
-        if done:
-            fut._set_result(None)
-        return registry.register(joiner, joinee, fut)
+    """Synchronous scan() behaviour on a hand-built waits-for graph."""
 
     def test_pending_cycle_is_delivered_to_every_member(self):
-        registry = JoinRegistry()
+        store = WaitsForGraph()
         a, b = TaskHandle(None, name="a"), TaskHandle(None, name="b")
         fut_a, fut_b = Future(None, a), Future(None, b)
-        ra = registry.register(a, b, fut_b)
-        rb = registry.register(b, a, fut_a)
-        dog = StallWatchdog(registry)
+        ra, rb = BlockedJoin(a, b, fut_b), BlockedJoin(b, a, fut_a)
+        store.add(ra, rb)
+        dog = StallWatchdog(store)
         delivered = dog.scan()
         assert len(delivered) == 1
         assert set(delivered[0]) == {a, b}
@@ -192,31 +185,32 @@ class TestWatchdogScan:
         assert dog.deadlocks_detected == 2
 
     def test_cycle_with_a_done_future_is_a_transient(self):
-        registry = JoinRegistry()
+        store = WaitsForGraph()
         a, b = TaskHandle(None, name="a"), TaskHandle(None, name="b")
         fut_a, fut_b = Future(None, a), Future(None, b)
         fut_a._set_result(42)  # b's wait is about to unregister
-        ra = registry.register(a, b, fut_b)
-        rb = registry.register(b, a, fut_a)
-        dog = StallWatchdog(registry)
+        ra, rb = BlockedJoin(a, b, fut_b), BlockedJoin(b, a, fut_a)
+        store.add(ra, rb)
+        dog = StallWatchdog(store)
         assert dog.scan() == []
         assert ra.exc is None and rb.exc is None
         assert dog.deadlocks_detected == 0
 
     def test_acyclic_registry_is_clean(self):
-        registry = JoinRegistry()
+        store = WaitsForGraph()
         a, b, c = (TaskHandle(None) for _ in range(3))
-        registry.register(a, b, Future(None, b))
-        registry.register(b, c, Future(None, c))
-        dog = StallWatchdog(registry)
+        store.add(BlockedJoin(a, b, Future(None, b)), BlockedJoin(b, c, Future(None, c)))
+        dog = StallWatchdog(store)
         assert dog.scan() == []
 
     def test_unregister_removes_the_record(self):
-        registry = JoinRegistry()
-        record = self._record(registry)
-        assert len(registry) == 1
-        registry.unregister(record)
-        assert len(registry) == 0
+        store = WaitsForGraph()
+        joiner, joinee = TaskHandle(None, name="j"), TaskHandle(None)
+        record = BlockedJoin(joiner, joinee, Future(None, joinee))
+        store.add(record)
+        assert store.entries() == [record]
+        assert store.remove(joiner, joinee) is record
+        assert len(store) == 0
 
 
 class TestInterruptibleRootJoin:
