@@ -301,6 +301,11 @@ class SharedFlatTree:
         seg.parent[off] = p
         return vid
 
+    def owns(self, vid: int) -> bool:
+        """Whether *vid* lies in this process's stripes (it forked *vid*)."""
+        h = self.handle_tuple
+        return (vid // h.stripe) % h.nprocs == self.region
+
     # ------------------------------------------------------------------
     # Algorithm 3 ``Less`` over the shared rows
     # ------------------------------------------------------------------

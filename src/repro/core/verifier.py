@@ -256,14 +256,12 @@ class Verifier:
             return None
         self._shard().policy_faults += 1
         obs = self._obs
-        if obs is not None:
-            obs.quarantines.inc()
-            if obs.tracer is not None:
-                obs.tracer.instant(
-                    "quarantine",
-                    cat="verifier",
-                    args={"policy": self.policy.name, "site": site},
-                )
+        if obs is not None and obs.tracer is not None:
+            obs.tracer.instant(
+                "quarantine",
+                cat="verifier",
+                args={"policy": self.policy.name, "site": site},
+            )
         with self._quarantine_lock:
             q = self._quarantine
             if q is None:

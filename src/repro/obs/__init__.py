@@ -93,8 +93,6 @@ class Telemetry:
         self.cycle_check_ns = reg.histogram("repro_armus_cycle_check_ns")
         self.journal_flush_ns = reg.histogram("repro_journal_flush_ns")
         # event counters
-        self.quarantines = reg.counter("repro_policy_quarantines_total")
-        self.retries = reg.counter("repro_task_retries_total")
         self.wakeups = reg.counter("repro_runtime_wakeups_total")
         self.blocked_waits = reg.counter("repro_runtime_blocked_waits_total")
 

@@ -455,43 +455,9 @@ class MetricsRegistry:
         return json.dumps(self.snapshot(), indent=indent, sort_keys=True)
 
     def to_prometheus(self) -> str:
-        """Render the registry in Prometheus text exposition format.
-
-        Counters/gauges map directly; histograms follow the cumulative
-        ``_bucket{le=}`` convention; source fields export as gauges
-        named ``<prefix>_<field>``.
-        """
-        with self._lock:
-            counters = list(self._counters.values())
-            gauges = list(self._gauges.values())
-            histograms = list(self._histograms.values())
-        lines: list[str] = []
-        for c in counters:
-            lines.append(f"# TYPE {c.name} counter")
-            lines.append(f"{c.name}{_render_labels(c.labels)} {c.value}")
-        for g in gauges:
-            lines.append(f"# TYPE {g.name} gauge")
-            lines.append(f"{g.name}{_render_labels(g.labels)} {g.value}")
-        for h in histograms:
-            snap = h.snapshot()
-            lines.append(f"# TYPE {h.name} histogram")
-            base = dict(h.labels)
-            cum = 0
-            for bound, count in zip(snap["buckets"], snap["counts"]):
-                cum += count
-                labels = _render_labels(tuple(sorted({**base, "le": str(bound)}.items())))
-                lines.append(f"{h.name}_bucket{labels} {cum}")
-            cum += snap["counts"][-1]
-            inf_labels = _render_labels(tuple(sorted({**base, "le": "+Inf"}.items())))
-            lines.append(f"{h.name}_bucket{inf_labels} {cum}")
-            lines.append(f"{h.name}_sum{_render_labels(h.labels)} {snap['sum']}")
-            lines.append(f"{h.name}_count{_render_labels(h.labels)} {snap['count']}")
-        for prefix, fields in sorted(self.snapshot()["sources"].items()):
-            for field, value in sorted(fields.items()):
-                name = f"{prefix}_{field}"
-                lines.append(f"# TYPE {name} gauge")
-                lines.append(f"{name} {value}")
-        return "\n".join(lines) + "\n"
+        """Render the registry in Prometheus text exposition format
+        (see :func:`snapshot_to_prometheus`)."""
+        return snapshot_to_prometheus(self.snapshot())
 
 
 # ----------------------------------------------------------------------
@@ -585,12 +551,14 @@ def merge_snapshots(snaps: Iterable[Mapping]) -> dict:
 
 
 def snapshot_to_prometheus(snap: Mapping) -> str:
-    """Render a *snapshot* (not a live registry) as Prometheus text.
+    """Render a registry snapshot as Prometheus text.
 
-    Mirrors :meth:`MetricsRegistry.to_prometheus` series-for-series so a
-    merged fleet snapshot exports through the same pipeline; the type
-    line is emitted once per metric family even when the snapshot holds
-    several labelled series of it.
+    Counters and gauges map directly; histograms follow the cumulative
+    ``_bucket{le=}`` convention; source fields export as gauges named
+    ``<prefix>_<field>``.  The type line is emitted once per metric
+    family even when the snapshot holds several labelled series of it.
+    A live registry and a merged fleet snapshot render through here
+    alike.
     """
     lines: list[str] = []
     typed: set[str] = set()

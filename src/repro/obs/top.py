@@ -9,7 +9,8 @@ looks stuck or slow:
 * per-policy join-check latency histograms (and the other ns histograms:
   fork, blocked-wait, Armus cycle check, journal flush) as ASCII bars;
 * the unified counter surface — verifier/armus/runtime/phaser/journal
-  sources plus the event counters (quarantines, retries, wakeups).
+  sources (quarantines are ``verifier.policy_faults``, retries
+  ``runtime.tasks_retried``) plus the wakeup and blocked-wait counters.
 
 With the PR 10 distributed plane it also renders *fleet* state: the
 cross-process blocked-join table (plain dicts shipped by worker stats

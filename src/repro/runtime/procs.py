@@ -141,12 +141,13 @@ class ShardVerifier(Verifier):
     ) -> None:
         super().__init__(policy, fail_mode=fail_mode, journal=journal)
         self.sidecar = sidecar
-        self._local: set[int] = set()
+        self._owns = policy.tree.owns
         self._procs_events = CounterGroup(_SHARD_FIELDS)
 
     # -- bookkeeping ----------------------------------------------------
     def is_local(self, vid: object) -> bool:
-        return vid in self._local
+        """Whether this process forked *vid*: the stripe allocator says."""
+        return isinstance(vid, int) and self._owns(vid)
 
     def procs_stats(self) -> dict:
         return self._procs_events.totals()
@@ -173,21 +174,13 @@ class ShardVerifier(Verifier):
         if self.sidecar is not None:
             self.sidecar.flush()
 
-    # -- fork: track locality, announce escalation-relevant vertices ----
-    def on_init(self):
-        vertex = super().on_init()
-        if isinstance(vertex, int):
-            self._local.add(vertex)
-        return vertex
-
+    # -- fork: announce escalation-relevant vertices --------------------
     def on_fork(self, parent):
         vertex = super().on_fork(parent)
-        if isinstance(vertex, int):
-            self._local.add(vertex)
-            if parent not in self._local:
-                # A child of a remotely-forked task: the one shape that
-                # can appear as the joinee of a cross-process edge.
-                self._announce("fork", vertex)
+        if isinstance(vertex, int) and not self.is_local(parent):
+            # A child of a remotely-forked task: the one shape that
+            # can appear as the joinee of a cross-process edge.
+            self._announce("fork", vertex)
         return vertex
 
     def _flow_escalation(self, client) -> None:
@@ -208,7 +201,7 @@ class ShardVerifier(Verifier):
             # Quarantined placeholders: the base verifier owns degraded
             # semantics.
             return super().check_join(joiner, joinee)
-        if joiner in self._local:
+        if self._owns(joiner):
             self._procs_events.cell().local_joins += 1
             return super().check_join(joiner, joinee)
         cell = self._procs_events.cell()
@@ -235,7 +228,7 @@ class ShardVerifier(Verifier):
             not isinstance(j, int) for j in joinees
         ):
             return super().check_joins(joiner, joinees)
-        if joiner in self._local:
+        if self._owns(joiner):
             self._procs_events.cell().local_joins += len(joinees)
             return super().check_joins(joiner, joinees)
         cell = self._procs_events.cell()
@@ -649,13 +642,6 @@ class ProcessRuntime(SupervisedJoinMixin):
             watchdog_interval=watchdog_interval,
             on_unjoined_failure=on_unjoined_failure,
         )
-        obs = self._obs
-        if obs is not None:
-            self._m_tasks = obs.registry.counter("repro_procs_tasks_total")
-            self._m_cross = obs.registry.counter("repro_procs_cross_joins_total")
-            self._m_ratio = obs.registry.gauge("repro_procs_escalation_ratio")
-        else:
-            self._m_tasks = self._m_cross = self._m_ratio = None
 
     # ------------------------------------------------------------------
     # introspection
@@ -701,8 +687,6 @@ class ProcessRuntime(SupervisedJoinMixin):
             procs_worker_deaths=self.worker_deaths,
             procs_tasks_redispatched=self.tasks_redispatched,
         )
-        if self._m_ratio is not None:
-            self._m_ratio.set(joins["escalation_ratio"])
         return out
 
     # ------------------------------------------------------------------
@@ -1089,12 +1073,6 @@ class ProcessRuntime(SupervisedJoinMixin):
                 self._worker_stats[index] = stats
                 if obs_state is not None:
                     self._absorb_worker_obs(index, obs_state)
-                if self._m_cross is not None:
-                    joins = self.join_stats()
-                    delta = joins["cross_joins"] - self._m_cross.value
-                    if delta > 0:
-                        self._m_cross.inc(delta)
-                    self._m_ratio.set(joins["escalation_ratio"])
                 return
             _, vid, status, value = msg
         except (TypeError, ValueError, IndexError):
@@ -1109,8 +1087,6 @@ class ProcessRuntime(SupervisedJoinMixin):
             TaskState.DONE if status == "ok" else TaskState.FAILED
         )
         self.tasks_completed += 1
-        if self._m_tasks is not None:
-            self._m_tasks.inc()
         if status == "ok":
             entry.future._set_result(value)
         else:

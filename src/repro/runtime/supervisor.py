@@ -642,14 +642,12 @@ class SupervisedJoinMixin:
         with self._failed_lock:
             self._tasks_retried_count += 1
         obs = self._obs
-        if obs is not None:
-            obs.retries.inc()
-            if obs.tracer is not None:
-                obs.tracer.instant(
-                    "retry",
-                    cat="task",
-                    args={"task": task.name, "attempt": attempt, "error": repr(exc)},
-                )
+        if obs is not None and obs.tracer is not None:
+            obs.tracer.instant(
+                "retry",
+                cat="task",
+                args={"task": task.name, "attempt": attempt, "error": repr(exc)},
+            )
         journal = self._verifier.journal
         if journal is not None:
             journal.log_retry(old_vertex, new_vertex, attempt, repr(exc))

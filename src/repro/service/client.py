@@ -61,7 +61,7 @@ from ..errors import (
     ServiceProtocolError,
     ServiceUnavailableError,
 )
-from ..obs.metrics import RTT_NS_BUCKETS
+from ..obs.metrics import RTT_NS_BUCKETS, Counter
 from ..obs.tracing import current_trace_context
 from ..runtime.retry import RetryPolicy
 from .wire import SERVER_KINDS, WIRE_VERSION, RecordStream, dial, validate_record
@@ -212,26 +212,22 @@ class RemoteVerifier(Verifier):
         self._rechecks_dropped = 0
         self._backpressure: Optional[ServiceBackpressureError] = None
         #: counters the tests and `top` read
-        self.degradations = 0
-        self.reconciles = 0
         self.events_replayed = 0
         self.rechecks_sent = 0
         obs = self._obs  # set by Verifier.__init__
+        labels = {"session": self.session_id}
+        counter = Counter
+        self._rtt_hist = None
         if obs is not None:
-            labels = {"session": self.session_id}
+            counter = obs.registry.counter
             self._rtt_hist = obs.registry.histogram(
                 "repro_service_rtt_ns", buckets=RTT_NS_BUCKETS, labels=labels
             )
-            self._degradations_counter = obs.registry.counter(
-                "repro_service_degradations_total", labels=labels
-            )
-            self._reconciles_counter = obs.registry.counter(
-                "repro_service_reconciles_total", labels=labels
-            )
-        else:
-            self._rtt_hist = None
-            self._degradations_counter = None
-            self._reconciles_counter = None
+        # Degradation episodes and reconciles that replayed something: the
+        # labelled counter is the one store, shared with the registry
+        # under telemetry.
+        self._degradations = counter("repro_service_degradations_total", labels=labels)
+        self._reconciles = counter("repro_service_reconciles_total", labels=labels)
         if connect:
             self._connect_with_retry()
         if self._is_degraded:
@@ -259,6 +255,16 @@ class RemoteVerifier(Verifier):
     @property
     def connected(self) -> bool:
         return not self._is_degraded
+
+    @property
+    def degradations(self) -> int:
+        """Episodes of local fail-open answering so far."""
+        return self._degradations.value
+
+    @property
+    def reconciles(self) -> int:
+        """Reconnects that replayed state events or degraded-window checks."""
+        return self._reconciles.value
 
     # ------------------------------------------------------------------
     # verifier protocol: state events
@@ -456,7 +462,6 @@ class RemoteVerifier(Verifier):
         # Handshake done: install the stream and reconcile under the send
         # lock so no fresh event can jump ahead of the replayed gap.
         with self._send_lock:
-            was_degraded = self._is_degraded
             with self._state_lock:
                 self._gen += 1
                 gen = self._gen
@@ -477,9 +482,6 @@ class RemoteVerifier(Verifier):
             daemon=True,
         )
         receiver.start()
-        if was_degraded and self.reconciles > 0:
-            if self._reconciles_counter is not None:
-                self._reconciles_counter.inc()
         return True
 
     def _reconcile_locked(self, stream: RecordStream, last_seq: int) -> None:
@@ -495,7 +497,7 @@ class RemoteVerifier(Verifier):
             stream.send({"kind": "recheck", "waiter": waiter, "joinee": joinee})
         self.rechecks_sent += len(rechecks)
         if replayed or rechecks:
-            self.reconciles += 1
+            self._reconciles.inc()
 
     def try_reconnect(self) -> bool:
         """One immediate reconnect attempt (tests and the heartbeat use it)."""
@@ -511,9 +513,7 @@ class RemoteVerifier(Verifier):
             self._is_degraded = True
             self._gen += 1
             stream, self._stream = self._stream, None
-        self.degradations += 1
-        if self._degradations_counter is not None:
-            self._degradations_counter.inc()
+        self._degradations.inc()
         if stream is not None:
             try:
                 stream.sock.close()
@@ -807,9 +807,6 @@ class SessionClient:
                 "depth": depth,
             }
         )
-
-    def join_event(self, waiter_rid: int, joinee_rid: int) -> None:
-        self._buffer_event({"kind": "join", "waiter": waiter_rid, "joinee": joinee_rid})
 
     def _buffer_event(self, record: dict) -> None:
         if self.degraded:

@@ -12,8 +12,8 @@ and replaying everything past the ``last_seq`` the ``welcome`` quotes.
 
 Crash consistency
 -----------------
-The server journal is the same append-only JSONL format as the PR 4
-trace journal — dense global ``seq``, readable by
+The server journal is written by the trace journal's own writer (see
+:mod:`repro.tools.journal`) — dense global ``seq``, readable by
 :func:`repro.tools.journal.read_journal` with its torn-tail tolerance —
 with a ``session`` column added to every record.  On restart the server
 *compacts*: it reads the old journal, rebuilds each session by replaying
@@ -45,9 +45,9 @@ import warnings
 from time import monotonic
 from typing import Optional
 
-from ..errors import JournalCorruptError, JournalError, ServiceProtocolError
+from ..errors import JournalCorruptError, ServiceProtocolError
 from ..obs import active as _active_telemetry
-from ..tools.journal import read_journal
+from ..tools.journal import ServiceJournal, read_journal
 from .session import Session, Tenant
 from .wire import (
     CLIENT_KINDS,
@@ -59,129 +59,6 @@ from .wire import (
 )
 
 __all__ = ["ServiceJournal", "VerificationServer", "main"]
-
-
-class ServiceJournal:
-    """Append-only JSONL journal of every session's verification stream.
-
-    The record vocabulary is the trace-journal's (``start``/``init``/
-    ``fork``/``join``/``verdict``/``quarantine``) with a ``session``
-    field on every record and client-assigned integer rids instead of
-    interned ``tN`` names.  ``seq`` is global and dense across all
-    sessions — the interleaving *is* the information a post-mortem
-    needs, and density is what :func:`read_journal` verifies.
-    """
-
-    def __init__(self, path: str, *, flush_every: int = 64) -> None:
-        if flush_every < 1:
-            raise ValueError("flush_every must be at least 1")
-        self.path = path
-        self._fh = open(path, "a", encoding="utf-8")
-        self._lock = threading.Lock()
-        self._seq = 0
-        self._buf: list[str] = []
-        self._flush_every = flush_every
-        self._closed = False
-        self.records_written = 0
-        self.flushes = 0
-
-    # ------------------------------------------------------------------
-    def _emit(self, record: dict, critical: bool) -> None:
-        with self._lock:
-            if self._closed:
-                raise JournalError("service journal already closed")
-            record["seq"] = self._seq
-            self._seq += 1
-            self._buf.append(json.dumps(record, separators=(",", ":")) + "\n")
-            self.records_written += 1
-            if critical or len(self._buf) >= self._flush_every:
-                self._flush_locked()
-
-    def _flush_locked(self) -> None:
-        if self._buf:
-            self._fh.write("".join(self._buf))
-            self._buf.clear()
-        self._fh.flush()
-        self.flushes += 1
-
-    # ------------------------------------------------------------------
-    # loggers
-    # ------------------------------------------------------------------
-    def log_session(
-        self,
-        session_id: str,
-        policy: str,
-        fail_mode: str,
-        tenant: "str | None" = None,
-    ) -> None:
-        """A session came into existence; critical — resume depends on it."""
-        record = {
-            "kind": "start",
-            "session": session_id,
-            "policy": policy,
-            "fail_mode": fail_mode,
-            "runtime": "service",
-        }
-        if tenant is not None:
-            record["tenant"] = tenant
-        self._emit(record, True)
-
-    def log_event(self, session_id: str, record: dict) -> None:
-        """One state event (init/fork/join) exactly as it arrived."""
-        entry = {"kind": record["kind"], "session": session_id, "cseq": record["cseq"]}
-        # edge/depth: authoritative placement on tenant fork records —
-        # recovery must not re-derive sibling order from replay order.
-        for field in ("task", "parent", "child", "waiter", "joinee", "edge", "depth"):
-            if field in record:
-                entry[field] = record[field]
-        self._emit(entry, False)
-
-    def log_verdict(self, session_id: str, waiter: int, joinee: int, ok: bool) -> None:
-        # Always critical: the verdict reply must not outrun durability.
-        # A kill -9 between an answered check and its flush would make the
-        # rebuilt session undercount — breaking the exact-stats contract
-        # reconcile-on-reconnect promises.  (A flush is a buffered write
-        # to the page cache, not an fsync; the cost is noise next to the
-        # network round trip the check already paid.)
-        self._emit(
-            {
-                "kind": "verdict",
-                "session": session_id,
-                "waiter": waiter,
-                "joinee": joinee,
-                "ok": bool(ok),
-            },
-            True,
-        )
-
-    def log_quarantine(self, session_id: str, policy: str, site: str, error: str) -> None:
-        self._emit(
-            {
-                "kind": "quarantine",
-                "session": session_id,
-                "policy": policy,
-                "site": site,
-                "error": error,
-            },
-            True,
-        )
-
-    # ------------------------------------------------------------------
-    def metrics_snapshot(self) -> dict:
-        return {"records_written": self.records_written, "flushes": self.flushes}
-
-    def flush(self) -> None:
-        with self._lock:
-            if not self._closed:
-                self._flush_locked()
-
-    def close(self) -> None:
-        with self._lock:
-            if self._closed:
-                return
-            self._flush_locked()
-            self._closed = True
-            self._fh.close()
 
 
 def _fit_stats_reply(reply: dict) -> dict:

@@ -34,6 +34,7 @@ from typing import Callable, Optional
 from ..core.policy import make_policy
 from ..core.verifier import Verifier
 from ..errors import PolicyQuarantinedError, ServiceProtocolError
+from ..obs.metrics import Counter
 from .mirror import MirroredSpawnPaths
 
 __all__ = ["Session", "Tenant"]
@@ -113,7 +114,7 @@ class Session:
         coerced to ``"open"`` — the degraded-but-sound posture — and
         the coercion is reported in the session's ``welcome``.
     journal:
-        The server's shared :class:`~repro.service.server.ServiceJournal`
+        The server's shared :class:`~repro.tools.journal.ServiceJournal`
         (or None); state events and verdicts are written through so a
         restarted server rebuilds this session exactly.
     inbox_limit:
@@ -167,19 +168,12 @@ class Session:
         self._quarantine_announced = False
         self._closed = False
         self._lock = threading.Lock()
-        self._events = 0
-        self._checks = 0
-        if telemetry is not None:
-            reg = telemetry.registry
-            self._events_counter = reg.counter(
-                "repro_service_events_total", labels={"session": session_id}
-            )
-            self._checks_counter = reg.counter(
-                "repro_service_checks_total", labels={"session": session_id}
-            )
-        else:
-            self._events_counter = None
-            self._checks_counter = None
+        # Applied state events and answered checks: the labelled counter
+        # is the one store, shared with the registry under telemetry.
+        counter = telemetry.registry.counter if telemetry is not None else Counter
+        labels = {"session": session_id}
+        self._events = counter("repro_service_events_total", labels=labels)
+        self._checks = counter("repro_service_checks_total", labels=labels)
         self._telemetry = telemetry
         self._worker = threading.Thread(
             target=self._worker_main,
@@ -262,16 +256,6 @@ class Session:
                 f"session {self.session_id!r}: unknown vertex rid {rid!r}"
             ) from None
 
-    def _count_event(self) -> None:
-        self._events += 1
-        if self._events_counter is not None:
-            self._events_counter.inc()
-
-    def _count_check(self, n: int = 1) -> None:
-        self._checks += n
-        if self._checks_counter is not None:
-            self._checks_counter.inc(n)
-
     def apply(self, record: dict, reply: Optional[Callable[[dict], None]] = None) -> None:
         """Apply one validated record; sends any reply through *reply*.
 
@@ -305,7 +289,7 @@ class Session:
                 with self._lock:
                     self.gap_drops += 1
                 return
-            self._count_event()
+            self._events.inc()
             self._apply_state(kind, record)
             self.applied_seq = cseq
             if journal is not None:
@@ -315,13 +299,13 @@ class Session:
                     self._safe_reply(reply, {"kind": "ack", "seq": cseq})
             self._announce_quarantine(reply)
         elif kind == "check":
-            self._count_check()
+            self._checks.inc()
             self._do_check(record, reply)
         elif kind == "check_batch":
-            self._count_check(len(record["joinees"]))
+            self._checks.inc(len(record["joinees"]))
             self._do_check_batch(record, reply)
         elif kind == "recheck":
-            self._count_check()
+            self._checks.inc()
             self._do_recheck(record, reply)
         else:
             raise ServiceProtocolError(f"session cannot apply record kind {kind!r}")
@@ -537,8 +521,8 @@ class Session:
             "fail_mode": self.fail_mode,
             "applied_seq": self.applied_seq,
             "vertices": len(self.vertices),
-            "events": self._events,
-            "checks": self._checks,
+            "events": self._events.value,
+            "checks": self._checks.value,
             "backpressure_refusals": self.backpressure_refusals,
             "gap_drops": self.gap_drops,
             "quarantined": self.verifier.quarantined,

@@ -6,7 +6,10 @@ verifier-visible event — init, fork, permission verdict, completed join,
 blocked/unblocked edge, quarantine, retry, avoided deadlock — is
 appended as one JSON object per line *as it happens*, so a run killed by
 ``kill -9`` leaves a replayable record of everything the verifier saw up
-to the moment of death.
+to the moment of death.  The verification sidecar's
+:class:`ServiceJournal` writes the same format through the same
+:class:`JournalWriter`, adding a ``session`` field and naming vertices
+by client rid.
 
 Durability model
 ----------------
@@ -42,12 +45,12 @@ import os
 import threading
 from dataclasses import dataclass, field
 from time import perf_counter_ns
-from typing import Optional
+from typing import Optional, TypeVar
 
 from ..errors import JournalCorruptError, JournalError
 from ..obs import active as _active_telemetry
 
-__all__ = ["TraceJournal", "JournalReadResult", "read_journal"]
+__all__ = ["TraceJournal", "ServiceJournal", "JournalReadResult", "read_journal"]
 
 #: record kinds a journal may contain, in the order they typically appear
 KINDS = (
@@ -65,15 +68,15 @@ KINDS = (
 )
 
 
-class TraceJournal:
-    """Append-only JSONL journal of one runtime execution.
+_Writer = TypeVar("_Writer", bound="JournalWriter")
 
-    Thread-safe: every append happens under one lock (events from
-    different tasks genuinely race, and seq numbers must be dense).
-    Vertices are interned to stable names (``t0``, ``t1``, ... in fork
-    order) exactly like the in-memory recorder; the journal keeps a
-    strong reference to each named vertex so ``id()`` reuse can never
-    misattribute an event to a dead task's name.
+
+class JournalWriter:
+    """The one writer of the journal format: the file, the lock every
+    append takes (threads race, and seq numbers must be dense), ``seq``,
+    the buffer and its flush policy, ``fsync`` and ``ts``.  Subclasses
+    only format records, handing them to :meth:`_append` (or to
+    :meth:`_emit` while holding the lock, to intern names under it).
 
     Parameters
     ----------
@@ -104,9 +107,6 @@ class TraceJournal:
         "_buf",
         "_flush_every",
         "_fsync",
-        "_names",
-        "_pinned",
-        "_count",
         "_closed",
         "records_written",
         "flushes",
@@ -136,9 +136,6 @@ class TraceJournal:
         self._buf: list[str] = []
         self._flush_every = flush_every
         self._fsync = fsync
-        self._names: dict[int, str] = {}
-        self._pinned: list[object] = []  # strong refs: id() reuse guard
-        self._count = 0
         self._closed = False
         #: total records written (read by tests and the CLI)
         self.records_written = 0
@@ -155,6 +152,94 @@ class TraceJournal:
             "records_written": self.records_written,
             "flushes": self.flushes,
         }
+
+    def _emit(self, body: str, critical: bool) -> None:
+        """Append one record; the caller holds the lock.
+
+        *body* is the record's JSON fields sans ``seq`` (built with
+        f-strings, not :func:`json.dumps` — record-dense programs put
+        this call on the hot path, and the ``runtime.journal`` bound of
+        ``repro bench-record`` prices every
+        microsecond here).  Task names (``tN``) and int rids never need
+        escaping; loggers quote arbitrary strings (policy names, session
+        ids, error reprs) with :func:`json.dumps`.
+        """
+        if self._closed:
+            raise JournalError("journal already closed")
+        if self._ts_base is not None:
+            body = f'{body},"ts":{perf_counter_ns() - self._ts_base}'
+        self._buf.append(f'{{{body},"seq":{self._seq}}}\n')
+        self._seq += 1
+        self.records_written += 1
+        if critical or len(self._buf) >= self._flush_every:
+            self._flush_locked(fsync=critical and self._fsync)
+
+    def _append(self, body: str, critical: bool) -> None:
+        """:meth:`_emit` under the lock, for a record formatted outside it."""
+        with self._lock:
+            self._emit(body, critical)
+
+    def _flush_locked(self, *, fsync: bool) -> None:
+        """Push buffered lines to the OS; the caller holds the lock."""
+        obs = self._obs
+        t0 = perf_counter_ns() if obs is not None else 0
+        if self._buf:
+            self._fh.write("".join(self._buf))
+            self._buf.clear()
+        self._fh.flush()
+        if fsync:
+            os.fsync(self._fh.fileno())
+        self.flushes += 1
+        if obs is not None:
+            obs.journal_flush_ns.observe(perf_counter_ns() - t0)
+
+    def flush(self) -> None:
+        with self._lock:
+            if not self._closed:
+                self._flush_locked(fsync=False)
+
+    def close(self) -> None:
+        with self._lock:
+            if self._closed:
+                return
+            self._flush_locked(fsync=self._fsync)
+            self._closed = True
+            self._fh.close()
+
+    def __enter__(self: _Writer) -> _Writer:
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        self.close()
+        return False
+
+
+class TraceJournal(JournalWriter):
+    """Append-only JSONL journal of one runtime execution.
+
+    Vertices are interned to stable names (``t0``, ``t1``, ... in fork
+    order) exactly like the in-memory recorder; the journal keeps a
+    strong reference to each named vertex so ``id()`` reuse can never
+    misattribute an event to a dead task's name.  The parameters are
+    the writer's (:class:`JournalWriter`).
+    """
+
+    __slots__ = ("_names", "_pinned", "_count")
+
+    def __init__(
+        self,
+        path: str,
+        *,
+        flush_every: int = 64,
+        fsync: bool = False,
+        timestamps: bool = False,
+    ) -> None:
+        super().__init__(
+            path, flush_every=flush_every, fsync=fsync, timestamps=timestamps
+        )
+        self._names: dict[int, str] = {}
+        self._pinned: list[object] = []  # strong refs: id() reuse guard
+        self._count = 0
 
     # ------------------------------------------------------------------
     # naming
@@ -173,30 +258,6 @@ class TraceJournal:
         """The stable journal name of *vertex* (interning it if new)."""
         with self._lock:
             return self._intern(vertex)
-
-    # ------------------------------------------------------------------
-    # the append path
-    # ------------------------------------------------------------------
-    def _emit(self, body: str, critical: bool) -> None:
-        """Append one record; the caller holds the lock.
-
-        *body* is the record's JSON fields sans ``seq`` (built with
-        f-strings, not :func:`json.dumps` — record-dense programs put
-        this call on the hot path, and the ``runtime.journal`` bound of
-        ``repro bench-record`` prices every
-        microsecond here).  Task names are internal (``tN``) and never
-        need escaping; methods carrying arbitrary strings (policy names,
-        error reprs) quote those fields with :func:`json.dumps`.
-        """
-        if self._closed:
-            raise JournalError("journal already closed")
-        if self._ts_base is not None:
-            body = f'{body},"ts":{perf_counter_ns() - self._ts_base}'
-        self._buf.append(f'{{{body},"seq":{self._seq}}}\n')
-        self._seq += 1
-        self.records_written += 1
-        if critical or len(self._buf) >= self._flush_every:
-            self._flush_locked(fsync=critical and self._fsync)
 
     # ------------------------------------------------------------------
     # event loggers (called by the verifier / runtimes)
@@ -304,40 +365,82 @@ class TraceJournal:
                 True,
             )
 
-    # ------------------------------------------------------------------
-    def _flush_locked(self, *, fsync: bool) -> None:
-        """Push buffered lines to the OS; the caller holds the lock."""
-        obs = self._obs
-        t0 = perf_counter_ns() if obs is not None else 0
-        if self._buf:
-            self._fh.write("".join(self._buf))
-            self._buf.clear()
-        self._fh.flush()
-        if fsync:
-            os.fsync(self._fh.fileno())
-        self.flushes += 1
-        if obs is not None:
-            obs.journal_flush_ns.observe(perf_counter_ns() - t0)
 
-    def flush(self) -> None:
-        with self._lock:
-            if not self._closed:
-                self._flush_locked(fsync=False)
+def _rid(value: object) -> str:
+    """A wire rid as JSON: ints inline, anything else a peer sent encoded."""
+    return str(value) if type(value) is int else json.dumps(value)
 
-    def close(self) -> None:
-        with self._lock:
-            if self._closed:
-                return
-            self._flush_locked(fsync=self._fsync)
-            self._closed = True
-            self._fh.close()
 
-    def __enter__(self) -> "TraceJournal":
-        return self
+#: optional state-event fields; edge/depth are the authoritative placement
+#: on tenant forks — recovery must not re-derive sibling order from replay
+_EVENT_FIELDS = ("task", "parent", "child", "waiter", "joinee", "edge", "depth")
 
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self.close()
-        return False
+
+class ServiceJournal(JournalWriter):
+    """Append-only JSONL journal of every sidecar session's stream.
+
+    The record vocabulary is the trace journal's (``start``/``init``/
+    ``fork``/``join``/``verdict``/``quarantine``) with a ``session``
+    field on every record and client-assigned integer rids instead of
+    interned ``tN`` names.  ``seq`` is global and dense across all
+    sessions — the interleaving *is* the information a post-mortem
+    needs, and density is what :func:`read_journal` verifies.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, path: str, *, flush_every: int = 64) -> None:
+        super().__init__(path, flush_every=flush_every)
+
+    def log_session(
+        self,
+        session_id: str,
+        policy: str,
+        fail_mode: str,
+        tenant: "str | None" = None,
+    ) -> None:
+        """A session came into existence; critical — resume depends on it."""
+        body = (
+            f'"kind":"start","session":{json.dumps(session_id)},'
+            f'"policy":{json.dumps(policy)},"fail_mode":{json.dumps(fail_mode)},'
+            f'"runtime":"service"'
+        )
+        if tenant is not None:
+            body += f',"tenant":{json.dumps(tenant)}'
+        self._append(body, True)
+
+    def log_event(self, session_id: str, record: dict) -> None:
+        """One validated state event (``init``/``fork``/``join``) as it arrived."""
+        body = (
+            f'"kind":"{record["kind"]}","session":{json.dumps(session_id)},'
+            f'"cseq":{_rid(record["cseq"])}'
+        )
+        for name in _EVENT_FIELDS:
+            if name in record:
+                body += f',"{name}":{_rid(record[name])}'
+        self._append(body, False)
+
+    def log_verdict(self, session_id: str, waiter: int, joinee: int, ok: bool) -> None:
+        # Always critical: the verdict reply must not outrun durability.
+        # A kill -9 between an answered check and its flush would make the
+        # rebuilt session undercount — breaking the exact-stats contract
+        # reconcile-on-reconnect promises.  (A flush is a buffered write
+        # to the page cache, not an fsync; the cost is noise next to the
+        # network round trip the check already paid.)
+        body = (
+            f'"kind":"verdict","session":{json.dumps(session_id)},'
+            f'"waiter":{_rid(waiter)},"joinee":{_rid(joinee)},'
+            f'"ok":{"true" if ok else "false"}'
+        )
+        self._append(body, True)
+
+    def log_quarantine(self, session_id: str, policy: str, site: str, error: str) -> None:
+        body = (
+            f'"kind":"quarantine","session":{json.dumps(session_id)},'
+            f'"policy":{json.dumps(policy)},"site":{json.dumps(site)},'
+            f'"error":{json.dumps(error)}'
+        )
+        self._append(body, True)
 
 
 # ----------------------------------------------------------------------

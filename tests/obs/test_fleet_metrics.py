@@ -152,6 +152,11 @@ class TestFleetExactness:
         assert _worker_fork_count(fleet) == dispatches * fanout
         # parent series are labelled too
         assert 'runtime{process="parent"}' in fleet["sources"]
+        # One store per fact: one tasks count (parent completions plus
+        # worker tasks), in the runtime source, and no repro_procs_* series.
+        assert "repro_procs_" not in str(fleet["counters"]) + str(fleet["gauges"])
+        tasks = [f.get("procs_tasks_total") for f in fleet["sources"].values()]
+        assert [t for t in tasks if t is not None] == [dispatches * (1 + fanout)]
 
     def test_totals_stay_exact_across_a_sigkilled_worker(self):
         """Kill an idle worker between two dispatch waves: its wave-1

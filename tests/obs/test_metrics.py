@@ -214,6 +214,13 @@ class TestPrometheusRendering:
         samples, _ = _parse_prometheus(reg.to_prometheus())
         assert samples['h_bucket{le="10",policy="TJ"}'] == 1
 
+    def test_one_type_line_per_family_across_labelled_series(self):
+        reg = MetricsRegistry()
+        for policy in ("TJ-SP", "KJ-VC"):
+            reg.histogram("repro_verifier_join_check_ns", labels={"policy": policy}).observe(1)
+        text = reg.to_prometheus()
+        assert text.count("# TYPE repro_verifier_join_check_ns histogram") == 1
+
     def test_source_fields_export_as_prefixed_gauges(self):
         reg = MetricsRegistry()
         reg.add_source("verifier", lambda: {"forks": 9})

@@ -24,6 +24,7 @@ import warnings
 
 import pytest
 
+from repro import obs
 from repro.core.policy import make_policy
 from repro.errors import ServiceDegradedWarning
 from repro.runtime.threaded import TaskRuntime
@@ -106,6 +107,27 @@ class TestDegradedFromBirth:
                 assert session["joins_rejected"] == 0
             finally:
                 rv.close()
+
+    def test_a_reconnect_with_nothing_to_replay_is_no_reconcile(self, tmp_path):
+        with obs.enabled(tracing=False) as tel, VerificationServer(
+            journal_path=str(tmp_path / "svc.jsonl"), ack_every=1
+        ) as srv, warnings.catch_warnings():
+            warnings.simplefilter("ignore", ServiceDegradedWarning)
+            with RemoteVerifier(remote_url(srv), session="s1", liveness_timeout=5.0) as rv:
+                root = rv.on_init()
+                kid = rv.on_fork(root)
+                rv._test_drop_connection()  # episode 1: a local check to recheck
+                assert rv.check_join(root, kid) is True
+                assert rv.try_reconnect() is True
+                assert wait_until(lambda: srv.session("s1").snapshot()["joins_checked"] == 1)
+                rv._test_drop_connection()  # episode 2: nothing to replay
+                assert rv.try_reconnect() is True
+                snap = tel.snapshot()
+                assert (rv.degradations, rv.reconciles) == (2, 1)
+                assert snap["counters"]['repro_service_reconciles_total{session="s1"}'] == 1
+                # the sidecar journal reports as any journal does
+                assert snap["sources"]["journal"]["records_written"] == srv.journal.records_written
+                assert snap["histograms"]["repro_journal_flush_ns"]["count"] >= 1
 
 
 class TestKill9MidWorkload:

@@ -16,17 +16,20 @@ import warnings
 
 import pytest
 
+from repro import obs
 from repro.core.policy import make_policy
 from repro.core.verifier import Verifier
 from repro.errors import (
+    JournalError,
     PolicyQuarantinedError,
     PolicyQuarantineWarning,
     ServiceBackpressureError,
     ServiceDegradedWarning,
 )
 from repro.service.client import RemoteVerifier, parse_remote_url
-from repro.service.server import VerificationServer
+from repro.service.server import ServiceJournal, VerificationServer
 from repro.service.wire import WIRE_VERSION, RecordStream
+from repro.tools.journal import read_journal
 
 
 def wait_until(predicate, timeout: float = 5.0, interval: float = 0.005) -> bool:
@@ -301,6 +304,23 @@ class TestQuarantineIsolation:
                 with pytest.raises(PolicyQuarantinedError):
                     rv.check_join(root, kid)
 
+    def test_an_adopted_quarantine_is_counted_only_as_policy_faults(self, server):
+        with obs.enabled(tracing=False) as tel, RemoteVerifier(
+            remote_url(server), session="once"
+        ) as rv, warnings.catch_warnings():
+            warnings.simplefilter("ignore", PolicyQuarantineWarning)
+            root = rv.on_init()
+            kid = rv.on_fork(root)
+            assert rv.check_join(root, kid) is True
+            self._poison(server, "once")
+            rv.check_join(root, kid)
+            assert wait_until(lambda: rv.quarantined)
+            snap = tel.snapshot()
+        # one fault in the sidecar session, one adoption in the client
+        assert rv.stats.policy_faults == server.session("once").verifier.stats.policy_faults == 1
+        assert snap["sources"]["verifier"]["policy_faults"] == 2
+        assert "quarantine" not in str(snap["counters"])
+
     def test_quarantine_survives_in_the_journal(self, server):
         with RemoteVerifier(remote_url(server), "TJ-SP", session="post") as rv:
             root = rv.on_init()
@@ -416,6 +436,29 @@ class TestRestartRecovery:
         result = read_journal(path)
         assert not result.torn_tail
         assert [r["seq"] for r in result.records] == list(range(len(result.records)))
+
+    def test_journal_records_keep_their_fields(self, tmp_path):
+        path = str(tmp_path / "fields.jsonl")
+        journal = ServiceJournal(path, flush_every=2)
+        journal.log_session("s", "TJ-SP", "open", tenant="t")
+        journal.log_event("s", {"kind": "init", "task": 0, "cseq": 0})
+        fork = {"kind": "fork", "parent": 0, "child": 1, "cseq": 1, "edge": 0, "depth": 1}
+        journal.log_event("s", fork)
+        journal.log_verdict("s", 0, 1, True)
+        journal.log_quarantine("s", "TJ-SP", "permits", "RuntimeError('bug')")
+        journal.close()
+        with pytest.raises(JournalError):
+            journal.log_verdict("s", 0, 1, False)
+        s = {"session": "s"}
+        assert read_journal(path).records == [
+            {"kind": "start", **s, "policy": "TJ-SP", "fail_mode": "open", "runtime": "service",
+             "tenant": "t", "seq": 0},
+            {"kind": "init", **s, "cseq": 0, "task": 0, "seq": 1},
+            {**fork, **s, "seq": 2},
+            {"kind": "verdict", **s, "waiter": 0, "joinee": 1, "ok": True, "seq": 3},
+            {"kind": "quarantine", **s, "policy": "TJ-SP", "site": "permits",
+             "error": "RuntimeError('bug')", "seq": 4},
+        ]
 
     def test_unreadable_journal_is_set_aside_not_trusted(self, tmp_path):
         path = str(tmp_path / "svc.jsonl")
