@@ -10,7 +10,8 @@ included.  :mod:`repro.analysis.bounds` judges them.
 * ``hotpath`` — the verifier alone (``on_fork``/``check_join(s)``
   through :class:`~repro.core.verifier.Verifier`) on four synthetic
   shapes, for every TJ variant and the KJ baselines: join-heavy
-  (barrier re-joins, the verdict cache's home), fork-heavy (O(1) row
+  (barrier re-joins of one join set, which the pure-Python TJ-SP
+  kernel answers from its batch-verdict cache), fork-heavy (O(1) row
   append vs O(h) tuple copy), deep-tree (long ``Less`` walks) and
   wide-tree (a star).
 * ``runtime`` — whole programs with the supervision layer in the loop:

@@ -2,11 +2,14 @@
  *
  * This is the optional compiled backend of `repro.core.tj_sp_flat`: the
  * same struct-of-arrays representation as the pure-Python `FlatTreePy`
- * kernel — parallel int64 buffers `parent` / `edge` / `depth` /
+ * kernel — parallel int32 buffers `parent` / `edge` / `depth` /
  * `children` / `last_ok` indexed by a dense stable id, grown by
- * doubling — with `Less` as C-level index chasing and `permits_many` as
- * one C loop per batch.  It is built on demand by `repro.core._cbuild`
- * with whatever C compiler the host has; when none is available the
+ * doubling, 20 bytes a vertex — with `Less` as C-level index chasing and
+ * `permits_many` as one C loop per batch (no batch-verdict cache: the
+ * loop costs no more than a lookup would).  Every id, depth and sibling
+ * index is below the vertex count, which FLAT_MAX_VERTICES caps so they
+ * all fit int32.  It is built on demand by `repro.core._cbuild` with
+ * whatever C compiler the host has; when none is available the
  * pure-Python kernel serves the identical semantics (the differential
  * suite in tests/core/test_flat_tj_sp.py proves verdict equality).
  *
@@ -26,15 +29,19 @@
 /* FlatTree: the struct-of-arrays spawn-path forest                    */
 /* ------------------------------------------------------------------ */
 
+/* Ids are int32 row indices, so the forest holds at most this many. */
+#define FLAT_MAX_VERTICES INT32_MAX
+
 typedef struct {
     PyObject_HEAD
-    int64_t *parent;
-    int64_t *edge;
-    int64_t *depth;
-    int64_t *children;
-    int64_t *last_ok;
+    int32_t *parent;
+    int32_t *edge;
+    int32_t *depth;
+    int32_t *children;
+    int32_t *last_ok;
     Py_ssize_t n;
     Py_ssize_t cap;
+    Py_ssize_t batch_calls; /* permits_many calls, for cache_stats() */
 } FlatTree;
 
 static int
@@ -48,7 +55,8 @@ flattree_grow(FlatTree *self, Py_ssize_t need)
         cap *= 2;
 #define GROW(field)                                                        \
     do {                                                                   \
-        int64_t *buf = PyMem_Realloc(self->field, cap * sizeof(int64_t));  \
+        int32_t *buf = PyMem_Realloc(self->field,                          \
+                                     (size_t)cap * sizeof(int32_t));       \
         if (buf == NULL) {                                                 \
             PyErr_NoMemory();                                              \
             return -1;                                                     \
@@ -66,7 +74,8 @@ flattree_grow(FlatTree *self, Py_ssize_t need)
 }
 
 static PyObject *
-flattree_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
+flattree_new(PyTypeObject *type, PyObject *Py_UNUSED(args),
+             PyObject *Py_UNUSED(kwds))
 {
     FlatTree *self = (FlatTree *)type->tp_alloc(type, 0);
     if (self == NULL)
@@ -74,6 +83,7 @@ flattree_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
     self->parent = self->edge = self->depth = self->children = self->last_ok = NULL;
     self->n = 0;
     self->cap = 0;
+    self->batch_calls = 0;
     return (PyObject *)self;
 }
 
@@ -88,6 +98,8 @@ flattree_dealloc(FlatTree *self)
     Py_TYPE(self)->tp_free((PyObject *)self);
 }
 
+/* Every id from Python passes here before it is narrowed to int32:
+ * 0 <= id < n <= FLAT_MAX_VERTICES, so the cast cannot truncate. */
 static int
 flattree_check_id(FlatTree *self, Py_ssize_t id, const char *what)
 {
@@ -109,6 +121,11 @@ flattree_add_child(FlatTree *self, PyObject *arg)
         PyErr_Format(PyExc_ValueError, "unknown parent id %zd", p);
         return NULL;
     }
+    if (self->n >= FLAT_MAX_VERTICES) {
+        PyErr_Format(PyExc_OverflowError,
+                     "flat TJ-SP forest is full (%d vertices)", FLAT_MAX_VERTICES);
+        return NULL;
+    }
     if (flattree_grow(self, self->n + 1) < 0)
         return NULL;
     id = self->n;
@@ -118,7 +135,7 @@ flattree_add_child(FlatTree *self, PyObject *arg)
         self->depth[id] = 0;
     }
     else {
-        self->parent[id] = p;
+        self->parent[id] = (int32_t)p;
         self->edge[id] = self->children[p]++;
         self->depth[id] = self->depth[p] + 1;
     }
@@ -133,12 +150,12 @@ flattree_add_child(FlatTree *self, PyObject *arg)
  * the LCA, and compare the dangling edges (later sibling is smaller;
  * only a proper ancestor is less). */
 static int
-flat_less(const FlatTree *t, int64_t a, int64_t b)
+flat_less(const FlatTree *t, int32_t a, int32_t b)
 {
-    const int64_t *parent = t->parent;
-    const int64_t *edge = t->edge;
-    int64_t e1 = -1, e2 = -1;
-    int64_t d1, d2;
+    const int32_t *parent = t->parent;
+    const int32_t *edge = t->edge;
+    int32_t e1 = -1, e2 = -1;
+    int32_t d1, d2;
     if (a == b)
         return 0;
     d1 = t->depth[a];
@@ -169,7 +186,7 @@ flat_less(const FlatTree *t, int64_t a, int64_t b)
 /* permits(a, b) with the monotone last-ok fast path (verdicts are
  * fixed at fork time, so a permitted pair stays permitted forever). */
 static int
-flat_permits(FlatTree *self, int64_t a, int64_t b)
+flat_permits(FlatTree *self, int32_t a, int32_t b)
 {
     int v;
     if (self->last_ok[a] == b)
@@ -189,7 +206,7 @@ flattree_permits(FlatTree *self, PyObject *args)
     if (flattree_check_id(self, a, "joiner") < 0 ||
         flattree_check_id(self, b, "joinee") < 0)
         return NULL;
-    return PyBool_FromLong(flat_permits(self, a, b));
+    return PyBool_FromLong(flat_permits(self, (int32_t)a, (int32_t)b));
 }
 
 static PyObject *
@@ -199,6 +216,7 @@ flattree_permits_many(FlatTree *self, PyObject *args)
     PyObject *joinees, *fast, *out;
     if (!PyArg_ParseTuple(args, "nO:permits_many", &a, &joinees))
         return NULL;
+    self->batch_calls++;
     if (flattree_check_id(self, a, "joiner") < 0)
         return NULL;
     fast = PySequence_Fast(joinees, "joinees must be a sequence of ids");
@@ -218,7 +236,7 @@ flattree_permits_many(FlatTree *self, PyObject *args)
             goto fail;
         if (flattree_check_id(self, b, "joinee") < 0)
             goto fail;
-        v = flat_permits(self, a, b) ? Py_True : Py_False;
+        v = flat_permits(self, (int32_t)a, (int32_t)b) ? Py_True : Py_False;
         Py_INCREF(v);
         PyList_SET_ITEM(out, i, v);
     }
@@ -247,7 +265,7 @@ static PyObject *
 flattree_path_of(FlatTree *self, PyObject *arg)
 {
     Py_ssize_t id = PyNumber_AsSsize_t(arg, PyExc_OverflowError);
-    int64_t node, d;
+    int32_t node, d;
     PyObject *out;
     if (id == -1 && PyErr_Occurred())
         return NULL;
@@ -257,7 +275,7 @@ flattree_path_of(FlatTree *self, PyObject *arg)
     out = PyTuple_New(d);
     if (out == NULL)
         return NULL;
-    node = id;
+    node = (int32_t)id;
     while (d > 0) {
         PyObject *e = PyLong_FromLongLong(self->edge[node]);
         if (e == NULL) {
@@ -277,6 +295,16 @@ flattree_len(FlatTree *self, PyObject *Py_UNUSED(ignored))
     return PyLong_FromSsize_t(self->n);
 }
 
+/* The batch cache this kernel does not keep, reported as one of
+ * capacity zero: no entry is held and every batch call is a miss that
+ * is evicted at once, so a hit ratio derived from these counts is 0. */
+static PyObject *
+flattree_cache_stats(FlatTree *self, PyObject *Py_UNUSED(ignored))
+{
+    return Py_BuildValue("{s:i,s:n}", "batch_entries", 0,
+                         "evictions", self->batch_calls);
+}
+
 static PyMethodDef flattree_methods[] = {
     {"add_child", (PyCFunction)flattree_add_child, METH_O,
      "add_child(parent_id) -> id   (parent_id < 0 creates a root)"},
@@ -288,6 +316,8 @@ static PyMethodDef flattree_methods[] = {
      "depth_of(id) -> int"},
     {"path_of", (PyCFunction)flattree_path_of, METH_O,
      "path_of(id) -> tuple  (the legacy spawn-path tuple)"},
+    {"cache_stats", (PyCFunction)flattree_cache_stats, METH_NOARGS,
+     "cache_stats() -> {'batch_entries': 0, 'evictions': batch calls}"},
     {"__len__", (PyCFunction)flattree_len, METH_NOARGS, NULL},
     {NULL, NULL, 0, NULL},
 };

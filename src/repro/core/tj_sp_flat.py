@@ -5,7 +5,7 @@ A hash-consed prefix tree of node objects gets the asymptotics right
 ``Less`` step pays attribute loads and every batch check a Python loop.
 This module removes the objects entirely, in the style of DePa's
 machine-word path encodings: the whole spawn-path forest lives in
-parallel int64 buffers —
+parallel integer buffers —
 
 * ``parent[id]`` — parent vertex id (-1 for a root),
 * ``edge[id]``   — sibling index (the spawn-path entry),
@@ -28,20 +28,25 @@ Two interchangeable kernels serve the representation:
   the joiner's ancestor chain, and answer n joins in O(max depth) vector
   operations instead of n pointer walks.  NumPy mirrors of the buffers
   are synced lazily, at batch time — forks touch only Python lists.
+  In front of both batch paths sits a bounded **batch cache**
+  ``(joiner, joinee-tuple) -> verdicts``, sound because TJ verdicts are
+  fixed at fork time, which turns the barrier/finish pattern of
+  re-verifying the same join set every phase into one dict hit per
+  drain.  It evicts in chunks (the oldest eighth, via
+  :func:`repro.core.policy.evict_chunk`) rather than one entry per
+  insert, and counts evictions (``cache_stats()``).
 * the compiled kernel of ``_tj_sp_c.c`` (built on demand by
-  :mod:`repro.core._cbuild`) — the same arrays in C, with ``Less`` and
-  ``permits_many`` as C loops.
+  :mod:`repro.core._cbuild`) — the same arrays in C as int32 columns
+  (20 bytes per vertex, at most 2**31 - 1 vertices), with ``Less`` and
+  ``permits_many`` as C loops.  It keeps no batch cache: a C loop over
+  the batch costs no more than the lookup would, so its
+  ``cache_stats()`` reports a cache of capacity zero (no entries, every
+  batch call evicted).
 
 :class:`TJSpawnPathsFlat` (registered as ``"TJ-SP"``) wraps either
-kernel, binding the kernel's ``permits`` straight onto the instance so a
-scalar check is one call into the core with no policy-level dispatch.
-On top it adds one cache the kernels cannot see: a bounded **batch
-cache** ``(joiner, joinee-tuple) -> verdicts`` serving ``permits_many``,
-sound because TJ verdicts are fixed at fork time, which turns the
-barrier/finish pattern of re-verifying the same join set every phase
-into one dict hit per drain.  The cache evicts in chunks (the oldest
-eighth, via :func:`repro.core.policy.evict_chunk`) rather than one
-entry per insert, and counts evictions (``cache_stats()``).
+kernel, binding the kernel's ``permits`` and ``permits_many`` straight
+onto the instance, so a check is one call into the core with no
+policy-level dispatch.
 
 The seed tuples survive as ``"TJ-SP-legacy"``;
 ``tests/core/test_spawn_path_oracle.py`` checks every spawn-path store
@@ -126,10 +131,14 @@ class FlatTreePy:
         "_np_cap",
         "_np_synced",
         "_np_holes",
+        "_batch_verdicts",
+        "cache_evictions",
     )
 
     #: initial mirror capacity (small, so tests cross growth boundaries)
     INITIAL_CAPACITY = 8
+    #: batch-verdict cache capacity
+    BATCH_CACHE_CAPACITY = 1 << 12
     #: largest per-thread id block (bounds placeholder waste per thread)
     BLOCK_CAP = 64
     #: parent sentinel of a reserved-but-unfilled row
@@ -153,6 +162,9 @@ class FlatTreePy:
         self._np_parent = self._np_edge = self._np_depth = None
         #: mirror positions synced while still holes, to re-copy later
         self._np_holes: list[int] = []
+        self._batch_verdicts: dict[tuple, tuple[bool, ...]] = {}
+        #: total batch-cache entries evicted over this kernel's lifetime
+        self.cache_evictions = 0
 
     # ------------------------------------------------------------------
     def _reserve(self) -> "_ThreadBlock":
@@ -294,10 +306,29 @@ class FlatTreePy:
         return False
 
     def permits_many(self, joiner: int, joinees: Sequence[int]) -> list[bool]:
-        if _np is not None and len(joinees) >= VECTOR_MIN:
-            return self._permits_batch_np(joiner, joinees)
-        permits = self.permits
-        return [permits(joiner, joinee) for joinee in joinees]
+        ids = tuple(joinees)
+        if not ids:
+            return []
+        cache = self._batch_verdicts
+        key = (joiner, ids)
+        hit = cache.get(key)
+        if hit is None:
+            if _np is not None and len(ids) >= VECTOR_MIN:
+                hit = tuple(self._permits_batch_np(joiner, ids))
+            else:
+                permits = self.permits
+                hit = tuple([permits(joiner, joinee) for joinee in ids])
+            if len(cache) >= self.BATCH_CACHE_CAPACITY:
+                self.cache_evictions += _evict_chunk(cache, self.BATCH_CACHE_CAPACITY)
+            cache[key] = hit
+        return list(hit)
+
+    def cache_stats(self) -> dict[str, int]:
+        """Size and total evictions of the batch-verdict cache."""
+        return {
+            "batch_entries": len(self._batch_verdicts),
+            "evictions": self.cache_evictions,
+        }
 
     # ------------------------------------------------------------------
     def _permits_batch_np(self, joiner: int, joinees: Sequence[int]) -> list[bool]:
@@ -395,18 +426,15 @@ class TJSpawnPathsFlat(JoinPolicy):
     the verifier stamps onto its latency histograms and the hot-path
     benchmark records next to every measurement.
 
-    ``permits`` is rebound on the instance to the kernel's own method:
-    a scalar check costs no policy-level Python frame at all, and the
-    kernel's per-task ``last_ok`` slot (sound — TJ verdicts are fixed
-    at fork time) is the only scalar cache.  ``permits_many`` keeps a
-    policy-level bounded batch-verdict cache on top.
+    ``permits`` and ``permits_many`` are rebound on the instance to the
+    kernel's own methods: a check costs no policy-level Python frame at
+    all.  The kernel's per-task ``last_ok`` slot (sound — TJ verdicts
+    are fixed at fork time) is the only scalar cache; the only batch
+    cache is the pure-Python kernel's (see :class:`FlatTreePy`).
     """
 
     name = "TJ-SP"
     stable_permits = True
-
-    #: batch-verdict cache capacity (both kernels)
-    BATCH_CACHE_CAPACITY = 1 << 12
 
     def __init__(self, backend: Optional[str] = None) -> None:
         choice = backend_choice() if backend is None else backend.strip().lower()
@@ -426,9 +454,7 @@ class TJSpawnPathsFlat(JoinPolicy):
         # Hot-path rebinds: instance attributes shadow the class methods,
         # so callers dispatch straight into the kernel.
         self.permits = self._core.permits
-        self._batch_verdicts: dict[tuple, tuple[bool, ...]] = {}
-        #: total batch-cache entries evicted over this policy's lifetime
-        self.cache_evictions = 0
+        self.permits_many = self._core.permits_many
 
     # ------------------------------------------------------------------
     def add_child(self, parent: Optional[int]) -> int:
@@ -439,34 +465,17 @@ class TJSpawnPathsFlat(JoinPolicy):
         # contract is visibly satisfied at class level.
         return self._core.permits(joiner, joinee)
 
-    def permits_many(self, joiner: int, joinees: Sequence[int]) -> list[bool]:
-        ids = tuple(joinees)
-        if not ids:
-            return []
-        cache = self._batch_verdicts
-        key = (joiner, ids)
-        hit = cache.get(key)
-        if hit is None:
-            hit = tuple(self._core.permits_many(joiner, ids))
-            if len(cache) >= self.BATCH_CACHE_CAPACITY:
-                self.cache_evictions += _evict_chunk(
-                    cache, self.BATCH_CACHE_CAPACITY
-                )
-            cache[key] = hit
-        return list(hit)
-
     # ------------------------------------------------------------------
     def cache_stats(self) -> dict[str, int]:
-        """Size and total evictions of the batch-verdict cache."""
-        return {
-            "batch_entries": len(self._batch_verdicts),
-            "evictions": self.cache_evictions,
-        }
+        """The kernel's batch-verdict cache: its size and total
+        evictions (the compiled kernel reports a capacity-zero cache)."""
+        return self._core.cache_stats()
 
     def space_units(self) -> int:
         """Live storage in atomic slots: 4 per vertex (parent, edge,
-        depth, last-ok); the bounded batch cache is O(1) by construction
-        and not counted."""
+        depth, last-ok), whatever the kernel's slot width; the pure-Python
+        kernel's bounded batch cache is O(1) by construction and not
+        counted (the compiled kernel keeps none)."""
         return 4 * len(self._core)
 
     # Debug/differential helpers (never on the hot path) -----------------

@@ -7,12 +7,14 @@ implementation (``TJ-SP-legacy``), across 1000+ random trees and across
 the kernels' growth/reallocation boundaries.  (The formal TJ order
 itself is the oracle of ``test_spawn_path_oracle.py``.)  Plus the
 backend-selection contract (``REPRO_TJ_BACKEND`` / ``backend=``), the
-chunked verdict-cache eviction, the generic ``permits_many``/scalar
-agreement for every other policy, and the per-backend verifier
-histogram labels.
+compiled kernel's 20-byte rows and capacity-zero cache stats, the
+pure-Python kernel's chunked verdict-cache eviction, the generic
+``permits_many``/scalar agreement for every other policy, and the
+per-backend verifier histogram labels.
 """
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -79,8 +81,9 @@ class TestDifferential:
                 want = [ref.permits(rv[joiner], rv[j]) for j in joinees]
                 got = flat.permits_many(fv[joiner], [fv[j] for j in joinees])
                 assert got == want
-                # and again, through the batch verdict cache
+                # and again: a batch-cache hit on py, a recompute on C
                 assert flat.permits_many(fv[joiner], [fv[j] for j in joinees]) == want
+            assert flat.permits_many(fv[0], []) == []
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_growth_boundaries(self, backend):
@@ -163,6 +166,8 @@ class TestFlatKernel:
         p.add_child(None)
         with pytest.raises(ValueError):
             p.add_child(7)
+        with pytest.raises(ValueError):  # range-checked before any narrowing
+            p.add_child(1 << 32)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_space_units_track_tasks(self, backend):
@@ -193,6 +198,34 @@ class TestFlatKernel:
         kids = [t.add_child(root) for _ in range(VECTOR_MIN)]
         with pytest.raises(ValueError):
             t.permits_many(root, kids[:-1] + [len(t) + 3])
+
+    @needs_c
+    def test_compiled_rows_are_20_bytes(self):
+        """Five int32 columns: a full doubling step costs 20 B per vertex."""
+        p = TJSpawnPathsFlat(backend="c")
+        n = 1 << 15  # the capacity lands exactly on n
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            root = p.add_child(None)
+            for _ in range(n - 1):
+                p.add_child(root)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(p._core) == n
+        # 1 B per vertex of slack absorbs stray allocations from other threads
+        assert grown <= 21 * n
+
+    @needs_c
+    def test_compiled_kernel_reports_a_capacity_zero_cache(self):
+        """No batch cache on C: nothing held, every batch call evicted."""
+        p = TJSpawnPathsFlat(backend="c")
+        root = p.add_child(None)
+        kid = p.add_child(root)
+        for _ in range(5):
+            assert p.permits_many(root, [kid]) == [True]
+        assert p.cache_stats() == {"batch_entries": 0, "evictions": 5}
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_last_ok_monotone_fast_path(self, backend):
@@ -244,32 +277,32 @@ class TestBackendSelection:
 
 
 # ----------------------------------------------------------------------
-# verdict-cache eviction (the chunked fix)
+# the pure-Python kernel's verdict-cache eviction (the chunked fix)
 # ----------------------------------------------------------------------
 class TestChunkedEviction:
-    def test_flat_batch_cache_evicts_in_chunks(self):
-        p = TJSpawnPathsFlat(backend="py")
-        p.BATCH_CACHE_CAPACITY = 16
-        root = p.add_child(None)
-        kids = [p.add_child(root) for _ in range(40)]
+    def test_flat_batch_cache_evicts_in_chunks(self, monkeypatch):
+        monkeypatch.setattr(FlatTreePy, "BATCH_CACHE_CAPACITY", 16)
+        t = FlatTreePy()
+        root = t.add_child(-1)
+        kids = [t.add_child(root) for _ in range(40)]
         for kid in kids[:16]:
-            p.permits_many(root, [kid])
-        assert p.cache_stats() == {"batch_entries": 16, "evictions": 0}
-        p.permits_many(root, [kids[16]])
-        stats = p.cache_stats()
+            t.permits_many(root, [kid])
+        assert t.cache_stats() == {"batch_entries": 16, "evictions": 0}
+        t.permits_many(root, [kids[16]])
+        stats = t.cache_stats()
         assert stats["evictions"] == 2  # 16 >> 3
         assert stats["batch_entries"] == 16 - 2 + 1
-        p.permits_many(root, [kids[17]])  # fits in the freed slot
-        assert p.cache_stats()["evictions"] == 2
+        t.permits_many(root, [kids[17]])  # fits in the freed slot
+        assert t.cache_stats()["evictions"] == 2
 
-    def test_evicted_entries_recompute_correctly(self):
-        p = TJSpawnPathsFlat(backend="py")
-        p.BATCH_CACHE_CAPACITY = 8
-        root = p.add_child(None)
-        kids = [p.add_child(root) for _ in range(30)]
-        want = {k: p.permits_many(root, [k])[0] for k in kids}
+    def test_evicted_entries_recompute_correctly(self, monkeypatch):
+        monkeypatch.setattr(FlatTreePy, "BATCH_CACHE_CAPACITY", 8)
+        t = FlatTreePy()
+        root = t.add_child(-1)
+        kids = [t.add_child(root) for _ in range(30)]
+        want = {k: t.permits_many(root, [k])[0] for k in kids}
         for k in kids:  # thrash far past capacity, then re-ask everything
-            assert p.permits_many(root, [k]) == [want[k]]
+            assert t.permits_many(root, [k]) == [want[k]]
 
 
 # ----------------------------------------------------------------------
