@@ -32,75 +32,44 @@ Quickstart::
     assert rt.run(main) == 42
 """
 
-from . import armus, constructs, core, formal, kj
-from .core import (
-    JoinPolicy,
-    NullPolicy,
-    TJGlobalTree,
-    TJJumpPointers,
-    TJOrderMaintenance,
-    TJSpawnPathsFlat,
-    Verifier,
-    make_policy,
-)
-from .armus import ArmusDetector, HybridVerifier
-from .errors import (
-    DeadlockAvoidedError,
-    DeadlockDetectedError,
-    DeadlockError,
-    PolicyQuarantinedError,
-    PolicyQuarantineWarning,
-    PolicyViolationError,
-    ReproError,
-    TaskFailedError,
-)
-from .constructs import CilkFrame, FinishAccumulator, finish
-from .kj import KJCompactClock, KJSnapshotSets, KJVectorClock
-from .runtime import (
-    AsyncioRuntime,
-    CooperativeRuntime,
-    Future,
-    RetryPolicy,
-    TaskRuntime,
-    VerifiedExecutor,
-    WorkSharingRuntime,
-    current_task,
-)
+from . import _lazy
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "JoinPolicy",
-    "NullPolicy",
-    "TJGlobalTree",
-    "TJJumpPointers",
-    "TJSpawnPathsFlat",
-    "TJOrderMaintenance",
-    "KJVectorClock",
-    "KJSnapshotSets",
-    "KJCompactClock",
-    "Verifier",
-    "HybridVerifier",
-    "ArmusDetector",
-    "make_policy",
-    "TaskRuntime",
-    "CooperativeRuntime",
-    "WorkSharingRuntime",
-    "AsyncioRuntime",
-    "VerifiedExecutor",
-    "Future",
-    "current_task",
-    "finish",
-    "FinishAccumulator",
-    "CilkFrame",
-    "ReproError",
-    "PolicyViolationError",
-    "PolicyQuarantinedError",
-    "PolicyQuarantineWarning",
-    "DeadlockError",
-    "DeadlockAvoidedError",
-    "DeadlockDetectedError",
-    "TaskFailedError",
-    "RetryPolicy",
-    "__version__",
-]
+_EXPORTS = {
+    "JoinPolicy": ".core.policy",
+    "NullPolicy": ".core.policy",
+    "TJGlobalTree": ".core.tj_gt",
+    "TJJumpPointers": ".core.tj_jp",
+    "TJSpawnPathsFlat": ".core.tj_sp_flat",
+    "TJOrderMaintenance": ".core.tj_om",
+    "KJVectorClock": ".kj.kj_vc",
+    "KJSnapshotSets": ".kj.kj_ss",
+    "KJCompactClock": ".kj.kj_cc",
+    "Verifier": ".core.verifier",
+    "HybridVerifier": ".armus.hybrid",
+    "ArmusDetector": ".armus.detector",
+    "make_policy": ".core.policy",
+    "TaskRuntime": ".runtime.threaded",
+    "CooperativeRuntime": ".runtime.cooperative",
+    "WorkSharingRuntime": ".runtime.pool",
+    "AsyncioRuntime": ".runtime.asyncio_adapter",
+    "VerifiedExecutor": ".runtime.executor",
+    "Future": ".runtime.future",
+    "current_task": ".runtime.context",
+    "finish": ".constructs.finish",
+    "FinishAccumulator": ".constructs.accumulator",
+    "CilkFrame": ".constructs.cilk",
+    "ReproError": ".errors",
+    "PolicyViolationError": ".errors",
+    "PolicyQuarantinedError": ".errors",
+    "PolicyQuarantineWarning": ".errors",
+    "DeadlockError": ".errors",
+    "DeadlockAvoidedError": ".errors",
+    "DeadlockDetectedError": ".errors",
+    "TaskFailedError": ".errors",
+    "RetryPolicy": ".runtime.retry",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+__getattr__, __dir__ = _lazy.lazy_exports(__name__, globals(), _EXPORTS)

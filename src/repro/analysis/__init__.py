@@ -1,10 +1,5 @@
 """Result aggregation: Table 1, Table 2, Figure 2, and the benchmark record."""
 
-# importing the policy packages guarantees the registry is populated for
-# anyone who imports the analysis layer directly
-from .. import core as _core  # noqa: F401
-from .. import kj as _kj  # noqa: F401
-
 from .bounds import BOUNDS, judge
 from .figure2 import figure2_data, render_figure2
 from .stats import confidence_interval, geometric_mean, mean, median, stdev, t_critical

@@ -6,17 +6,17 @@ composition under which every verifier in the evaluation is sound *and*
 precise.
 """
 
-from .detector import ArmusDetector, ArmusStats
-from .generalized import GeneralizedDetector, GeneralizedStats
-from .graph import WaitsForGraph
-from .hybrid import HybridVerifier, replay_trace
+from .. import _lazy
 
-__all__ = [
-    "ArmusDetector",
-    "ArmusStats",
-    "GeneralizedDetector",
-    "GeneralizedStats",
-    "WaitsForGraph",
-    "HybridVerifier",
-    "replay_trace",
-]
+_EXPORTS = {
+    "ArmusDetector": ".detector",
+    "ArmusStats": ".detector",
+    "GeneralizedDetector": ".generalized",
+    "GeneralizedStats": ".generalized",
+    "WaitsForGraph": ".graph",
+    "HybridVerifier": ".hybrid",
+    "replay_trace": ".hybrid",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy.lazy_exports(__name__, globals(), _EXPORTS)

@@ -11,8 +11,14 @@ runtime:
 * :class:`CilkFrame` — fully strict spawn/sync.
 """
 
-from .accumulator import FinishAccumulator
-from .cilk import CilkFrame
-from .finish import FinishScope, finish
+from .. import _lazy
 
-__all__ = ["finish", "FinishScope", "FinishAccumulator", "CilkFrame"]
+_EXPORTS = {
+    "finish": ".finish",
+    "FinishScope": ".finish",
+    "FinishAccumulator": ".accumulator",
+    "CilkFrame": ".cilk",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy.lazy_exports(__name__, globals(), _EXPORTS)

@@ -18,41 +18,29 @@ plus the :class:`NullPolicy` baseline and the Algorithm 1 verifier shell.
 survives as ``"TJ-SP-legacy"``.
 """
 
-from .policy import (
-    JoinPolicy,
-    NullPolicy,
-    POLICY_REGISTRY,
-    evict_chunk,
-    make_policy,
-    register_policy,
-)
-from .tj_gt import GTNode, TJGlobalTree
-from .tj_jp import JPNode, TJJumpPointers
-from .tj_om import OMNode, TJOrderMaintenance
-from .tj_sp import LegacySPNode, TJSpawnPathsLegacy
-from .tj_sp_flat import FlatTreePy, TJSpawnPathsFlat
-from .verifier import Verifier, VerifierStats
+from .. import _lazy
 
-TJ_POLICIES = (TJGlobalTree, TJJumpPointers, TJSpawnPathsFlat, TJOrderMaintenance)
+_EXPORTS = {
+    "JoinPolicy": ".policy",
+    "NullPolicy": ".policy",
+    "POLICY_REGISTRY": ".policy",
+    "register_policy": ".policy",
+    "make_policy": ".policy",
+    "evict_chunk": ".policy",
+    "TJGlobalTree": ".tj_gt",
+    "TJJumpPointers": ".tj_jp",
+    "TJSpawnPathsFlat": ".tj_sp_flat",
+    "TJSpawnPathsLegacy": ".tj_sp",
+    "TJOrderMaintenance": ".tj_om",
+    "FlatTreePy": ".tj_sp_flat",
+    "GTNode": ".tj_gt",
+    "JPNode": ".tj_jp",
+    "LegacySPNode": ".tj_sp",
+    "OMNode": ".tj_om",
+    "Verifier": ".verifier",
+    "VerifierStats": ".verifier",
+    "TJ_POLICIES": ("TJGlobalTree", "TJJumpPointers", "TJSpawnPathsFlat", "TJOrderMaintenance"),
+}
 
-__all__ = [
-    "JoinPolicy",
-    "NullPolicy",
-    "POLICY_REGISTRY",
-    "register_policy",
-    "make_policy",
-    "evict_chunk",
-    "TJGlobalTree",
-    "TJJumpPointers",
-    "TJSpawnPathsFlat",
-    "TJSpawnPathsLegacy",
-    "TJOrderMaintenance",
-    "FlatTreePy",
-    "GTNode",
-    "JPNode",
-    "LegacySPNode",
-    "OMNode",
-    "Verifier",
-    "VerifierStats",
-    "TJ_POLICIES",
-]
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy.lazy_exports(__name__, globals(), _EXPORTS)

@@ -20,9 +20,11 @@ paper argues for Algorithm 2.
 
 from __future__ import annotations
 
+import importlib
 import itertools
 from abc import ABC, abstractmethod
-from typing import Callable, Optional
+from collections.abc import MutableMapping
+from typing import Callable, Iterator, Optional, Union
 
 __all__ = [
     "JoinPolicy",
@@ -134,7 +136,57 @@ class NullPolicy(JoinPolicy):
         return 0
 
 
-POLICY_REGISTRY: dict[str, Callable[[], JoinPolicy]] = {}
+#: The built-in policies, the one table of them: name -> class, or the
+#: ``module:class`` path of a class defined elsewhere.  The registry lists
+#: every name from the start and a lookup imports only that name's
+#: module, so no entry point has to import every policy.
+_BUILTIN_POLICIES = {
+    "none": NullPolicy,
+    "TJ-GT": "repro.core.tj_gt:TJGlobalTree",
+    "TJ-JP": "repro.core.tj_jp:TJJumpPointers",
+    "TJ-OM": "repro.core.tj_om:TJOrderMaintenance",
+    "TJ-SP": "repro.core.tj_sp_flat:TJSpawnPathsFlat",
+    "TJ-SP-legacy": "repro.core.tj_sp:TJSpawnPathsLegacy",
+    "KJ-VC": "repro.kj.kj_vc:KJVectorClock",
+    "KJ-SS": "repro.kj.kj_ss:KJSnapshotSets",
+    "KJ-CC": "repro.kj.kj_cc:KJCompactClock",
+}
+
+
+class _PolicyRegistry(MutableMapping):
+    """Policy name -> factory.  A built-in is held as its ``module:class``
+    path until first looked up; the lookup imports the module and keeps
+    the class, so ``POLICY_REGISTRY["TJ-SP"]`` is the class itself."""
+
+    def __init__(self, entries: dict[str, Union[str, Callable[[], JoinPolicy]]]) -> None:
+        self._entries = dict(entries)
+
+    def __contains__(self, name: object) -> bool:
+        return name in self._entries  # without importing the policy
+
+    def __getitem__(self, name: str) -> Callable[[], JoinPolicy]:
+        entry = self._entries[name]
+        if isinstance(entry, str):
+            module, _, attr = entry.partition(":")
+            entry = self._entries[name] = getattr(importlib.import_module(module), attr)
+        return entry
+
+    def __setitem__(self, name: str, factory: Callable[[], JoinPolicy]) -> None:
+        self._entries[name] = factory
+
+    def __delitem__(self, name: str) -> None:
+        del self._entries[name]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._entries)
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+
+POLICY_REGISTRY: MutableMapping[str, Callable[[], JoinPolicy]] = _PolicyRegistry(
+    _BUILTIN_POLICIES
+)
 
 
 def register_policy(
@@ -160,8 +212,11 @@ def register_policy(
 def make_policy(name: str) -> JoinPolicy:
     """Instantiate a registered policy by name.
 
-    Known names after importing :mod:`repro`: ``none``, ``TJ-GT``,
-    ``TJ-JP``, ``TJ-SP``, ``TJ-OM``, ``KJ-VC``, ``KJ-SS``.
+    The built-in names are known as soon as this module is imported:
+    ``none``, ``TJ-GT``, ``TJ-JP``, ``TJ-OM``, ``TJ-SP``,
+    ``TJ-SP-legacy``, ``KJ-VC``, ``KJ-SS`` and ``KJ-CC``; the first
+    lookup of one imports its module.  Extensions add names with
+    :func:`register_policy`.
     """
     try:
         factory = POLICY_REGISTRY[name]
@@ -169,6 +224,3 @@ def make_policy(name: str) -> JoinPolicy:
         known = ", ".join(sorted(POLICY_REGISTRY))
         raise KeyError(f"unknown policy {name!r}; known: {known}") from None
     return factory()
-
-
-register_policy(NullPolicy.name, NullPolicy)

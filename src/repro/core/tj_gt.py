@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .policy import JoinPolicy, register_policy
+from .policy import JoinPolicy
 
 __all__ = ["GTNode", "TJGlobalTree"]
 
@@ -91,6 +91,3 @@ class TJGlobalTree(JoinPolicy):
 
     def space_units(self) -> int:
         return 4 * self._n_nodes  # parent, ix, depth, children per vertex
-
-
-register_policy(TJGlobalTree.name, TJGlobalTree)

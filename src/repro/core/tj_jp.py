@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .policy import JoinPolicy, register_policy
+from .policy import JoinPolicy
 
 __all__ = ["JPNode", "TJJumpPointers"]
 
@@ -104,6 +104,3 @@ class TJJumpPointers(JoinPolicy):
 
     def space_units(self) -> int:
         return 3 * self._n_nodes + self._jump_slots
-
-
-register_policy(TJJumpPointers.name, TJJumpPointers)

@@ -24,7 +24,7 @@ from __future__ import annotations
 import threading
 from typing import Optional
 
-from .policy import JoinPolicy, register_policy
+from .policy import JoinPolicy
 
 __all__ = ["OMNode", "TJOrderMaintenance"]
 
@@ -129,6 +129,3 @@ class TJOrderMaintenance(JoinPolicy):
     def relabel_count(self) -> int:
         """How many full relabels have occurred (exposed for tests/benches)."""
         return self._relabels
-
-
-register_policy(TJOrderMaintenance.name, TJOrderMaintenance)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .policy import JoinPolicy, register_policy
+from .policy import JoinPolicy
 
 __all__ = ["TJSpawnPathsLegacy", "LegacySPNode"]
 
@@ -74,6 +74,3 @@ class TJSpawnPathsLegacy(JoinPolicy):
 
     def space_units(self) -> int:
         return self._n_nodes + self._path_slots
-
-
-register_policy(TJSpawnPathsLegacy.name, TJSpawnPathsLegacy)

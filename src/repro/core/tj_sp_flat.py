@@ -61,12 +61,7 @@ import threading
 from typing import Optional, Sequence
 
 from ._cbuild import backend_choice, compiled_module
-from .policy import JoinPolicy, evict_chunk as _evict_chunk, register_policy
-
-try:  # numpy is a declared dependency, but the flat core runs without it
-    import numpy as _np
-except Exception:  # pragma: no cover - exercised only on stripped installs
-    _np = None
+from .policy import JoinPolicy, evict_chunk as _evict_chunk
 
 __all__ = ["FlatTreePy", "TJSpawnPathsFlat", "VECTOR_MIN"]
 
@@ -74,6 +69,17 @@ __all__ = ["FlatTreePy", "TJSpawnPathsFlat", "VECTOR_MIN"]
 #: this a plain loop over the list buffers is faster (NumPy scalar
 #: indexing costs several times a list index from Python).
 VECTOR_MIN = 48
+
+
+def _load_numpy():
+    """NumPy for :class:`FlatTreePy`'s vector path, imported by the first
+    py kernel built rather than with this module, so the compiled kernel
+    and the processes that never build a py kernel do not load it."""
+    try:  # numpy is a declared dependency, but the flat core runs without it
+        import numpy
+    except Exception:  # pragma: no cover - exercised only on stripped installs
+        return None  # every batch then takes the scalar path
+    return numpy
 
 
 class _ThreadBlock:
@@ -125,6 +131,7 @@ class FlatTreePy:
         "_lock",
         "_local",
         "_blocks",
+        "_np",
         "_np_parent",
         "_np_edge",
         "_np_depth",
@@ -157,6 +164,8 @@ class FlatTreePy:
         self._local = threading.local()
         #: every thread's block state, for exact filled accounting
         self._blocks: list[_ThreadBlock] = []
+        #: NumPy, or None without it (the scalar path serves every batch)
+        self._np = _load_numpy()
         self._np_cap = 0
         self._np_synced = 0
         self._np_parent = self._np_edge = self._np_depth = None
@@ -234,7 +243,7 @@ class FlatTreePy:
             m = self._np_synced
             for name in ("_np_parent", "_np_edge", "_np_depth"):
                 old = getattr(self, name)
-                buf = _np.empty(cap, dtype=_np.int64)
+                buf = self._np.empty(cap, dtype=self._np.int64)
                 if m:
                     buf[:m] = old[:m]
                 setattr(self, name, buf)
@@ -260,7 +269,7 @@ class FlatTreePy:
             self._np_parent[m:n] = self.parent[m:n]
             self._np_edge[m:n] = self.edge[m:n]
             self._np_depth[m:n] = self.depth[m:n]
-            holes = _np.flatnonzero(self._np_parent[m:n] == self.HOLE)
+            holes = self._np.flatnonzero(self._np_parent[m:n] == self.HOLE)
             if holes.size:
                 self._np_holes.extend((holes + m).tolist())
             self._np_synced = n
@@ -313,7 +322,7 @@ class FlatTreePy:
         key = (joiner, ids)
         hit = cache.get(key)
         if hit is None:
-            if _np is not None and len(ids) >= VECTOR_MIN:
+            if self._np is not None and len(ids) >= VECTOR_MIN:
                 hit = tuple(self._permits_batch_np(joiner, ids))
             else:
                 permits = self.permits
@@ -340,7 +349,7 @@ class FlatTreePy:
         precomputed ancestor chain until every element has met its LCA.
         The dangling-edge comparison is then a single vector expression.
         """
-        np = _np
+        np = self._np
         n_pub = self.n
         with self._lock:
             parent, edge, depth = self._sync_mirrors_locked(n_pub)
@@ -503,6 +512,3 @@ def _resolve_explicit(choice: str):
         # backend="auto" given explicitly still honours a hard py pin.
         return None
     return _cbuild.compiled_module()
-
-
-register_policy(TJSpawnPathsFlat.name, TJSpawnPathsFlat)

@@ -7,75 +7,52 @@ production verifier algorithm in :mod:`repro.core` and :mod:`repro.kj` is
 property-tested against these reference implementations.
 """
 
-from .actions import Action, Fork, Init, Join, Task, format_trace, parse_trace
-from .deadlock import contains_deadlock, find_join_cycle, join_graph
-from .derivations import check_derivation, derive
-from .exhaustive import (
-    check_decision_procedure,
-    check_maximality,
-    check_soundness,
-    check_subsumption,
-    check_total_order,
-    enumerate_traces,
-)
-from .kj_derivations import check_kj_derivation, derive_kj, translate_kj_to_tj
-from .transitivity import compose
-from .fork_tree import AncPlus, DecStar, ForkTree, Sib, lca_plus
-from .kj_relation import KJKnowledge, derive_kj_pairs, kj_knows
-from .tj_relation import TJOrderOracle, derive_tj_pairs, tj_less
-from .trace import (
-    FreeFamily,
-    KJFamily,
-    TJFamily,
-    ValidationResult,
-    Verdict,
-    is_kj_valid,
-    is_structurally_valid,
-    is_tj_valid,
-    validate_trace,
-)
+from .. import _lazy
 
-__all__ = [
-    "Action",
-    "Init",
-    "Fork",
-    "Join",
-    "Task",
-    "parse_trace",
-    "format_trace",
-    "ForkTree",
-    "AncPlus",
-    "DecStar",
-    "Sib",
-    "lca_plus",
-    "TJOrderOracle",
-    "derive_tj_pairs",
-    "tj_less",
-    "KJKnowledge",
-    "derive_kj_pairs",
-    "kj_knows",
-    "TJFamily",
-    "KJFamily",
-    "FreeFamily",
-    "Verdict",
-    "ValidationResult",
-    "validate_trace",
-    "is_tj_valid",
-    "is_kj_valid",
-    "is_structurally_valid",
-    "contains_deadlock",
-    "find_join_cycle",
-    "join_graph",
-    "derive",
-    "check_derivation",
-    "compose",
-    "derive_kj",
-    "check_kj_derivation",
-    "translate_kj_to_tj",
-    "enumerate_traces",
-    "check_soundness",
-    "check_subsumption",
-    "check_total_order",
-    "check_decision_procedure",
-    "check_maximality",
-]
+_EXPORTS = {
+    "Action": ".actions",
+    "Init": ".actions",
+    "Fork": ".actions",
+    "Join": ".actions",
+    "Task": ".actions",
+    "parse_trace": ".actions",
+    "format_trace": ".actions",
+    "ForkTree": ".fork_tree",
+    "AncPlus": ".fork_tree",
+    "DecStar": ".fork_tree",
+    "Sib": ".fork_tree",
+    "lca_plus": ".fork_tree",
+    "TJOrderOracle": ".tj_relation",
+    "derive_tj_pairs": ".tj_relation",
+    "tj_less": ".tj_relation",
+    "KJKnowledge": ".kj_relation",
+    "derive_kj_pairs": ".kj_relation",
+    "kj_knows": ".kj_relation",
+    "TJFamily": ".trace",
+    "KJFamily": ".trace",
+    "FreeFamily": ".trace",
+    "Verdict": ".trace",
+    "ValidationResult": ".trace",
+    "validate_trace": ".trace",
+    "is_tj_valid": ".trace",
+    "is_kj_valid": ".trace",
+    "is_structurally_valid": ".trace",
+    "contains_deadlock": ".deadlock",
+    "find_join_cycle": ".deadlock",
+    "join_graph": ".deadlock",
+    "derive": ".derivations",
+    "check_derivation": ".derivations",
+    "compose": ".transitivity",
+    "derive_kj": ".kj_derivations",
+    "check_kj_derivation": ".kj_derivations",
+    "translate_kj_to_tj": ".kj_derivations",
+    "enumerate_traces": ".exhaustive",
+    "check_soundness": ".exhaustive",
+    "check_subsumption": ".exhaustive",
+    "check_total_order": ".exhaustive",
+    "check_decision_procedure": ".exhaustive",
+    "check_maximality": ".exhaustive",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy.lazy_exports(__name__, globals(), _EXPORTS)

@@ -13,18 +13,17 @@ sites known).  All are property-tested for exact agreement with the
 formal knowledge semantics in :mod:`repro.formal.kj_relation`.
 """
 
-from .kj_cc import CCNode, KJCompactClock
-from .kj_ss import KJSnapshotSets, SSNode
-from .kj_vc import KJVectorClock, VCNode
+from .. import _lazy
 
-KJ_POLICIES = (KJVectorClock, KJSnapshotSets, KJCompactClock)
+_EXPORTS = {
+    "KJVectorClock": ".kj_vc",
+    "KJSnapshotSets": ".kj_ss",
+    "KJCompactClock": ".kj_cc",
+    "VCNode": ".kj_vc",
+    "SSNode": ".kj_ss",
+    "CCNode": ".kj_cc",
+    "KJ_POLICIES": ("KJVectorClock", "KJSnapshotSets", "KJCompactClock"),
+}
 
-__all__ = [
-    "KJVectorClock",
-    "KJSnapshotSets",
-    "KJCompactClock",
-    "VCNode",
-    "SSNode",
-    "CCNode",
-    "KJ_POLICIES",
-]
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy.lazy_exports(__name__, globals(), _EXPORTS)

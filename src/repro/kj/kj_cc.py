@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 from typing import Optional
 
-from ..core.policy import JoinPolicy, register_policy
+from ..core.policy import JoinPolicy
 
 __all__ = ["CCNode", "KJCompactClock"]
 
@@ -89,6 +89,3 @@ class KJCompactClock(JoinPolicy):
 
     def space_units(self) -> int:
         return 4 * self._n_nodes + 2 * self._slots
-
-
-register_policy(KJCompactClock.name, KJCompactClock)

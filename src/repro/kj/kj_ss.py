@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..core.policy import JoinPolicy, register_policy
+from ..core.policy import JoinPolicy
 
 __all__ = ["SSNode", "KJSnapshotSets"]
 
@@ -117,6 +117,3 @@ class KJSnapshotSets(JoinPolicy):
 
     def space_units(self) -> int:
         return 6 * self._n_nodes + 3 * self._learn_entries
-
-
-register_policy(KJSnapshotSets.name, KJSnapshotSets)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from typing import Optional
 
-from ..core.policy import JoinPolicy, register_policy
+from ..core.policy import JoinPolicy
 
 __all__ = ["VCNode", "KJVectorClock"]
 
@@ -71,6 +71,3 @@ class KJVectorClock(JoinPolicy):
 
     def space_units(self) -> int:
         return self._n_nodes + self._slots
-
-
-register_policy(KJVectorClock.name, KJVectorClock)

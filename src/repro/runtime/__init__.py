@@ -9,37 +9,29 @@ Two interchangeable runtimes drive the same verification machinery:
   safe sandbox for real deadlock scenarios).
 """
 
-from .context import current_task, require_current_task, task_scope
-from .cooperative import CooperativeRuntime
-from .future import Future
-from .retry import RetryPolicy
-from .supervisor import BlockedJoin, StallWatchdog
-from .task import CancelToken, TaskHandle, TaskState
-from .threaded import TaskRuntime, resolve_policy
+from .. import _lazy
 
-__all__ = [
-    "TaskRuntime",
-    "RetryPolicy",
-    "CooperativeRuntime",
-    "WorkSharingRuntime",
-    "AsyncioRuntime",
-    "AsyncFuture",
-    "Future",
-    "TaskHandle",
-    "TaskState",
-    "CancelToken",
-    "BlockedJoin",
-    "StallWatchdog",
-    "current_task",
-    "require_current_task",
-    "task_scope",
-    "resolve_policy",
-]
+_EXPORTS = {
+    "TaskRuntime": ".threaded",
+    "RetryPolicy": ".retry",
+    "CooperativeRuntime": ".cooperative",
+    "WorkSharingRuntime": ".pool",
+    "AsyncioRuntime": ".asyncio_adapter",
+    "AsyncFuture": ".asyncio_adapter",
+    "Future": ".future",
+    "TaskHandle": ".task",
+    "TaskState": ".task",
+    "CancelToken": ".task",
+    "BlockedJoin": ".supervisor",
+    "StallWatchdog": ".supervisor",
+    "current_task": ".context",
+    "require_current_task": ".context",
+    "task_scope": ".context",
+    "resolve_policy": ".threaded",
+    "Phaser": ".phaser",
+    "VerifiedExecutor": ".executor",
+    "ProcessRuntime": ".procs",
+}
 
-from .asyncio_adapter import AsyncFuture, AsyncioRuntime  # noqa: E402 (cycle-free tail import)
-from .executor import VerifiedExecutor  # noqa: E402
-from .phaser import Phaser  # noqa: E402
-from .pool import WorkSharingRuntime  # noqa: E402
-from .procs import ProcessRuntime  # noqa: E402
-
-__all__ += ["Phaser", "VerifiedExecutor", "ProcessRuntime"]
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy.lazy_exports(__name__, globals(), _EXPORTS)

@@ -16,17 +16,17 @@ multi-tenant service:
 See ``docs/service.md`` for the protocol and the failure-mode matrix.
 """
 
-from .client import RemoteVerifier, RemoteVertex, parse_remote_url
-from .server import ServiceJournal, VerificationServer
-from .session import Session
-from .wire import WIRE_VERSION
+from .. import _lazy
 
-__all__ = [
-    "RemoteVerifier",
-    "RemoteVertex",
-    "parse_remote_url",
-    "ServiceJournal",
-    "VerificationServer",
-    "Session",
-    "WIRE_VERSION",
-]
+_EXPORTS = {
+    "RemoteVerifier": ".client",
+    "RemoteVertex": ".client",
+    "parse_remote_url": ".client",
+    "ServiceJournal": ".server",
+    "VerificationServer": ".server",
+    "Session": ".session",
+    "WIRE_VERSION": ".wire",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy.lazy_exports(__name__, globals(), _EXPORTS)

@@ -661,6 +661,8 @@ class ServiceChaosResult:
     degradations: int
     #: reconcile passes (gap replays) the client performed
     reconciles: int
+    #: degraded-window checks the client replayed to the sidecar
+    rechecks_sent: int
     #: verdict records recovered from the sidecar's journal
     journal_verdicts: int
     #: (joiner, joinee, local, remote) tuples that disagreed — must be empty
@@ -736,7 +738,10 @@ def run_with_service_faults(
       and restart-re-derived alike) equals the reference run's verdict
       for that edge — zero divergence;
     * the journal's verdict count reaches the client's ``joins_checked``
-      — reconcile restored the server's stats exactly.
+      — reconcile restored the server's stats exactly;
+    * with no kill planned and no drop injected, the client never
+      degraded, reconciled or sent a recheck — every verdict reached the
+      sidecar as a live check, the path this slice claims to exercise.
     """
     import os
     import tempfile
@@ -869,6 +874,14 @@ def run_with_service_faults(
         )
     if kill_planned and rv.degradations < 1:
         problems.append("sidecar was killed but the client never degraded")
+    if not kill_planned and drops_done == 0:
+        for what, count in (
+            ("degradations", rv.degradations),
+            ("reconciles", rv.reconciles),
+            ("rechecks sent", rv.rechecks_sent),
+        ):
+            if count:
+                problems.append(f"fault-free run, yet the client counted {count} {what}")
     if n_verdicts < remote_stats.joins_checked:
         problems.append(
             f"journal verdicts {n_verdicts} < client checks "
@@ -896,6 +909,7 @@ def run_with_service_faults(
         drops_injected=drops_done,
         degradations=rv.degradations,
         reconciles=rv.reconciles,
+        rechecks_sent=rv.rechecks_sent,
         journal_verdicts=n_verdicts,
         verdict_mismatches=verdict_mismatches,
     )

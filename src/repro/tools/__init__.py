@@ -1,33 +1,22 @@
 """Operational tooling: trace recording/replay, visualisation, CLI."""
 
-from .journal import JournalReadResult, TraceJournal, read_journal
-from .recorder import TraceRecordingPolicy
-from .replay import (
-    JournalReplay,
-    ReplayOutcome,
-    replay_journal,
-    replay_on_runtime,
-    replay_on_threaded,
-)
-from .viz import (
-    fork_tree_dot,
-    render_fork_tree,
-    render_permission_matrix,
-    waits_for_dot,
-)
+from .. import _lazy
 
-__all__ = [
-    "TraceJournal",
-    "TraceRecordingPolicy",
-    "JournalReadResult",
-    "JournalReplay",
-    "read_journal",
-    "replay_journal",
-    "replay_on_runtime",
-    "replay_on_threaded",
-    "ReplayOutcome",
-    "render_fork_tree",
-    "render_permission_matrix",
-    "fork_tree_dot",
-    "waits_for_dot",
-]
+_EXPORTS = {
+    "TraceJournal": ".journal",
+    "TraceRecordingPolicy": ".recorder",
+    "JournalReadResult": ".journal",
+    "JournalReplay": ".replay",
+    "read_journal": ".journal",
+    "replay_journal": ".replay",
+    "replay_on_runtime": ".replay",
+    "replay_on_threaded": ".replay",
+    "ReplayOutcome": ".replay",
+    "render_fork_tree": ".viz",
+    "render_permission_matrix": ".viz",
+    "fork_tree_dot": ".viz",
+    "waits_for_dot": ".viz",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy.lazy_exports(__name__, globals(), _EXPORTS)

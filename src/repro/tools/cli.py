@@ -93,21 +93,15 @@ import contextlib
 import sys
 from typing import Optional, Sequence
 
-from ..analysis import (
-    measure_policy_costs,
-    render_figure2,
-    render_table1,
-    render_table2,
-)
-from ..benchsuite import ALL_BENCHMARKS, Harness, make_benchmark
 from ..core.policy import POLICY_REGISTRY
 from ..formal.actions import parse_trace
-from ..formal.deadlock import find_join_cycle
-from ..formal.generators import balanced_fork_trace, chain_fork_trace, star_fork_trace
-from ..formal.trace import KJFamily, TJFamily, validate_trace
 
 __all__ = ["main"]
 
+#: small-scale parameters of the paper's six programs.  Its keys are
+#: :data:`repro.benchsuite.ALL_BENCHMARKS` in order and serve as the
+#: parser's benchmark choices, so building the parser (``repro serve``
+#: included) imports no program; a subcommand imports what it runs.
 _SMALL = {
     "Jacobi": {"n": 96, "blocks": 4, "iterations": 4},
     "Smith-Waterman": {"length": 240, "chunks": 6},
@@ -119,6 +113,9 @@ _SMALL = {
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
+    from ..formal.deadlock import find_join_cycle
+    from ..formal.trace import KJFamily, TJFamily, validate_trace
+
     with open(args.trace) as fh:
         trace = parse_trace(fh.read())
     family = {"TJ": TJFamily, "KJ": KJFamily}[args.policy]
@@ -594,6 +591,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    from ..benchsuite import make_benchmark
+
     params = dict(_SMALL.get(args.name, {})) if args.scale == "small" else {}
     for kv in args.param or []:
         k, _, v = kv.partition("=")
@@ -616,6 +615,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_table1(args: argparse.Namespace) -> int:
+    from ..analysis import measure_policy_costs, render_table1
+    from ..formal.generators import balanced_fork_trace, chain_fork_trace, star_fork_trace
+
     sizes = args.sizes or [256, 1024, 4096]
     shapes = {
         "chain": chain_fork_trace,
@@ -633,12 +635,10 @@ def _cmd_table1(args: argparse.Namespace) -> int:
     return 0
 
 
-def _make_harness(args: argparse.Namespace) -> Harness:
-    return Harness(repetitions=args.reps, warmup=1)
-
-
 def _suite_reports(args: argparse.Namespace):
-    harness = _make_harness(args)
+    from ..benchsuite import ALL_BENCHMARKS, Harness
+
+    harness = Harness(repetitions=args.reps, warmup=1)
     overrides = (
         {name.replace("-", "_"): params for name, params in _SMALL.items()}
         if args.scale == "small"
@@ -649,6 +649,8 @@ def _suite_reports(args: argparse.Namespace):
 
 
 def _cmd_table2(args: argparse.Namespace) -> int:
+    from ..analysis import render_table2
+
     reports = _suite_reports(args)
     print(render_table2(reports))
     if args.json:
@@ -666,6 +668,8 @@ def _cmd_table2(args: argparse.Namespace) -> int:
 
 
 def _cmd_figure2(args: argparse.Namespace) -> int:
+    from ..analysis import render_figure2
+
     reports = _suite_reports(args)
     print(render_figure2(reports))
     if args.svg:
@@ -1119,7 +1123,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p.set_defaults(fn=_cmd_top)
 
     p = sub.add_parser("bench", help="run one benchmark")
-    p.add_argument("name", choices=ALL_BENCHMARKS)
+    p.add_argument("name", choices=tuple(_SMALL))
     p.add_argument(
         "--policy",
         default="TJ-SP",
@@ -1139,7 +1143,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         p.add_argument("--reps", type=int, default=5)
         p.add_argument("--scale", choices=["small", "default"], default="small")
         p.add_argument(
-            "--benchmarks", nargs="*", choices=ALL_BENCHMARKS, metavar="NAME"
+            "--benchmarks", nargs="*", choices=tuple(_SMALL), metavar="NAME"
         )
         if name == "table2":
             p.add_argument("--json", help="also append the records to this trajectory file")

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.testing import run_with_service_faults
+from repro.service.client import RemoteVerifier
+from repro.testing import ChaosInvariantError, run_with_service_faults
 
 RUNTIMES = ["threaded", "pool"]
 
@@ -69,5 +70,25 @@ class TestConnectionDropChaos:
         )
         assert not result.sidecar_killed
         assert result.drops_injected == 0
+        # every verdict reached the sidecar as a live check
+        assert (result.degradations, result.reconciles, result.rechecks_sent) == (0, 0, 0)
         assert result.verdict_mismatches == []
         assert result.remote_stats.joins_checked == result.local_stats.joins_checked
+
+    def test_a_degradation_on_a_fault_free_run_fails_the_slice(self, monkeypatch):
+        """A client that degrades once still gets every verdict journalled,
+        through reconcile rechecks; the slice must refuse that as a clean
+        remote run."""
+        roundtrip = RemoteVerifier._roundtrip_check
+        dropped = []
+
+        def drop_once(self, *args, **kwargs):
+            if not dropped:
+                dropped.append(True)
+                self._test_drop_connection()
+            return roundtrip(self, *args, **kwargs)
+
+        monkeypatch.setattr(RemoteVerifier, "_roundtrip_check", drop_once)
+        with pytest.raises(ChaosInvariantError, match="fault-free run"):
+            run_with_service_faults(5, runtime="threaded", max_tasks=10, service_crash_rate=0.0)
+        assert dropped

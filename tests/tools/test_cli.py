@@ -65,6 +65,14 @@ class TestBenchCommand:
         assert rc == 0
         assert "verified:        True" in capsys.readouterr().out
 
+    def test_parser_choices_are_the_benchmark_suite(self):
+        """The parser takes its benchmark names from the small-scale table,
+        so building it imports no program; that table must name the suite."""
+        from repro.benchsuite import ALL_BENCHMARKS
+        from repro.tools.cli import _SMALL
+
+        assert tuple(_SMALL) == ALL_BENCHMARKS
+
 
 class TestVizCommand:
     def test_tree(self, trace_file, capsys):
