@@ -1,23 +1,14 @@
-"""High-level constructs on the verified runtime: finish, accumulator,
-Cilk spawn/sync, and asyncio.
+"""The finish construct on the verified runtime.
 
 The paper positions Futures as the general model subsuming Cilk and
-async-finish (Section 1); this example exercises all of them — all
-verified by TJ-SP, all deadlock-safe by construction.
+async-finish (Section 1); this example runs async-finish: a finish
+scope awaits every transitively spawned task, verified by TJ-SP and
+deadlock-safe by construction.
 
 Run:  python examples/finish_constructs.py
 """
 
-import asyncio
-import operator
-
-from repro import (
-    AsyncioRuntime,
-    CilkFrame,
-    FinishAccumulator,
-    TaskRuntime,
-    finish,
-)
+from repro import TaskRuntime, finish
 
 
 def demo_finish() -> None:
@@ -39,68 +30,6 @@ def demo_finish() -> None:
           f"({rt.detector.stats.false_positives} fallback joins under TJ)")
 
 
-def demo_accumulator() -> None:
-    rt = TaskRuntime(policy="TJ-SP")
-
-    def main():
-        acc = FinishAccumulator(rt, op=operator.add, initial=0)
-        for i in range(1, 101):
-            acc.put(lambda i=i: i)
-        return acc.get()
-
-    print(f"finish accumulator summed 1..100 = {rt.run(main)}")
-
-
-def demo_cilk() -> None:
-    rt = TaskRuntime(policy="TJ-SP")
-
-    def fib(n):
-        if n < 2:
-            return n
-        with CilkFrame(rt) as frame:
-            a = frame.spawn(fib, n - 1)
-            b = frame.spawn(fib, n - 2)
-        return a.join() + b.join()
-
-    print(f"cilk-style fib(15) = {rt.run(fib, 15)}")
-
-
-def demo_executor() -> None:
-    from repro import VerifiedExecutor
-
-    with VerifiedExecutor(max_workers=2, policy="TJ-SP") as ex:
-
-        def fib(n):
-            if n < 2:
-                return n
-            a, b = ex.submit(fib, n - 1), ex.submit(fib, n - 2)
-            return a.join() + b.join()
-
-        fut = ex.submit(fib, 12)
-        value = ex.result(fut)
-    print(f"verified executor: nested fib(12) = {value} on a 2-worker pool "
-          f"(grew to {ex.runtime.peak_workers} via compensation — the case "
-          "the stdlib ThreadPoolExecutor deadlocks on)")
-
-
-def demo_asyncio() -> None:
-    rt = AsyncioRuntime(policy="TJ-SP")
-
-    async def fetch(i):
-        await asyncio.sleep(0)
-        return i * i
-
-    async def main():
-        futures = [rt.fork(fetch, i) for i in range(10)]
-        return sum([await f for f in futures])
-
-    print(f"asyncio adapter summed squares: {asyncio.run(rt.run(main))}")
-
-
 if __name__ == "__main__":
     print(__doc__)
     demo_finish()
-    demo_accumulator()
-    demo_cilk()
-    demo_executor()
-    demo_asyncio()

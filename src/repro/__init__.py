@@ -53,13 +53,9 @@ _EXPORTS = {
     "TaskRuntime": ".runtime.threaded",
     "CooperativeRuntime": ".runtime.cooperative",
     "WorkSharingRuntime": ".runtime.pool",
-    "AsyncioRuntime": ".runtime.asyncio_adapter",
-    "VerifiedExecutor": ".runtime.executor",
     "Future": ".runtime.future",
     "current_task": ".runtime.context",
     "finish": ".constructs.finish",
-    "FinishAccumulator": ".constructs.accumulator",
-    "CilkFrame": ".constructs.cilk",
     "ReproError": ".errors",
     "PolicyViolationError": ".errors",
     "PolicyQuarantinedError": ".errors",

@@ -11,8 +11,6 @@ from .. import _lazy
 _EXPORTS = {
     "ArmusDetector": ".detector",
     "ArmusStats": ".detector",
-    "GeneralizedDetector": ".generalized",
-    "GeneralizedStats": ".generalized",
     "WaitsForGraph": ".graph",
     "HybridVerifier": ".hybrid",
     "replay_trace": ".hybrid",

@@ -2,13 +2,11 @@
 
 The paper situates Futures as the most general join model, with Cilk's
 spawn/sync and X10/HJ's async-finish as restricted special cases
-(Section 1).  This package implements all three on top of the verified
-runtime:
+(Section 1).  This package implements async-finish on top of the
+verified runtime:
 
 * :class:`finish` / :class:`FinishScope` — await all transitively
-  spawned tasks (arbitrary-descendant joins; TJ's home turf);
-* :class:`FinishAccumulator` — finish plus an associative reduction;
-* :class:`CilkFrame` — fully strict spawn/sync.
+  spawned tasks (arbitrary-descendant joins; TJ's home turf).
 """
 
 from .. import _lazy
@@ -16,8 +14,6 @@ from .. import _lazy
 _EXPORTS = {
     "finish": ".finish",
     "FinishScope": ".finish",
-    "FinishAccumulator": ".accumulator",
-    "CilkFrame": ".cilk",
 }
 
 __all__ = list(_EXPORTS)

@@ -4,8 +4,8 @@ Three layers, all zero-cost when disabled:
 
 * :mod:`repro.obs.metrics` — a thread-safe :class:`MetricsRegistry` of
   sharded counters, gauges, and fixed-bucket ns histograms; the single
-  stats mechanism behind ``VerifierStats``, ``ArmusStats``, phaser and
-  runtime counters.
+  stats mechanism behind ``VerifierStats``, ``ArmusStats`` and runtime
+  counters.
 * :mod:`repro.obs.tracing` — span-based task-lifecycle tracing with a
   ring-buffer collector and Chrome-trace / Perfetto export.
 * :mod:`repro.obs.top` — a terminal ``top`` view over a live snapshot.

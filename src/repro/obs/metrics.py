@@ -348,10 +348,10 @@ class MetricsRegistry:
     the same object, so concurrent components share one sharded
     instrument) via :meth:`counter` / :meth:`gauge` / :meth:`histogram`.
 
-    Pre-existing stats surfaces — ``VerifierStats``, ``ArmusStats``,
-    ``GeneralizedStats``, phaser and runtime counters — plug in through
-    :meth:`add_source`: a prefix plus a zero-arg callable returning a
-    flat ``{field: number}`` dict (the uniform ``snapshot()`` protocol).
+    Pre-existing stats surfaces — ``VerifierStats``, ``ArmusStats`` and
+    runtime counters — plug in through :meth:`add_source`: a prefix
+    plus a zero-arg callable returning a flat ``{field: number}`` dict
+    (the uniform ``snapshot()`` protocol).
     Bound methods are held via :class:`weakref.WeakMethod`, so a
     registered verifier or runtime stays collectable; values from
     same-prefix sources are summed, so a registry spanning several

@@ -8,7 +8,7 @@ looks stuck or slow:
   OS-level wakeups the wait has burned;
 * per-policy join-check latency histograms (and the other ns histograms:
   fork, blocked-wait, Armus cycle check, journal flush) as ASCII bars;
-* the unified counter surface — verifier/armus/runtime/phaser/journal
+* the unified counter surface — verifier/armus/runtime/journal
   sources (quarantines are ``verifier.policy_faults``, retries
   ``runtime.tasks_retried``) plus the wakeup and blocked-wait counters.
 

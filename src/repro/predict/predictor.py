@@ -2,9 +2,10 @@
 
 Pipeline (one journal):
 
-1. **Parse** — ``read_journal`` (crash-tolerant), refusing journals
-   with ``retry``/``quarantine`` records (those re-point task vertices
-   mid-run; per-name reconstruction would be unsound).
+1. **Parse** — ``read_trace_journal`` (crash-tolerant; a sidecar
+   journal raises), skipping journals with ``retry``/``quarantine``
+   records (those re-point task vertices mid-run; per-name
+   reconstruction would be unsound).
 2. **Reconstruct** — the fork/join skeleton
    (:class:`~repro.predict.program.TraceProgram`) and every join
    *intent* with its outcome on the recorded schedule.
@@ -36,7 +37,7 @@ from typing import Optional, Sequence
 
 from ..errors import JournalError
 from ..runtime.explore import Schedule
-from ..tools.journal import read_journal
+from ..tools.journal import read_trace_journal
 from .order import TraceOrder, build_order
 from .program import SimOutcome, TraceProgram
 
@@ -335,7 +336,7 @@ def predict_deadlocks(
     been realized.  Deterministic end to end: same journal, same
     arguments ⇒ same report.
     """
-    read = read_journal(path)
+    read = read_trace_journal(path, "predict")
     report = PredictionReport(
         path=path, events=len(read.records), torn_tail=read.torn_tail
     )

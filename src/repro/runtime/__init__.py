@@ -16,8 +16,6 @@ _EXPORTS = {
     "RetryPolicy": ".retry",
     "CooperativeRuntime": ".cooperative",
     "WorkSharingRuntime": ".pool",
-    "AsyncioRuntime": ".asyncio_adapter",
-    "AsyncFuture": ".asyncio_adapter",
     "Future": ".future",
     "TaskHandle": ".task",
     "TaskState": ".task",
@@ -28,8 +26,6 @@ _EXPORTS = {
     "require_current_task": ".context",
     "task_scope": ".context",
     "resolve_policy": ".threaded",
-    "Phaser": ".phaser",
-    "VerifiedExecutor": ".executor",
     "ProcessRuntime": ".procs",
 }
 

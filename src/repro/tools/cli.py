@@ -46,9 +46,9 @@ Commands
     requests return metrics and trace state (and ``repro top --live``
     can attach).
 ``journal-replay <journal-file>``
-    Reconstruct verifier state from a trace journal (tolerating a
-    crash-torn tail) and print the post-mortem: blocked edges at death,
-    quarantine/retry events, and re-derived verdicts.  Exits 1 if any
+    Reconstruct verifier state from a trace or sidecar journal
+    (tolerating a crash-torn tail) and print the post-mortem: blocked
+    edges at death, quarantine/retry events, and re-derived verdicts.  Exits 1 if any
     journalled verdict disagrees with a fresh policy instance; exits 2
     if the journal file is missing or empty.
 ``chaos [--programs N] [--seed S] [--policies ...] [--runtimes ...]
@@ -507,11 +507,15 @@ def _chaos_body(args: argparse.Namespace) -> int:
                 journal_dir=args.journal_dir,
             )
     total = sum(runs.values())
+    # The kernel TJ-SP resolved to here: under REPRO_TJ_BACKEND=auto a
+    # kernel that fails to build falls back to py without a word.
+    from ..core.tj_sp_flat import TJSpawnPathsFlat
+
     print(
         f"chaos: {total} programs ({runs['fault']} with verifier faults, "
         f"{runs['recovery']} recovery, {runs['service']} service, "
         f"{runs['predict']} predict), "
-        f"{total - bad} passed, {bad} failed"
+        f"{total - bad} passed, {bad} failed, kernel={TJSpawnPathsFlat().backend}"
     )
     return 1 if bad else 0
 
@@ -899,7 +903,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p.set_defaults(fn=_cmd_serve)
 
     p = sub.add_parser(
-        "journal-replay", help="post-mortem replay of a trace journal"
+        "journal-replay", help="post-mortem replay of a trace or sidecar journal"
     )
     p.add_argument("journal")
     p.set_defaults(fn=_cmd_journal_replay)

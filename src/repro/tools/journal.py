@@ -50,7 +50,8 @@ from typing import Optional, TypeVar
 from ..errors import JournalCorruptError, JournalError
 from ..obs import active as _active_telemetry
 
-__all__ = ["TraceJournal", "ServiceJournal", "JournalReadResult", "read_journal"]
+__all__ = ["TraceJournal", "ServiceJournal", "JournalReadResult", "read_journal",
+           "read_trace_journal"]
 
 #: record kinds a journal may contain, in the order they typically appear
 KINDS = (
@@ -504,4 +505,13 @@ def read_journal(path: str) -> JournalReadResult:
                 f"expected seq {expected}, found {record['seq']}"
             )
         result.records.append(record)
+    return result
+
+
+def read_trace_journal(path: str, reader: str) -> JournalReadResult:
+    """:func:`read_journal` for a *reader* that parses trace-journal task
+    names (``tN``): a sidecar journal raises :class:`JournalError`."""
+    result = read_journal(path)
+    if result.records and "session" in result.records[0]:
+        raise JournalError(f"{path} is a sidecar journal; {reader} reads trace journals only")
     return result

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
-from ..core.policy import JoinPolicy
+from ..core.policy import JoinPolicy, make_policy
 from ..errors import (
     DeadlockAvoidedError,
     DeadlockDetectedError,
@@ -32,6 +32,7 @@ from ..errors import (
 )
 from ..formal.actions import Action, Fork, Init, Join, Task
 from ..runtime.cooperative import CooperativeRuntime
+from ..service.mirror import MirroredSpawnPaths
 
 __all__ = [
     "JournalReplay",
@@ -359,8 +360,24 @@ class JournalReplay:
         return "\n".join(lines)
 
 
+def _replay_policy(start: dict) -> Optional[JoinPolicy]:
+    """A fresh policy for a ``start`` record (for a sidecar tenant, a
+    mirror of the journalled placements), or None if none can be made."""
+    try:
+        if start.get("tenant") is not None:
+            return MirroredSpawnPaths(start["policy"])
+        return make_policy(start.get("policy"))
+    except Exception:
+        return None  # wrapped / unknown policy: names-only replay
+
+
+def _vertex_name(key: object, rid: object) -> str:
+    """A trace journal's ``tN`` as is; a sidecar rid as ``<namespace>:<rid>``."""
+    return rid if key is None else f"{key}:{rid}"
+
+
 def replay_journal(path: str) -> JournalReplay:
-    """Reconstruct verifier state from a trace journal.
+    """Reconstruct verifier state from a trace or sidecar journal.
 
     Reads the journal with :func:`~repro.tools.journal.read_journal`
     (tolerating a crash-torn final record), re-derives the blocked-edge
@@ -372,8 +389,14 @@ def replay_journal(path: str) -> JournalReplay:
     the policy at a quarantine record: from that point the original run
     was using fallback placeholder vertices, so later forks are tracked
     by name only and later verdicts (blanket permits) are not rechecked.
+
+    A sidecar journal (a ``session`` on every record) names vertices by
+    client rid, unique only within one verifier: it replays one
+    namespace per tenant, or per session without a tenant, each with a
+    policy made at its first ``start``, and names vertices
+    ``<tenant or session>:<rid>``.  A tenant's forks are placed by their
+    journalled ``edge``/``depth``, as the sidecar's own recovery does.
     """
-    from ..core.policy import make_policy
     from .journal import read_journal
 
     read = read_journal(path)
@@ -383,10 +406,12 @@ def replay_journal(path: str) -> JournalReplay:
         torn_tail=read.torn_tail,
         records=len(read.records),
     )
-    policy: Optional[JoinPolicy] = None
+    #: namespace (tenant, session, or None for a trace journal) -> policy
+    policies: dict[object, Optional[JoinPolicy]] = {}
+    #: sidecar session -> its namespace
+    owner: dict[str, str] = {}
+    quarantined: set = set()
     vertices: dict[str, object] = {}
-    placeholders: set[str] = set()
-    quarantined = False
     #: last durable state per edge: True = blocked, False = unblocked.
     #: Last-state (not a counter) so a torn or duplicated block/unblock
     #: pair cannot push an edge negative and swallow a later block.
@@ -394,40 +419,43 @@ def replay_journal(path: str) -> JournalReplay:
 
     for rec in read.records:
         kind = rec.get("kind")
+        session = rec.get("session")
+        key = owner.get(session, session)
         if kind == "start":
             replay.header = rec
-            try:
-                policy = make_policy(rec.get("policy"))
-            except Exception:
-                policy = None  # wrapped / unknown policy: names-only replay
-        elif kind == "init":
-            name = rec["task"]
-            replay.tasks.append(name)
-            if policy is not None and not quarantined:
-                vertices[name] = policy.add_child(None)
-            else:
-                placeholders.add(name)
+            if session is not None:
+                key = owner[session] = rec.get("tenant") or session
+            if session is None or key not in policies:
+                policies[key] = _replay_policy(rec)
+            continue
+        policy = None if key in quarantined else policies.get(key)
+        mirrored = isinstance(policy, MirroredSpawnPaths)
+        if kind == "init":
+            task = _vertex_name(key, rec["task"])
+            replay.tasks.append(task)
+            if policy is not None:
+                if mirrored:
+                    policy.stage(rec["task"], -1, 0, 0)
+                vertices[task] = policy.add_child(None)
         elif kind == "fork":
-            parent, child = rec["parent"], rec["child"]
+            parent = _vertex_name(key, rec["parent"])
+            child = _vertex_name(key, rec["child"])
             replay.tasks.append(child)
             replay.forks += 1
-            if (
-                policy is not None
-                and not quarantined
-                and parent in vertices
-                and parent not in placeholders
-            ):
+            if mirrored and "depth" in rec:
+                # The authoritative placement: a tenant's sessions arrive
+                # interleaved, so arrival order is not sibling order.
+                policy.stage(rec["child"], rec["parent"], rec["edge"], rec["depth"])
+                vertices[child] = policy.add_child(None)
+            elif policy is not None and not mirrored and parent in vertices:
                 vertices[child] = policy.add_child(vertices[parent])
-            else:
-                placeholders.add(child)
         elif kind == "verdict":
-            edge = (rec["waiter"], rec["joinee"])
+            edge = (_vertex_name(key, rec["waiter"]), _vertex_name(key, rec["joinee"]))
             if not rec["ok"]:
                 replay.denied.append(edge)
             if (
                 policy is not None
                 and policy.stable_permits
-                and not quarantined
                 and edge[0] in vertices
                 and edge[1] in vertices
             ):
@@ -438,8 +466,8 @@ def replay_journal(path: str) -> JournalReplay:
                         (edge[0], edge[1], bool(rec["ok"]), bool(fresh))
                     )
         elif kind == "join":
-            a, b = rec["waiter"], rec["joinee"]
-            if policy is not None and not quarantined and a in vertices and b in vertices:
+            a, b = _vertex_name(key, rec["waiter"]), _vertex_name(key, rec["joinee"])
+            if policy is not None and a in vertices and b in vertices:
                 policy.on_join(vertices[a], vertices[b])
         elif kind == "block":
             blocked[(rec["waiter"], rec["joinee"])] = True
@@ -450,7 +478,7 @@ def replay_journal(path: str) -> JournalReplay:
         elif kind == "avoided":
             replay.avoided.append((rec["waiter"], rec["joinee"]))
         elif kind == "quarantine":
-            quarantined = True
+            quarantined.add(key)
             replay.quarantine = rec
         elif kind == "retry":
             replay.retries.append(rec)

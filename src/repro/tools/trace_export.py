@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 from typing import Optional, Union
 
-from .journal import read_journal
+from .journal import read_trace_journal
 
 __all__ = ["write_chrome_trace", "journal_to_trace", "validate_chrome_trace"]
 
@@ -66,7 +66,8 @@ def _task_tid(name: str) -> int:
 
 
 def journal_to_trace(path: str, *, pid: int = 1, predictions=None) -> dict:
-    """Render a trace journal as a Chrome trace dict, one track per task.
+    """Render a trace journal as a Chrome trace dict, one track per task
+    (a sidecar journal raises :class:`~repro.errors.JournalError`).
 
     Timestamps come from the journal's optional ``ts`` field (ns since
     journal open, written under ``timestamps=True``); journals without
@@ -82,7 +83,7 @@ def journal_to_trace(path: str, *, pid: int = 1, predictions=None) -> dict:
     instant on every member task's track, at the journal's end — the
     cycle is counterfactual, not an event the recorded run reached.
     """
-    result = read_journal(path)
+    result = read_trace_journal(path, "trace export")
     records = result.records
 
     def ts_us(record: dict) -> float:

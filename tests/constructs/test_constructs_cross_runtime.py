@@ -1,10 +1,8 @@
-"""The high-level constructs work on every blocking runtime."""
-
-import operator
+"""``finish`` works on every blocking runtime."""
 
 import pytest
 
-from repro.constructs import CilkFrame, FinishAccumulator, finish
+from repro.constructs import finish
 from repro.runtime import TaskRuntime, WorkSharingRuntime
 
 
@@ -33,27 +31,3 @@ class TestConstructsAcrossRuntimes:
 
         assert rt.run(main) == 31
         assert rt.detector.stats.false_positives == 0
-
-    def test_accumulator(self, kind, factory):
-        rt = factory()
-
-        def main():
-            acc = FinishAccumulator(rt, op=operator.add, initial=0)
-            for i in range(20):
-                acc.put(lambda i=i: i)
-            return acc.get()
-
-        assert rt.run(main) == 190
-
-    def test_cilk(self, kind, factory):
-        rt = factory()
-
-        def fib(n):
-            if n < 2:
-                return n
-            with CilkFrame(rt) as frame:
-                a = frame.spawn(fib, n - 1)
-                b = frame.spawn(fib, n - 2)
-            return a.join() + b.join()
-
-        assert rt.run(fib, 9) == 34

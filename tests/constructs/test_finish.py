@@ -1,11 +1,9 @@
-"""Tests for the finish construct and finish accumulators."""
-
-import operator
+"""Tests for the finish construct."""
 
 import pytest
 
 from repro import TaskRuntime, TaskFailedError
-from repro.constructs import FinishAccumulator, FinishScope, finish
+from repro.constructs import FinishScope, finish
 from repro.errors import RuntimeStateError
 
 
@@ -111,67 +109,3 @@ class TestFinish:
             rt.run(main)
         assert ran == [1]
 
-
-class TestFinishAccumulator:
-    def test_sum(self):
-        rt = TaskRuntime()
-
-        def main():
-            acc = FinishAccumulator(rt, op=operator.add, initial=0)
-            for i in range(10):
-                acc.put(lambda i=i: i)
-            return acc.get()
-
-        assert rt.run(main) == 45
-
-    def test_nested_contributions(self):
-        rt = TaskRuntime()
-
-        def main():
-            acc = FinishAccumulator(rt, op=operator.add, initial=0)
-
-            def tree(depth):
-                if depth > 0:
-                    acc.async_(tree, depth - 1)
-                    acc.async_(tree, depth - 1)
-                return 1
-
-            acc.async_(tree, 3)
-            return acc.get(), acc.task_count
-
-        total, count = rt.run(main)
-        assert total == count == 15
-
-    def test_custom_operator(self):
-        rt = TaskRuntime()
-
-        def main():
-            acc = FinishAccumulator(rt, op=operator.mul, initial=1)
-            for i in range(1, 6):
-                acc.put(lambda i=i: i)
-            return acc.get()
-
-        assert rt.run(main) == 120
-
-    def test_get_is_idempotent(self):
-        rt = TaskRuntime()
-
-        def main():
-            acc = FinishAccumulator(rt)
-            acc.put(lambda: 2)
-            return acc.get(), acc.get()
-
-        assert rt.run(main) == (2, 2)
-
-    def test_task_count_requires_get(self):
-        rt = TaskRuntime()
-
-        def main():
-            acc = FinishAccumulator(rt)
-            acc.put(lambda: 1)
-            with pytest.raises(RuntimeStateError):
-                acc.task_count
-            acc.get()
-            return acc.task_count
-
-        assert rt.run(main) == 1

@@ -1,10 +1,8 @@
-"""Failure propagation through finish scopes and phasers.
+"""Failure propagation through finish scopes.
 
 A crashing child must not leave residue behind: the finish scope still
-drains every spawned task (so the Armus graph is empty and no forced
-edge is live at exit), and a phaser party that dies without signalling
-turns into a bounded ``JoinTimeoutError`` for everyone waiting on the
-phase — not a hang.
+drains every spawned task, so the Armus graph is empty and no forced
+edge is live at exit.
 """
 
 from __future__ import annotations
@@ -15,8 +13,8 @@ import time
 import pytest
 
 from repro.constructs import finish
-from repro.errors import JoinTimeoutError, TaskFailedError
-from repro.runtime import Phaser, TaskRuntime, WorkSharingRuntime
+from repro.errors import TaskFailedError
+from repro.runtime import TaskRuntime, WorkSharingRuntime
 
 RUNTIMES = [
     ("threaded", lambda **kw: TaskRuntime(**kw)),
@@ -109,43 +107,3 @@ class TestFinishFailurePropagation:
         assert len(rt.detector.graph) == 0
         assert rt.detector.live_forced_edges == 0
 
-
-@pytest.mark.parametrize("label,make_rt", RUNTIMES, ids=[r[0] for r in RUNTIMES])
-class TestPhaserPartyFailure:
-    def test_dead_party_turns_into_a_bounded_timeout(self, label, make_rt):
-        """A party that crashes before signalling can no longer advance
-        the phase; the surviving party's bounded wait raises
-        JoinTimeoutError naming the phase event instead of hanging."""
-        rt = make_rt(policy="TJ-SP", on_unjoined_failure="ignore")
-        ph = Phaser(name="doomed")
-        registered = threading.Barrier(2)
-        outcome = {}
-
-        def dies():
-            ph.register()
-            registered.wait(5)
-            raise RuntimeError("party down")  # never signals
-
-        def survives():
-            ph.register()
-            registered.wait(5)
-            try:
-                ph.signal_and_wait(timeout=0.1)
-            except JoinTimeoutError as exc:
-                outcome["exc"] = exc
-            ph.deregister()
-
-        def program():
-            d = rt.fork(dies)
-            s = rt.fork(survives)
-            with pytest.raises(TaskFailedError):
-                d.join()
-            s.join()
-            return True
-
-        assert rt.run(program)
-        exc = outcome["exc"]
-        assert exc.joinee == ("doomed", 0)
-        assert exc.timeout == pytest.approx(0.1)
-        # the bounded wait released its waits-for edge on the way out
-        assert ph.detector.blocked_tasks() == 0

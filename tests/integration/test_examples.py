@@ -1,8 +1,9 @@
 """Smoke tests: every example script runs to completion.
 
 The examples are the quickstart surface of the repository; they must
-never rot.  (run_evaluation.py is exercised separately by the analysis
-tests — it is the whole evaluation and too slow for this sweep.)
+never rot.  (run_evaluation.py is the whole evaluation and too slow for
+this sweep; CI's bench job runs ``python examples/run_evaluation.py
+--quick`` in its "Documented reproduction command" step.)
 """
 
 import pathlib
@@ -20,7 +21,6 @@ FAST_EXAMPLES = [
     "deadlock_recovery.py",
     "trace_analysis.py",
     "finish_constructs.py",
-    "barrier_pipeline.py",
     "executable_proofs.py",
 ]
 

@@ -156,6 +156,27 @@ def test_sidecar_resolves_cross_joins_without_degradation():
     assert js["announced"] > 0
 
 
+def test_the_sidecar_journal_replays_every_verdict(tmp_path):
+    """``repro journal-replay`` reads the journal of a procs run's sidecar:
+    the parent's and each worker's session share one tenant namespace."""
+    from repro.service.server import VerificationServer
+    from repro.tools.replay import replay_journal
+
+    path = str(tmp_path / "sidecar.jsonl")
+    with VerificationServer(journal_path=path) as srv:
+        host, port = srv.address
+        rt = _rt(sidecar=f"remote://{host}:{port}")
+
+        def root():
+            futs = [rt.fork(subtree, 10 * t, 5) for t in range(4)]
+            return rt.join_batch(futs)
+
+        rt.run(root)
+    replay = replay_journal(path)
+    assert replay.rechecked == rt.join_stats()["cross_joins"] == 20
+    assert replay.recheck_mismatches == []
+
+
 def test_finish_construct_drives_the_worker_engine():
     rt = _rt()
     seen = []

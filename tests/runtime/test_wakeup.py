@@ -11,7 +11,6 @@ import threading
 import time
 
 from repro import TaskRuntime
-from repro.runtime import Phaser
 
 #: the old protocol's maximum poll tick — the latency bar to beat
 OLD_MAX_TICK = 0.05
@@ -149,40 +148,3 @@ class TestWakeupCounts:
         assert len({id(r._wake) for r in records}) == 1
         assert all(r.wakeups <= 2 for r in records)
 
-
-class TestPhaserWakeups:
-    def test_one_notify_per_phase_advance(self):
-        """Phase advances fire one notify-all each; a party blocked on a
-        phase wakes exactly once per phase, not once per tick."""
-        rt = TaskRuntime()
-        ph = Phaser()
-        phases = 3
-        all_registered = threading.Barrier(2)
-
-        def fast():
-            ph.register()
-            all_registered.wait()
-            for _ in range(phases):
-                ph.signal_and_wait()
-            ph.deregister()
-
-        def slow():
-            ph.register()
-            all_registered.wait()
-            for _ in range(phases):
-                time.sleep(0.05)  # fast is parked on the phase event by now
-                ph.signal_and_wait()
-            ph.deregister()
-
-        def main():
-            futs = [rt.fork(fast), rt.fork(slow)]
-            for f in futs:
-                f.join()
-
-        rt.run(main)
-        assert ph.phase >= phases
-        # one notify per completed phase that had a parked waiter
-        assert ph.notifies == phases
-        # the fast party woke exactly once per phase (slow never parks:
-        # it is always the last arrival and advances the phase itself)
-        assert ph.wakeups == phases

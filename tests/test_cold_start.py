@@ -98,11 +98,11 @@ def test_every_export_resolves():
 
 def test_finish_stays_the_construct_after_its_submodule_loads():
     """``constructs/finish.py`` defines ``finish``: importing that submodule
-    (``accumulator`` does) must not bind the module over the name."""
+    must not bind the module over the name."""
     kinds = run_fresh(
         """
         import json, sys, types
-        import repro.constructs.accumulator
+        import repro.constructs.finish
         import repro
         from repro.constructs import finish
         defined = sys.modules["repro.constructs.finish"].finish

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.tj_sp_flat import TJSpawnPathsFlat
 from repro.tools.cli import main
 
 
@@ -354,6 +355,7 @@ class TestChaosCommand:
         assert rc == 1
         assert calls == [(target, "pool")]
         assert "chaos: 1 programs" in out and "0 passed, 1 failed" in out
+        assert f"failed, kernel={TJSpawnPathsFlat().backend}" in out
 
 
 class TestPredictAndSimulateCommands:

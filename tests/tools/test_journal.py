@@ -16,7 +16,7 @@ import pytest
 
 from repro.errors import JournalCorruptError, JournalError
 from repro.runtime.threaded import TaskRuntime
-from repro.tools.journal import TraceJournal, read_journal
+from repro.tools.journal import ServiceJournal, TraceJournal, read_journal
 from repro.tools.replay import replay_journal
 
 
@@ -313,3 +313,108 @@ class TestBlockedAtDeath:
         replay = replay_journal(path)
         assert replay.died_blocked
         assert replay.blocked_at_death == [("t0", "t1")]
+
+
+# ----------------------------------------------------------------------
+# sidecar journals: one namespace per tenant, or per session
+# ----------------------------------------------------------------------
+def _init(rid):
+    return {"kind": "init", "task": rid}
+
+
+def _fork(parent, child, edge=None, depth=None):
+    record = {"kind": "fork", "parent": parent, "child": child}
+    if edge is not None:
+        record.update(edge=edge, depth=depth)
+    return record
+
+
+def _verdict(waiter, joinee, ok):
+    return {"kind": "verdict", "waiter": waiter, "joinee": joinee, "ok": ok}
+
+
+class TestSidecarJournal:
+    """A sidecar journal interleaves sessions that each name vertices by
+    their own client rids; every verdict in it is TJ-SP's true answer."""
+
+    def _write(self, path, stream):
+        """Write ``(session, record)`` pairs in arrival order, a start
+        record as ``{"kind": "start", "tenant": ...}``."""
+        cseq: dict = {}
+        with ServiceJournal(path) as journal:
+            for session, rec in stream:
+                if rec["kind"] == "start":
+                    journal.log_session(session, "TJ-SP", "open", rec["tenant"])
+                elif rec["kind"] == "verdict":
+                    journal.log_verdict(session, rec["waiter"], rec["joinee"], rec["ok"])
+                else:
+                    cseq[session] = cseq.get(session, -1) + 1
+                    journal.log_event(session, {**rec, "cseq": cseq[session]})
+
+    def _tenant_journal(self, path):
+        """Three sessions of one ``ProcessRuntime`` tenant: the workers
+        fork under the parent session's vertices, and w1's fork of the
+        later sibling (edge 1) arrives before w0's of the earlier one."""
+        start = {"kind": "start", "tenant": "T"}
+        self._write(path, [
+            ("T-p", start),
+            ("T-p", _init(0)),
+            ("T-p", _fork(0, 1, edge=0, depth=1)),
+            ("T-p", _fork(0, 2, edge=1, depth=1)),
+            ("T-w0", start),
+            ("T-w1", start),
+            ("T-w1", _fork(1, 11, edge=1, depth=2)),
+            ("T-w0", _fork(1, 10, edge=0, depth=2)),
+            ("T-w1", _verdict(11, 10, True)),  # the later sibling joins
+            ("T-w0", _verdict(10, 11, False)),
+            ("T-w0", _verdict(10, 2, False)),  # 2 is later than 10's parent
+            ("T-p", _verdict(2, 10, True)),
+            ("T-p", _verdict(0, 11, True)),  # an ancestor joins
+        ])
+
+    def test_tenant_sessions_replay_as_one_tree_placed_by_edge_and_depth(self, path):
+        self._tenant_journal(path)
+        replay = replay_journal(path)
+        assert replay.rechecked == 5
+        assert replay.recheck_mismatches == []
+        assert replay.tasks == ["T:0", "T:1", "T:2", "T:11", "T:10"]
+        assert replay.denied == [("T:10", "T:11"), ("T:10", "T:2")]
+        assert "5 verdicts re-derived, 0 mismatches" in replay.report()
+
+    def test_sessions_without_a_tenant_keep_their_own_rids(self, path):
+        """Two plain sessions reuse rids 0-2 and fork the two siblings in
+        opposite orders, so each verdict holds in its own session only."""
+        start = {"kind": "start", "tenant": None}
+        self._write(path, [
+            ("s1", start),
+            ("s1", _init(0)),
+            ("s1", _fork(0, 1)),
+            ("s1", _fork(0, 2)),
+            ("s2", start),
+            ("s2", _init(0)),
+            ("s2", _fork(0, 2)),
+            ("s2", _fork(0, 1)),
+            ("s1", _verdict(2, 1, True)),
+            ("s2", _verdict(1, 2, True)),
+            ("s1", _verdict(1, 2, False)),
+            ("s2", _verdict(2, 1, False)),
+        ])
+        replay = replay_journal(path)
+        assert replay.rechecked == 4
+        assert replay.recheck_mismatches == []
+        assert replay.denied == [("s1:1", "s1:2"), ("s2:2", "s2:1")]
+
+    def test_trace_export_refuses_a_sidecar_journal(self, path):
+        from repro.tools.trace_export import journal_to_trace
+
+        self._tenant_journal(path)
+        with pytest.raises(JournalError, match="sidecar journal"):
+            journal_to_trace(path)
+
+    def test_predict_refuses_a_sidecar_journal(self, path):
+        from repro.predict import predict_deadlocks
+
+        self._tenant_journal(path)
+        with pytest.raises(JournalError, match="sidecar journal"):
+            predict_deadlocks(path)
+
