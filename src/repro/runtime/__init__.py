@@ -25,7 +25,7 @@ _EXPORTS = {
     "current_task": ".context",
     "require_current_task": ".context",
     "task_scope": ".context",
-    "resolve_policy": ".threaded",
+    "resolve_policy": ".supervisor",
     "ProcessRuntime": ".procs",
 }
 

@@ -52,7 +52,7 @@ from ..errors import (
     TaskCancelledError,
     TaskFailedError,
 )
-from .threaded import resolve_policy
+from .supervisor import resolve_policy
 from ..formal.deadlock import find_cycle
 
 __all__ = ["CooperativeRuntime"]
@@ -173,10 +173,9 @@ class CooperativeRuntime:
             self._hybrid.begin_join(
                 joiner, joinee, joiner.vertex, joinee.vertex, joinee_done=True
             )
-            self._hybrid.on_join_completed(joiner.vertex, joinee.vertex)
         else:
             self._verifier.require_join(joiner.vertex, joinee.vertex)
-            self._verifier.on_join_completed(joiner.vertex, joinee.vertex)
+        self._verifier.on_join_completed(joiner.vertex, joinee.vertex)
         future._joined = True
         return future._result_now()
 
@@ -339,11 +338,7 @@ class CooperativeRuntime:
 
     def _finish_join(self, task: TaskHandle, future: Future) -> None:
         """Deliver a completed join's result (or failure) at next resume."""
-        joinee = future.task
-        if self._hybrid is not None:
-            self._hybrid.on_join_completed(task.vertex, joinee.vertex)
-        else:
-            self._verifier.on_join_completed(task.vertex, joinee.vertex)
+        self._verifier.on_join_completed(task.vertex, future.task.vertex)
         future._joined = True
         try:
             value = future._result_now()

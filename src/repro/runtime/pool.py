@@ -20,22 +20,20 @@ the policy's job — which is the paper's division of labour.  On top of
 that sits the supervision layer (:mod:`repro.runtime.supervisor`): join
 deadlines, cooperative cancellation, a stall watchdog that turns true
 join cycles into :class:`~repro.errors.DeadlockDetectedError` even with
-``policy=None``, and an unjoined-failure reaper at shutdown.
+``policy=None``, and an unjoined-failure reaper at shutdown.  ``run``,
+``fork``, the task body and the joins are
+:class:`~repro.runtime.supervisor.SupervisedJoinMixin`'s; this class
+adds the queue, compensation and helping.
 """
 
 from __future__ import annotations
 
 import threading
 from queue import Empty, SimpleQueue
-from time import perf_counter_ns
-from typing import Any, Callable, Optional, Union
+from typing import Optional, Union
 
-from .context import require_current_task, task_scope
-from .future import Future
-from .retry import RetryPolicy
 from .supervisor import StallWatchdog, SupervisedJoinMixin
-from .task import TaskHandle, TaskState
-from .threaded import resolve_policy, resolve_verifier
+from .task import TaskState
 from ..core.policy import JoinPolicy
 from ..core.verifier import Verifier
 from ..errors import RuntimeStateError, TaskCancelledError
@@ -67,29 +65,12 @@ class WorkSharingRuntime(SupervisedJoinMixin):
         max_workers: int = 256,
         default_join_timeout: Optional[float] = None,
         watchdog: Union[bool, float, StallWatchdog] = True,
-        watchdog_interval: float = 0.1,
         on_unjoined_failure: str = "warn",
         clock=None,
     ) -> None:
         if workers < 1 or max_workers < workers:
             raise ValueError("need 1 <= workers <= max_workers")
-        policy_obj = resolve_policy(policy)
-        (
-            self._hybrid,
-            self._verifier,
-            self._journal,
-            self._owns_journal,
-            self._owns_verifier,
-        ) = resolve_verifier(
-            policy_obj,
-            fallback=fallback,
-            fail_mode=fail_mode,
-            journal=journal,
-            verifier=verifier,
-            runtime_name=type(self).__name__,
-        )
         self._queue: "SimpleQueue" = SimpleQueue()
-        self._lock = threading.Lock()
         self._idle = 0  # workers currently parked on queue.get
         self._worker_count = 0
         self._peak_workers = 0
@@ -98,35 +79,22 @@ class WorkSharingRuntime(SupervisedJoinMixin):
         self._max_workers = max_workers
         self._worker_threads: set[int] = set()  # thread idents of pool workers
         self._outstanding = 0  # forked tasks not yet terminated
-        self._all_done = threading.Condition(self._lock)
-        self._root_started = False
         self._shutdown = False
-        self._init_supervision(
+        self._init_runtime(
+            policy,
+            fallback=fallback,
+            fail_mode=fail_mode,
+            journal=journal,
+            verifier=verifier,
             default_join_timeout=default_join_timeout,
             watchdog=watchdog,
-            watchdog_interval=watchdog_interval,
             on_unjoined_failure=on_unjoined_failure,
             clock=clock,
         )
+        # notified when the last outstanding task terminates (see _close)
+        self._all_done = threading.Condition(self._lock)
 
     # ------------------------------------------------------------------
-    @property
-    def policy(self) -> JoinPolicy:
-        return self._verifier.policy
-
-    @property
-    def verifier(self) -> Verifier:
-        return self._verifier
-
-    @property
-    def detector(self):
-        return self._hybrid.detector if self._hybrid else None
-
-    @property
-    def journal(self):
-        """The trace journal, or None when journaling is disabled."""
-        return self._journal
-
     @property
     def peak_workers(self) -> int:
         """Largest pool size reached (base + compensation threads)."""
@@ -151,6 +119,31 @@ class WorkSharingRuntime(SupervisedJoinMixin):
     # ------------------------------------------------------------------
     # pool machinery
     # ------------------------------------------------------------------
+    def _open(self) -> None:
+        with self._lock:
+            for _ in range(self._base_workers):
+                self._spawn_worker()
+
+    def _close(self) -> None:
+        """Top-level implicit finish: wait for every forked task to
+        terminate, then stop the pool and retire the watchdog."""
+        with self._all_done:
+            while self._outstanding:
+                self._all_done.wait()
+            self._shutdown = True
+            count = self._worker_count
+        for _ in range(count):
+            self._queue.put(_SHUTDOWN)
+        if self._watchdog is not None:
+            self._watchdog.stop()
+
+    def _dispatch(self, item: tuple) -> None:
+        with self._all_done:
+            if self._shutdown:
+                raise RuntimeStateError("runtime already shut down")
+            self._outstanding += 1
+        self._queue.put(item)
+
     def _spawn_worker(self) -> None:
         """Start one worker; caller holds the lock."""
         self._worker_count += 1
@@ -168,215 +161,75 @@ class WorkSharingRuntime(SupervisedJoinMixin):
                 self._idle -= 1
             if item is _SHUTDOWN:
                 return
-            task, future, fn, args, kwargs = item
-            self._execute(task, future, fn, args, kwargs)
+            self._run_queued(item)
 
-    def _execute(self, task: TaskHandle, future: Future, fn, args, kwargs) -> None:
+    def _run_queued(self, item: tuple) -> None:
+        task, future = item[0], item[1]
         if task.cancel_token.cancelled():
             # Cancelled while still queued: never run the body.
             task.state = TaskState.FAILED
             future._set_exception(TaskCancelledError(task))
-            with self._all_done:
-                self._outstanding -= 1
-                if self._outstanding == 0:
-                    self._all_done.notify_all()
-            return
-        task.state = TaskState.RUNNING
-        obs = self._obs
-        tracer = obs.tracer if obs is not None else None
-        with task_scope(task):
-            handle = tracer.begin_span("run") if tracer is not None else None
-            try:
-                value = fn(*args, **kwargs)
-            except BaseException as exc:  # noqa: BLE001 - delivered at join
-                task.state = TaskState.FAILED
-                retry_delay = self._prepare_retry(future, exc)
-                if retry_delay is not None:
-                    # Requeue the attempt instead of completing the
-                    # future.  The task stays *outstanding* — run() must
-                    # not shut the pool down between attempts — and the
-                    # cancel check at the top of _execute drops retries
-                    # cancelled during the backoff.
-                    item = (task, future, fn, args, kwargs)
-                    if retry_delay > 0.0:
-                        timer = threading.Timer(retry_delay, self._queue.put, args=(item,))
-                        timer.daemon = True
-                        timer.start()
-                    else:
-                        self._queue.put(item)
-                    return
-                future._set_exception(exc)
-                if self._journal is not None:
-                    self._journal.log_complete(task.vertex, ok=False)
-            else:
-                task.state = TaskState.DONE
-                future._set_result(value)
-                if self._journal is not None:
-                    self._journal.log_complete(task.vertex, ok=True)
-            finally:
-                if tracer is not None:
-                    tracer.end_span(handle, args={"task": task.name})
+        else:
+            retry_delay = self._execute(item)
+            if retry_delay is not None:
+                # Requeue the attempt instead of completing the future.
+                # The task stays *outstanding* — run() must not shut the
+                # pool down between attempts — and the cancel check above
+                # drops retries cancelled during the backoff.
+                if retry_delay > 0.0:
+                    timer = threading.Timer(retry_delay, self._queue.put, args=(item,))
+                    timer.daemon = True
+                    timer.start()
+                else:
+                    self._queue.put(item)
+                return
         with self._all_done:
             self._outstanding -= 1
             if self._outstanding == 0:
                 self._all_done.notify_all()
 
-    def _ensure_capacity_for_block(self) -> None:
-        """A pool worker is about to block: keep the pool progressing."""
-        if threading.get_ident() not in self._worker_threads:
-            return  # the root (or a foreign thread) blocking costs no worker
-        with self._lock:
-            if self._idle == 0 and self._worker_count < self._max_workers:
-                self._compensations += 1
-                self._spawn_worker()
-
     # ------------------------------------------------------------------
-    # supervision hooks (see SupervisedJoinMixin)
+    # the supervision hook (see SupervisedJoinMixin._wait)
     # ------------------------------------------------------------------
-    def _before_block(self, future: Future) -> None:
-        self._ensure_capacity_for_block()
+    def _before_block(self) -> tuple:
+        """A pool worker is about to block: keep the pool progressing.
 
-    def _helper_tick(self) -> Optional[Callable[[], bool]]:
-        """Does the blocked wait need to poll for help-work right now?
-
-        Only a *saturated* pool does: no idle worker to take queued
-        tasks and no headroom left to compensate.  Every other state
-        lets the event-driven wait sleep untimed — the last worker to
-        block at the cap always sees saturation here and keeps ticking,
-        which is what preserves progress (see ``_wait_helper``).
-        """
-        if threading.get_ident() not in self._worker_threads:
-            return None
-
-        def saturated() -> bool:
-            with self._lock:
-                return self._idle == 0 and self._worker_count >= self._max_workers
-
-        return saturated
-
-    def _wait_helper(self) -> Optional[Callable[[], bool]]:
-        """Blocked *workers* help: execute queued tasks between wakeups.
-
-        Compensation keeps one spare worker per blocked one, but it is
-        bounded by ``max_workers``; past the cap a blocked worker pulls
-        runnable tasks off the queue and executes them inline between
-        the ticks ``_helper_tick`` requests, so deep fork trees never
+        Compensation starts a spare worker while the pool is below
+        ``max_workers``.  Past the cap the blocked worker *helps*: it
+        pulls runnable tasks off the queue and executes them inline
+        between wakeups, and only a *saturated* pool (no idle worker, no
+        headroom left to compensate) makes its wait poll for that work —
+        every other state lets the event-driven wait sleep untimed.  The
+        last worker to block at the cap always sees saturation and keeps
+        ticking, which is what preserves progress: deep fork trees never
         starve (HJ's runtime solves the same problem with a similar mix
         of compensation and work assists).
         """
         if threading.get_ident() not in self._worker_threads:
-            return None
-
-        def helper() -> bool:
-            with self._lock:
-                if self._idle > 0 or self._worker_count < self._max_workers:
-                    return False  # compensation (or an idle worker) has it
-            try:
-                item = self._queue.get_nowait()
-            except Empty:
-                return False
-            if item is _SHUTDOWN:
-                # shutdown is only initiated once nothing is outstanding,
-                # so this cannot happen while we are blocked; be safe.
-                self._queue.put(item)
-                return False
-            task, future, fn, args, kwargs = item
-            self._execute(task, future, fn, args, kwargs)
-            return True
-
-        return helper
-
-    # ------------------------------------------------------------------
-    # task API (mirrors TaskRuntime)
-    # ------------------------------------------------------------------
-    def run(self, fn: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
-        """Execute *fn* as the root task in the calling thread.
-
-        Returns after *fn* finishes **and** every forked task has
-        terminated (top-level implicit finish); then stops the pool,
-        reaps unjoined failures, and retires the watchdog.
-        """
+            return None, None  # the root (or a foreign thread) costs no worker
         with self._lock:
-            if self._root_started:
-                raise RuntimeStateError(
-                    "this runtime already hosted a root task; create a fresh "
-                    "WorkSharingRuntime per program run"
-                )
-            self._root_started = True
-            for _ in range(self._base_workers):
+            if self._idle == 0 and self._worker_count < self._max_workers:
+                self._compensations += 1
                 self._spawn_worker()
-        vertex = self._verifier.on_init()
-        root = TaskHandle(vertex, code=fn, name="root")
-        root.state = TaskState.RUNNING
-        obs = self._obs
-        tracer = obs.tracer if obs is not None else None
-        try:
-            with task_scope(root):
-                handle = tracer.begin_span("run") if tracer is not None else None
-                try:
-                    result = fn(*args, **kwargs)
-                    root.state = TaskState.DONE
-                finally:
-                    if tracer is not None:
-                        tracer.end_span(handle, args={"task": root.name})
-        except BaseException:
-            root.state = TaskState.FAILED
-            raise
-        finally:
-            with self._all_done:
-                while self._outstanding:
-                    self._all_done.wait()
-                self._shutdown = True
-                count = self._worker_count
-            for _ in range(count):
-                self._queue.put(_SHUTDOWN)
-            if self._watchdog is not None:
-                self._watchdog.stop()
-            if self._owns_verifier:
-                self._verifier.close()
-            if self._journal is not None and self._owns_journal:
-                self._journal.close()
-        self._reap_unjoined()
-        return result
+        return self._help, self._saturated
 
-    def fork(
-        self, fn: Callable[..., Any], *args: Any, retry: Optional[RetryPolicy] = None, **kwargs: Any
-    ) -> Future:
-        parent = require_current_task()
-        parent.cancel_token.raise_if_cancelled(parent)
-        obs = self._obs
-        if obs is not None:
-            _t0 = perf_counter_ns()
+    def _saturated(self) -> bool:
         with self._lock:
-            if self._shutdown:
-                raise RuntimeStateError("runtime already shut down")
-        if retry is not None and parent.fork_lock is None:
-            # Retry re-forks race the parent's own forks; Section 5.1
-            # forbids concurrent AddChild calls on one parent.
-            parent.fork_lock = threading.Lock()
-        lock = parent.fork_lock
-        if lock is not None:
-            with lock:
-                vertex = self._verifier.on_fork(parent.vertex)
-        else:
-            vertex = self._verifier.on_fork(parent.vertex)
-        task = TaskHandle(vertex, code=fn, parent_uid=parent.uid)
-        future = Future(self, task)
-        if retry is not None:
-            future._retry = (retry, parent)
-        with self._all_done:
-            self._outstanding += 1
-        self._queue.put((task, future, fn, args, kwargs))
-        if obs is not None:
-            dur = perf_counter_ns() - _t0
-            obs.fork_ns.observe(dur)
-            if obs.tracer is not None:
-                obs.tracer.complete(
-                    "fork",
-                    _t0,
-                    dur,
-                    args={"child": task.name, "parent": parent.name},
-                )
-        return future
+            return self._idle == 0 and self._worker_count >= self._max_workers
 
-    # join / join_batch / _join_one are provided by SupervisedJoinMixin.
+    def _help(self) -> bool:
+        """Run one queued task inline; True when there was one to run."""
+        with self._lock:
+            if self._idle > 0 or self._worker_count < self._max_workers:
+                return False  # compensation (or an idle worker) has it
+        try:
+            item = self._queue.get_nowait()
+        except Empty:
+            return False
+        if item is _SHUTDOWN:
+            # shutdown is only initiated once nothing is outstanding,
+            # so this cannot happen while we are blocked; be safe.
+            self._queue.put(item)
+            return False
+        self._run_queued(item)
+        return True

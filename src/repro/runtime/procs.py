@@ -164,9 +164,6 @@ class ShardVerifier(Verifier):
             client.fork(parent, vid, edge, depth)
         self._procs_events.cell().announced += 1
 
-    def announce_init(self, vid: int) -> None:
-        self._announce("init", vid)
-
     def announce_fork(self, vid: int) -> None:
         self._announce("fork", vid)
 
@@ -174,7 +171,13 @@ class ShardVerifier(Verifier):
         if self.sidecar is not None:
             self.sidecar.flush()
 
-    # -- fork: announce escalation-relevant vertices --------------------
+    # -- init/fork: announce escalation-relevant vertices ---------------
+    def on_init(self):
+        vertex = super().on_init()
+        self._announce("init", vertex)  # the root of the tenant mirror
+        self.flush_announcements()
+        return vertex
+
     def on_fork(self, parent):
         vertex = super().on_fork(parent)
         if isinstance(vertex, int) and not self.is_local(parent):
@@ -567,7 +570,6 @@ class ProcessRuntime(SupervisedJoinMixin):
         fail_mode: str = "raise",
         default_join_timeout: Optional[float] = None,
         watchdog: Union[bool, float, StallWatchdog] = True,
-        watchdog_interval: float = 0.1,
         on_unjoined_failure: str = "warn",
         introspect: Optional[int] = None,
         stripe: int = 1024,
@@ -599,19 +601,18 @@ class ProcessRuntime(SupervisedJoinMixin):
         self._tree: Optional[SharedFlatTree] = None
         self._sidecar_proc = None
         self._client = None
-        self._verifier: Optional[ShardVerifier] = None
+        self._verifier: Optional[ShardVerifier] = None  # built by _open
         self._hybrid = None  # no Armus across processes
         self._journal = None
+        self._owns_journal = self._owns_verifier = False
 
         import multiprocessing
 
         self._ctx = multiprocessing.get_context("spawn")
         self._result_q = self._ctx.Queue()
         self._workers: list[_WorkerHandle] = []
-        self._plock = threading.Lock()
         self._inflight: dict[int, _Inflight] = {}
         self._rr = 0  # round-robin dispatch cursor
-        self._root_started = False
         self._stopping = threading.Event()
         self._collector: Optional[threading.Thread] = None
         self._monitor: Optional[threading.Thread] = None
@@ -639,7 +640,6 @@ class ProcessRuntime(SupervisedJoinMixin):
         self._init_supervision(
             default_join_timeout=default_join_timeout,
             watchdog=watchdog,
-            watchdog_interval=watchdog_interval,
             on_unjoined_failure=on_unjoined_failure,
         )
 
@@ -649,10 +649,6 @@ class ProcessRuntime(SupervisedJoinMixin):
     @property
     def policy(self):
         return self._verifier.policy if self._verifier is not None else None
-
-    @property
-    def verifier(self) -> Optional[ShardVerifier]:
-        return self._verifier
 
     @property
     def sidecar_url(self) -> Optional[str]:
@@ -706,7 +702,7 @@ class ProcessRuntime(SupervisedJoinMixin):
         obs = self._obs
         if obs is not None:
             parts.append(label_snapshot(obs.snapshot(), process="parent"))
-        with self._plock:
+        with self._lock:
             live = [self._worker_metrics[i] for i in sorted(self._worker_metrics)]
             retired = self._fleet_retired
         parts.extend(live)
@@ -724,7 +720,7 @@ class ProcessRuntime(SupervisedJoinMixin):
         """
         obs = self._obs
         out = _serialize_blocked(obs.blocked_joins(), process="parent") if obs is not None else []
-        with self._plock:
+        with self._lock:
             blocked = {i: list(v) for i, v in self._worker_blocked.items()}
         for index in sorted(blocked):
             for rec in blocked[index]:
@@ -736,7 +732,7 @@ class ProcessRuntime(SupervisedJoinMixin):
     def _introspection_snapshot(self) -> dict:
         """The stats payload the introspection plane serves to
         ``repro top --live`` (wire ``stats`` → ``stats_reply``)."""
-        with self._plock:
+        with self._lock:
             workers = [
                 {"index": w.index, "alive": w.alive, "pid": w.proc.pid}
                 for w in self._workers
@@ -756,7 +752,7 @@ class ProcessRuntime(SupervisedJoinMixin):
         """Fold one worker telemetry push into the parent's fleet view."""
         metrics = obs_state.get("metrics")
         blocked = obs_state.get("blocked")
-        with self._plock:
+        with self._lock:
             if metrics is not None:
                 self._worker_metrics[index] = label_snapshot(
                     metrics, worker=str(index)
@@ -797,7 +793,10 @@ class ProcessRuntime(SupervisedJoinMixin):
             return self._sidecar_proc.url
         return spec
 
-    def _start_workers(self) -> None:
+    def _open(self) -> None:
+        """Start the sidecar, the shared forest and the workers; the root
+        (run by :meth:`SupervisedJoinMixin.run` in the calling thread)
+        dispatches everything it forks to them."""
         url = self._start_sidecar()
         if url is not None:
             from ..service.client import SessionClient
@@ -868,47 +867,8 @@ class ProcessRuntime(SupervisedJoinMixin):
             )
             self._introspect_server.start()
 
-    def run(self, fn: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
-        """Execute *fn* as the root task in the parent process.
-
-        The root runs in the calling thread and may use this runtime
-        directly (it shares the parent's address space); everything it
-        ``fork``\\ s is dispatched to the worker pool.
-        """
-        with self._plock:
-            if self._root_started:
-                raise RuntimeStateError(
-                    "this runtime already hosted a root task; create a fresh "
-                    "ProcessRuntime per program run"
-                )
-            self._root_started = True
-        self._start_workers()
-        vertex = self._verifier.on_init()
-        self._verifier.announce_init(vertex)
-        self._verifier.flush_announcements()
-        root = TaskHandle(vertex, code=fn, name="root")
-        root.state = TaskState.RUNNING
-        obs = self._obs
-        handle = None
-        if obs is not None and obs.tracer is not None:
-            # The root span anchors the distributed trace: dispatches
-            # under it capture its (trace, span) as their flow origin.
-            handle = obs.tracer.begin_span("run")
-        try:
-            with task_scope(root):
-                result = fn(*args, **kwargs)
-                root.state = TaskState.DONE
-        except BaseException:
-            root.state = TaskState.FAILED
-            raise
-        finally:
-            if handle is not None:
-                obs.tracer.end_span(handle, args={"task": "root"})
-            self._shutdown()
-        self._reap_unjoined()
-        return result
-
-    def _shutdown(self) -> None:
+    def _close(self) -> None:
+        """Stop the workers, drain their results, then the sidecar."""
         self._stopping.set()
         for w in self._workers:
             if w.alive:
@@ -1000,7 +960,7 @@ class ProcessRuntime(SupervisedJoinMixin):
         task = TaskHandle(vertex, code=fn, parent_uid=parent.uid)
         future = Future(self, task)
         task.state = TaskState.RUNNING
-        with self._plock:
+        with self._lock:
             self.tasks_dispatched += 1
             worker = self._pick_worker_locked()
             if worker is None:
@@ -1031,7 +991,7 @@ class ProcessRuntime(SupervisedJoinMixin):
         return worker
 
     def _relay_cancel(self, vid: int) -> None:
-        with self._plock:
+        with self._lock:
             entry = self._inflight.get(vid)
             worker = self._workers[entry.worker] if entry is not None else None
         if worker is not None and worker.alive:
@@ -1078,7 +1038,7 @@ class ProcessRuntime(SupervisedJoinMixin):
         except (TypeError, ValueError, IndexError):
             self.orphan_results += 1
             return
-        with self._plock:
+        with self._lock:
             entry = self._inflight.pop(vid, None)
         if entry is None:
             self.orphan_results += 1  # redispatch raced a late result
@@ -1112,7 +1072,7 @@ class ProcessRuntime(SupervisedJoinMixin):
                 self._client.ping()
 
     def _on_worker_death(self, worker: _WorkerHandle) -> None:
-        with self._plock:
+        with self._lock:
             if not worker.alive:
                 return
             worker.alive = False
@@ -1158,7 +1118,7 @@ class ProcessRuntime(SupervisedJoinMixin):
         self._verifier.announce_fork(new_vid)
         self._verifier.flush_announcements()
         future.task.vertex = new_vid
-        with self._plock:
+        with self._lock:
             worker = self._pick_worker_locked()
             if worker is None:
                 future.task.state = TaskState.FAILED
@@ -1175,5 +1135,5 @@ class ProcessRuntime(SupervisedJoinMixin):
         # may be long gone, so the retry's run span roots its own tree.
         worker.dispatch_q.put((new_vid, entry.payload, None))
 
-    # join / join_batch / _join_one come from SupervisedJoinMixin, driving
-    # the parent's ShardVerifier exactly like TaskRuntime drives its own.
+    # run / join / join_batch come from SupervisedJoinMixin, driving the
+    # parent's ShardVerifier exactly like TaskRuntime drives its own.

@@ -37,10 +37,10 @@ terminates.  Two deliberate exceptions re-introduce a bounded tick:
   is honoured promptly on every platform (an untimed lock wait can
   swallow ``KeyboardInterrupt`` on some of them);
 * a **saturated pool worker** (no idle worker, no headroom to
-  compensate) ticks at ``_MIN_TICK``..``max_tick`` with exponential
+  compensate) ticks at ``_MIN_TICK``..``_MAX_TICK`` with exponential
   backoff and runs the runtime's *helper* callback between waits, so
   queued work is never starved past the compensation cap (see
-  ``WorkSharingRuntime._helper_tick``).
+  ``WorkSharingRuntime._before_block``).
 
 The waker protocol is lock-free under the GIL by ordering alone: every
 writer sets its condition flag (``future._done``, ``token._cancelled``,
@@ -55,14 +55,17 @@ countdown latch fires a *single* notify when the last joinee completes
 (or the first failure arrives, when failures abort the batch) — one
 wakeup per drain instead of one blocked wait per future.  The harvest
 that follows replays the exact sequential verification protocol with
-every joinee already terminated.
+every joinee already terminated.  A single blocking join is the same
+wait over a batch of one: its record is its own waker.
 
-:class:`SupervisedJoinMixin` packages the shared join/join_batch
-protocol for :class:`~repro.runtime.threaded.TaskRuntime` and
-:class:`~repro.runtime.pool.WorkSharingRuntime`; the two runtimes
-differ only in the hooks (`_before_block`, `_wait_helper`,
-`_helper_tick`) the pool uses for worker compensation and
-help-while-blocked.
+:class:`SupervisedJoinMixin` holds the task lifecycle of
+:class:`~repro.runtime.threaded.TaskRuntime`,
+:class:`~repro.runtime.pool.WorkSharingRuntime` and
+:class:`~repro.runtime.procs.ProcessRuntime` — the verifier stack, the
+root task's ``run``, ``fork`` and the task body — and the join protocol
+over that one blocked wait.  The runtimes differ only in how a forked
+task reaches a thread and in the hooks (`_open`, `_close`,
+`_before_block`) around the root task and a block.
 """
 
 from __future__ import annotations
@@ -71,9 +74,12 @@ import threading
 import time
 import warnings
 from time import perf_counter_ns
-from typing import Callable, List, Optional, Sequence, TYPE_CHECKING, Union
+from typing import Any, Callable, List, Optional, Sequence, TYPE_CHECKING, Union
 
 from ..armus.graph import Entry, WaitsForGraph
+from ..armus.hybrid import HybridVerifier
+from ..core.policy import JoinPolicy, NullPolicy, make_policy
+from ..core.verifier import Verifier
 from ..obs import active as _active_telemetry
 from ..errors import (
     DeadlockAvoidedError,
@@ -86,12 +92,12 @@ from ..errors import (
     UnjoinedTaskWarning,
 )
 from ..formal.deadlock import find_cycle
-from .context import require_current_task
-from .task import TaskState
+from .context import require_current_task, task_scope
+from .future import Future
+from .task import TaskHandle, TaskState
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .future import Future
-    from .task import TaskHandle
+    from .retry import RetryPolicy
 
 __all__ = [
     "BlockedJoin",
@@ -99,7 +105,8 @@ __all__ = [
     "SupervisedJoinMixin",
     "WallClock",
     "WALL_CLOCK",
-    "wait_for_future",
+    "resolve_policy",
+    "resolve_verifier",
 ]
 
 
@@ -145,9 +152,10 @@ class BlockedJoin(Entry):
     """One currently blocked join: the wait-for edge ``joiner -> joinee``.
 
     The record is the edge's entry in the runtime's waits-for graph, and
-    doubles as the wait's *wake slot*: ``_wake`` is the event
-    the blocked thread sleeps on, and :meth:`set` (the waker protocol)
-    is what the joinee's future and the joiner's cancel token fire.
+    doubles as the wait's *wake slot*: ``_wake`` is the event the blocked
+    thread sleeps on (the joiner's cancel token fires it), and :meth:`set`
+    (the waker protocol) is what the joinee's future fires on a single
+    join.
     ``exc`` is the delivery slot: the watchdog stores an exception via
     :meth:`deliver` and the blocked task raises it on wakeup.  Attaching
     both slots to the *record* (not the task) makes delivery race-free:
@@ -310,79 +318,74 @@ class StallWatchdog:
             delivered.append(stall)
 
 
-def wait_for_future(
-    record: BlockedJoin,
-    *,
-    watchdog: Optional[StallWatchdog] = None,
-    deadline: Optional[float] = None,
-    timeout_value: Optional[float] = None,
-    helper: Optional[Callable[[], bool]] = None,
-    helper_tick: Optional[Callable[[], bool]] = None,
-    max_tick: float = _MAX_TICK,
-    main_tick: float = _MAIN_TICK,
-    clock: Optional[WallClock] = None,
-) -> int:
-    """The supervised blocked wait used by every blocking join.
+def resolve_policy(policy: Union[None, str, JoinPolicy]) -> JoinPolicy:
+    """Accept a policy instance, a registered name, or None (unchecked)."""
+    if policy is None:
+        return NullPolicy()
+    if isinstance(policy, str):
+        return make_policy(policy)
+    return policy
 
-    *record* is the wait's entry, already registered in the runtime's
-    waits-for graph by the caller (who also removes it after the wait).
-    Sleeps on the record's wake event and re-checks, in priority order:
-    a watchdog-delivered diagnosis (``record.exc``), the joiner's
-    cancellation token, completion, and the deadline.  All three notify
-    sources deliver targeted wakes, so off the main thread an unbounded
-    wait performs exactly one OS sleep.  ``helper``, when given, is
-    invoked after each wakeup and may execute queued work (the pool's
-    help-while-blocked loop); ``helper_tick`` reports whether the
-    current pool state requires the wait to poll for such work (with
-    ``_MIN_TICK``..``max_tick`` backoff).  The record's waker slots are
-    always removed on exit, so no supervision state outlives the wait.
-    Returns the number of OS-level wakeups the wait performed (telemetry
-    feeds this into the ``repro_runtime_wakeups_total`` counter).
+
+def resolve_verifier(
+    policy_obj: JoinPolicy,
+    *,
+    fallback: bool,
+    fail_mode: str,
+    journal: "Union[None, str, object]",
+    verifier: "Union[None, str, Verifier]",
+    runtime_name: str,
+) -> tuple:
+    """The construction block the blocking runtimes share.
+
+    Resolves the journal (path string → owned :class:`TraceJournal`) and
+    the verifier: None builds the usual local verifier; a
+    ``"remote://host:port"`` string builds an *owned*
+    :class:`~repro.service.client.RemoteVerifier` (closed when the
+    runtime's ``run`` exits); a verifier instance is used as-is and left
+    open (tests and chaos harnesses inspect it after the run).  When
+    ``fallback`` is set the verifier — local or remote — sits inside a
+    :class:`HybridVerifier`, which is what makes remote degradation
+    sound: a degraded remote verifier reports ``unsound`` and Armus
+    force-checks every blocking join.
+
+    Returns ``(hybrid, verifier, journal, owns_journal, owns_verifier)``.
     """
-    future = record.future
-    if future._done:
-        return 0
-    if clock is None:
-        clock = WALL_CLOCK
-    joiner, joinee = record.joiner, record.joinee
-    if watchdog is not None:
-        watchdog.ensure_running()
-    token = joiner.cancel_token
-    future._add_waiter(record)
-    token._add_waker(record)
-    on_main = threading.current_thread() is threading.main_thread()
-    backoff = _MIN_TICK
-    try:
-        while True:
-            record._wake.clear()
-            # Re-check every condition after the clear: a waker firing in
-            # between re-sets the event, so the next wait falls through.
-            if record.exc is not None:
-                raise record.exc
-            if token.cancelled():
-                raise TaskCancelledError(joiner)
-            if future._done:
-                return record.wakeups
-            wait = None
-            if deadline is not None:
-                remaining = deadline - clock.monotonic()
-                if remaining <= 0:
-                    raise JoinTimeoutError(joiner, joinee, timeout_value)
-                wait = remaining
-            if on_main and (wait is None or main_tick < wait):
-                wait = main_tick
-            if helper_tick is not None and helper_tick():
-                if wait is None or backoff < wait:
-                    wait = backoff
-            clock.wait(record._wake, wait)
-            record.wakeups += 1
-            if helper is not None and helper():
-                backoff = _MIN_TICK  # we did useful work; stay responsive
-            else:
-                backoff = min(backoff * 2, max_tick)
-    finally:
-        future._discard_waiter(record)
-        token._discard_waker(record)
+    owns_journal = isinstance(journal, str)
+    if owns_journal:
+        from ..tools.journal import TraceJournal  # deferred: import cycle
+
+        journal = TraceJournal(journal)
+    owns_verifier = isinstance(verifier, str)
+    if owns_verifier:
+        from ..service.client import RemoteVerifier  # deferred: import cycle
+
+        verifier = RemoteVerifier(
+            verifier, policy_obj, fail_mode=fail_mode, journal=journal
+        )
+    if verifier is not None:
+        hybrid = (
+            HybridVerifier(policy_obj, fail_mode=fail_mode, verifier=verifier)
+            if fallback
+            else None
+        )
+        verifier_obj = verifier
+    else:
+        hybrid = (
+            HybridVerifier(policy_obj, fail_mode=fail_mode, journal=journal)
+            if fallback
+            else None
+        )
+        verifier_obj = (
+            hybrid.verifier
+            if hybrid
+            else Verifier(policy_obj, fail_mode=fail_mode, journal=journal)
+        )
+    if journal is not None:
+        journal.log_start(
+            policy=policy_obj.name, runtime=runtime_name, fail_mode=fail_mode
+        )
+    return hybrid, verifier_obj, journal, owns_journal, owns_verifier
 
 
 class _LatchArm:
@@ -419,9 +422,10 @@ class _CountdownLatch:
         self._fail_fast = fail_fast
         self.failed = False
 
-    @property
-    def remaining(self) -> int:
-        return self._remaining
+    def drained(self) -> bool:
+        """The wait's ready predicate: every future done, or a fail-fast
+        failure in."""
+        return self._remaining == 0 or self.failed
 
     def _arm_fired(self, arm: _LatchArm) -> None:
         with self._lock:
@@ -438,23 +442,57 @@ class _CountdownLatch:
 
 
 class SupervisedJoinMixin:
-    """The shared supervised join protocol of the blocking runtimes.
+    """The task lifecycle and supervised join protocol of the blocking runtimes.
 
-    Host classes must provide ``_hybrid`` (HybridVerifier or None) and
-    ``_verifier`` and call :meth:`_init_supervision` from ``__init__``.
-    They may override :meth:`_before_block` (called once when a join is
-    about to genuinely block), :meth:`_wait_helper` (returns the
-    after-wakeup work callback for the current thread, or None) and
-    :meth:`_helper_tick` (returns a predicate saying whether the blocked
-    wait currently needs to poll for helper work, or None).
+    One copy of what the runtimes share: the verifier stack and its
+    ``policy``/``verifier``/``detector``/``journal`` properties, the root
+    task's :meth:`run`, :meth:`fork` and the task body (:meth:`_execute`),
+    and ``join``/``join_batch`` over one supervised wait (:meth:`_wait`).
+
+    A host class calls :meth:`_init_runtime` from ``__init__`` once the
+    fields its ``_metrics_snapshot`` reads exist (a host that builds its
+    verifier later, in :meth:`_open`, sets ``_hybrid``/``_verifier``/
+    ``_journal``/``_owns_journal``/``_owns_verifier`` itself and calls
+    :meth:`_init_supervision`), and gives :meth:`fork` a
+    ``_dispatch(item)`` that hands a forked task's ``(task, future, fn,
+    args, kwargs)`` to a thread running :meth:`_execute`.  It may
+    override :meth:`_open` and :meth:`_close` (around the root task) and
+    :meth:`_before_block` (the pool's compensation and help-while-blocked).
     """
+
+    def _init_runtime(
+        self,
+        policy: Union[None, str, JoinPolicy],
+        *,
+        fallback: bool,
+        fail_mode: str,
+        journal: Union[None, str, object],
+        verifier: Union[None, str, Verifier],
+        **supervision: Any,
+    ) -> None:
+        """Build the verifier stack (:func:`resolve_verifier`), then the
+        supervision state."""
+        (
+            self._hybrid,
+            self._verifier,
+            self._journal,
+            self._owns_journal,
+            self._owns_verifier,
+        ) = resolve_verifier(
+            resolve_policy(policy),
+            fallback=fallback,
+            fail_mode=fail_mode,
+            journal=journal,
+            verifier=verifier,
+            runtime_name=type(self).__name__,
+        )
+        self._init_supervision(**supervision)
 
     def _init_supervision(
         self,
         *,
         default_join_timeout: Optional[float] = None,
         watchdog: Union[bool, float, StallWatchdog] = True,
-        watchdog_interval: float = 0.1,
         on_unjoined_failure: str = "warn",
         clock: Optional[WallClock] = None,
     ) -> None:
@@ -465,6 +503,9 @@ class SupervisedJoinMixin:
             )
         if default_join_timeout is not None and default_join_timeout < 0:
             raise ValueError("default_join_timeout must be non-negative")
+        #: guards the runtime's own state and the one-root check of run()
+        self._lock = threading.Lock()
+        self._root_started = False
         #: runtime-wide deadline applied to joins with no explicit timeout
         self.default_join_timeout = default_join_timeout
         #: time source for deadlines, watchdog ticks and retry backoff —
@@ -477,13 +518,11 @@ class SupervisedJoinMixin:
         if isinstance(watchdog, StallWatchdog):
             self._watchdog: Optional[StallWatchdog] = watchdog
         elif watchdog:
-            interval = (
-                float(watchdog)
-                if not isinstance(watchdog, bool)
-                else watchdog_interval
-            )
+            # True takes the default scan interval; a number sets it
             self._watchdog = StallWatchdog(
-                self._store, interval=interval, clock=self._clock
+                self._store,
+                interval=0.1 if watchdog is True else float(watchdog),
+                clock=self._clock,
             )
         else:
             self._watchdog = None
@@ -515,6 +554,24 @@ class SupervisedJoinMixin:
     # introspection
     # ------------------------------------------------------------------
     @property
+    def policy(self) -> JoinPolicy:
+        return self._verifier.policy
+
+    @property
+    def verifier(self) -> Verifier:
+        return self._verifier
+
+    @property
+    def detector(self):
+        """The Armus detector, or None when ``fallback=False``."""
+        return self._hybrid.detector if self._hybrid is not None else None
+
+    @property
+    def journal(self):
+        """The trace journal, or None when journaling is disabled."""
+        return self._journal
+
+    @property
     def watchdog(self) -> Optional[StallWatchdog]:
         """The stall watchdog, or None when supervision is disabled."""
         return self._watchdog
@@ -531,15 +588,158 @@ class SupervisedJoinMixin:
     # ------------------------------------------------------------------
     # hooks for the concrete runtimes
     # ------------------------------------------------------------------
-    def _before_block(self, future: "Future") -> None:
-        """Called once when a join is about to genuinely block."""
+    def _open(self) -> None:
+        """Called by :meth:`run` before the root task starts."""
 
-    def _wait_helper(self) -> Optional[Callable[[], bool]]:
-        """After-wakeup work callback for the current thread, or None."""
-        return None
+    def _close(self) -> None:
+        """Called by :meth:`run` once the root task has returned or raised."""
 
-    def _helper_tick(self) -> Optional[Callable[[], bool]]:
-        """Predicate: must the blocked wait poll for helper work now?"""
+    def _before_block(self) -> tuple:
+        """Called once when a join is about to genuinely block.
+
+        Returns ``(helper, tick)`` for the blocking thread: a callback
+        the wait runs after each wakeup (True when it did work), and a
+        predicate saying whether the wait must poll for such work now;
+        either may be None.
+        """
+        return None, None
+
+    # ------------------------------------------------------------------
+    # task lifecycle
+    # ------------------------------------------------------------------
+    def run(self, fn: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
+        """Execute *fn* as the root task in the calling thread.
+
+        Returns *fn*'s result; exceptions propagate unchanged.  After the
+        root, the runtime's :meth:`_close` decides what else ``run``
+        waits for: the thread runtime returns with the root (tasks the
+        root never joined are not waited for), the pool waits for every
+        forked task, the process runtime stops its workers.  Then an
+        owned verifier and journal close and, on a clean return,
+        failures of never-joined futures recorded so far are surfaced
+        per ``on_unjoined_failure``.  A runtime hosts one root: the
+        verifier's data structures assume a single fork tree.
+        """
+        with self._lock:
+            if self._root_started:
+                raise RuntimeStateError(
+                    "this runtime already hosted a root task; create a fresh "
+                    f"{type(self).__name__} per program run"
+                )
+            self._root_started = True
+        try:
+            self._open()
+            root = TaskHandle(self._verifier.on_init(), code=fn, name="root")
+            root.state = TaskState.RUNNING
+            obs = self._obs
+            tracer = obs.tracer if obs is not None else None
+            # The root span anchors the trace: every span and dispatch
+            # under it inherits its trace id.
+            handle = tracer.begin_span("run") if tracer is not None else None
+            try:
+                with task_scope(root):
+                    result = fn(*args, **kwargs)
+                root.state = TaskState.DONE
+            except BaseException:
+                root.state = TaskState.FAILED
+                raise
+            finally:
+                if tracer is not None:
+                    tracer.end_span(handle, args={"task": root.name})
+        finally:
+            self._close()
+            if self._owns_verifier:
+                self._verifier.close()
+            if self._journal is not None and self._owns_journal:
+                self._journal.close()
+        self._reap_unjoined()
+        return result
+
+    def fork(
+        self, fn: Callable[..., Any], *args: Any, retry: Optional["RetryPolicy"] = None, **kwargs: Any
+    ) -> Future:
+        """``async fn(*args)``: start *fn* in a new task; return its Future.
+
+        Must be called from inside a task of this runtime (the forking task
+        determines the new vertex's parent).  Forking is a cancellation
+        point: a cancelled task faults here with
+        :class:`~repro.errors.TaskCancelledError` instead of growing the
+        tree further.
+
+        ``retry`` (a :class:`~repro.runtime.retry.RetryPolicy`) makes a
+        failing task body re-run with exponential backoff; each attempt
+        is a fresh fork policy-wise (new vertex under the same parent),
+        and the future only completes with the final attempt's outcome —
+        joiners block straight through intermediate failures.
+        """
+        parent = require_current_task()
+        parent.cancel_token.raise_if_cancelled(parent)
+        obs = self._obs
+        if obs is not None:
+            _t0 = perf_counter_ns()
+        if retry is not None and parent.fork_lock is None:
+            # Retry re-forks run on whatever thread observed the failure
+            # and race the parent's own forks; Section 5.1 forbids two
+            # concurrent AddChild calls on one parent, so serialise them.
+            parent.fork_lock = threading.Lock()
+        lock = parent.fork_lock
+        if lock is not None:
+            with lock:
+                vertex = self._verifier.on_fork(parent.vertex)
+        else:
+            vertex = self._verifier.on_fork(parent.vertex)
+        task = TaskHandle(vertex, code=fn, parent_uid=parent.uid)
+        future = Future(self, task)
+        if retry is not None:
+            future._retry = (retry, parent)
+        self._dispatch((task, future, fn, args, kwargs))
+        if obs is not None:
+            dur = perf_counter_ns() - _t0
+            obs.fork_ns.observe(dur)
+            if obs.tracer is not None:
+                obs.tracer.complete(
+                    "fork",
+                    _t0,
+                    dur,
+                    args={"child": task.name, "parent": parent.name},
+                )
+        return future
+
+    def _execute(self, item: tuple) -> Optional[float]:
+        """Run one forked task's body in the calling thread.
+
+        Returns the backoff delay when the body failed and a retry is due
+        (the future stays pending, the task re-pointed at a fresh vertex;
+        the caller re-runs *item*), else None once the future is
+        complete.  The ``complete`` record is journalled *before* the
+        future completes: once the root has joined the future, ``run``
+        may close an owned journal.
+        """
+        task, future, fn, args, kwargs = item
+        task.state = TaskState.RUNNING
+        obs = self._obs
+        tracer = obs.tracer if obs is not None else None
+        with task_scope(task):
+            handle = tracer.begin_span("run") if tracer is not None else None
+            try:
+                value = fn(*args, **kwargs)
+            except BaseException as exc:  # noqa: BLE001 - delivered at join
+                task.state = TaskState.FAILED
+                delay = self._prepare_retry(future, exc)
+                if delay is not None:
+                    return delay
+                finish, value = future._set_exception, exc
+            else:
+                task.state = TaskState.DONE
+                finish = future._set_result
+            finally:
+                if tracer is not None:
+                    tracer.end_span(handle, args={"task": task.name})
+        try:
+            if self._journal is not None:
+                self._journal.log_complete(task.vertex, ok=task.state is TaskState.DONE)
+        finally:
+            finish(value)  # even when the write fails: no joiner waits forever
         return None
 
     # ------------------------------------------------------------------
@@ -781,7 +981,7 @@ class SupervisedJoinMixin:
 
         Registers one :class:`BlockedJoin` per pending future — all
         sharing one wake event, so Armus and the watchdog see every edge
-        — and sleeps until the countdown latch fires.  Never raises
+        — and waits until the countdown latch fires.  Never raises
         timeouts, task failures or avoided deadlocks itself: on deadline
         expiry, a fail-fast failure, or an edge Armus refuses (possible
         only while a forced edge is live or the verifier is unsound) it
@@ -801,77 +1001,13 @@ class SupervisedJoinMixin:
             return
         wake = threading.Event()
         latch = _CountdownLatch(len(pending), wake, fail_fast=fail_fast)
-        token = joiner.cancel_token
         records = [BlockedJoin(joiner, f.task, f, wake=wake) for f in pending]
-        arms = [_LatchArm(latch, f) for f in pending]
-        store = self._store
         if self._hybrid is None:
-            store.add(*records)
+            self._store.add(*records)
         elif not self._hybrid.detector.block_all(records, force_check=self._verifier.unsound):
             return  # an edge would close a cycle: the harvest refuses its join
-        journal = self._verifier.journal
-        # Edge keys are captured once so the unblock below pairs exactly
-        # with the block even if a retry re-points a vertex mid-wait.
-        journal_edges = (
-            [(joiner.vertex, f.task.vertex) for f in pending] if journal is not None else ()
-        )
-        for a, b in journal_edges:
-            journal.log_block(a, b, timeout=timeout_value)
-        if self._watchdog is not None:
-            self._watchdog.ensure_running()
-        self._before_block(pending[0])
-        helper = self._wait_helper()
-        helper_tick = self._helper_tick()
-        on_main = threading.current_thread() is threading.main_thread()
-        backoff = _MIN_TICK
-        prev_state = joiner.state
-        joiner.state = TaskState.BLOCKED
-        obs = self._obs
-        t0 = perf_counter_ns() if obs is not None else 0
-        rounds = 0
-        try:
-            for future, arm in zip(pending, arms):
-                future._add_waiter(arm)
-            token._add_waker(wake)
-            while True:
-                wake.clear()
-                for record in records:
-                    if record.exc is not None:
-                        raise record.exc
-                if token.cancelled():
-                    raise TaskCancelledError(joiner)
-                if latch.remaining == 0 or latch.failed:
-                    return
-                wait = None
-                if deadline is not None:
-                    remaining = deadline - self._clock.monotonic()
-                    if remaining <= 0:
-                        return  # harvest raises the precise JoinTimeoutError
-                    wait = remaining
-                if on_main and (wait is None or _MAIN_TICK < wait):
-                    wait = _MAIN_TICK
-                if helper_tick is not None and helper_tick():
-                    if wait is None or backoff < wait:
-                        wait = backoff
-                self._clock.wait(wake, wait)
-                rounds += 1
-                for record in records:
-                    record.wakeups += 1
-                if helper is not None and helper():
-                    backoff = _MIN_TICK
-                else:
-                    backoff = min(backoff * 2, _MAX_TICK)
-        finally:
-            joiner.state = prev_state
-            token._discard_waker(wake)
-            for future, arm in zip(pending, arms):
-                future._discard_waiter(arm)
-            for record in records:
-                store.remove(joiner, record.joinee)
-            for a, b in journal_edges:
-                journal.log_unblock(a, b)
-            if obs is not None:
-                self._observe_block(t0, rounds, {"task": joiner.name, "batch": len(pending)})
+        arms = [_LatchArm(latch, f) for f in pending]
+        self._wait(joiner, records, arms, latch.drained, deadline, timeout_value)
 
     def _join_one(
         self,
@@ -884,15 +1020,15 @@ class SupervisedJoinMixin:
         """Join one future; ``flagged`` is a precomputed verdict or None."""
         joiner.cancel_token.raise_if_cancelled(joiner)
         joinee = future.task
+        joiner_vertex, joinee_vertex = joiner.vertex, joinee.vertex
         journal = self._verifier.journal
         if self._hybrid is not None:
-            joiner_vertex, joinee_vertex = joiner.vertex, joinee.vertex
             # The wait's record exists before its edge does, so
             # registering it through the Armus check is one critical
             # section on the store, and releasing it another.
-            record = None if future.done() else BlockedJoin(joiner, joinee, future)
+            record = None if future._done else BlockedJoin(joiner, joinee, future)
             try:
-                blocked = self._hybrid.begin_join(
+                self._hybrid.begin_join(
                     joiner,
                     joinee,
                     joiner_vertex,
@@ -905,79 +1041,140 @@ class SupervisedJoinMixin:
                 if journal is not None:
                     journal.log_avoided(joiner_vertex, joinee_vertex)
                 raise
-            if blocked:
-                self._blocked_wait(record, deadline, timeout_value, joiner_vertex, joinee_vertex)
-            self._hybrid.on_join_completed(joiner.vertex, joinee.vertex)
-            if journal is not None:
-                journal.log_join(joiner_vertex, joinee_vertex)
         else:
             if flagged is None:
-                self._verifier.require_join(joiner.vertex, joinee.vertex)
+                self._verifier.require_join(joiner_vertex, joinee_vertex)
             elif flagged:
                 raise PolicyViolationError(
-                    self._verifier.policy.name, joiner.vertex, joinee.vertex
+                    self._verifier.policy.name, joiner_vertex, joinee_vertex
                 )
-            if not future.done():
-                record = BlockedJoin(joiner, joinee, future)
+            # Completion is read after the verdict: a joinee that ends
+            # during a sidecar round trip needs no record and no wait.
+            record = None if future._done else BlockedJoin(joiner, joinee, future)
+            if record is not None:
                 self._store.add(record)
-                self._blocked_wait(record, deadline, timeout_value, joiner.vertex, joinee.vertex)
-            self._verifier.on_join_completed(joiner.vertex, joinee.vertex)
-            if journal is not None:
-                journal.log_join(joiner.vertex, joinee.vertex)
+        if record is not None and not self._wait(
+            joiner, (record,), (record,), future.done, deadline, timeout_value
+        ):
+            raise JoinTimeoutError(joiner, joinee, timeout_value)
+        self._verifier.on_join_completed(joiner.vertex, joinee.vertex)
+        if journal is not None:
+            journal.log_join(joiner_vertex, joinee_vertex)
         future._joined = True
         return future._result_now()
 
-    def _blocked_wait(
+    def _wait(
         self,
-        record: BlockedJoin,
+        joiner: "TaskHandle",
+        records: Sequence[BlockedJoin],
+        wakers: Sequence[Any],
+        ready: Callable[[], bool],
         deadline: Optional[float],
         timeout_value: Optional[float],
-        joiner_vertex: object,
-        joinee_vertex: object,
-    ) -> None:
-        """Wait out a join whose *record* is registered, then release it."""
-        joiner = record.joiner
+    ) -> bool:
+        """The supervised blocked wait of every join: park until ``ready()``.
+
+        *records* are the wait's entries, already registered in the
+        runtime's waits-for graph and sharing one wake event; *wakers*
+        pairs each with the waker its future fires on completion (a
+        single join's record is its own waker, a batch's are latch arms).
+        Sleeps on the event and re-checks, in priority order: a watchdog
+        diagnosis (``record.exc``, raised), the joiner's cancellation
+        (raised as :class:`TaskCancelledError`), ``ready()`` (returns
+        True) and the deadline (returns False; the caller raises what
+        fits).  All three notify sources deliver targeted wakes, so off
+        the main thread an unbounded wait performs one OS sleep per state
+        change.  The helper of :meth:`_before_block` may run queued work
+        after each wakeup, and its tick asks for ``_MIN_TICK``..
+        ``_MAX_TICK`` polling (the pool's help-while-blocked loop).
+        However the wait ends, the records leave the graph, their unblock
+        is journalled and the wakers are removed: no supervision state
+        outlives it.
+        """
         journal = self._verifier.journal
-        if journal is not None:
-            journal.log_block(joiner_vertex, joinee_vertex, timeout=timeout_value)
-        self._before_block(record.future)
+        # Edge keys are captured once so the unblock below pairs exactly
+        # with the block even if a retry re-points a vertex mid-wait.
+        edges = (
+            [(joiner.vertex, r.joinee.vertex) for r in records] if journal is not None else ()
+        )
+        for a, b in edges:
+            journal.log_block(a, b, timeout=timeout_value)
+        if self._watchdog is not None:
+            self._watchdog.ensure_running()
+        helper, helper_tick = self._before_block()
+        wake = records[0]._wake
+        token = joiner.cancel_token
+        on_main = threading.current_thread() is threading.main_thread()
+        backoff = _MIN_TICK
+        rounds = 0
         prev_state = joiner.state
         joiner.state = TaskState.BLOCKED
         obs = self._obs
         t0 = perf_counter_ns() if obs is not None else 0
-        wakeups = 0
         try:
-            wakeups = wait_for_future(
-                record,
-                watchdog=self._watchdog,
-                deadline=deadline,
-                timeout_value=timeout_value,
-                helper=self._wait_helper(),
-                helper_tick=self._helper_tick(),
-                clock=self._clock,
-            )
+            for record, waker in zip(records, wakers):
+                record.future._add_waiter(waker)
+            token._add_waker(wake)
+            while True:
+                wake.clear()
+                # Re-check every condition after the clear: a waker firing
+                # in between re-sets the event, so the next wait falls through.
+                for record in records:
+                    if record.exc is not None:
+                        raise record.exc
+                if token.cancelled():
+                    raise TaskCancelledError(joiner)
+                if ready():
+                    return True
+                wait = None
+                if deadline is not None:
+                    wait = deadline - self._clock.monotonic()
+                    if wait <= 0:
+                        return False
+                if on_main and (wait is None or _MAIN_TICK < wait):
+                    wait = _MAIN_TICK
+                if helper_tick is not None and helper_tick():
+                    if wait is None or backoff < wait:
+                        wait = backoff
+                self._clock.wait(wake, wait)
+                rounds += 1
+                for record in records:
+                    record.wakeups += 1
+                if helper is not None and helper():
+                    backoff = _MIN_TICK  # we did useful work; stay responsive
+                else:
+                    backoff = min(backoff * 2, _MAX_TICK)
         finally:
-            if obs is not None:
-                self._observe_block(
-                    t0, wakeups, {"task": joiner.name, "joinee": record.joinee.name}
-                )
-            # the store is the Armus graph when there is one: end_join
-            self._store.remove(joiner, record.joinee)
             joiner.state = prev_state
-            if journal is not None:
-                journal.log_unblock(joiner_vertex, joinee_vertex)
+            token._discard_waker(wake)
+            for record, waker in zip(records, wakers):
+                record.future._discard_waiter(waker)
+            for record in records:
+                # the store is the Armus graph when there is one: end_join
+                self._store.remove(joiner, record.joinee)
+            for a, b in edges:
+                journal.log_unblock(a, b)
+            if obs is not None:
+                self._observe_block(t0, rounds, joiner, records)
 
-    def _observe_block(self, t0: int, wakeups: int, args: dict) -> None:
+    def _observe_block(
+        self, t0: int, wakeups: int, joiner: "TaskHandle", records: Sequence[BlockedJoin]
+    ) -> None:
         """Telemetry of one finished blocked wait (a session is active)."""
         obs = self._obs
         tracer = obs.tracer
         if tracer is not None:
             # wake lands inside the block span: its timestamp is
             # taken before the span's end below.
-            tracer.instant("wake", cat="join", args={"task": args["task"]})
+            tracer.instant("wake", cat="join", args={"task": joiner.name})
         dur = perf_counter_ns() - t0
         obs.blocked_wait_ns.observe(dur)
         obs.blocked_waits.inc()
         obs.wakeups.inc(wakeups)
         if tracer is not None:
+            args = {"task": joiner.name}
+            if len(records) == 1:
+                args["joinee"] = records[0].joinee.name
+            else:
+                args["batch"] = len(records)
             tracer.complete("block", t0, dur, cat="join", args=args)

@@ -6,8 +6,8 @@ gives the task a dedicated OS thread for its whole lifetime, and a join
 blocks the calling thread until the joinee terminates.
 
 ``fork`` itself runs on a **pooled fast path**: a terminated task's
-thread parks on a private handoff channel for ``idle_timeout`` seconds
-(bounded to ``max_idle`` parked threads) and the next fork hands its
+thread parks on a private handoff channel for ``_IDLE_TIMEOUT`` seconds
+(bounded to ``_MAX_IDLE`` parked threads) and the next fork hands its
 task straight to a parked thread instead of paying OS thread start-up
 cost.  The model is unchanged — a running task still owns one thread
 exclusively — only thread *creation* is amortised, which is where most
@@ -26,100 +26,30 @@ blocked task with :class:`~repro.errors.DeadlockDetectedError` instead
 of hanging, even in configurations the avoidance machinery does not
 cover.  Blocked waits are event-driven (a targeted notify per state
 change); the main thread additionally re-checks on a coarse tick so
-Ctrl-C works while it is blocked in a join.
+Ctrl-C works while it is blocked in a join.  ``run``, ``fork``, the task
+body and the joins live in
+:class:`~repro.runtime.supervisor.SupervisedJoinMixin`; this class adds
+only the thread hand-off.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from queue import Empty, SimpleQueue
-from time import perf_counter_ns
-from typing import Any, Callable, Optional, Union
+from typing import Optional, Union
 
-from .context import require_current_task, task_scope
-from .future import Future
-from .retry import RetryPolicy
-from .supervisor import StallWatchdog, SupervisedJoinMixin
-from .task import TaskHandle, TaskState
-from ..armus.hybrid import HybridVerifier
-from ..core.policy import JoinPolicy, NullPolicy, make_policy
+from .supervisor import StallWatchdog, SupervisedJoinMixin, resolve_policy, resolve_verifier
+from ..core.policy import JoinPolicy
 from ..core.verifier import Verifier
-from ..errors import RuntimeStateError
 
 __all__ = ["TaskRuntime", "resolve_policy", "resolve_verifier"]
 
 _STOP = object()
 
-
-def resolve_policy(policy: Union[None, str, JoinPolicy]) -> JoinPolicy:
-    """Accept a policy instance, a registered name, or None (unchecked)."""
-    if policy is None:
-        return NullPolicy()
-    if isinstance(policy, str):
-        return make_policy(policy)
-    return policy
-
-
-def resolve_verifier(
-    policy_obj: JoinPolicy,
-    *,
-    fallback: bool,
-    fail_mode: str,
-    journal: "Union[None, str, object]",
-    verifier: "Union[None, str, Verifier]",
-    runtime_name: str,
-) -> tuple:
-    """The construction block the blocking runtimes share.
-
-    Resolves the journal (path string → owned :class:`TraceJournal`) and
-    the verifier: None builds the usual local verifier; a
-    ``"remote://host:port"`` string builds an *owned*
-    :class:`~repro.service.client.RemoteVerifier` (closed when the
-    runtime's ``run`` exits); a verifier instance is used as-is and left
-    open (tests and chaos harnesses inspect it after the run).  When
-    ``fallback`` is set the verifier — local or remote — sits inside a
-    :class:`HybridVerifier`, which is what makes remote degradation
-    sound: a degraded remote verifier reports ``unsound`` and Armus
-    force-checks every blocking join.
-
-    Returns ``(hybrid, verifier, journal, owns_journal, owns_verifier)``.
-    """
-    owns_journal = isinstance(journal, str)
-    if owns_journal:
-        from ..tools.journal import TraceJournal  # deferred: import cycle
-
-        journal = TraceJournal(journal)
-    owns_verifier = isinstance(verifier, str)
-    if owns_verifier:
-        from ..service.client import RemoteVerifier  # deferred: import cycle
-
-        verifier = RemoteVerifier(
-            verifier, policy_obj, fail_mode=fail_mode, journal=journal
-        )
-    if verifier is not None:
-        hybrid = (
-            HybridVerifier(policy_obj, fail_mode=fail_mode, verifier=verifier)
-            if fallback
-            else None
-        )
-        verifier_obj = verifier
-    else:
-        hybrid = (
-            HybridVerifier(policy_obj, fail_mode=fail_mode, journal=journal)
-            if fallback
-            else None
-        )
-        verifier_obj = (
-            hybrid.verifier
-            if hybrid
-            else Verifier(policy_obj, fail_mode=fail_mode, journal=journal)
-        )
-    if journal is not None:
-        journal.log_start(
-            policy=policy_obj.name, runtime=runtime_name, fail_mode=fail_mode
-        )
-    return hybrid, verifier_obj, journal, owns_journal, owns_verifier
+#: how long (seconds) a thread whose task terminated stays parked for reuse
+_IDLE_TIMEOUT = 2.0
+#: bound on concurrently parked threads; excess threads exit with their task
+_MAX_IDLE = 32
 
 
 class TaskRuntime(SupervisedJoinMixin):
@@ -136,13 +66,6 @@ class TaskRuntime(SupervisedJoinMixin):
         :class:`~repro.errors.DeadlockAvoidedError`.  When False, a
         rejection faults immediately with
         :class:`~repro.errors.PolicyViolationError` (pure Algorithm 1).
-    idle_timeout:
-        How long (seconds) a thread whose task terminated stays parked
-        awaiting reuse by a later fork; 0 disables pooling entirely
-        (every fork starts a thread, the seed behaviour).
-    max_idle:
-        Bound on concurrently parked idle threads; excess threads exit
-        as soon as their task terminates.
     fail_mode:
         Fault boundary around policy internals (see
         :class:`~repro.core.verifier.Verifier`): ``"raise"`` (default)
@@ -195,47 +118,25 @@ class TaskRuntime(SupervisedJoinMixin):
         fail_mode: str = "raise",
         journal: Union[None, str, object] = None,
         verifier: Union[None, str, Verifier] = None,
-        idle_timeout: float = 2.0,
-        max_idle: int = 32,
         default_join_timeout: Optional[float] = None,
         watchdog: Union[bool, float, StallWatchdog] = True,
-        watchdog_interval: float = 0.1,
         on_unjoined_failure: str = "warn",
         clock=None,
     ) -> None:
-        if idle_timeout < 0:
-            raise ValueError("idle_timeout must be non-negative")
-        if max_idle < 0:
-            raise ValueError("max_idle must be non-negative")
-        policy_obj = resolve_policy(policy)
-        (
-            self._hybrid,
-            self._verifier,
-            self._journal,
-            self._owns_journal,
-            self._owns_verifier,
-        ) = resolve_verifier(
-            policy_obj,
+        self._threads_started = 0
+        self._tasks_started = 0
+        # LIFO stack of parked workers' handoff channels: the most
+        # recently parked thread (warmest stack/caches) is reused first.
+        self._idle_workers: list[SimpleQueue] = []
+        self._idle_enabled = True
+        self._init_runtime(
+            policy,
             fallback=fallback,
             fail_mode=fail_mode,
             journal=journal,
             verifier=verifier,
-            runtime_name=type(self).__name__,
-        )
-        self._root_started = False
-        self._threads_started = 0
-        self._tasks_started = 0
-        self._idle_timeout = idle_timeout
-        self._max_idle = max_idle
-        # LIFO stack of parked workers' handoff channels: the most
-        # recently parked thread (warmest stack/caches) is reused first.
-        self._idle_workers: list[SimpleQueue] = []
-        self._idle_enabled = idle_timeout > 0 and max_idle > 0
-        self._lock = threading.Lock()
-        self._init_supervision(
             default_join_timeout=default_join_timeout,
             watchdog=watchdog,
-            watchdog_interval=watchdog_interval,
             on_unjoined_failure=on_unjoined_failure,
             clock=clock,
         )
@@ -243,24 +144,6 @@ class TaskRuntime(SupervisedJoinMixin):
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
-    @property
-    def policy(self) -> JoinPolicy:
-        return self._verifier.policy
-
-    @property
-    def verifier(self) -> Verifier:
-        return self._verifier
-
-    @property
-    def detector(self):
-        """The Armus detector, or None when ``fallback=False``."""
-        return self._hybrid.detector if self._hybrid else None
-
-    @property
-    def journal(self):
-        """The trace journal, or None when journaling is disabled."""
-        return self._journal
-
     @property
     def threads_started(self) -> int:
         """OS threads actually created (``<= tasks_started`` with pooling)."""
@@ -285,51 +168,10 @@ class TaskRuntime(SupervisedJoinMixin):
         return out
 
     # ------------------------------------------------------------------
-    # task lifecycle
+    # the thread hand-off
     # ------------------------------------------------------------------
-    def run(self, fn: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
-        """Execute *fn* as the root task in the calling thread.
-
-        Returns *fn*'s result; exceptions propagate unchanged.  On exit
-        the idle thread pool is drained (parked threads stop; tasks
-        still running are unaffected) and, on a clean return, failures
-        of never-joined futures recorded so far are surfaced per
-        ``on_unjoined_failure``.
-        """
-        with self._lock:
-            if self._root_started:
-                raise RuntimeStateError(
-                    "this runtime already hosted a root task; create a fresh "
-                    "TaskRuntime per program run"
-                )
-            self._root_started = True
-        vertex = self._verifier.on_init()
-        root = TaskHandle(vertex, code=fn, name="root")
-        root.state = TaskState.RUNNING
-        try:
-            with task_scope(root):
-                obs = self._obs
-                tracer = obs.tracer if obs is not None else None
-                handle = tracer.begin_span("run") if tracer is not None else None
-                try:
-                    result = fn(*args, **kwargs)
-                    root.state = TaskState.DONE
-                except BaseException:
-                    root.state = TaskState.FAILED
-                    raise
-                finally:
-                    if tracer is not None:
-                        tracer.end_span(handle, args={"task": root.name})
-        finally:
-            self._drain_idle_workers()
-            if self._owns_verifier:
-                self._verifier.close()
-            if self._journal is not None and self._owns_journal:
-                self._journal.close()
-        self._reap_unjoined()
-        return result
-
-    def _drain_idle_workers(self) -> None:
+    def _close(self) -> None:
+        """Stop the parked threads; tasks still running are unaffected."""
         with self._lock:
             self._idle_enabled = False
             channels = list(self._idle_workers)
@@ -337,45 +179,8 @@ class TaskRuntime(SupervisedJoinMixin):
         for channel in channels:
             channel.put(_STOP)
 
-    def fork(
-        self, fn: Callable[..., Any], *args: Any, retry: Optional[RetryPolicy] = None, **kwargs: Any
-    ) -> Future:
-        """``async fn(*args)``: start *fn* in a new task; return its Future.
-
-        Must be called from inside a task of this runtime (the forking task
-        determines the new vertex's parent).  Forking is a cancellation
-        point: a cancelled task faults here with
-        :class:`~repro.errors.TaskCancelledError` instead of growing the
-        tree further.
-
-        ``retry`` (a :class:`~repro.runtime.retry.RetryPolicy`) makes a
-        failing task body re-run with exponential backoff; each attempt
-        is a fresh fork policy-wise (new vertex under the same parent),
-        and the future only completes with the final attempt's outcome —
-        joiners block straight through intermediate failures.
-        """
-        parent = require_current_task()
-        parent.cancel_token.raise_if_cancelled(parent)
-        obs = self._obs
-        if obs is not None:
-            _t0 = perf_counter_ns()
-        if retry is not None and parent.fork_lock is None:
-            # Retry re-forks run on whatever thread observed the failure
-            # and race the parent's own forks; Section 5.1 forbids two
-            # concurrent AddChild calls on one parent, so serialise them.
-            parent.fork_lock = threading.Lock()
-        lock = parent.fork_lock
-        if lock is not None:
-            with lock:
-                vertex = self._verifier.on_fork(parent.vertex)
-        else:
-            vertex = self._verifier.on_fork(parent.vertex)
-        task = TaskHandle(vertex, code=fn, parent_uid=parent.uid)
-        future = Future(self, task)
-        if retry is not None:
-            future._retry = (retry, parent)
-        item = (task, future, fn, args, kwargs)
-        task.state = TaskState.RUNNING
+    def _dispatch(self, item: tuple) -> None:
+        """Hand a forked task to a parked thread, or start one."""
         with self._lock:
             self._tasks_started += 1
             channel = self._idle_workers.pop() if self._idle_workers else None
@@ -391,44 +196,11 @@ class TaskRuntime(SupervisedJoinMixin):
                 name=f"repro-worker-{count}",
                 daemon=True,
             ).start()
-        if obs is not None:
-            dur = perf_counter_ns() - _t0
-            obs.fork_ns.observe(dur)
-            if obs.tracer is not None:
-                obs.tracer.complete(
-                    "fork",
-                    _t0,
-                    dur,
-                    args={"child": task.name, "parent": parent.name},
-                )
-        return future
 
     def _worker_main(self, item: tuple) -> None:
         channel: Optional[SimpleQueue] = None
         while True:
-            task, future, fn, args, kwargs = item
-            retry_delay: Optional[float] = None
-            obs = self._obs
-            tracer = obs.tracer if obs is not None else None
-            with task_scope(task):
-                handle = tracer.begin_span("run") if tracer is not None else None
-                try:
-                    value = fn(*args, **kwargs)
-                except BaseException as exc:  # noqa: BLE001 - delivered at join
-                    task.state = TaskState.FAILED
-                    retry_delay = self._prepare_retry(future, exc)
-                    if retry_delay is None:
-                        future._set_exception(exc)
-                        if self._journal is not None:
-                            self._journal.log_complete(task.vertex, ok=False)
-                else:
-                    task.state = TaskState.DONE
-                    future._set_result(value)
-                    if self._journal is not None:
-                        self._journal.log_complete(task.vertex, ok=True)
-                finally:
-                    if tracer is not None:
-                        tracer.end_span(handle, args={"task": task.name})
+            retry_delay = self._execute(item)
             if retry_delay is not None:
                 # Re-run the same item inline: the future is still
                 # pending (joiners keep blocking) and _prepare_retry has
@@ -437,15 +209,15 @@ class TaskRuntime(SupervisedJoinMixin):
                     self._clock.sleep(retry_delay)
                 continue
             # Park for reuse: publish our handoff channel and wait for
-            # the next fork (bounded by idle_timeout / max_idle).
+            # the next fork (bounded by _IDLE_TIMEOUT / _MAX_IDLE).
             if channel is None:
                 channel = SimpleQueue()
             with self._lock:
-                if not self._idle_enabled or len(self._idle_workers) >= self._max_idle:
+                if not self._idle_enabled or len(self._idle_workers) >= _MAX_IDLE:
                     return
                 self._idle_workers.append(channel)
             try:
-                item = channel.get(timeout=self._idle_timeout)
+                item = channel.get(timeout=_IDLE_TIMEOUT)
             except Empty:
                 with self._lock:
                     try:
@@ -461,5 +233,3 @@ class TaskRuntime(SupervisedJoinMixin):
                 item = channel.get()
             if item is _STOP:
                 return
-
-    # join / join_batch / _join_one are provided by SupervisedJoinMixin.

@@ -82,6 +82,7 @@ class SidecarProcess:
     def start(self) -> None:
         if self.proc is not None and self.proc.poll() is None:
             raise RuntimeError("sidecar already running")
+        self._close_stdout()  # a restart replaces the dead child's pipe
         env = os.environ.copy()
         # Make `import repro` work in the child no matter how the parent
         # was launched (pytest, a script, an installed package).
@@ -135,6 +136,7 @@ class SidecarProcess:
         if self.proc is not None and self.proc.poll() is None:
             self.proc.kill()
             self.proc.wait(timeout=10)
+        self._close_stdout()
 
     def restart(self) -> None:
         """Bring a (killed) sidecar back on the *same* port and journal."""
@@ -150,6 +152,14 @@ class SidecarProcess:
                 self.proc.wait(timeout=5)
             except subprocess.TimeoutExpired:
                 self.kill9()
+        self._close_stdout()
+
+    def _close_stdout(self) -> None:
+        """Close the startup-line pipe once the child is gone.  Not
+        sooner: a sidecar that recovered sessions prints ``RECOVERED``
+        after ``LISTENING``, and a closed pipe would fail that print."""
+        if self.proc is not None and self.proc.stdout is not None:
+            self.proc.stdout.close()
 
     def __enter__(self) -> "SidecarProcess":
         return self

@@ -207,7 +207,7 @@ def test_join_timeout_then_retry_then_success_leaves_nothing_behind():
     """timeout -> retry -> success, with the watchdog on: afterwards the
     waits-for graph is empty and exactly one retry is on record
     (satellite: watchdog x retry interaction)."""
-    rt = TaskRuntime(policy="TJ-SP", watchdog_interval=0.01)
+    rt = TaskRuntime(policy="TJ-SP", watchdog=0.01)
     release = threading.Event()
     attempts = []
 

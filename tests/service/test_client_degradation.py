@@ -18,6 +18,7 @@ the run must
 
 from __future__ import annotations
 
+import gc
 import threading
 import time
 import warnings
@@ -272,3 +273,18 @@ class TestRuntimeSelectsRemoteByUrl:
             assert snap["quarantined"] is False
             # the runtime owned the remote verifier and closed it on exit
             assert rt.verifier._closed.is_set()
+
+
+class TestSidecarProcessLifecycle:
+    def test_kill_restart_stop_leaves_no_pipe_open(self):
+        """Every incarnation's stdout pipe closes once its child is gone."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            sidecar = SidecarProcess()
+            sidecar.kill9()
+            sidecar.restart()
+            sidecar.stop()
+            del sidecar
+            gc.collect()
+        leaks = [w for w in caught if issubclass(w.category, ResourceWarning)]
+        assert leaks == [], [str(w.message) for w in leaks]

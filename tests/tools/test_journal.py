@@ -11,10 +11,13 @@ from __future__ import annotations
 
 import json
 import os
+import threading
+import time
 
 import pytest
 
 from repro.errors import JournalCorruptError, JournalError
+from repro.runtime.pool import WorkSharingRuntime
 from repro.runtime.threaded import TaskRuntime
 from repro.tools.journal import ServiceJournal, TraceJournal, read_journal
 from repro.tools.replay import replay_journal
@@ -202,6 +205,36 @@ class TestRuntimeIntegration:
         assert header["fail_mode"] == "raise"
         with pytest.raises(JournalError):
             rt.journal.log_init(_V())  # the runtime closed its own journal
+
+    @pytest.mark.parametrize("runtime", [TaskRuntime, WorkSharingRuntime])
+    def test_complete_is_journalled_before_run_closes_the_journal(
+        self, path, runtime, monkeypatch
+    ):
+        """A task journals ``complete`` before its future completes, so
+        the root's join cannot return, and ``run`` close an owned
+        journal, while a worker is still writing the record."""
+        log_complete = TraceJournal.log_complete
+
+        def slow_log_complete(journal, vertex, ok=True):
+            time.sleep(0.02)
+            log_complete(journal, vertex, ok)
+
+        monkeypatch.setattr(TraceJournal, "log_complete", slow_log_complete)
+        worker_errors = []
+        monkeypatch.setattr(
+            threading, "excepthook", lambda args: worker_errors.append(args.exc_value)
+        )
+        rt = runtime(policy="TJ-SP", journal=path)
+
+        def main():
+            futures = [rt.fork(lambda i=i: i) for i in range(4)]
+            return [f.join() for f in futures]
+
+        assert rt.run(main) == [0, 1, 2, 3]
+        time.sleep(0.1)  # a worker writing after the close would fail by now
+        kinds = [r["kind"] for r in read_journal(path).records]
+        assert kinds.count("complete") == 4
+        assert worker_errors == []
 
     def test_clean_run_replay_reconstructs_and_rechecks(self, path):
         rt = TaskRuntime(policy="TJ-SP", journal=path)
