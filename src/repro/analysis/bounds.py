@@ -99,6 +99,7 @@ BOUNDS: tuple[Bound, ...] = (
     Bound("procs.cross_joins", "procs.cross_joins", ">", 0, 0),
     Bound("procs.escalation", "procs.escalation_ratio", "<=", 0.2, 0.2),
     Bound("procs.degraded_joins", "procs.degraded_joins", "<=", 0, 0),
+    Bound("procs.audit_mismatches", "procs.audit_mismatches", "<=", 0, 0),
     Bound("procs.tasks", "procs.tasks", ">=", 1_000_000, None),
     Bound("procs.workers", "procs.workers", ">=", 4, None),
     Bound("procs.speedup", "procs.speedup", ">=", 3.0, None, _parallel_pool),

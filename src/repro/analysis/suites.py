@@ -565,6 +565,7 @@ def procs_suite(scale: str) -> list[Measurement]:
         Measurement("procs.local_joins", "count", joins["local_joins"]),
         Measurement("procs.cross_joins", "count", joins["cross_joins"]),
         Measurement("procs.degraded_joins", "count", joins["degraded_joins"]),
+        Measurement("procs.audit_mismatches", "count", joins["audit_mismatches"]),
         Measurement("procs.escalation_ratio", "ratio", joins["escalation_ratio"]),
         Measurement("procs.worker_deaths", "count", rt.worker_deaths),
         Measurement("procs.redispatched", "count", rt.tasks_redispatched),

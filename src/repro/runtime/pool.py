@@ -48,9 +48,7 @@ class WorkSharingRuntime(SupervisedJoinMixin):
 
     Supervision parameters (``default_join_timeout``, ``watchdog``,
     ``on_unjoined_failure``) match
-    :class:`~repro.runtime.threaded.TaskRuntime`; unlike there, the
-    unjoined-failure reaper here is exact — :meth:`run` waits for every
-    forked task to terminate before reaping.
+    :class:`~repro.runtime.threaded.TaskRuntime`.
     """
 
     def __init__(
@@ -78,7 +76,6 @@ class WorkSharingRuntime(SupervisedJoinMixin):
         self._base_workers = workers
         self._max_workers = max_workers
         self._worker_threads: set[int] = set()  # thread idents of pool workers
-        self._outstanding = 0  # forked tasks not yet terminated
         self._shutdown = False
         self._init_runtime(
             policy,
@@ -91,8 +88,6 @@ class WorkSharingRuntime(SupervisedJoinMixin):
             on_unjoined_failure=on_unjoined_failure,
             clock=clock,
         )
-        # notified when the last outstanding task terminates (see _close)
-        self._all_done = threading.Condition(self._lock)
 
     # ------------------------------------------------------------------
     @property
@@ -127,9 +122,8 @@ class WorkSharingRuntime(SupervisedJoinMixin):
     def _close(self) -> None:
         """Top-level implicit finish: wait for every forked task to
         terminate, then stop the pool and retire the watchdog."""
-        with self._all_done:
-            while self._outstanding:
-                self._all_done.wait()
+        self._await_tasks()
+        with self._lock:
             self._shutdown = True
             count = self._worker_count
         for _ in range(count):
@@ -138,7 +132,7 @@ class WorkSharingRuntime(SupervisedJoinMixin):
             self._watchdog.stop()
 
     def _dispatch(self, item: tuple) -> None:
-        with self._all_done:
+        with self._lock:
             if self._shutdown:
                 raise RuntimeStateError("runtime already shut down")
             self._outstanding += 1
@@ -183,10 +177,8 @@ class WorkSharingRuntime(SupervisedJoinMixin):
                 else:
                     self._queue.put(item)
                 return
-        with self._all_done:
-            self._outstanding -= 1
-            if self._outstanding == 0:
-                self._all_done.notify_all()
+        with self._lock:
+            self._task_ended_locked()
 
     # ------------------------------------------------------------------
     # the supervision hook (see SupervisedJoinMixin._wait)

@@ -26,27 +26,32 @@ lazily via the generation handshake, and ids are striped per process so
 ``AddChild`` never takes an interprocess lock.  A dispatch therefore
 ships only the vertex id: the worker finds its spawn path in the forest.
 
-Join resolution — the local shard and the escalation rule
----------------------------------------------------------
-Each process runs a :class:`ShardVerifier`: joins whose joiner was
-**forked in this process** resolve against the process-local shard with
-no synchronisation at all (the expected >90% fast path — a task joins
-the children it forked).  A join whose joiner's vertex was forked in
-*another* process (the dispatched task joining its own subtasks is the
-canonical case) is a **cross-process edge** and escalates to the shared
-verification sidecar (``repro serve``): every process holds one
-:class:`~repro.service.client.SessionClient` session multiplexed under
-one tenant, announces exactly the vertices that can appear on
-cross-process edges (with their authoritative edge/depth placement),
-and asks the sidecar's tenant mirror for the verdict via the existing
-``check``/``check_batch`` wire vocabulary.
+Join resolution — the local shard and the audit rule
+----------------------------------------------------
+Each process runs a :class:`ShardVerifier`, and every join resolves on
+the shared-memory forest: a TJ-SP verdict depends only on the fork tree
+(Thm 3.17), which every process can read.  A join whose joiner was
+**forked in this process** is local (the expected >90% case — a task
+joins the children it forked).  A join whose joiner's vertex was forked
+in *another* process (the dispatched task joining its own subtasks is
+the canonical case) is a **cross-process edge**, and its verdict is
+also **audited** by the shared verification sidecar (``repro serve``):
+every process holds one :class:`~repro.service.client.SessionClient`
+session multiplexed under one tenant, announces exactly the vertices
+that can appear on cross-process edges (with their authoritative
+edge/depth placement), and appends each cross-process verdict to the
+same buffered stream as a ``recheck`` record.  The sidecar re-derives it
+on its tenant mirror, journals it and counts disagreements; no join
+waits for its audit (the client's ``sync`` flow control only keeps a
+fast worker within the sidecar's inbox bound).  At exit each worker
+makes one ``sync`` round trip: audits the reply does not cover count as
+degraded joins, and the sidecar's disagreements reach
+``join_stats()["audit_mismatches"]``.
 
-Degradation is sound by construction: TJ-SP verdicts depend only on the
-fork tree, which every process can already see in shared memory — so
-when the sidecar dies mid-run the :class:`~repro.service.client.SessionClient`
-degrades permanently and the shard answers escalated checks from the
-local authority instead, counting every such resolution.  Nothing blocks, nothing is unsound;
-the sidecar is an arbiter and an observer, not the source of truth.
+When the sidecar dies mid-run the session degrades permanently and its
+remaining audits are never sent, so they count as degraded.  Nothing
+blocks and nothing is unsound; the sidecar is an auditor and an
+observer, not the source of truth.
 
 Worker death (at-least-once redispatch)
 ---------------------------------------
@@ -111,18 +116,21 @@ _CLIENT_PING_EVERY = 1.0
 # the per-process verifier shard
 # ----------------------------------------------------------------------
 _SHARD_FIELDS = ("local_joins", "cross_joins", "degraded_joins", "announced")
+#: what join_stats() merges: the shard's counters and the sidecar's verdicts
+_JOIN_FIELDS = _SHARD_FIELDS + ("audit_mismatches",)
 
 
 class ShardVerifier(Verifier):
-    """A :class:`Verifier` with the local-fast-path / escalation split.
+    """A :class:`Verifier` that counts joins local or cross-process and
+    audits the cross-process verdicts on the sidecar.
 
-    * Both endpoints forked in this process → the plain local verifier
-      path (policy verdict, stats, quarantine boundary) — no I/O.
-    * Joiner forked elsewhere (a cross-process edge) → escalate to the
-      sidecar session when one is attached and healthy; on degradation
-      (or with no sidecar at all) resolve against the local authority —
-      sound, because the spawn paths of both endpoints are locally
-      visible by construction — and count the degraded resolution.
+    Every verdict comes from the plain local verifier path (policy
+    verdict, stats, journal, quarantine boundary) on the shared forest —
+    sound for both kinds, because the spawn paths of both endpoints are
+    locally visible by construction.  A join whose joiner was forked
+    elsewhere also hands its verdict to the sidecar session as an audit;
+    with no sidecar attached it counts as degraded from the start, and
+    so does every audit no ``synced`` reply has covered.
 
     Vertices that can become cross-process joinees (children forked
     under a remotely-forked parent) are announced to the sidecar with
@@ -150,7 +158,12 @@ class ShardVerifier(Verifier):
         return isinstance(vid, int) and self._owns(vid)
 
     def procs_stats(self) -> dict:
-        return self._procs_events.totals()
+        stats = self._procs_events.totals()
+        client = self.sidecar
+        if client is not None:
+            stats["degraded_joins"] += client.audits - client.audits_applied
+            stats["audit_mismatches"] = client.audit_mismatches
+        return stats
 
     # -- announcements --------------------------------------------------
     def _announce(self, kind: str, vid: int) -> None:
@@ -171,7 +184,7 @@ class ShardVerifier(Verifier):
         if self.sidecar is not None:
             self.sidecar.flush()
 
-    # -- init/fork: announce escalation-relevant vertices ---------------
+    # -- init/fork: announce the vertices audits can name ---------------
     def on_init(self):
         vertex = super().on_init()
         self._announce("init", vertex)  # the root of the tenant mirror
@@ -186,71 +199,46 @@ class ShardVerifier(Verifier):
             self._announce("fork", vertex)
         return vertex
 
-    def _flow_escalation(self, client) -> None:
-        """Flow-start for an escalated check: pairs with the sidecar's
+    # -- join: every verdict local, cross-process ones audited ---------
+    def check_join(self, joiner, joinee) -> bool:
+        ok = super().check_join(joiner, joinee)
+        self._account(joiner, (joinee,), (ok,))
+        return ok
+
+    def check_joins(self, joiner, joinees) -> list[bool]:
+        joinees = list(joinees)
+        oks = super().check_joins(joiner, joinees)
+        self._account(joiner, joinees, oks)
+        return oks
+
+    def _account(self, joiner, joinees, oks) -> None:
+        """Count one call's joins local or cross; audit the cross ones."""
+        if not isinstance(joiner, int) or any(not isinstance(j, int) for j in joinees):
+            return  # quarantined placeholders: the base verifier owns them
+        cell = self._procs_events.cell()
+        if self._owns(joiner):
+            cell.local_joins += len(joinees)
+            return
+        cell.cross_joins += len(joinees)
+        client = self.sidecar
+        if client is None:
+            cell.degraded_joins += len(joinees)
+            return
+        self._flow_escalation()
+        for joinee, ok in zip(joinees, oks):
+            client.audit(joiner, joinee, ok)
+
+    def _flow_escalation(self) -> None:
+        """Flow-start for an audit: pairs with the sidecar's
         ``join_check`` flow-finish, drawing the arrow from the joining
         span's track to the sidecar's.  The ambient trace context is the
-        same one the client stamps on the wire record."""
+        same one the client stamps on the audit record."""
         obs = self._obs
-        if client is None or obs is None or obs.tracer is None:
+        if obs is None or obs.tracer is None:
             return
         tctx = current_trace_context()
         if tctx is not None:
             obs.tracer.flow("s", "join_check", flow_id(tctx))
-
-    # -- join: the fast path / escalation split -------------------------
-    def check_join(self, joiner, joinee) -> bool:
-        if not isinstance(joiner, int) or not isinstance(joinee, int):
-            # Quarantined placeholders: the base verifier owns degraded
-            # semantics.
-            return super().check_join(joiner, joinee)
-        if self._owns(joiner):
-            self._procs_events.cell().local_joins += 1
-            return super().check_join(joiner, joinee)
-        cell = self._procs_events.cell()
-        cell.cross_joins += 1
-        client = self.sidecar
-        self._flow_escalation(client)
-        verdict = client.check(joiner, joinee) if client is not None else None
-        if verdict is None:
-            cell.degraded_joins += 1
-            return super().check_join(joiner, joinee)
-        shard = self._shard()
-        shard.joins_checked += 1
-        if not verdict:
-            shard.joins_rejected += 1
-        if self.journal is not None:
-            self.journal.log_verdict(joiner, joinee, verdict)
-        return verdict
-
-    def check_joins(self, joiner, joinees) -> list[bool]:
-        joinees = list(joinees)
-        if not joinees:
-            return []
-        if not isinstance(joiner, int) or any(
-            not isinstance(j, int) for j in joinees
-        ):
-            return super().check_joins(joiner, joinees)
-        if self._owns(joiner):
-            self._procs_events.cell().local_joins += len(joinees)
-            return super().check_joins(joiner, joinees)
-        cell = self._procs_events.cell()
-        cell.cross_joins += len(joinees)
-        client = self.sidecar
-        self._flow_escalation(client)
-        verdicts = (
-            client.check_batch(joiner, joinees) if client is not None else None
-        )
-        if verdicts is None:
-            cell.degraded_joins += len(joinees)
-            return super().check_joins(joiner, joinees)
-        shard = self._shard()
-        shard.joins_checked += len(verdicts)
-        shard.joins_rejected += verdicts.count(False)
-        if self.journal is not None:
-            for joinee, ok in zip(joinees, verdicts):
-                self.journal.log_verdict(joiner, joinee, ok)
-        return verdicts
 
 
 # ----------------------------------------------------------------------
@@ -331,8 +319,6 @@ def _worker_stats(engine: _WorkerEngine, shard: ShardVerifier, done: int) -> dic
     }
     stats.update(shard.procs_stats())
     stats.update(shard.stats.snapshot())
-    if shard.sidecar is not None:
-        stats["sidecar_degraded"] = int(shard.sidecar.degraded)
     return stats
 
 
@@ -472,6 +458,8 @@ def _worker_main(cfg: dict) -> None:
                 push_stats()
                 last_push = time.monotonic()
     finally:
+        if client is not None and client.audits:
+            client.sync()  # settles the audits before the last stats push
         try:
             push_stats()
         except Exception:  # noqa: BLE001 - parent may already be gone
@@ -657,12 +645,13 @@ class ProcessRuntime(SupervisedJoinMixin):
         return None
 
     def join_stats(self) -> dict:
-        """Merged local/cross/degraded join counts across all processes."""
-        out = {f: 0 for f in _SHARD_FIELDS}
+        """Merged local/cross/degraded join counts and audit mismatches
+        across all processes."""
+        out = {f: 0 for f in _JOIN_FIELDS}
         sources = [self._verifier.procs_stats()] if self._verifier else []
         sources += list(self._worker_stats.values())
         for stats in sources:
-            for field in _SHARD_FIELDS:
+            for field in _JOIN_FIELDS:
                 out[field] += stats.get(field, 0)
         checked = out["local_joins"] + out["cross_joins"]
         out["escalation_ratio"] = out["cross_joins"] / checked if checked else 0.0

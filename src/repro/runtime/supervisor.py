@@ -506,6 +506,10 @@ class SupervisedJoinMixin:
         #: guards the runtime's own state and the one-root check of run()
         self._lock = threading.Lock()
         self._root_started = False
+        #: forked tasks not yet terminated; ``_all_done`` is notified when
+        #: the last one ends (see :meth:`_await_tasks`)
+        self._outstanding = 0
+        self._all_done = threading.Condition(self._lock)
         #: runtime-wide deadline applied to joins with no explicit timeout
         self.default_join_timeout = default_join_timeout
         #: time source for deadlines, watchdog ticks and retry backoff —
@@ -611,13 +615,12 @@ class SupervisedJoinMixin:
         """Execute *fn* as the root task in the calling thread.
 
         Returns *fn*'s result; exceptions propagate unchanged.  After the
-        root, the runtime's :meth:`_close` decides what else ``run``
-        waits for: the thread runtime returns with the root (tasks the
-        root never joined are not waited for), the pool waits for every
-        forked task, the process runtime stops its workers.  Then an
-        owned verifier and journal close and, on a clean return,
-        failures of never-joined futures recorded so far are surfaced
-        per ``on_unjoined_failure``.  A runtime hosts one root: the
+        root, the runtime's :meth:`_close` waits: the thread runtime and
+        the pool for every forked task to terminate, joined or not (a
+        top-level implicit finish), the process runtime for its workers
+        to stop.  Then an owned verifier and journal close and, on a
+        clean return, failures of never-joined futures are surfaced per
+        ``on_unjoined_failure``.  A runtime hosts one root: the
         verifier's data structures assume a single fork tree.
         """
         with self._lock:
@@ -704,6 +707,18 @@ class SupervisedJoinMixin:
                     args={"child": task.name, "parent": parent.name},
                 )
         return future
+
+    def _await_tasks(self) -> None:
+        """Block until every forked task has terminated."""
+        with self._all_done:
+            while self._outstanding:
+                self._all_done.wait()
+
+    def _task_ended_locked(self) -> None:
+        """Count one forked task terminated; the caller holds ``_lock``."""
+        self._outstanding -= 1
+        if not self._outstanding:
+            self._all_done.notify_all()
 
     def _execute(self, item: tuple) -> Optional[float]:
         """Run one forked task's body in the calling thread.

@@ -98,8 +98,8 @@ class TaskRuntime(SupervisedJoinMixin):
         What :meth:`run` does about tasks that failed but whose futures
         were never joined: ``"warn"`` (default), ``"raise"`` (re-raise
         the first such failure as :class:`TaskFailedError`), or
-        ``"ignore"``.  Best-effort on this runtime: ``run`` returns when
-        the *root* returns, so only failures recorded by then are seen.
+        ``"ignore"``.  Exact: :meth:`run` waits for every forked task
+        to terminate before reaping.
     clock:
         The supervision clock (deadlines, watchdog ticks, retry
         backoff); None (default) uses the wall clock.  A
@@ -171,7 +171,9 @@ class TaskRuntime(SupervisedJoinMixin):
     # the thread hand-off
     # ------------------------------------------------------------------
     def _close(self) -> None:
-        """Stop the parked threads; tasks still running are unaffected."""
+        """Top-level implicit finish: wait for every forked task to
+        terminate, then stop the parked threads."""
+        self._await_tasks()
         with self._lock:
             self._idle_enabled = False
             channels = list(self._idle_workers)
@@ -183,6 +185,7 @@ class TaskRuntime(SupervisedJoinMixin):
         """Hand a forked task to a parked thread, or start one."""
         with self._lock:
             self._tasks_started += 1
+            self._outstanding += 1
             channel = self._idle_workers.pop() if self._idle_workers else None
             if channel is None:
                 self._threads_started += 1
@@ -213,6 +216,7 @@ class TaskRuntime(SupervisedJoinMixin):
             if channel is None:
                 channel = SimpleQueue()
             with self._lock:
+                self._task_ended_locked()
                 if not self._idle_enabled or len(self._idle_workers) >= _MAX_IDLE:
                     return
                 self._idle_workers.append(channel)

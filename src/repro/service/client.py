@@ -80,12 +80,13 @@ _MAX_RECHECKS = 65536
 
 
 def _stamp_trace(record: dict) -> None:
-    """Attach the ambient ``(trace, span)`` context to a check record.
+    """Attach the ambient ``(trace, span)`` context to a check or audit
+    record.
 
     The fields are optional on the wire (old servers ignore them); with
     them the sidecar parents its ``join_check`` span under the span that
-    escalated the check, stitching its track into the caller's
-    distributed trace.  Disabled telemetry is one contextvar read.
+    made the join, stitching its track into the caller's distributed
+    trace.  Disabled telemetry is one contextvar read.
     """
     tctx = current_trace_context()
     if tctx is not None:
@@ -715,28 +716,40 @@ class SessionClient:
     Where :class:`RemoteVerifier` *is* a verifier (vertices, replay
     buffer, reconcile machinery), this client is deliberately less: the
     procs runtime already holds the whole spawn-path forest in shared
-    memory, so the sidecar is an *arbiter for cross-process edges*, not
-    the source of truth.  The client therefore ships plain integer rids
-    (the shared-tree vertex ids), buffers fire-and-forget state events
-    (flushed every :attr:`FLUSH_EVERY` or before any check), and answers
-    synchronous checks by request id.
+    memory and decides every join from it, so the sidecar is an
+    *auditor of cross-process verdicts*, not the source of truth.  The
+    client ships plain integer rids (the shared-tree vertex ids) and
+    buffers fire-and-forget records — state events and :meth:`audit`
+    records alike — flushed every :attr:`FLUSH_EVERY` records, on the
+    first record :attr:`FLUSH_AFTER` seconds past the last flush, and
+    before any round trip.  A :meth:`sync` round trip learns how many
+    audits the sidecar re-derived (:attr:`audits_applied`) and how many
+    disagreed (:attr:`audit_mismatches`); the runtime makes one at exit,
+    and a flush makes one first whenever more than :attr:`SYNC_EVERY`
+    records would be in flight.  ``check`` and ``check_batch`` stay for
+    callers that want the sidecar's own verdict.
 
     Degradation is **permanent and local**: on any connect, send,
     receive, timeout or backpressure failure the client goes silent and
     every later call is a no-op — ``check``/``check_batch`` return
-    ``None``, telling the caller to resolve the join against its own
-    shared-memory shard, which is sound because TJ verdicts derive
-    entirely from the fork tree every process can already see.  There is
-    no replay buffer and no reconcile: the sidecar's copy is for
-    observability and post-mortems, and a runtime that outlives its
-    sidecar finishes verified all the same (the degradation is counted
-    and reported).  One lock serialises the socket; concurrent task
-    threads in a worker simply queue behind each other, which the
-    local-shard fast path keeps rare.
+    ``None``, ``sync`` leaves the counts as they were, and audits are
+    counted but never sent.  That stays sound because TJ verdicts derive
+    entirely from the fork tree every process can already see; an audit
+    no ``synced`` reply covers counts as degraded.  There is no replay
+    buffer and no reconcile: the sidecar's copy is for observability
+    and post-mortems.  One lock serialises the socket and the counters.
     """
 
-    #: buffered state events forcing a flush
+    #: buffered records forcing a flush
     FLUSH_EVERY = 64
+    #: seconds after a flush at which the next record flushes at once:
+    #: a sparse stream still reaches the sidecar well inside its 5 s
+    #: liveness window, as a round trip per record would
+    FLUSH_AFTER = 1.0
+    #: records a session may hold unapplied: half the sidecar's default
+    #: inbox bound, so a producer faster than the sidecar waits on a
+    #: ``sync`` instead of having records refused
+    SYNC_EVERY = 512
 
     def __init__(
         self,
@@ -757,13 +770,16 @@ class SessionClient:
         self._lock = threading.Lock()
         self._stream: Optional[RecordStream] = None
         self._buffer: list[dict] = []
+        self._flush_by = 0.0
+        self._unsynced = 0  # records sent since the last synced reply
         self._cseq = itertools.count()
         self._req = itertools.count(1)
-        self.events_sent = 0
-        self.checks_sent = 0
+        #: audits made; of those, what the last ``synced`` reply covered
+        self.audits = 0
+        self.audits_applied = 0
+        self.audit_mismatches = 0
         self.degraded = False
         self.degrade_reason: Optional[str] = None
-        self.quarantined = False
 
     # ------------------------------------------------------------------
     def connect(self) -> bool:
@@ -808,28 +824,44 @@ class SessionClient:
             }
         )
 
+    def audit(self, waiter_rid: int, joinee_rid: int, ok: bool) -> None:
+        """Buffer a ``recheck`` of a verdict decided locally (*ok*, the
+        one acted on).  No ``cseq``: a hole in the state-event sequence
+        would make the session drop the next fork."""
+        record = {"kind": "recheck", "waiter": waiter_rid, "joinee": joinee_rid, "ok": ok}
+        _stamp_trace(record)
+        with self._lock:
+            self.audits += 1
+            self._buffer_locked(record)
+
     def _buffer_event(self, record: dict) -> None:
-        if self.degraded:
-            return
         with self._lock:
             record["cseq"] = next(self._cseq)
-            self._buffer.append(record)
-            if len(self._buffer) >= self.FLUSH_EVERY:
-                self._flush_locked()
+            self._buffer_locked(record)
+
+    def _buffer_locked(self, record: dict) -> None:
+        if self.degraded:
+            return
+        self._buffer.append(record)
+        if len(self._buffer) >= self.FLUSH_EVERY or monotonic() >= self._flush_by:
+            self._flush_locked()
 
     def flush(self) -> None:
         with self._lock:
             self._flush_locked()
 
     def _flush_locked(self) -> None:
-        if self.degraded or self._stream is None:
+        if self._unsynced + len(self._buffer) > self.SYNC_EVERY:
+            self._sync_locked()  # flow control: let the session drain
+        if self._stream is None:  # degraded, or never connected
             self._buffer.clear()
             return
         try:
-            for record in self._buffer:
-                self._stream.send(record)
-            self.events_sent += len(self._buffer)
+            if self._buffer:
+                self._stream.send(*self._buffer)
+                self._unsynced += len(self._buffer)
             self._buffer.clear()
+            self._flush_by = monotonic() + self.FLUSH_AFTER
         except (OSError, ServiceError) as exc:
             self._degrade_locked(f"flush: {exc}")
 
@@ -850,6 +882,21 @@ class SessionClient:
         reply = self._roundtrip(record, "verdicts")
         return None if reply is None else [bool(ok) for ok in reply["ok"]]
 
+    def sync(self) -> None:
+        """Wait until the sidecar has re-derived every audit made so far
+        and keep its counts in :attr:`audits_applied` and
+        :attr:`audit_mismatches` (unchanged when degraded)."""
+        with self._lock:
+            self._flush_locked()
+            self._sync_locked()
+
+    def _sync_locked(self) -> None:
+        reply = self._exchange_locked({"kind": "sync"}, "synced")
+        if reply is not None:
+            self._unsynced = 0
+            self.audits_applied = reply["applied"]
+            self.audit_mismatches = reply["mismatches"]
+
     def stats(self) -> "dict | None":
         """The server's full stats snapshot; None = degraded.
 
@@ -863,8 +910,8 @@ class SessionClient:
     def ping(self) -> None:
         """Fire-and-forget keepalive (the pong is drained later).
 
-        The parent's client can sit idle for an entire run between
-        escalations; without an occasional ping the server's liveness
+        The parent's client can sit idle for an entire run (it makes
+        no audits); without an occasional ping the server's liveness
         sweeper reaps the connection as dead and the final stats pull
         finds a closed stream.
         """
@@ -880,45 +927,41 @@ class SessionClient:
                 self._degrade_locked(f"ping: {exc}")
 
     def _roundtrip(self, record: dict, want: str) -> "dict | None":
-        if self.degraded:
-            return None
         with self._lock:
-            stream = self._stream
-            if stream is None:
-                return None
-            req = next(self._req)
-            record["req"] = req
             self._flush_locked()
-            if self.degraded:
-                return None
-            try:
-                stream.send(record)
-                self.checks_sent += 1
-                while True:
-                    reply = stream.recv()
-                    if reply is None:
-                        raise ServiceUnavailableError("sidecar closed the stream")
-                    kind = reply.get("kind")
-                    if kind == want and reply.get("req") == req:
-                        return reply
-                    if kind == "quarantine":
-                        # Tenant policy quarantined server-side; the
-                        # shared-memory shard remains the (sound) local
-                        # authority, so treat it like degradation for
-                        # this and future checks.
-                        self.quarantined = True
-                        if reply.get("req") == req:
-                            self._degrade_locked("server policy quarantined")
-                            return None
-                    elif kind == "backpressure":
-                        self._degrade_locked("server backpressure")
-                        return None
-                    elif kind == "error":
-                        raise ServiceProtocolError(str(reply.get("message")))
-                    # acks/pongs and stale replies: keep reading
-            except (OSError, ServiceError) as exc:
-                self._degrade_locked(f"check: {exc}")
-                return None
+            return self._exchange_locked(record, want)
+
+    def _exchange_locked(self, record: dict, want: str) -> "dict | None":
+        stream = self._stream
+        if stream is None:  # degraded, or never connected
+            return None
+        req = next(self._req)
+        record["req"] = req
+        try:
+            stream.send(record)
+            while True:
+                reply = stream.recv()
+                if reply is None:
+                    raise ServiceUnavailableError("sidecar closed the stream")
+                kind = reply.get("kind")
+                if kind == want and reply.get("req") == req:
+                    return reply
+                if kind == "quarantine" and reply.get("req") == req:
+                    # Tenant policy quarantined server-side; the
+                    # shared-memory shard remains the (sound) local
+                    # authority, so treat it like degradation for
+                    # this and future checks.
+                    self._degrade_locked("server policy quarantined")
+                    return None
+                elif kind == "backpressure":
+                    self._degrade_locked("server backpressure")
+                    return None
+                elif kind == "error":
+                    raise ServiceProtocolError(str(reply.get("message")))
+                # acks/pongs and stale replies: keep reading
+        except (OSError, ServiceError) as exc:
+            self._degrade_locked(f"{record['kind']}: {exc}")
+            return None
 
     # ------------------------------------------------------------------
     def _degrade(self, reason: str) -> None:
@@ -955,22 +998,3 @@ class SessionClient:
                 stream.sock.close()
             except OSError:
                 pass
-
-    def snapshot(self) -> dict:
-        return {
-            "session": self.session_id,
-            "tenant": self.tenant,
-            "events_sent": self.events_sent,
-            "checks_sent": self.checks_sent,
-            "degraded": self.degraded,
-            "degrade_reason": self.degrade_reason,
-            "quarantined": self.quarantined,
-        }
-
-    def __enter__(self) -> "SessionClient":
-        self.connect()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self.close()
-        return False

@@ -13,7 +13,8 @@ with an explicit ``backpressure`` reply (the client raises
 server memory without bound.  Synchronous ``check`` queries ride the
 same inbox as the fire-and-forget state events, which is what makes
 them *synchronous with respect to the stream*: a check is answered only
-after every earlier fork from the same client has been applied.
+after every earlier fork from the same client has been applied.  So is
+a ``sync``: its ``synced`` reply counts every earlier ``recheck``.
 
 Client vertex ids (``rid``) are dense ints assigned client-side; the
 session maps them to policy vertices.  ``applied_seq`` tracks the
@@ -161,6 +162,12 @@ class Session:
         self.backpressure_refusals = 0
         #: events dropped because an earlier record was refused (gap)
         self.gap_drops = 0
+        #: rechecks re-derived, and those whose client verdict disagreed
+        self.rechecks = 0
+        self.recheck_mismatches = 0
+        #: rechecks parked on a missing rid, and the syncs waiting on them
+        self._rechecks_parked = 0
+        self._held_syncs: list = []
         #: test seam: clearing this gate parks the worker between records,
         #: letting tests fill the inbox deterministically
         self.drain_gate = threading.Event()
@@ -307,6 +314,8 @@ class Session:
         elif kind == "recheck":
             self._checks.inc()
             self._do_recheck(record, reply)
+        elif kind == "sync":
+            self._do_sync(record, reply)
         else:
             raise ServiceProtocolError(f"session cannot apply record kind {kind!r}")
 
@@ -413,19 +422,36 @@ class Session:
         self._safe_reply(reply, {"kind": "verdicts", "req": record["req"], "ok": oks})
 
     def _do_recheck(self, record: dict, reply) -> None:
-        # Reconcile replay of a verdict the client answered locally
-        # while degraded: re-derive it for exact server-side stats
-        # and the journal's verdict stream; no reply.
+        # A verdict the client answered locally: a procs audit, carrying
+        # the ``ok`` the runtime acted on, or a reconcile replay.  Re-derive
+        # it and journal the verdict acted on, so `repro journal-replay`
+        # re-derives it too; a disagreement is counted.  No reply.
         waiter, joinee = record["waiter"], record["joinee"]
         if self._park_if_missing((waiter, joinee), record, reply):
+            self._rechecks_parked += 1
             return
+        handle = self._begin_check_span(record)
         try:
             ok = self.verifier.check_join(self._vertex(waiter), self._vertex(joinee))
         except PolicyQuarantinedError:
             return
+        finally:
+            self._end_check_span(handle, {"waiter": waiter, "joinee": joinee})
+        acted = record.get("ok", ok)
+        self.rechecks += 1
+        self.recheck_mismatches += acted != ok
         if self.journal is not None:
-            self.journal.log_verdict(self.session_id, waiter, joinee, ok)
+            self.journal.log_verdict(self.session_id, waiter, joinee, acted)
         self._announce_quarantine(reply)
+
+    def _do_sync(self, record: dict, reply) -> None:
+        # The inbox is FIFO, so every earlier record has been applied; a
+        # recheck parked on a missing rid holds the answer until it replays.
+        if self._rechecks_parked:
+            self._held_syncs.append((record, reply))
+            return
+        self._safe_reply(reply, {"kind": "synced", "req": record["req"], "applied": self.rechecks,
+                                 "mismatches": self.recheck_mismatches})
 
     # -- tenant parking --------------------------------------------------
     def _park_if_missing(self, rids, record: dict, reply) -> bool:
@@ -477,7 +503,12 @@ class Session:
         elif kind == "check_batch":
             self._do_check_batch(record, reply)
         elif kind == "recheck":
-            self._do_recheck(record, reply)
+            self._rechecks_parked -= 1
+            self._do_recheck(record, reply)  # re-parks if another rid is missing
+            if not self._rechecks_parked:
+                held, self._held_syncs = self._held_syncs, []
+                for sync in held:
+                    self._do_sync(*sync)
 
     def _announce_quarantine(
         self,
@@ -525,6 +556,8 @@ class Session:
             "checks": self._checks.value,
             "backpressure_refusals": self.backpressure_refusals,
             "gap_drops": self.gap_drops,
+            "rechecks": self.rechecks,
+            "recheck_mismatches": self.recheck_mismatches,
             "quarantined": self.verifier.quarantined,
             "forks": stats.forks,
             "joins_checked": stats.joins_checked,

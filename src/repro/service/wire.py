@@ -26,22 +26,24 @@ Client → server kinds
 ``check``  synchronous join-permit query (``waiter``, ``joinee``, ``req``);
 ``check_batch``  one waiter against many joinees (``waiter``,
            ``joinees``, ``req``);
-``recheck``  fire-and-forget re-derivation of a verdict the client
-           answered locally while degraded (reconcile replay; counted
-           server-side, no reply);
+``recheck``  re-derivation of a verdict the client answered locally
+           (``waiter``, ``joinee``, optional ``ok``: the verdict acted
+           on, journalled, a disagreement counted); no ``cseq``, no reply;
+``sync``   barrier (``req``), answered after every earlier record;
 ``stats``  introspection query (``req``) — the server answers with its
            full stats snapshot;
 ``ping``   heartbeat;
 ``bye``    graceful close.
 
-``check``/``check_batch`` may additionally carry an optional trace
-context (``trace`` id string + ``span`` id int) captured at the
-client's join site; the server parents its ``join_check`` span under it
-so cross-process traces stitch.  The fields are optional and unknown
-fields are ignored, so they are compatible in both directions; a peer
-too old to know the ``stats`` kind itself answers with an ``error``
-record (the vocabulary check below), and the ``hello`` wire-version
-gate rejects genuinely incompatible peers before any of this.
+``check``/``check_batch``/``recheck`` may additionally carry an
+optional trace context (``trace`` id string + ``span`` id int) captured
+at the client's join site; the server parents its ``join_check`` span
+under it so cross-process traces stitch.  The fields are optional and
+unknown fields are ignored, so they are compatible in both directions;
+a peer too old to know the ``stats`` or ``sync`` kind answers with an
+``error`` record (the vocabulary check below), and the ``hello``
+wire-version gate rejects genuinely incompatible peers before any of
+this.
 
 Server → client kinds
 ---------------------
@@ -49,6 +51,8 @@ Server → client kinds
                   ``quarantined``);
 ``verdict``       reply to ``check`` (``req``, ``ok``);
 ``verdicts``      reply to ``check_batch`` (``req``, ``ok`` list);
+``synced``        reply to ``sync`` (``req``, ``applied`` rechecks,
+                  ``mismatches`` among them);
 ``stats_reply``   reply to ``stats`` (``req``, ``stats`` object);
 ``pong``          heartbeat reply;
 ``ack``           journal-durable watermark (``seq``): the client may
@@ -110,6 +114,7 @@ CLIENT_KINDS = frozenset(
         "check",
         "check_batch",
         "recheck",
+        "sync",
         "stats",
         "ping",
         "bye",
@@ -120,6 +125,7 @@ SERVER_KINDS = frozenset(
         "welcome",
         "verdict",
         "verdicts",
+        "synced",
         "stats_reply",
         "pong",
         "ack",
@@ -139,12 +145,14 @@ REQUIRED_FIELDS: dict[str, tuple[str, ...]] = {
     "check": ("waiter", "joinee", "req"),
     "check_batch": ("waiter", "joinees", "req"),
     "recheck": ("waiter", "joinee"),
+    "sync": ("req",),
     "stats": ("req",),
     "ping": (),
     "bye": (),
     "welcome": ("session", "last_seq"),
     "verdict": ("req", "ok"),
     "verdicts": ("req", "ok"),
+    "synced": ("req", "applied", "mismatches"),
     "stats_reply": ("req", "stats"),
     "pong": (),
     "ack": ("seq",),
@@ -232,10 +240,11 @@ class FrameDecoder:
         return len(self._buf)
 
 
-def send_record(sock: socket.socket, record: dict) -> None:
-    """Send one framed record; socket failures become ServiceUnavailableError."""
+def send_record(sock: socket.socket, *records: dict) -> None:
+    """Send framed records in one ``sendall``; socket failures become
+    ServiceUnavailableError."""
     try:
-        sock.sendall(encode_frame(record))
+        sock.sendall(b"".join(map(encode_frame, records)))
     except OSError as exc:
         raise ServiceUnavailableError(f"send failed: {exc}") from exc
 
@@ -256,8 +265,8 @@ class RecordStream:
         self._decoder = FrameDecoder()
         self._ready: list[dict] = []
 
-    def send(self, record: dict) -> None:
-        send_record(self.sock, record)
+    def send(self, *records: dict) -> None:
+        send_record(self.sock, *records)
 
     def recv(self) -> "dict | None":
         """Block for the next record; None on orderly EOF.

@@ -982,9 +982,10 @@ def run_procs_divergence(
 
     *tasks* is the total leaf count; it is split into ``tasks // fanout``
     dispatched subtrees of *fanout* leaves each.  With a *sidecar*, the
-    run also fails unless its cross joins actually reached it: no
+    run also fails unless its cross joins actually reached it — no
     degraded join on a kill-free run, and fewer degraded than cross
-    joins on any run.
+    joins on any run — and on any audit the sidecar re-derived
+    differently.
     """
     import math
     import os
@@ -1082,9 +1083,9 @@ def run_procs_divergence(
     if killed and join_stats["cross_joins"] <= 0:
         problems.append("no cross-process joins were ever reported")
     if sidecar is not None:
-        # The escalation path must have reached the sidecar: a dead one
-        # degrades every cross join to the local shard, which stays sound
-        # and would otherwise pass unnoticed.
+        # The audits must have reached the sidecar: a dead one leaves
+        # every cross join degraded, which stays sound and would
+        # otherwise pass unnoticed.
         degraded = join_stats["degraded_joins"]
         if degraded and not killed:
             problems.append(
@@ -1095,6 +1096,11 @@ def run_procs_divergence(
             problems.append(
                 f"degraded joins {degraded} >= cross joins "
                 f"{join_stats['cross_joins']}: no join reached the sidecar {sidecar}"
+            )
+        if join_stats["audit_mismatches"]:
+            problems.append(
+                f"{join_stats['audit_mismatches']} audited verdicts disagreed "
+                f"with the sidecar {sidecar}"
             )
     if check and problems:
         raise ChaosInvariantError(

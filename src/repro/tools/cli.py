@@ -313,7 +313,8 @@ def _cmd_procs(args: argparse.Namespace) -> int:
         print(
             f"  joins: local={js['local_joins']} cross={js['cross_joins']} "
             f"degraded={js['degraded_joins']} "
-            f"escalation={js['escalation_ratio']:.3f}"
+            f"escalation={js['escalation_ratio']:.3f} "
+            f"audit_mismatches={js['audit_mismatches']}"
         )
         print(f"  divergences={len(result.divergences)}")
         if session is not None and args.metrics_out:

@@ -40,6 +40,7 @@ EXPECTED = {
     "procs.cross_joins": ("procs.cross_joins", ">", 0, 0, {}),
     "procs.escalation": ("procs.escalation_ratio", "<=", 0.2, 0.2, {}),
     "procs.degraded_joins": ("procs.degraded_joins", "<=", 0, 0, {}),
+    "procs.audit_mismatches": ("procs.audit_mismatches", "<=", 0, 0, {}),
     "procs.tasks": ("procs.tasks", ">=", 1_000_000, None, {}),
     "procs.workers": ("procs.workers", ">=", 4, None, {}),
     "procs.speedup": ("procs.speedup", ">=", 3.0, None, {"workers": 4}),

@@ -63,6 +63,20 @@ def subtree_level(rt, base, leaves):
     return sum(rt.join_batch(futs))
 
 
+def lying_subtree(rt, base, fanout):
+    """``subtree`` on a worker whose sidecar client flips the first
+    verdict it audits (the patch outlives this body, the flip does not)."""
+    client = rt.verifier.sidecar
+    audit, flipped = client.audit, []
+
+    def flip_once(waiter, joinee, ok):
+        audit(waiter, joinee, ok if flipped else not ok)
+        flipped.append(joinee)
+
+    client.audit = flip_once
+    return subtree(rt, base, fanout)
+
+
 def boom(rt):
     raise ValueError("boom in worker")
 
@@ -175,6 +189,35 @@ def test_the_sidecar_journal_replays_every_verdict(tmp_path):
     replay = replay_journal(path)
     assert replay.rechecked == rt.join_stats()["cross_joins"] == 20
     assert replay.recheck_mismatches == []
+
+
+@pytest.mark.parametrize("lie", [False, True])
+def test_the_sidecar_audit_catches_a_flipped_verdict(tmp_path, lie):
+    """A worker that audits one verdict other than the one it acted on
+    shows as one audit mismatch, and as one recheck mismatch that makes
+    ``repro journal-replay`` exit 1; an honest run reads 0 and exits 0."""
+    from repro.service.server import VerificationServer
+    from repro.tools.cli import main as cli_main
+    from repro.tools.replay import replay_journal
+
+    path = str(tmp_path / "sidecar.jsonl")
+    with VerificationServer(journal_path=path) as srv:
+        host, port = srv.address
+        rt = _rt(workers=1, sidecar=f"remote://{host}:{port}")
+        first = lying_subtree if lie else subtree
+
+        def root():
+            futs = [rt.fork(first, 0, 5)]
+            futs += [rt.fork(subtree, 10 * t, 5) for t in range(1, 4)]
+            return rt.join_batch(futs)
+
+        rt.run(root)
+    js = rt.join_stats()
+    assert js["cross_joins"] == 20
+    assert js["degraded_joins"] == 0
+    assert js["audit_mismatches"] == int(lie)
+    assert len(replay_journal(path).recheck_mismatches) == int(lie)
+    assert cli_main(["journal-replay", path]) == int(lie)
 
 
 def test_finish_construct_drives_the_worker_engine():

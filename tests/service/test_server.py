@@ -11,6 +11,8 @@ surface allows (the registry contains no broken policies, by design).
 from __future__ import annotations
 
 import socket
+import sys
+import threading
 import time
 import warnings
 
@@ -26,7 +28,7 @@ from repro.errors import (
     ServiceBackpressureError,
     ServiceDegradedWarning,
 )
-from repro.service.client import RemoteVerifier, parse_remote_url
+from repro.service.client import RemoteVerifier, SessionClient, parse_remote_url
 from repro.service.server import ServiceJournal, VerificationServer
 from repro.service.wire import WIRE_VERSION, RecordStream
 from repro.tools.journal import read_journal
@@ -254,6 +256,119 @@ class TestProtocolFaults:
             assert snap["applied_seq"] == 1
         finally:
             stream.sock.close()
+
+
+class TestAudits:
+    """Fire-and-forget ``recheck`` audits, and the ``sync`` barrier that
+    settles them, on a tenant shared by a parent and a worker session."""
+
+    @staticmethod
+    def _pair(server):
+        url = remote_url(server)
+        worker = SessionClient(url, "w", tenant="t")
+        parent = SessionClient(url, "p", tenant="t")
+        assert worker.connect() and parent.connect()
+        return worker, parent
+
+    def test_concurrent_audits_are_all_counted_and_applied(self, server):
+        worker, parent = self._pair(server)
+        # 968 records in all, so flushes also sync for flow control, and
+        # enough for the threads to interleave
+        threads, per_thread, children = 8, 120, list(range(2, 10))
+        try:
+            parent.init(0)
+            parent.fork(0, 1, 0, 1)
+            parent.flush()
+            for edge, child in enumerate(children):
+                worker.fork(1, child, edge, 2)
+            start = threading.Barrier(threads)
+
+            def audit_many():
+                start.wait(timeout=10.0)  # overlap the threads' audits
+                for i in range(per_thread):
+                    worker.audit(1, children[i % len(children)], True)
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                pool = [threading.Thread(target=audit_many) for _ in range(threads)]
+                for thread in pool:
+                    thread.start()
+                for thread in pool:
+                    thread.join(timeout=10.0)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in pool)
+            assert worker.audits == threads * per_thread
+            worker.sync()
+            assert not worker.degraded
+            assert worker.audits_applied == threads * per_thread
+            assert worker.audit_mismatches == 0
+        finally:
+            worker.close()
+            parent.close()
+
+    def test_sync_waits_for_audits_parked_on_late_lineage(self, server):
+        worker, parent = self._pair(server)
+        children = list(range(2, 10))
+        try:
+            # Children of vertex 1, whose own fork the parent has not
+            # announced yet: every audit of them parks on rid 1.
+            for edge, child in enumerate(children):
+                worker.fork(1, child, edge, 2)
+                worker.audit(1, child, True)
+            sync = threading.Thread(target=worker.sync)
+            sync.start()
+            sync.join(timeout=0.3)
+            assert sync.is_alive()  # held until the parked audits replay
+            parent.init(0)
+            parent.fork(0, 1, 0, 1)
+            parent.flush()
+            sync.join(timeout=10.0)
+            assert not sync.is_alive()
+            assert not worker.degraded
+            assert worker.audits_applied == len(children)
+        finally:
+            worker.close()
+            parent.close()
+
+    def test_a_fast_producer_waits_on_sync_instead_of_overrunning_the_inbox(self, server):
+        client = SessionClient(remote_url(server), "fast", tenant="t")
+        assert client.connect()
+        client.init(0)
+        client.flush()
+        session = server.session("fast")
+        session.drain_gate.clear()  # the session stops applying records
+        opener = threading.Timer(0.3, session.drain_gate.set)
+        opener.start()
+        try:
+            for child in range(1, 2 * session.inbox_limit):
+                client.fork(0, child, child - 1, 1)
+            client.sync()
+            assert not client.degraded
+            assert session.backpressure_refusals == 0
+            assert session.applied_seq == 2 * session.inbox_limit - 1
+        finally:
+            opener.cancel()
+            session.drain_gate.set()
+            client.close()
+
+    def test_a_sparse_stream_flushes_once_flush_after_has_passed(self, server):
+        client = SessionClient(remote_url(server), "sparse", tenant="t")
+        assert client.connect()
+        client.FLUSH_AFTER = 0.2
+        try:
+            client.init(0)  # the first record goes out at once
+            session = server.session("sparse")
+            assert wait_until(lambda: session.applied_seq == 0)
+            client.fork(0, 1, 0, 1)
+            time.sleep(0.1)
+            assert session.applied_seq == 0  # buffered: inside the window
+            time.sleep(0.2)
+            client.fork(0, 2, 1, 1)  # past it: both go out
+            assert wait_until(lambda: session.applied_seq == 2)
+        finally:
+            client.close()
 
 
 class TestQuarantineIsolation:

@@ -236,6 +236,29 @@ class TestRuntimeIntegration:
         assert kinds.count("complete") == 4
         assert worker_errors == []
 
+    @pytest.mark.parametrize("runtime", [TaskRuntime, WorkSharingRuntime])
+    def test_run_waits_for_a_task_the_root_never_joined(
+        self, path, runtime, monkeypatch
+    ):
+        """``run`` returns only once every forked task has terminated, so
+        a task the root never joins still journals ``complete`` before
+        ``run`` closes an owned journal."""
+        worker_errors = []
+        monkeypatch.setattr(
+            threading, "excepthook", lambda args: worker_errors.append(args.exc_value)
+        )
+        rt = runtime(policy="TJ-SP", journal=path)
+
+        def main():
+            rt.fork(time.sleep, 0.05)  # never joined
+            return rt.fork(lambda: 1).join()
+
+        assert rt.run(main) == 1
+        time.sleep(0.1)  # a worker writing after the close would fail by now
+        kinds = [r["kind"] for r in read_journal(path).records]
+        assert kinds.count("fork") == kinds.count("complete") == 2
+        assert worker_errors == []
+
     def test_clean_run_replay_reconstructs_and_rechecks(self, path):
         rt = TaskRuntime(policy="TJ-SP", journal=path)
 
