@@ -66,6 +66,19 @@ rows the dead worker wrote are simply orphaned (the forest only grows),
 and because no interprocess locks exist anywhere, a kill can never
 strand one.
 
+Start-up: one preloaded fork server
+-----------------------------------
+Every worker is a fork of one ``multiprocessing`` fork server per parent
+process.  The server boots once and preloads exactly what a worker
+imports (this module, and the sidecar wire client), so a worker starts
+with its code loaded instead of booting an interpreter and importing it.
+Each run checks that the server is up, relaunching it with its preload
+if it died, and the server is stopped and reaped at interpreter exit.
+A worker sees ``os.environ`` as it was when the server launched (with
+the package root leading ``PYTHONPATH``); ``sys.path`` and the working
+directory still come from the parent at each start.  On a platform with
+no fork server, workers are ``spawn``ed fresh interpreters instead.
+
 The API is identical where it can be: ``run`` hosts one root,
 ``fork``/``join``/``join_batch`` are the verified operations, failures
 cross the process boundary as the package's picklable exceptions.  The
@@ -76,6 +89,7 @@ closures cannot cross a process boundary.
 
 from __future__ import annotations
 
+import os
 import pickle
 import secrets
 import threading
@@ -83,6 +97,7 @@ import time
 from multiprocessing.connection import wait as _mpc_wait
 from typing import Any, Callable, Optional, Union
 
+from .._importpath import child_pythonpath
 from .context import require_current_task, task_scope
 from .future import Future
 from .supervisor import StallWatchdog, SupervisedJoinMixin
@@ -110,6 +125,66 @@ _STATS_IDLE_PUSH = 1.0
 #: how often the monitor thread pings the parent's sidecar connection
 #: (well inside the server's 5 s liveness window)
 _CLIENT_PING_EVERY = 1.0
+
+#: what every worker imports, loaded once by the fork server it is forked from
+_PRELOAD = ["repro.runtime.procs", "repro.service.client"]
+
+#: the pid that imported this module: in a worker forked from the
+#: preloaded server, the server's
+_IMPORTED_BY = os.getpid()
+
+_context_lock = threading.Lock()
+_context = None
+
+
+def _worker_context():
+    """The multiprocessing context every worker starts from, with its fork
+    server running: launched on first use, relaunched if it died.
+
+    The stdlib would relaunch a dead server by itself, but without the
+    package on its import path, and its fork server skips a preload that
+    fails to import without a word (Python 3.11 also ignores the
+    ``sys_path`` it hands the server), so every launch goes through here.
+    """
+    global _context
+    import multiprocessing
+
+    with _context_lock:
+        if _context is None:
+            if "forkserver" not in multiprocessing.get_all_start_methods():
+                _context = multiprocessing.get_context("spawn")
+            else:
+                from multiprocessing import util
+
+                _context = multiprocessing.get_context("forkserver")
+                _context.set_forkserver_preload(_PRELOAD)
+                # A negative priority runs after multiprocessing has
+                # terminated and joined this process's daemonic children,
+                # which hold the server's liveness pipe open.
+                util.Finalize(None, _stop_fork_server, exitpriority=-10)
+        if _context.get_start_method() == "forkserver":
+            from multiprocessing import forkserver
+
+            saved = os.environ.get("PYTHONPATH")
+            os.environ["PYTHONPATH"] = child_pythonpath()
+            try:
+                forkserver.ensure_running()
+            finally:
+                if saved is None:
+                    del os.environ["PYTHONPATH"]
+                else:
+                    os.environ["PYTHONPATH"] = saved
+        return _context
+
+
+def _stop_fork_server() -> None:
+    """Stop and reap the fork server (Python 3.11 has no public call)."""
+    from multiprocessing import forkserver
+
+    try:
+        forkserver._forkserver._stop()
+    except ChildProcessError:
+        pass  # reaped already: it is gone either way
 
 
 # ----------------------------------------------------------------------
@@ -352,7 +427,9 @@ def _worker_obs_payload(session, index: int) -> Optional[dict]:
 
 
 def _worker_main(cfg: dict) -> None:
-    """Entry point of one worker process (spawn-safe, module level)."""
+    """Entry point of one worker process.  Module level, and everything
+    it needs arrives in *cfg*: the worker is a fork of the preloaded
+    fork server, not of the parent, so it shares no other state."""
     from .. import obs as _obs_mod
 
     index = cfg["index"]
@@ -363,7 +440,7 @@ def _worker_main(cfg: dict) -> None:
     session = None
     tcfg = cfg.get("telemetry")
     if tcfg is not None:
-        # A fresh spawn process starts with telemetry off; re-create the
+        # A worker starts with telemetry off; re-create the
         # parent's choice here so the shard/engine capture it at
         # construction.  The trace id is inherited, so even spans that
         # never adopt a dispatch context share the run's trace.
@@ -425,10 +502,12 @@ def _worker_main(cfg: dict) -> None:
     completed = 0
     last_push = time.monotonic()
     try:
-        while not stop.is_set():
+        while True:
             try:
                 item = dispatch_q.get(timeout=0.2)
             except Exception:  # noqa: BLE001 - Empty, or torn queue at exit
+                if stop.is_set():
+                    break  # told to stop, and no sentinel is coming
                 if (
                     session is not None
                     and time.monotonic() - last_push >= _STATS_IDLE_PUSH
@@ -438,6 +517,11 @@ def _worker_main(cfg: dict) -> None:
                 continue
             if item is None:
                 break
+            if stop.is_set():
+                # The run is over: discard what was never started, but
+                # read on to the sentinel, or a backlog larger than the
+                # pipe leaves the parent's feeder thread blocked for good.
+                continue
             vid, payload, tctx = item
             try:
                 fn, args, kwargs = pickle.loads(payload)
@@ -497,11 +581,12 @@ class _Inflight:
 
 
 class _WorkerHandle:
-    __slots__ = ("index", "proc", "dispatch_q", "wake_w", "alive", "stats")
+    __slots__ = ("index", "proc", "pid", "dispatch_q", "wake_w", "alive", "stats")
 
     def __init__(self, index, proc, dispatch_q, wake_w):
         self.index = index
         self.proc = proc
+        self.pid = proc.pid  # still readable once the handle is closed
         self.dispatch_q = dispatch_q
         self.wake_w = wake_w
         self.alive = True
@@ -594,10 +679,7 @@ class ProcessRuntime(SupervisedJoinMixin):
         self._journal = None
         self._owns_journal = self._owns_verifier = False
 
-        import multiprocessing
-
-        self._ctx = multiprocessing.get_context("spawn")
-        self._result_q = self._ctx.Queue()
+        self._result_q = None  # opened by _open, released by _close
         self._workers: list[_WorkerHandle] = []
         self._inflight: dict[int, _Inflight] = {}
         self._rr = 0  # round-robin dispatch cursor
@@ -723,7 +805,7 @@ class ProcessRuntime(SupervisedJoinMixin):
         ``repro top --live`` (wire ``stats`` → ``stats_reply``)."""
         with self._lock:
             workers = [
-                {"index": w.index, "alive": w.alive, "pid": w.proc.pid}
+                {"index": w.index, "alive": w.alive, "pid": w.pid}
                 for w in self._workers
             ]
         return {
@@ -786,6 +868,7 @@ class ProcessRuntime(SupervisedJoinMixin):
         """Start the sidecar, the shared forest and the workers; the root
         (run by :meth:`SupervisedJoinMixin.run` in the calling thread)
         dispatches everything it forks to them."""
+        ctx = _worker_context()  # a fork server launched here boots meanwhile
         url = self._start_sidecar()
         if url is not None:
             from ..service.client import SessionClient
@@ -816,9 +899,10 @@ class ProcessRuntime(SupervisedJoinMixin):
                     obs.tracer.trace_id if obs.tracer is not None else None
                 ),
             }
+        self._result_q = ctx.Queue()
         for i in range(self.workers_requested):
-            dispatch_q = self._ctx.Queue()
-            wake_r, wake_w = self._ctx.Pipe(duplex=False)
+            dispatch_q = ctx.Queue()
+            wake_r, wake_w = ctx.Pipe(duplex=False)
             cfg = {
                 "index": i,
                 "region": i + 1,
@@ -831,7 +915,7 @@ class ProcessRuntime(SupervisedJoinMixin):
                 "wake_r": wake_r,
                 "telemetry": telemetry_cfg,
             }
-            proc = self._ctx.Process(
+            proc = ctx.Process(
                 target=_worker_main,
                 args=(cfg,),
                 name=f"repro-procs-{i}",
@@ -857,7 +941,8 @@ class ProcessRuntime(SupervisedJoinMixin):
             self._introspect_server.start()
 
     def _close(self) -> None:
-        """Stop the workers, drain their results, then the sidecar."""
+        """Stop the workers, drain their results, then the sidecar, and
+        release every OS resource the run held."""
         self._stopping.set()
         for w in self._workers:
             if w.alive:
@@ -877,7 +962,8 @@ class ProcessRuntime(SupervisedJoinMixin):
                 w.proc.join(timeout=5.0)
         # One sentinel value unblocks the collector; it drains anything
         # (late results, final stats) queued before it.
-        self._result_q.put(None)
+        if self._result_q is not None:
+            self._result_q.put(None)
         if self._collector is not None:
             self._collector.join(timeout=10.0)
         if self._monitor is not None:
@@ -923,6 +1009,34 @@ class ProcessRuntime(SupervisedJoinMixin):
             self._sidecar_proc.stop()
         if self._tree is not None:
             self._tree.close()
+        self._release_workers()
+
+    def _release_workers(self) -> None:
+        """Close the queues, wake pipes and process handles now, so a
+        finished runtime that stays referenced holds no file descriptor
+        and no named semaphore (dropping a queue unlinks its three).
+
+        A queue's feeder thread is waited for only when its reader left
+        cleanly; a killed worker's dispatch queue may hold more than its
+        pipe takes, and that feeder never finishes."""
+        queues = [(self._result_q, True)] + [
+            (w.dispatch_q, w.proc.exitcode == 0) for w in self._workers
+        ]
+        for queue, drained in queues:
+            if queue is None:
+                continue
+            if not drained:
+                queue.cancel_join_thread()
+            queue.close()
+            queue.join_thread()
+        self._result_q = None
+        for w in self._workers:
+            w.dispatch_q = None
+            w.wake_w.close()
+            try:
+                w.proc.close()
+            except ValueError:
+                pass  # survived terminate(): its handle goes with it
 
     # ------------------------------------------------------------------
     # fork: dispatch to a worker
@@ -993,9 +1107,10 @@ class ProcessRuntime(SupervisedJoinMixin):
     # result collection and worker supervision
     # ------------------------------------------------------------------
     def _collector_main(self) -> None:
+        result_q = self._result_q
         while True:
             try:
-                msg = self._result_q.get(timeout=1.0)
+                msg = result_q.get(timeout=1.0)
             except Exception:  # noqa: BLE001 - Empty or torn queue
                 if self._stopping.is_set() and not any(
                     w.proc.is_alive() for w in self._workers
@@ -1006,7 +1121,7 @@ class ProcessRuntime(SupervisedJoinMixin):
                 # shutdown sentinel: drain whatever is already queued
                 while True:
                     try:
-                        msg = self._result_q.get_nowait()
+                        msg = result_q.get_nowait()
                     except Exception:  # noqa: BLE001
                         return
                     if msg is not None:

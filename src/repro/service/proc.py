@@ -18,6 +18,8 @@ import sys
 import threading
 from typing import Optional
 
+from .._importpath import child_pythonpath
+
 __all__ = ["SidecarProcess"]
 
 
@@ -84,10 +86,7 @@ class SidecarProcess:
             raise RuntimeError("sidecar already running")
         self._close_stdout()  # a restart replaces the dead child's pipe
         env = os.environ.copy()
-        # Make `import repro` work in the child no matter how the parent
-        # was launched (pytest, a script, an installed package).
-        pkg_root = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
-        env["PYTHONPATH"] = pkg_root + os.pathsep + env.get("PYTHONPATH", "")
+        env["PYTHONPATH"] = child_pythonpath(env)
         self.proc = subprocess.Popen(
             self._command(),
             stdout=subprocess.PIPE,

@@ -54,7 +54,7 @@ def traced_fleet():
         totals = rt.run(root)
         doc = session.to_chrome_trace()
         trace_id = session.tracer.trace_id
-        worker_pids = {w.proc.pid for w in rt._workers}
+        worker_pids = {w.pid for w in rt._workers}
         deaths = rt.worker_deaths
     return {
         "doc": doc,

@@ -3,8 +3,8 @@ worker-death recovery, and the pickling boundary.
 
 Dispatched bodies must be module-level (they cross a process boundary),
 so every task body here is a top-level function.  Pool geometry is kept
-tiny (two workers, small shared-tree segments) — each test still pays a
-couple of spawn startups, so this file leans on a handful of dense
+tiny (two workers, small shared-tree segments) — each test still starts
+a couple of worker processes, so this file leans on a handful of dense
 programs rather than many micro-cases.
 """
 

@@ -1,0 +1,113 @@
+"""How ``ProcessRuntime`` workers start and what a finished run gives back.
+
+Every worker is a fork of one fork server per process, which preloads
+the worker's modules.  These tests pin that: workers are the server's
+children across runs, they inherit the preload instead of importing it,
+a killed server is relaunched with its preload on the next run, and an
+interpreter that exits reaps its server.  A finished runtime that stays
+referenced holds no file descriptor or named semaphore.
+"""
+
+from __future__ import annotations
+
+import os
+import pathlib
+import signal
+import subprocess
+import sys
+import textwrap
+
+import pytest
+
+from repro.runtime import ProcessRuntime
+from repro.runtime import procs
+
+SRC = pathlib.Path(__file__).resolve().parents[2] / "src"
+
+pytestmark = pytest.mark.skipif(
+    not sys.platform.startswith("linux"), reason="reads /proc and /dev/shm"
+)
+
+
+def whoami(rt):
+    """Where this worker came from, as a dispatched body sees it."""
+    return {
+        "ppid": os.getppid(),
+        "imported_by": procs._IMPORTED_BY,
+        "client_loaded": "repro.service.client" in sys.modules,
+    }
+
+
+def _start_one():
+    rt = ProcessRuntime(workers=1, seg0=64, stripe=16)
+    return rt, rt.run(lambda: rt.join(rt.fork(whoami)))
+
+
+def _server_pid():
+    from multiprocessing import forkserver
+
+    return forkserver._forkserver._forkserver_pid
+
+
+def test_workers_are_forks_of_the_preloaded_server_across_runs():
+    seen = [_start_one()[1] for _ in range(2)]
+    server = _server_pid()
+    assert server is not None and server != os.getpid()
+    for worker in seen:
+        assert worker["ppid"] == server
+        # Imported by the server before the fork, not by the worker ...
+        assert worker["imported_by"] == server
+        # ... and so is the wire client, which no sidecar-less worker imports.
+        assert worker["client_loaded"]
+
+
+def test_a_killed_server_is_relaunched_with_its_preload(monkeypatch):
+    _start_one()
+    old = _server_pid()
+    os.kill(old, signal.SIGKILL)
+    # Wait for the death but leave the zombie: the relaunch reaps it.
+    os.waitid(os.P_PID, old, os.WEXITED | os.WNOWAIT)
+    # Without an ambient PYTHONPATH the new server finds the package only
+    # through the path the runtime hands it.
+    monkeypatch.delenv("PYTHONPATH", raising=False)
+    _, worker = _start_one()
+    new = _server_pid()
+    assert new != old
+    assert worker["ppid"] == worker["imported_by"] == new
+    assert "PYTHONPATH" not in os.environ  # the launch environment is restored
+
+
+def test_an_exiting_interpreter_reaps_its_server():
+    code = textwrap.dedent(
+        """
+        from multiprocessing import forkserver
+        from repro.runtime import ProcessRuntime
+        rt = ProcessRuntime(workers=1, seg0=64, stripe=16)
+        rt.run(lambda: None)
+        print(forkserver._forkserver._forkserver_pid)
+        """
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert out.returncode == 0, out.stderr
+    server = int(out.stdout.split()[-1])
+    with pytest.raises(ProcessLookupError):
+        os.kill(server, 0)
+
+
+def _held():
+    fds = len(os.listdir("/proc/self/fd"))
+    sems = len([n for n in os.listdir("/dev/shm") if n.startswith("sem.mp-")])
+    return fds, sems
+
+
+def test_a_finished_runtime_holds_no_descriptor_or_semaphore():
+    kept = [_start_one()[0]]  # starts the server and the resource tracker
+    before = _held()
+    kept.append(_start_one()[0])
+    assert _held() == before

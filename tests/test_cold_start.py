@@ -1,7 +1,9 @@
 """Cold start: each entry point imports only the code it runs.
 
-Every ``ProcessRuntime`` worker and every sidecar is a fresh interpreter,
-so what an entry point imports is paid once per process.  Each case here
+Every ``ProcessRuntime`` worker is a fork of one fork server that
+preloads the worker's modules, and every sidecar is a fresh interpreter,
+so what an entry point imports is paid once per server or sidecar, and
+every worker inherits it.  Each case here
 runs a fresh interpreter with ``PYTHONPATH=src`` and asserts on module
 names, never on times: the packages export their names lazily, the
 policy registry lists every built-in without importing it, and NumPy
@@ -62,6 +64,7 @@ def run_fresh(code: str, **env: str):
     [
         "import repro",
         "import repro.runtime.procs",  # every ProcessRuntime worker
+        "import repro.runtime.procs, repro.service.client",  # the workers' fork server
         "import repro.service.server",  # every sidecar
         "import repro.armus.hybrid, repro.core.policy",  # verify-replay
         "import repro.tools.cli",  # repro serve, before the subcommand
