@@ -12,7 +12,7 @@ TJ-OM      O(1) amort  O(1)        O(n)          extension
 =========  ==========  ==========  ============  ==============
 
 plus the :class:`NullPolicy` baseline and the Algorithm 1 verifier shell.
-``"TJ-SP"`` resolves to the struct-of-arrays :class:`TJSpawnPathsFlat`
+``"TJ-SP"`` resolves to the parent-column :class:`TJSpawnPathsFlat`
 (compiled kernel when available, pure Python otherwise — see
 :mod:`repro.core._cbuild`); the paper's tuple-per-task Algorithm 3
 survives as ``"TJ-SP-legacy"``.

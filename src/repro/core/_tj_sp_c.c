@@ -1,32 +1,31 @@
 /* Compiled kernel for the flat-array TJ-SP core.
  *
  * This is the optional compiled backend of `repro.core.tj_sp_flat`: the
- * same struct-of-arrays representation as the pure-Python `FlatTreePy`
- * kernel — parallel int32 buffers `parent` / `edge` / `depth` /
- * `children` / `last_ok` indexed by a dense stable id, grown by
- * doubling, 20 bytes a vertex — with `Less` as C-level index chasing and
- * `permits_many` as one C loop per batch (no batch-verdict cache: the
- * loop costs no more than a lookup would).  Every id, depth and sibling
- * index is below the vertex count, which FLAT_MAX_VERTICES caps so they
- * all fit int32.  It is built on demand by `repro.core._cbuild` with
- * whatever C compiler the host has; when none is available the
- * pure-Python kernel serves the identical semantics (the differential
- * suite in tests/core/test_flat_tj_sp.py proves verdict equality).
+ * same representation as the pure-Python `FlatTreePy` kernel — one int32
+ * `parent` column indexed by a dense id, grown by doubling, 4 bytes a
+ * vertex.  A vertex's id is its creation rank, so an ancestor's id is
+ * below every descendant's and siblings compare by id in fork order:
+ * `Less` climbs the larger of the two ids until they meet and needs no
+ * depth, sibling index or fork counter.  `permits_many` is one C loop
+ * per batch (no batch-verdict cache: the loop costs no more than a
+ * lookup would).  Every id is below the vertex count, which
+ * FLAT_MAX_VERTICES caps so it fits int32.  It is built on demand by
+ * `repro.core._cbuild` with whatever C compiler the host has; when none
+ * is available the pure-Python kernel serves the identical semantics
+ * (the differential suite in tests/core/test_flat_tj_sp.py proves
+ * verdict equality).
  *
  * Thread-safety: none of the functions below release the GIL, so every
- * call is atomic with respect to other Python threads.  That is
- * strictly stronger than the Section 5.1 contract needs (concurrent
- * `add_child` calls never share a parent; `permits` may race with
- * `add_child` but only ever names already-published ids).
+ * call is atomic with respect to other Python threads, and ids are
+ * handed out in creation order whichever thread forks.
  */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <stdint.h>
-#include <string.h>
 
 /* ------------------------------------------------------------------ */
-/* FlatTree: the struct-of-arrays spawn-path forest                    */
+/* FlatTree: the spawn-path forest as one parent column               */
 /* ------------------------------------------------------------------ */
 
 /* Ids are int32 row indices, so the forest holds at most this many. */
@@ -35,10 +34,6 @@
 typedef struct {
     PyObject_HEAD
     int32_t *parent;
-    int32_t *edge;
-    int32_t *depth;
-    int32_t *children;
-    int32_t *last_ok;
     Py_ssize_t n;
     Py_ssize_t cap;
     Py_ssize_t batch_calls; /* permits_many calls, for cache_stats() */
@@ -48,27 +43,18 @@ static int
 flattree_grow(FlatTree *self, Py_ssize_t need)
 {
     Py_ssize_t cap;
+    int32_t *buf;
     if (need <= self->cap)
         return 0;
     cap = self->cap > 0 ? self->cap : 8;
     while (cap < need)
         cap *= 2;
-#define GROW(field)                                                        \
-    do {                                                                   \
-        int32_t *buf = PyMem_Realloc(self->field,                          \
-                                     (size_t)cap * sizeof(int32_t));       \
-        if (buf == NULL) {                                                 \
-            PyErr_NoMemory();                                              \
-            return -1;                                                     \
-        }                                                                  \
-        self->field = buf;                                                 \
-    } while (0)
-    GROW(parent);
-    GROW(edge);
-    GROW(depth);
-    GROW(children);
-    GROW(last_ok);
-#undef GROW
+    buf = PyMem_Realloc(self->parent, (size_t)cap * sizeof(int32_t));
+    if (buf == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    self->parent = buf;
     self->cap = cap;
     return 0;
 }
@@ -80,7 +66,7 @@ flattree_new(PyTypeObject *type, PyObject *Py_UNUSED(args),
     FlatTree *self = (FlatTree *)type->tp_alloc(type, 0);
     if (self == NULL)
         return NULL;
-    self->parent = self->edge = self->depth = self->children = self->last_ok = NULL;
+    self->parent = NULL;
     self->n = 0;
     self->cap = 0;
     self->batch_calls = 0;
@@ -91,10 +77,6 @@ static void
 flattree_dealloc(FlatTree *self)
 {
     PyMem_Free(self->parent);
-    PyMem_Free(self->edge);
-    PyMem_Free(self->depth);
-    PyMem_Free(self->children);
-    PyMem_Free(self->last_ok);
     Py_TYPE(self)->tp_free((PyObject *)self);
 }
 
@@ -108,6 +90,19 @@ flattree_check_id(FlatTree *self, Py_ssize_t id, const char *what)
         return -1;
     }
     return 0;
+}
+
+/* An id argument from Python, range-checked; -1 with an exception set
+ * when it is not an id of this forest. */
+static Py_ssize_t
+flattree_arg_id(FlatTree *self, PyObject *arg, const char *what)
+{
+    Py_ssize_t id = PyNumber_AsSsize_t(arg, PyExc_OverflowError);
+    if (id == -1 && PyErr_Occurred())
+        return -1;
+    if (flattree_check_id(self, id, what) < 0)
+        return -1;
+    return id;
 }
 
 static PyObject *
@@ -129,72 +124,41 @@ flattree_add_child(FlatTree *self, PyObject *arg)
     if (flattree_grow(self, self->n + 1) < 0)
         return NULL;
     id = self->n;
-    if (p < 0) {
-        self->parent[id] = -1;
-        self->edge[id] = 0;
-        self->depth[id] = 0;
-    }
-    else {
-        self->parent[id] = (int32_t)p;
-        self->edge[id] = self->children[p]++;
-        self->depth[id] = self->depth[p] + 1;
-    }
-    self->children[id] = 0;
-    self->last_ok[id] = -1;
+    self->parent[id] = (int32_t)p;
     self->n = id + 1;
     return PyLong_FromSsize_t(id);
 }
 
-/* The Algorithm 3 ``Less`` on flat buffers: lift the deeper side to a
- * common depth remembering the last edge taken, climb in lockstep to
- * the LCA, and compare the dangling edges (later sibling is smaller;
- * only a proper ancestor is less). */
+/* The Algorithm 3 ``Less`` on the parent column.  Ids are creation
+ * ranks, so the larger of two distinct ids is never an ancestor of the
+ * other: climbing it keeps the LCA in reach.  The climb remembers the
+ * last vertex it left on each side; at the meeting point those are the
+ * two children of the LCA (or -1 for a side that is the LCA itself),
+ * exactly Algorithm 3's dangling edges, and siblings compare by id. */
 static int
 flat_less(const FlatTree *t, int32_t a, int32_t b)
 {
     const int32_t *parent = t->parent;
-    const int32_t *edge = t->edge;
-    int32_t e1 = -1, e2 = -1;
-    int32_t d1, d2;
+    int32_t la = -1, lb = -1;
     if (a == b)
         return 0;
-    d1 = t->depth[a];
-    d2 = t->depth[b];
-    while (d2 > d1) {
-        e2 = edge[b];
-        b = parent[b];
-        d2--;
-    }
-    while (d1 > d2) {
-        e1 = edge[a];
-        a = parent[a];
-        d1--;
-    }
     while (a != b) {
-        e1 = edge[a];
-        e2 = edge[b];
-        a = parent[a];
-        b = parent[b];
+        if (a > b) {
+            la = a;
+            a = parent[a];
+        }
+        else {
+            lb = b;
+            b = parent[b];
+        }
     }
-    if (e1 < 0)
-        return e2 >= 0; /* anc+: a proper ancestor is permitted  */
-    if (e2 < 0)
-        return 0; /* dec*: a descendant never is */
-    return e1 > e2;
-}
-
-/* permits(a, b) with the monotone last-ok fast path (verdicts are
- * fixed at fork time, so a permitted pair stays permitted forever). */
-static int
-flat_permits(FlatTree *self, int32_t a, int32_t b)
-{
-    int v;
-    if (self->last_ok[a] == b)
-        return 1;
-    v = flat_less(self, a, b);
-    if (v)
-        self->last_ok[a] = b;
-    return v;
+    if (a < 0)
+        return 0; /* past both roots: different trees */
+    if (la < 0)
+        return 1; /* anc+: the joinee is a proper descendant */
+    if (lb < 0)
+        return 0; /* dec*: the joinee is an ancestor */
+    return la > lb; /* sib: the later sibling is smaller */
 }
 
 static PyObject *
@@ -206,7 +170,7 @@ flattree_permits(FlatTree *self, PyObject *args)
     if (flattree_check_id(self, a, "joiner") < 0 ||
         flattree_check_id(self, b, "joinee") < 0)
         return NULL;
-    return PyBool_FromLong(flat_permits(self, (int32_t)a, (int32_t)b));
+    return PyBool_FromLong(flat_less(self, (int32_t)a, (int32_t)b));
 }
 
 static PyObject *
@@ -229,34 +193,49 @@ flattree_permits_many(FlatTree *self, PyObject *args)
         return NULL;
     }
     for (i = 0; i < n; i++) {
-        Py_ssize_t b = PyNumber_AsSsize_t(PySequence_Fast_GET_ITEM(fast, i),
-                                          PyExc_OverflowError);
+        Py_ssize_t b = flattree_arg_id(self, PySequence_Fast_GET_ITEM(fast, i),
+                                       "joinee");
         PyObject *v;
-        if (b == -1 && PyErr_Occurred())
-            goto fail;
-        if (flattree_check_id(self, b, "joinee") < 0)
-            goto fail;
-        v = flat_permits(self, (int32_t)a, (int32_t)b) ? Py_True : Py_False;
+        if (b < 0) {
+            Py_DECREF(fast);
+            Py_DECREF(out);
+            return NULL;
+        }
+        v = flat_less(self, (int32_t)a, (int32_t)b) ? Py_True : Py_False;
         Py_INCREF(v);
         PyList_SET_ITEM(out, i, v);
     }
     Py_DECREF(fast);
     return out;
-fail:
-    Py_DECREF(fast);
-    Py_DECREF(out);
-    return NULL;
+}
+
+/* How many siblings were forked before *id*: its Algorithm 3 edge
+ * label.  Siblings sit between their parent's id and their own. */
+static int32_t
+flat_edge(const FlatTree *t, int32_t id)
+{
+    int32_t p = t->parent[id], k, e = 0;
+    for (k = p + 1; k < id; k++)
+        e += t->parent[k] == p;
+    return e;
+}
+
+static Py_ssize_t
+flat_depth(const FlatTree *t, int32_t id)
+{
+    Py_ssize_t d = 0;
+    while ((id = t->parent[id]) >= 0)
+        d++;
+    return d;
 }
 
 static PyObject *
 flattree_depth_of(FlatTree *self, PyObject *arg)
 {
-    Py_ssize_t id = PyNumber_AsSsize_t(arg, PyExc_OverflowError);
-    if (id == -1 && PyErr_Occurred())
+    Py_ssize_t id = flattree_arg_id(self, arg, "vertex");
+    if (id < 0)
         return NULL;
-    if (flattree_check_id(self, id, "vertex") < 0)
-        return NULL;
-    return PyLong_FromLongLong(self->depth[id]);
+    return PyLong_FromSsize_t(flat_depth(self, (int32_t)id));
 }
 
 /* The spawn path of *id* as the legacy tuple of edge labels (debugging
@@ -264,27 +243,25 @@ flattree_depth_of(FlatTree *self, PyObject *arg)
 static PyObject *
 flattree_path_of(FlatTree *self, PyObject *arg)
 {
-    Py_ssize_t id = PyNumber_AsSsize_t(arg, PyExc_OverflowError);
-    int32_t node, d;
+    Py_ssize_t id = flattree_arg_id(self, arg, "vertex");
+    Py_ssize_t d;
+    int32_t node;
     PyObject *out;
-    if (id == -1 && PyErr_Occurred())
+    if (id < 0)
         return NULL;
-    if (flattree_check_id(self, id, "vertex") < 0)
-        return NULL;
-    d = self->depth[id];
+    node = (int32_t)id;
+    d = flat_depth(self, node);
     out = PyTuple_New(d);
     if (out == NULL)
         return NULL;
-    node = (int32_t)id;
     while (d > 0) {
-        PyObject *e = PyLong_FromLongLong(self->edge[node]);
+        PyObject *e = PyLong_FromLong(flat_edge(self, node));
         if (e == NULL) {
             Py_DECREF(out);
             return NULL;
         }
-        PyTuple_SET_ITEM(out, d - 1, e);
+        PyTuple_SET_ITEM(out, --d, e);
         node = self->parent[node];
-        d--;
     }
     return out;
 }
@@ -307,7 +284,7 @@ flattree_cache_stats(FlatTree *self, PyObject *Py_UNUSED(ignored))
 
 static PyMethodDef flattree_methods[] = {
     {"add_child", (PyCFunction)flattree_add_child, METH_O,
-     "add_child(parent_id) -> id   (parent_id < 0 creates a root)"},
+     "add_child(parent_id) -> id   (parent_id -1 creates a root)"},
     {"permits", (PyCFunction)flattree_permits, METH_VARARGS,
      "permits(joiner_id, joinee_id) -> bool"},
     {"permits_many", (PyCFunction)flattree_permits_many, METH_VARARGS,
@@ -339,7 +316,7 @@ static PyTypeObject FlatTreeType = {
     .tp_dealloc = (destructor)flattree_dealloc,
     .tp_as_sequence = &flattree_as_sequence,
     .tp_flags = Py_TPFLAGS_DEFAULT,
-    .tp_doc = "Struct-of-arrays TJ-SP spawn-path forest (compiled kernel)",
+    .tp_doc = "TJ-SP spawn-path forest as one parent column (compiled kernel)",
     .tp_methods = flattree_methods,
     .tp_new = flattree_new,
 };

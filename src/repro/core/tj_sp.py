@@ -7,7 +7,7 @@ scans for the longest common prefix.  That is the variant the paper
 evaluates, and it is kept verbatim below as :class:`TJSpawnPathsLegacy`
 (registered as ``"TJ-SP-legacy"``): Table 1 reports its bounds and the
 hot-path speedup gate measures the production policy against it.  The
-production ``"TJ-SP"`` name resolves to the struct-of-arrays policy of
+production ``"TJ-SP"`` name resolves to the parent-column policy of
 :mod:`repro.core.tj_sp_flat`.
 """
 

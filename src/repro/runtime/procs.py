@@ -55,7 +55,9 @@ observer, not the source of truth.
 
 Worker death (at-least-once redispatch)
 ---------------------------------------
-A monitor thread watches worker sentinels.  When a worker dies —
+A monitor thread watches each worker's own exit (its pidfd, not the
+fork server's status pipe, so a dead server is not a dead worker).
+When a worker dies —
 including ``SIGKILL`` mid-task, which the chaos suite injects — its
 in-flight dispatches are re-forked under **fresh vertices** (a new
 ``AddChild`` under the same parent: a later sibling, so by the
@@ -581,16 +583,33 @@ class _Inflight:
 
 
 class _WorkerHandle:
-    __slots__ = ("index", "proc", "pid", "dispatch_q", "wake_w", "alive", "stats")
+    __slots__ = (
+        "index", "proc", "pid", "pidfd", "sentinel", "dispatch_q", "wake_w",
+        "alive", "stats",
+    )
 
     def __init__(self, index, proc, dispatch_q, wake_w):
         self.index = index
         self.proc = proc
         self.pid = proc.pid  # still readable once the handle is closed
+        # Watch the worker's own exit.  Under the fork server
+        # proc.sentinel is the server's status pipe for this child, which
+        # also reads ready (exit code 255) when the server dies while
+        # the worker lives on; it stays the fallback where pidfd is
+        # missing, or the worker is already gone.
+        try:
+            self.pidfd: Optional[int] = os.pidfd_open(proc.pid)
+        except (AttributeError, OSError):
+            self.pidfd = None
+        self.sentinel = proc.sentinel if self.pidfd is None else self.pidfd
         self.dispatch_q = dispatch_q
         self.wake_w = wake_w
         self.alive = True
         self.stats: dict = {}
+
+    def exited(self, timeout: float = 0.0) -> bool:
+        """Has the worker process exited (waiting up to *timeout* s)?"""
+        return bool(_mpc_wait([self.sentinel], timeout))
 
 
 class ProcessRuntime(SupervisedJoinMixin):
@@ -956,10 +975,11 @@ class ProcessRuntime(SupervisedJoinMixin):
                     pass
         deadline = time.monotonic() + 10.0
         for w in self._workers:
-            w.proc.join(timeout=max(0.1, deadline - time.monotonic()))
-            if w.proc.is_alive():
+            if not w.exited(max(0.1, deadline - time.monotonic())):
                 w.proc.terminate()
-                w.proc.join(timeout=5.0)
+                w.exited(5.0)
+            # the exit status, once the fork server has reaped the worker
+            w.proc.join(timeout=1.0)
         # One sentinel value unblocks the collector; it drains anything
         # (late results, final stats) queued before it.
         if self._result_q is not None:
@@ -1033,6 +1053,9 @@ class ProcessRuntime(SupervisedJoinMixin):
         for w in self._workers:
             w.dispatch_q = None
             w.wake_w.close()
+            if w.pidfd is not None:
+                os.close(w.pidfd)
+                w.pidfd = None
             try:
                 w.proc.close()
             except ValueError:
@@ -1112,8 +1135,8 @@ class ProcessRuntime(SupervisedJoinMixin):
             try:
                 msg = result_q.get(timeout=1.0)
             except Exception:  # noqa: BLE001 - Empty or torn queue
-                if self._stopping.is_set() and not any(
-                    w.proc.is_alive() for w in self._workers
+                if self._stopping.is_set() and all(
+                    w.exited() for w in self._workers
                 ):
                     return
                 continue
@@ -1159,9 +1182,7 @@ class ProcessRuntime(SupervisedJoinMixin):
     def _monitor_main(self) -> None:
         last_ping = time.monotonic()
         while not self._stopping.is_set():
-            sentinels = {
-                w.proc.sentinel: w for w in self._workers if w.alive
-            }
+            sentinels = {w.sentinel: w for w in self._workers if w.alive}
             if not sentinels:
                 return
             ready = _mpc_wait(list(sentinels), timeout=0.2)

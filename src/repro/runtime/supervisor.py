@@ -939,9 +939,9 @@ class SupervisedJoinMixin:
         deadline, timeout_value = self._resolve_deadline(timeout)
         if self._verifier.policy.stable_permits:
             # Vertex handles are opaque to the runtime; under the flat
-            # TJ-SP core they are plain ints, so this list IS the
-            # array-of-ids the vectorized batch kernel consumes — no
-            # policy node objects are ever materialised on this path.
+            # TJ-SP core they are plain ints, so this list IS the list
+            # of ids the kernel's batch loop consumes — no policy node
+            # objects are ever materialised on this path.
             verdicts = self._verifier.check_joins(
                 joiner.vertex, [f.task.vertex for f in futures]
             )

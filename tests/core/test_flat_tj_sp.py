@@ -1,16 +1,16 @@
-"""The flat struct-of-arrays TJ-SP core: differential + backend tests.
+"""The flat parent-column TJ-SP core: differential + backend tests.
 
 The load-bearing property: on the same fork tree, the flat policy —
 under the pure-Python kernel *and* the compiled kernel, scalar *and*
-vectorized batch — returns verdicts identical to the seed tuple
-implementation (``TJ-SP-legacy``), across 1000+ random trees and across
-the kernels' growth/reallocation boundaries.  (The formal TJ order
-itself is the oracle of ``test_spawn_path_oracle.py``.)  Plus the
-backend-selection contract (``REPRO_TJ_BACKEND`` / ``backend=``), the
-compiled kernel's 20-byte rows and capacity-zero cache stats, the
-pure-Python kernel's chunked verdict-cache eviction, the generic
-``permits_many``/scalar agreement for every other policy, and the
-per-backend verifier histogram labels.
+batch — returns verdicts identical to the seed tuple implementation
+(``TJ-SP-legacy``), across 1000+ random trees and across the kernels'
+growth/reallocation boundaries.  (The formal TJ order itself is the
+oracle of ``test_spawn_path_oracle.py``.)  Plus the id range check both
+kernels share, the backend-selection contract (``REPRO_TJ_BACKEND`` /
+``backend=``), the compiled kernel's 4-byte rows and capacity-zero
+cache stats, the pure-Python kernel's chunked verdict-cache eviction,
+the generic ``permits_many``/scalar agreement for every other policy,
+and the per-backend verifier histogram labels.
 """
 
 import random
@@ -21,7 +21,7 @@ import pytest
 from repro.core import POLICY_REGISTRY, Verifier, make_policy
 from repro.core._cbuild import BACKEND_ENV, compiled_module
 from repro.core.tj_sp import TJSpawnPathsLegacy
-from repro.core.tj_sp_flat import VECTOR_MIN, FlatTreePy, TJSpawnPathsFlat
+from repro.core.tj_sp_flat import FlatTreePy, TJSpawnPathsFlat
 
 HAVE_C = compiled_module() is not None
 
@@ -67,7 +67,7 @@ class TestDifferential:
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_batch_equals_scalar_including_vectorized(self, backend):
-        """check_joins == per-pair permits, below and above VECTOR_MIN."""
+        """check_joins == per-pair permits, at batch widths from 1 to 300."""
         rng = random.Random(0xBA7C4)
         for _ in range(60):
             n = rng.randint(2, 120)
@@ -75,7 +75,7 @@ class TestDifferential:
             flat = TJSpawnPathsFlat(backend=backend)
             ref = TJSpawnPathsLegacy()
             fv, rv = grow_all([flat, ref], parents)
-            for size in (1, 3, VECTOR_MIN - 1, VECTOR_MIN, VECTOR_MIN + 29):
+            for size in (1, 3, 47, 48, 77, 300):
                 joiner = rng.randrange(n)
                 joinees = [rng.randrange(n) for _ in range(size)]
                 want = [ref.permits(rv[joiner], rv[j]) for j in joinees]
@@ -116,7 +116,7 @@ class TestDifferential:
             assert flat.permits(f_star[a], f_star[b]) == ref.permits(
                 r_star[a], r_star[b]
             )
-        # vectorized pass over the whole grown structure
+        # one batch over the whole grown structure
         everything = f_chain + f_star
         ref_everything = r_chain + r_star
         got = flat.permits_many(f_chain[3], everything)
@@ -146,6 +146,7 @@ class TestDifferential:
         fv, lv = grow_all([flat, legacy], parents)
         for f, l in zip(fv, lv):
             assert flat.path_of(f) == l.path
+            assert flat._core.depth_of(f) == len(l.path)
 
 
 # ----------------------------------------------------------------------
@@ -176,32 +177,40 @@ class TestFlatKernel:
         s0 = p.space_units()
         for _ in range(10):
             p.add_child(root)
-        assert p.space_units() == s0 + 40  # 4 slots per vertex
+        assert p.space_units() == s0 + 10  # 1 slot (the parent) per vertex
 
-    def test_mirror_sync_is_lazy(self):
-        """Pure kernel: forks never touch the NumPy mirrors."""
-        pytest.importorskip("numpy")
-        t = FlatTreePy()
-        root = t.add_child(-1)
-        for _ in range(50):
-            t.add_child(root)
-        assert t._np_synced == 0
-        t.permits_many(root, list(range(51)) * 2)  # wide enough to vectorize
-        # The sync fence is the reserved high-water mark (thread-affine
-        # blocks reserve ahead), so it covers every filled row.
-        assert t._np_synced == t.n >= 51
-
-    def test_vector_batch_rejects_unknown_ids(self):
-        pytest.importorskip("numpy")
-        t = FlatTreePy()
-        root = t.add_child(-1)
-        kids = [t.add_child(root) for _ in range(VECTOR_MIN)]
-        with pytest.raises(ValueError):
-            t.permits_many(root, kids[:-1] + [len(t) + 3])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            pytest.param(lambda p, ids: p.permits(ids[0], -1), id="negative-joinee"),
+            pytest.param(lambda p, ids: p.permits(-1, ids[0]), id="negative-joiner"),
+            pytest.param(lambda p, ids: p.permits(ids[0], len(ids)), id="past-end-joinee"),
+            pytest.param(lambda p, ids: p.permits(len(ids), ids[0]), id="past-end-joiner"),
+            pytest.param(
+                lambda p, ids: p.permits_many(ids[0], ids[:2] + [len(ids)] + ids[2:]),
+                id="batch-past-end",
+            ),
+            pytest.param(
+                lambda p, ids: p.permits_many(ids[0], ids[:2] + [-1]), id="batch-negative"
+            ),
+            pytest.param(lambda p, ids: p.permits_many(-1, ids), id="batch-joiner"),
+            pytest.param(lambda p, ids: p.permits_many(len(ids), []), id="empty-batch-joiner"),
+        ],
+    )
+    def test_both_kernels_reject_ids_outside_the_forest(self, call):
+        """Every joiner and joinee id is checked against [0, n) in
+        ``permits`` and ``permits_many``, with the same ValueError from
+        both kernels (a negative id must not read a row from the end)."""
+        for backend in BACKENDS:
+            p = TJSpawnPathsFlat(backend=backend)
+            root = p.add_child(None)
+            ids = [root] + [p.add_child(root) for _ in range(4)]
+            with pytest.raises(ValueError, match="unknown"):
+                call(p, ids)
 
     @needs_c
-    def test_compiled_rows_are_20_bytes(self):
-        """Five int32 columns: a full doubling step costs 20 B per vertex."""
+    def test_compiled_rows_are_4_bytes(self):
+        """One int32 column: a full doubling step costs 4 B per vertex."""
         p = TJSpawnPathsFlat(backend="c")
         n = 1 << 15  # the capacity lands exactly on n
         tracemalloc.start()
@@ -215,7 +224,7 @@ class TestFlatKernel:
             tracemalloc.stop()
         assert len(p._core) == n
         # 1 B per vertex of slack absorbs stray allocations from other threads
-        assert grown <= 21 * n
+        assert grown <= 5 * n
 
     @needs_c
     def test_compiled_kernel_reports_a_capacity_zero_cache(self):
@@ -233,7 +242,7 @@ class TestFlatKernel:
         root = p.add_child(None)
         kid = p.add_child(root)
         assert p.permits(root, kid)
-        assert p.permits(root, kid)  # served from the last-ok slot
+        assert p.permits(root, kid)  # a permitted pair stays permitted
         assert not p.permits(kid, root)
 
 

@@ -10,8 +10,8 @@ which is fed the forest's own ``(parent, edge, depth)`` placements.
 Each random fork tree is replayed through every store and through
 :class:`repro.formal.TJOrderOracle`, the executable definition of the TJ
 order; ``permits(a, b)`` must equal ``a < b`` on every ordered pair, for
-the scalar check and for ``permits_many`` batches both below and above
-the flat kernel's vectorisation threshold (:data:`VECTOR_MIN`).
+the scalar check, for ``permits_many`` over every vertex, and for one
+wider batch sampled with repeats.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import pytest
 from repro.core._cbuild import compiled_module
 from repro.core.shared_tree import SharedFlatTree, SharedTJPolicy
 from repro.core.tj_sp import TJSpawnPathsLegacy
-from repro.core.tj_sp_flat import VECTOR_MIN, TJSpawnPathsFlat
+from repro.core.tj_sp_flat import TJSpawnPathsFlat
 from repro.formal import TJOrderOracle
 from repro.service.mirror import MirroredSpawnPaths
 
@@ -101,12 +101,12 @@ def test_every_store_agrees_with_the_formal_order(store, forest):
             want = [oracle.less(a, b) for b in range(n)]
             got = [policy.permits(vertices[a], vertices[b]) for b in range(n)]
             assert got == want, f"{store}: tree {tree} {parents}, joiner {a}"
-            # the batch API, below the vectorisation threshold
+            # the batch API over every vertex
             assert policy.permits_many(vertices[a], vertices) == want
             pairs += n
-        # one batch above it, joinees sampled with repeats
+        # one wider batch, joinees sampled with repeats
         joiner = rng.randrange(n)
-        sample = [rng.randrange(n) for _ in range(VECTOR_MIN + 9)]
+        sample = [rng.randrange(n) for _ in range(57)]
         got = policy.permits_many(vertices[joiner], [vertices[b] for b in sample])
         assert got == [oracle.less(joiner, b) for b in sample], (
             f"{store}: batch of tree {tree} {parents}, joiner {joiner}"

@@ -3,7 +3,8 @@
 Every worker is a fork of one fork server per process, which preloads
 the worker's modules.  These tests pin that: workers are the server's
 children across runs, they inherit the preload instead of importing it,
-a killed server is relaunched with its preload on the next run, and an
+a killed server is relaunched with its preload on the next run, a server
+killed mid-run is not mistaken for the death of its workers, and an
 interpreter that exits reaps its server.  A finished runtime that stays
 referenced holds no file descriptor or named semaphore.
 """
@@ -16,6 +17,8 @@ import signal
 import subprocess
 import sys
 import textwrap
+import threading
+import time
 
 import pytest
 
@@ -75,6 +78,35 @@ def test_a_killed_server_is_relaunched_with_its_preload(monkeypatch):
     assert new != old
     assert worker["ppid"] == worker["imported_by"] == new
     assert "PYTHONPATH" not in os.environ  # the launch environment is restored
+
+
+def nap(rt, i):
+    time.sleep(0.05)
+    return i
+
+
+def test_a_server_killed_mid_run_is_no_worker_death():
+    """Workers are watched through their own pidfds: a SIGKILLed fork
+    server closes its status pipes, but both workers still run every
+    dispatch and no join fails."""
+    _start_one()
+    server = _server_pid()
+    rt = ProcessRuntime(workers=2, seg0=64, stripe=16)
+
+    def kill_server():
+        time.sleep(0.5)
+        os.kill(server, signal.SIGKILL)
+
+    def main():
+        threading.Thread(target=kill_server, daemon=True).start()
+        futures = [rt.fork(nap, i) for i in range(40)]
+        return [rt.join(f) for f in futures]
+
+    assert rt.run(main) == list(range(40))
+    # the server died during the run (the next run relaunches it)
+    os.waitid(os.P_PID, server, os.WEXITED | os.WNOWAIT)
+    assert rt.worker_deaths == 0
+    assert rt.tasks_redispatched == 0
 
 
 def test_an_exiting_interpreter_reaps_its_server():

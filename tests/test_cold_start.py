@@ -6,8 +6,8 @@ so what an entry point imports is paid once per server or sidecar, and
 every worker inherits it.  Each case here
 runs a fresh interpreter with ``PYTHONPATH=src`` and asserts on module
 names, never on times: the packages export their names lazily, the
-policy registry lists every built-in without importing it, and NumPy
-loads only with the pure-Python TJ-SP kernel that uses it.
+policy registry lists every built-in without importing it, and neither
+TJ-SP kernel loads NumPy.
 """
 
 from __future__ import annotations
@@ -137,25 +137,22 @@ def test_registry_lists_every_builtin_without_importing_it():
 BATCH = """
     import json, sys
     from repro.core.policy import make_policy
-    from repro.core.tj_sp_flat import VECTOR_MIN
     policy = make_policy("TJ-SP")
     root = policy.add_child(None)
-    kids = [policy.add_child(root) for _ in range(64)]
-    assert len(kids) >= VECTOR_MIN
-    assert policy.permits_many(root, kids) == [True] * 64
-    vector = policy.backend == "py" and policy._core._np_synced > 0
-    print(json.dumps({"backend": policy.backend, "numpy": "numpy" in sys.modules,
-                      "vector_path": vector}))
+    kids = [policy.add_child(root) for _ in range(4096)]
+    assert policy.permits_many(root, kids) == [True] * 4096
+    assert policy.permits_many(kids[0], kids) == [False] * 4096
+    print(json.dumps({"backend": policy.backend, "numpy": "numpy" in sys.modules}))
 """
 
 
 @pytest.mark.skipif(compiled_module() is None, reason="compiled kernel unavailable")
 def test_compiled_kernel_never_loads_numpy():
     out = run_fresh(BATCH, **{BACKEND_ENV: "c"})
-    assert out == {"backend": "c", "numpy": False, "vector_path": False}
+    assert out == {"backend": "c", "numpy": False}
 
 
-def test_python_kernel_loads_numpy_for_its_vector_path():
-    pytest.importorskip("numpy")
+def test_python_kernel_never_loads_numpy():
+    """Batch checks included, at the widths that once took a NumPy path."""
     out = run_fresh(BATCH, **{BACKEND_ENV: "py"})
-    assert out == {"backend": "py", "numpy": True, "vector_path": True}
+    assert out == {"backend": "py", "numpy": False}
