@@ -517,7 +517,7 @@ def _procs_soak_mid(rt, base: int, leaves: int, spin: int) -> int:
 
 
 def _procs_soak_subtree(rt, base: int, mids: int, leaves: int, spin: int) -> int:
-    # in-worker forks are plain TaskRuntime forks: the engine rides along
+    # in-worker forks are plain engine forks: the engine rides along
     futs = [rt.fork(_procs_soak_mid, rt, base + 1000 * m, leaves, spin) for m in range(mids)]
     return sum(rt.join_batch(futs))
 

@@ -311,6 +311,11 @@ class TaskFailedError(ReproError):
 
     When raised out of ``join_batch``, :attr:`batch_index` holds the
     position of the failed future within the batch (None elsewhere).
+
+    A failure re-raised through nested joins wraps a wrapper at every
+    level, and ``__cause__`` keeps that chain; the message names only
+    :attr:`root_cause` and the nesting depth, so its size does not grow
+    with the depth (a ``repr`` of each level would double its escaping).
     """
 
     #: index of the failed future within a ``join_batch`` call, or None
@@ -319,21 +324,32 @@ class TaskFailedError(ReproError):
     def __init__(self, task: object, cause: BaseException):
         self.task = task
         self.__cause__ = cause
-        super().__init__(f"task {task!r} failed: {cause!r}")
+        if isinstance(cause, TaskFailedError):
+            #: the exception at the bottom of the ``__cause__`` chain
+            self.root_cause: BaseException = cause.root_cause
+            #: joins the failure crossed to reach this wrapper (1: direct)
+            self.depth: int = cause.depth + 1
+        else:
+            self.root_cause, self.depth = cause, 1
+        via = f" (via {self.depth - 1} nested joins)" if self.depth > 1 else ""
+        super().__init__(f"task {task!r} failed: {self.root_cause!r}{via}")
 
     def __reduce__(self):
         # The default reduce would re-call __init__ with args=(message,)
         # — the wrong arity — and drop both batch_index and the chained
         # cause.  The cause itself is user code's exception and may not
         # pickle; probe it and substitute a stringified stand-in so the
-        # wrapper always crosses a result queue intact.
+        # wrapper always crosses a result queue intact.  A wrapped
+        # wrapper probes its own cause when it is pickled in turn, so
+        # only the bottom of a nested chain is probed, once.
         import pickle
 
         cause = self.__cause__
-        try:
-            pickle.loads(pickle.dumps(cause))
-        except Exception:  # noqa: BLE001 - any pickling defect at all
-            cause = ReproError(f"unpicklable cause: {cause!r}")
+        if not isinstance(cause, TaskFailedError):
+            try:
+                pickle.loads(pickle.dumps(cause))
+            except Exception:  # noqa: BLE001 - any pickling defect at all
+                cause = ReproError(f"unpicklable cause: {cause!r}")
         return (
             _rebuild_task_failed,
             (_picklable_ref(self.task), cause, self.batch_index, str(self)),

@@ -50,6 +50,7 @@ class Future:
         "_joined",
         "_retry",
         "_retry_attempt",
+        "_queued",
     )
 
     def __init__(self, runtime: object, task: "TaskHandle") -> None:
@@ -70,6 +71,9 @@ class Future:
         self._retry = None
         #: number of retries already consumed (0 = first attempt running)
         self._retry_attempt = 0
+        #: a pool's queue cell while the task waits in its queue: one
+        #: item, popped once, by a worker or by a work-first join
+        self._queued: Optional[list] = None
 
     # ------------------------------------------------------------------
     # completion (called by the owning runtime)

@@ -7,8 +7,18 @@ pool so queued tasks are never starved of a worker.  The thread-per-task
 runtime (:class:`TaskRuntime`) over-approximates that model; this class
 implements it properly:
 
-* ``fork`` enqueues the task; an idle worker picks it up;
-* a worker about to block in ``join`` checks whether any idle worker
+* ``fork`` enqueues the task as a one-item cell; an idle worker pops it;
+* a ``join`` whose joinee still waits in the queue pops the cell itself
+  and runs the body on its own thread (a *work-first* join, as Java's
+  ``ForkJoinTask.join`` does): the joiner waits for that body either
+  way, so this adds no wait.  Exactly one of the joiner and a worker
+  pops a cell; a worker skips an emptied one.  The join is verified and
+  its ``BlockedJoin`` record sits in the waits-for graph while the body
+  runs, so Armus, the watchdog and the journal see the blocked join it
+  logically is.  Joins with a deadline, joins on retrying tasks, joins
+  nested past ``_MAX_INLINE_DEPTH`` queued bodies on one thread and
+  ``join_batch``'s pre-wait park instead;
+* a worker about to park in ``join`` checks whether any idle worker
   remains — if not, it starts a compensation worker (bounded by
   ``max_workers``) before blocking, preserving progress;
 * join verification is identical to the other runtimes (policy gate,
@@ -23,7 +33,9 @@ join cycles into :class:`~repro.errors.DeadlockDetectedError` even with
 ``policy=None``, and an unjoined-failure reaper at shutdown.  ``run``,
 ``fork``, the task body and the joins are
 :class:`~repro.runtime.supervisor.SupervisedJoinMixin`'s; this class
-adds the queue, compensation and helping.
+adds the queue, the claim, compensation and helping.  It is also the
+engine each :class:`~repro.runtime.procs.ProcessRuntime` worker runs
+its dispatched bodies on.
 """
 
 from __future__ import annotations
@@ -41,6 +53,15 @@ from ..errors import RuntimeStateError, TaskCancelledError
 __all__ = ["WorkSharingRuntime"]
 
 _SHUTDOWN = object()
+
+#: how many queued bodies one thread may run nested inside another task
+#: (work-first joins, and a blocked worker's help) before its next join
+#: parks instead; each level holds about ten interpreter frames
+_MAX_INLINE_DEPTH = 16
+
+#: per thread: queued bodies running nested on it right now.  Per thread
+#: and not per runtime, because what the bound protects is the stack.
+_nesting = threading.local()
 
 
 class WorkSharingRuntime(SupervisedJoinMixin):
@@ -73,6 +94,7 @@ class WorkSharingRuntime(SupervisedJoinMixin):
         self._worker_count = 0
         self._peak_workers = 0
         self._compensations = 0
+        self._inline_joins = 0
         self._base_workers = workers
         self._max_workers = max_workers
         self._worker_threads: set[int] = set()  # thread idents of pool workers
@@ -102,12 +124,20 @@ class WorkSharingRuntime(SupervisedJoinMixin):
         with self._lock:
             return self._compensations
 
+    @property
+    def inline_joins(self) -> int:
+        """Joins that ran their still-queued joinee on their own thread."""
+        with self._lock:
+            return self._inline_joins
+
     def _metrics_snapshot(self) -> dict:
         out = super()._metrics_snapshot()
         with self._lock:
+            out["tasks_started"] = self._tasks_started
             out["workers"] = self._worker_count
             out["peak_workers"] = self._peak_workers
             out["compensations"] = self._compensations
+            out["inline_joins"] = self._inline_joins
             out["outstanding"] = self._outstanding
         return out
 
@@ -132,11 +162,12 @@ class WorkSharingRuntime(SupervisedJoinMixin):
             self._watchdog.stop()
 
     def _dispatch(self, item: tuple) -> None:
-        with self._lock:
-            if self._shutdown:
-                raise RuntimeStateError("runtime already shut down")
-            self._outstanding += 1
-        self._queue.put(item)
+        if self._shutdown:
+            raise RuntimeStateError("runtime already shut down")
+        cell = [item]
+        if item[1]._retry is None:
+            item[1]._queued = cell  # claimable: a retrying task's joins park
+        self._queue.put(cell)
 
     def _spawn_worker(self) -> None:
         """Start one worker; caller holds the lock."""
@@ -150,14 +181,18 @@ class WorkSharingRuntime(SupervisedJoinMixin):
         while True:
             with self._lock:
                 self._idle += 1
-            item = self._queue.get()
+            cell = self._queue.get()
             with self._lock:
                 self._idle -= 1
-            if item is _SHUTDOWN:
+            if cell is _SHUTDOWN:
                 return
+            try:
+                item = cell.pop()
+            except IndexError:
+                continue  # a work-first join claimed it
             self._run_queued(item)
 
-    def _run_queued(self, item: tuple) -> None:
+    def _run_queued(self, item: tuple, inline: bool = False) -> None:
         task, future = item[0], item[1]
         if task.cancel_token.cancelled():
             # Cancelled while still queued: never run the body.
@@ -171,14 +206,39 @@ class WorkSharingRuntime(SupervisedJoinMixin):
                 # pool down between attempts — and the cancel check above
                 # drops retries cancelled during the backoff.
                 if retry_delay > 0.0:
-                    timer = threading.Timer(retry_delay, self._queue.put, args=(item,))
+                    timer = threading.Timer(retry_delay, self._queue.put, args=([item],))
                     timer.daemon = True
                     timer.start()
                 else:
-                    self._queue.put(item)
+                    self._queue.put([item])
                 return
         with self._lock:
+            self._inline_joins += inline
             self._task_ended_locked()
+
+    # ------------------------------------------------------------------
+    # work-first joins (see SupervisedJoinMixin._claim)
+    # ------------------------------------------------------------------
+    def _claim(self, future) -> Optional[tuple]:
+        """Pop *future*'s queue cell, unless a worker (or another join)
+        already did or this thread's nesting is at its bound."""
+        cell = future._queued
+        if cell is None or getattr(_nesting, "depth", 0) >= _MAX_INLINE_DEPTH:
+            return None
+        try:
+            return cell.pop()
+        except IndexError:
+            return None
+
+    def _run_nested(self, item: tuple, inline: bool) -> None:
+        """Run a queued item on a thread that is inside another task: a
+        work-first join (*inline*), or a blocked worker's help."""
+        depth = getattr(_nesting, "depth", 0)
+        _nesting.depth = depth + 1
+        try:
+            self._run_queued(item, inline)
+        finally:
+            _nesting.depth = depth
 
     # ------------------------------------------------------------------
     # the supervision hook (see SupervisedJoinMixin._wait)
@@ -214,14 +274,19 @@ class WorkSharingRuntime(SupervisedJoinMixin):
         with self._lock:
             if self._idle > 0 or self._worker_count < self._max_workers:
                 return False  # compensation (or an idle worker) has it
-        try:
-            item = self._queue.get_nowait()
-        except Empty:
-            return False
-        if item is _SHUTDOWN:
-            # shutdown is only initiated once nothing is outstanding,
-            # so this cannot happen while we are blocked; be safe.
-            self._queue.put(item)
-            return False
-        self._run_queued(item)
-        return True
+        while True:
+            try:
+                cell = self._queue.get_nowait()
+            except Empty:
+                return False
+            if cell is _SHUTDOWN:
+                # shutdown is only initiated once nothing is outstanding,
+                # so this cannot happen while we are blocked; be safe.
+                self._queue.put(cell)
+                return False
+            try:
+                item = cell.pop()
+            except IndexError:
+                continue  # a work-first join claimed it
+            self._run_nested(item, False)
+            return True

@@ -11,9 +11,11 @@ Architecture
 The parent process hosts the root task and dispatches every
 ``ProcessRuntime.fork`` to a worker over a per-worker queue; the
 dispatched function runs inside the worker's own private
-:class:`~repro.runtime.threaded.TaskRuntime` (the *engine*) and
-receives that engine as its first argument, through which it forks and
-joins worker-local subtasks with the full supervised join protocol.
+:class:`~repro.runtime.pool.WorkSharingRuntime` (the *engine*: a pool of
+threads the worker opens at start and closes at exit) and receives that
+engine as its first argument, through which it forks and joins
+worker-local subtasks with the full supervised join protocol (a join on
+a subtask still in the engine's queue runs it on the joining thread).
 Results stream back on a shared result queue; a collector thread in the
 parent completes the dispatched futures.
 
@@ -102,9 +104,9 @@ from typing import Any, Callable, Optional, Union
 from .._importpath import child_pythonpath
 from .context import require_current_task, task_scope
 from .future import Future
+from .pool import WorkSharingRuntime
 from .supervisor import StallWatchdog, SupervisedJoinMixin
 from .task import TaskHandle, TaskState
-from .threaded import TaskRuntime
 from ..core.shared_tree import SharedFlatTree, SharedTJPolicy, SharedTreeHandle
 from ..core.verifier import Verifier
 from ..errors import ReproError, RuntimeStateError
@@ -127,6 +129,9 @@ _STATS_IDLE_PUSH = 1.0
 #: how often the monitor thread pings the parent's sidecar connection
 #: (well inside the server's 5 s liveness window)
 _CLIENT_PING_EVERY = 1.0
+
+#: how long releasing a dead worker's dispatch queue may take
+_DRAIN_S = 2.0
 
 #: what every worker imports, loaded once by the fork server it is forked from
 _PRELOAD = ["repro.runtime.procs", "repro.service.client"]
@@ -321,13 +326,14 @@ class ShardVerifier(Verifier):
 # ----------------------------------------------------------------------
 # the worker process
 # ----------------------------------------------------------------------
-class _WorkerEngine(TaskRuntime):
+class _WorkerEngine(WorkSharingRuntime):
     """The private in-worker runtime that hosts dispatched task bodies.
 
-    A thin :class:`TaskRuntime`: same pooled threads, same supervised
-    joins, but driven by the worker's :class:`ShardVerifier` and able to
-    host many dispatched tasks sequentially (``execute``) instead of
-    exactly one root.
+    A thin :class:`~repro.runtime.pool.WorkSharingRuntime`: same worker
+    pool, work-first and supervised joins, but driven by the worker's
+    :class:`ShardVerifier` and able to host many dispatched tasks
+    sequentially (``execute``) instead of exactly one root.  The worker
+    opens its pool at start and closes it at exit.
     """
 
     def __init__(self, verifier: ShardVerifier, **kwargs: Any) -> None:
@@ -392,7 +398,7 @@ def _worker_stats(engine: _WorkerEngine, shard: ShardVerifier, done: int) -> dic
     stats = {
         "tasks_dispatched": done,
         "tasks_started": engine.tasks_started,
-        "threads_started": engine.threads_started,
+        "inline_joins": engine.inline_joins,
     }
     stats.update(shard.procs_stats())
     stats.update(shard.stats.snapshot())
@@ -471,6 +477,7 @@ def _worker_main(cfg: dict) -> None:
 
         shard = ShardVerifier(policy, fail_mode=cfg["fail_mode"], sidecar=client)
         engine = _WorkerEngine(shard)
+    engine._open()
 
     stop = threading.Event()
 
@@ -544,6 +551,7 @@ def _worker_main(cfg: dict) -> None:
                 push_stats()
                 last_push = time.monotonic()
     finally:
+        engine._close()  # every forked subtask ends before the audits settle
         if client is not None and client.audits:
             client.sync()  # settles the audits before the last stats push
         try:
@@ -558,6 +566,31 @@ def _worker_main(cfg: dict) -> None:
 # ----------------------------------------------------------------------
 # parent-side plumbing
 # ----------------------------------------------------------------------
+def _release_dead(queue) -> None:
+    """Close a dead worker's dispatch queue and let its feeder thread exit.
+
+    The feeder may be blocked on a pipe the worker stopped reading.  The
+    pipe is read raw, as bytes, and not through ``get``: the worker may
+    have died holding the queue's reader lock, or halfway through a
+    message.  The feeder holds the write lock while it sends, so an empty
+    pipe, an empty buffer and a free write lock mean it is idle; only
+    then does the close hand it the sentinel it exits on, closing the
+    pipe, so no read races that close.  All of it is bounded by
+    :data:`_DRAIN_S`; a feeder still stuck by then is left behind."""
+    queue.cancel_join_thread()  # the wait below is bounded instead
+    reader, deadline = queue._reader, time.monotonic() + _DRAIN_S
+    while time.monotonic() < deadline:
+        if reader.poll(0.01):
+            os.read(reader.fileno(), 1 << 16)
+        elif not queue._buffer and queue._wlock.acquire(False):
+            queue._wlock.release()
+            queue.close()
+            if queue._thread is not None:
+                queue._thread.join(max(0.0, deadline - time.monotonic()))
+            return
+    queue.close()
+
+
 class _CancelRelay:
     """A cancel-token waker that forwards the request over a wake pipe."""
 
@@ -1036,19 +1069,20 @@ class ProcessRuntime(SupervisedJoinMixin):
         finished runtime that stays referenced holds no file descriptor
         and no named semaphore (dropping a queue unlinks its three).
 
-        A queue's feeder thread is waited for only when its reader left
-        cleanly; a killed worker's dispatch queue may hold more than its
-        pipe takes, and that feeder never finishes."""
+        A worker that did not exit cleanly may leave more dispatches
+        than its pipe takes, with the queue's feeder thread blocked on
+        the full pipe: :func:`_release_dead` reads it dry first."""
         queues = [(self._result_q, True)] + [
             (w.dispatch_q, w.proc.exitcode == 0) for w in self._workers
         ]
-        for queue, drained in queues:
+        for queue, clean in queues:
             if queue is None:
                 continue
-            if not drained:
-                queue.cancel_join_thread()
-            queue.close()
-            queue.join_thread()
+            if clean:
+                queue.close()
+                queue.join_thread()
+            else:
+                _release_dead(queue)
         self._result_q = None
         for w in self._workers:
             w.dispatch_q = None
@@ -1068,7 +1102,7 @@ class ProcessRuntime(SupervisedJoinMixin):
         """Dispatch *fn* to a worker process; return its parent-side Future.
 
         *fn* must be picklable (module level) and receives the worker's
-        engine — a full verified :class:`TaskRuntime` — as its first
+        engine — a full verified :class:`WorkSharingRuntime` — as its first
         argument: ``fn(rt, *args, **kwargs)``.
         """
         parent = require_current_task()
@@ -1261,4 +1295,4 @@ class ProcessRuntime(SupervisedJoinMixin):
         worker.dispatch_q.put((new_vid, entry.payload, None))
 
     # run / join / join_batch come from SupervisedJoinMixin, driving the
-    # parent's ShardVerifier exactly like TaskRuntime drives its own.
+    # parent's ShardVerifier as the in-process runtimes drive their own.

@@ -65,7 +65,10 @@ wait over a batch of one: its record is its own waker.
 root task's ``run``, ``fork`` and the task body — and the join protocol
 over that one blocked wait.  The runtimes differ only in how a forked
 task reaches a thread and in the hooks (`_open`, `_close`,
-`_before_block`) around the root task and a block.
+`_before_block`, `_claim`/`_run_nested`) around the root task and a
+block.  Only the pool claims: a join whose joinee still waits in its
+queue runs that body on the joiner's thread as the wait, with the
+wait's record in the graph and its ``block``/``unblock`` journalled.
 """
 
 from __future__ import annotations
@@ -456,8 +459,9 @@ class SupervisedJoinMixin:
     :meth:`_init_supervision`), and gives :meth:`fork` a
     ``_dispatch(item)`` that hands a forked task's ``(task, future, fn,
     args, kwargs)`` to a thread running :meth:`_execute`.  It may
-    override :meth:`_open` and :meth:`_close` (around the root task) and
-    :meth:`_before_block` (the pool's compensation and help-while-blocked).
+    override :meth:`_open` and :meth:`_close` (around the root task),
+    :meth:`_before_block` (the pool's compensation and help-while-blocked)
+    and :meth:`_claim`/:meth:`_run_nested` (the pool's work-first joins).
     """
 
     def _init_runtime(
@@ -510,6 +514,8 @@ class SupervisedJoinMixin:
         #: the last one ends (see :meth:`_await_tasks`)
         self._outstanding = 0
         self._all_done = threading.Condition(self._lock)
+        #: tasks forked through :meth:`fork`
+        self._tasks_started = 0
         #: runtime-wide deadline applied to joins with no explicit timeout
         self.default_join_timeout = default_join_timeout
         #: time source for deadlines, watchdog ticks and retry backoff —
@@ -589,6 +595,11 @@ class SupervisedJoinMixin:
         """Retry attempts executed (a task retried twice counts twice)."""
         return self._tasks_retried_count
 
+    @property
+    def tasks_started(self) -> int:
+        """Tasks forked (retries re-run a task and are not counted again)."""
+        return self._tasks_started
+
     # ------------------------------------------------------------------
     # hooks for the concrete runtimes
     # ------------------------------------------------------------------
@@ -607,6 +618,21 @@ class SupervisedJoinMixin:
         either may be None.
         """
         return None, None
+
+    def _claim(self, future: "Future") -> Optional[tuple]:
+        """Called when a join with no deadline is about to block: take the
+        joinee's task off this runtime's queue if it still waits there.
+
+        The claimed ``(task, future, fn, args, kwargs)`` item then runs
+        through :meth:`_run_nested` on the joiner's own thread, as the
+        wait (the work-first join); None means park.  Only a runtime
+        that queues its tasks can claim one.
+        """
+        return None
+
+    def _run_nested(self, item: tuple, inline: bool) -> None:
+        """Run a claimed item's body on the calling thread (see :meth:`_claim`)."""
+        raise NotImplementedError
 
     # ------------------------------------------------------------------
     # task lifecycle
@@ -695,6 +721,9 @@ class SupervisedJoinMixin:
         future = Future(self, task)
         if retry is not None:
             future._retry = (retry, parent)
+        with self._lock:
+            self._tasks_started += 1
+            self._outstanding += 1
         self._dispatch((task, future, fn, args, kwargs))
         if obs is not None:
             dur = perf_counter_ns() - _t0
@@ -1068,10 +1097,13 @@ class SupervisedJoinMixin:
             record = None if future._done else BlockedJoin(joiner, joinee, future)
             if record is not None:
                 self._store.add(record)
-        if record is not None and not self._wait(
-            joiner, (record,), (record,), future.done, deadline, timeout_value
-        ):
-            raise JoinTimeoutError(joiner, joinee, timeout_value)
+        if record is not None:
+            # A join with a deadline parks: an inline body cannot time out.
+            claimed = self._claim(future) if deadline is None else None
+            if not self._wait(
+                joiner, (record,), (record,), future.done, deadline, timeout_value, claimed
+            ):
+                raise JoinTimeoutError(joiner, joinee, timeout_value)
         self._verifier.on_join_completed(joiner.vertex, joinee.vertex)
         if journal is not None:
             journal.log_join(joiner_vertex, joinee_vertex)
@@ -1086,6 +1118,7 @@ class SupervisedJoinMixin:
         ready: Callable[[], bool],
         deadline: Optional[float],
         timeout_value: Optional[float],
+        claimed: Optional[tuple] = None,
     ) -> bool:
         """The supervised blocked wait of every join: park until ``ready()``.
 
@@ -1105,6 +1138,13 @@ class SupervisedJoinMixin:
         However the wait ends, the records leave the graph, their unblock
         is journalled and the wakers are removed: no supervision state
         outlives it.
+
+        *claimed* is a single join's still-queued joinee (see
+        :meth:`_claim`): its body runs first, on this thread, while the
+        record stays in the graph, and the loop then finds the future
+        done, so the inline join raises and journals exactly what a
+        parked one would; a ``KeyboardInterrupt`` that ended the body on
+        the main thread is raised as such, not as a task failure.
         """
         journal = self._verifier.journal
         # Edge keys are captured once so the unblock below pairs exactly
@@ -1116,7 +1156,7 @@ class SupervisedJoinMixin:
             journal.log_block(a, b, timeout=timeout_value)
         if self._watchdog is not None:
             self._watchdog.ensure_running()
-        helper, helper_tick = self._before_block()
+        helper, helper_tick = self._before_block() if claimed is None else (None, None)
         wake = records[0]._wake
         token = joiner.cancel_token
         on_main = threading.current_thread() is threading.main_thread()
@@ -1127,6 +1167,12 @@ class SupervisedJoinMixin:
         obs = self._obs
         t0 = perf_counter_ns() if obs is not None else 0
         try:
+            if claimed is not None:
+                self._run_nested(claimed, True)
+                if on_main and isinstance(claimed[1]._exc, KeyboardInterrupt):
+                    # Ctrl-C hit the body this thread ran for the wait: it
+                    # ends the wait, as it ends a parked main-thread wait.
+                    raise claimed[1]._exc
             for record, waker in zip(records, wakers):
                 record.future._add_waiter(waker)
             token._add_waker(wake)

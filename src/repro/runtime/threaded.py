@@ -124,7 +124,6 @@ class TaskRuntime(SupervisedJoinMixin):
         clock=None,
     ) -> None:
         self._threads_started = 0
-        self._tasks_started = 0
         # LIFO stack of parked workers' handoff channels: the most
         # recently parked thread (warmest stack/caches) is reused first.
         self._idle_workers: list[SimpleQueue] = []
@@ -148,11 +147,6 @@ class TaskRuntime(SupervisedJoinMixin):
     def threads_started(self) -> int:
         """OS threads actually created (``<= tasks_started`` with pooling)."""
         return self._threads_started
-
-    @property
-    def tasks_started(self) -> int:
-        """Tasks forked (the seed's per-fork thread count)."""
-        return self._tasks_started
 
     @property
     def idle_threads(self) -> int:
@@ -183,22 +177,23 @@ class TaskRuntime(SupervisedJoinMixin):
 
     def _dispatch(self, item: tuple) -> None:
         """Hand a forked task to a parked thread, or start one."""
-        with self._lock:
-            self._tasks_started += 1
-            self._outstanding += 1
-            channel = self._idle_workers.pop() if self._idle_workers else None
-            if channel is None:
+        try:
+            # One atomic pop, no lock: a parked thread that times out
+            # removes its channel under the lock and learns from a
+            # failed removal that this pop claimed it.
+            channel = self._idle_workers.pop()
+        except IndexError:
+            with self._lock:
                 self._threads_started += 1
                 count = self._threads_started
-        if channel is not None:
-            channel.put(item)
-        else:
             threading.Thread(
                 target=self._worker_main,
                 args=(item,),
                 name=f"repro-worker-{count}",
                 daemon=True,
             ).start()
+        else:
+            channel.put(item)
 
     def _worker_main(self, item: tuple) -> None:
         channel: Optional[SimpleQueue] = None

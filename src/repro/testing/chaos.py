@@ -168,6 +168,8 @@ class ChaosResult:
     #: join attempts a verifier fault aborted (each one was retried)
     faults: int = 0
     violations: list[str] = field(default_factory=list)
+    #: joins that ran their still-queued joinee inline (the pool only)
+    inline_joins: int = 0
 
 
 def generate_spec(seed: int, *, max_tasks: int = 12, crash_rate: float = 0.0) -> ChaosSpec:
@@ -480,6 +482,7 @@ def run_chaos_program(
         retries=rt.tasks_retried,
         faults=walk.faults,
         violations=violations,
+        inline_joins=getattr(rt, "inline_joins", 0),
     )
 
 

@@ -371,6 +371,13 @@ def _chaos_body(args: argparse.Namespace) -> int:
         max_tasks = args.max_tasks or 12
     fault_rate = args.fault_rate if args.fault_rate is not None else 0.2
     half = max(1, programs // 2)
+    # inline joins of each pool program run: the work-first path must be
+    # reached under crashes, delays and verifier faults
+    pool_inline: list = []
+
+    def note_inline(result) -> None:
+        if getattr(result, "runtime", None) == "pool" and hasattr(result, "inline_joins"):
+            pool_inline.append(result.inline_joins)
 
     def sweep(seed: int, policy: str, runtime: str) -> str:
         result = chaos.run_chaos_program(
@@ -382,6 +389,7 @@ def _chaos_body(args: argparse.Namespace) -> int:
             plan=FaultPlan(seed=seed, delay_rate=delay_rate),
             check=False,
         )
+        note_inline(result)
         return "".join(f"\n  {violation}" for violation in result.violations)
 
     def service(seed: int, runtime: str) -> None:
@@ -398,7 +406,7 @@ def _chaos_body(args: argparse.Namespace) -> int:
 
     def failure(runner, *runner_args, **runner_kwargs) -> str:
         try:
-            runner(*runner_args, **runner_kwargs)
+            note_inline(runner(*runner_args, **runner_kwargs))
         except AssertionError as exc:
             return f" {exc}"
         return ""
@@ -507,6 +515,11 @@ def _chaos_body(args: argparse.Namespace) -> int:
                 fault_rate=0,
                 journal_dir=args.journal_dir,
             )
+    if pool_inline:
+        print(f"pool: {len(pool_inline)} programs, inline={sum(pool_inline)}")
+        if not sum(pool_inline):
+            bad += 1
+            print("FAIL pool: no join ran its still-queued joinee inline")
     total = sum(runs.values())
     # The kernel TJ-SP resolved to here: under REPRO_TJ_BACKEND=auto a
     # kernel that fails to build falls back to py without a word.

@@ -150,6 +150,9 @@ class TestFleetExactness:
         # fleet totals are exact, not approximate.
         assert _worker_tasks_started(fleet) == dispatches * fanout
         assert _worker_fork_count(fleet) == dispatches * fanout
+        # each worker's engine is a pool that counts its work-first joins
+        engines = [f for n, f in fleet["sources"].items() if n.startswith("runtime{worker=")]
+        assert engines and all("inline_joins" in f for f in engines)
         # parent series are labelled too
         assert 'runtime{process="parent"}' in fleet["sources"]
         # One store per fact: one tasks count (parent completions plus

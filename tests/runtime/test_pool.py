@@ -66,36 +66,57 @@ class TestBasics:
             WorkSharingRuntime(workers=8, max_workers=4)
 
 
+#: a join with a deadline always parks, even on a joinee still in the
+#: queue (an inline body could not honour the deadline), so these joins
+#: block their worker the way every join did before work-first joins
+_PARK = 60.0
+
+
+def _fib(rt, n, **join):
+    if n < 2:
+        return n
+    a = rt.fork(_fib, rt, n - 1, **join)
+    b = rt.fork(_fib, rt, n - 2, **join)
+    return a.join(**join) + b.join(**join)
+
+
+def _chain(rt, depth, **join):
+    if depth == 0:
+        return 0
+    return rt.fork(_chain, rt, depth - 1, **join).join(**join) + 1
+
+
 class TestCompensation:
     def test_nested_blocking_grows_the_pool(self):
-        """Recursive fork+join with a 2-worker pool: without compensation
-        this would starve (all workers blocked on children); with it the
-        pool grows just enough to keep making progress."""
+        """Recursive fork+join with a 2-worker pool whose joins park:
+        without compensation this would starve (all workers blocked on
+        children); with it the pool grows just enough to keep making
+        progress."""
         rt = WorkSharingRuntime(workers=2, max_workers=64)
-
-        def fib(n):
-            if n < 2:
-                return n
-            a = rt.fork(fib, n - 1)
-            b = rt.fork(fib, n - 2)
-            return a.join() + b.join()
-
-        assert rt.run(fib, 10) == 55
+        assert rt.run(_fib, rt, 10, timeout=_PARK) == 55
         assert rt.compensations > 0
         assert rt.peak_workers > 2
 
     def test_single_worker_chain(self):
-        """Depth-k chain of joins on a 1-worker pool — the pathological
-        case for work sharing; compensation must add ~k workers."""
+        """Depth-k chain of parking joins on a 1-worker pool — the
+        pathological case for work sharing; compensation must add ~k
+        workers."""
         rt = WorkSharingRuntime(workers=1, max_workers=64)
-
-        def chain(depth):
-            if depth == 0:
-                return 0
-            return rt.fork(chain, depth - 1).join() + 1
-
-        assert rt.run(chain, 10) == 10
+        assert rt.run(_chain, rt, 10, timeout=_PARK) == 10
         assert rt.peak_workers >= 10
+
+    @pytest.mark.parametrize(
+        "program, value", [(_fib, 55), (_chain, 10)], ids=["fib", "chain"]
+    )
+    def test_work_first_joins_need_no_compensation(self, program, value):
+        """The same programs with plain joins: a worker's join on the
+        child it just queued runs that child itself, so one worker
+        finishes the whole tree and nothing is compensated."""
+        rt = WorkSharingRuntime(workers=1, max_workers=64)
+        assert rt.run(program, rt, 10) == value
+        assert rt.compensations == 0
+        assert rt.peak_workers == 1
+        assert rt.inline_joins > 0
 
     def test_root_blocking_needs_no_compensation(self):
         rt = WorkSharingRuntime(workers=1)

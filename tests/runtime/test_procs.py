@@ -50,7 +50,7 @@ def subtree(rt, base, fanout):
 
 
 def deep_subtree(rt, base, mids, leaves):
-    # In-worker forks are plain TaskRuntime forks (no engine prepended),
+    # In-worker forks are plain engine forks (no engine prepended),
     # so the engine rides along as an explicit argument.
     futs = [
         rt.fork(subtree_level, rt, base + 100 * m, leaves) for m in range(mids)

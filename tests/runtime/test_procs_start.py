@@ -143,3 +143,39 @@ def test_a_finished_runtime_holds_no_descriptor_or_semaphore():
     before = _held()
     kept.append(_start_one()[0])
     assert _held() == before
+
+
+def tick(rt, i):
+    time.sleep(0.004)
+    return i
+
+
+def _feeders():
+    return sum(
+        t.name == "QueueFeederThread" and t.is_alive() for t in threading.enumerate()
+    )
+
+
+def test_a_killed_workers_backlog_leaves_no_feeder_thread():
+    """A worker SIGKILLed with more queued dispatches than its pipe holds
+    leaves its dispatch queue's feeder thread blocked on the full pipe.
+    Releasing the dead worker reads that pipe dry, so the feeder exits
+    and the queue's descriptors and named semaphores go with it."""
+    kept = [_start_one()[0]]  # starts the server and the resource tracker
+    before, feeders = _held(), _feeders()
+    rt = ProcessRuntime(workers=2, seg0=64, stripe=16)
+
+    def kill_worker_0():
+        time.sleep(0.5)
+        os.kill(rt._workers[0].pid, signal.SIGKILL)
+
+    def main():
+        threading.Thread(target=kill_worker_0, daemon=True).start()
+        futures = [rt.fork(tick, i) for i in range(3000)]
+        return [rt.join(f) for f in futures]
+
+    assert rt.run(main) == list(range(3000))
+    kept.append(rt)
+    assert rt.worker_deaths == 1
+    assert _feeders() == feeders
+    assert _held() == before
