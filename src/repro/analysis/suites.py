@@ -22,8 +22,9 @@ included.  :mod:`repro.analysis.bounds` judges them.
   each verified policy.
 * ``telemetry`` — a fork chain and a join-heavy fan under three
   interleaved telemetry arms: off, metrics only, metrics plus tracing.
-* ``service`` — ≥100k joins round-tripped through an in-process
-  verification sidecar over TCP, with the client's RSS sampled.
+* ``service`` — ≥100k parent-joins-child audits streamed over TCP to
+  an in-process sidecar through one ``SessionClient`` tenant session,
+  as procs streams its cross-process verdicts, with RSS sampled.
 * ``procs`` — the fork-heavy deep shape on a
   :class:`~repro.runtime.procs.ProcessRuntime` pool against the same
   shape single-process threaded, with the soak's own sidecar.
@@ -399,11 +400,12 @@ def telemetry_suite(scale: str) -> list[Measurement]:
 
 
 # ----------------------------------------------------------------------
-# remote-verification soak
+# sidecar audit soak
 # ----------------------------------------------------------------------
-#: one client, a fan of *width* tasks forked once, then ``check_joins``
-#: batches of *batch* until *joins* verified joins have round-tripped
-SERVICE_PARAMS = {"joins": 120_000, "width": 64, "batch": 64}
+#: one tenant session, a root forking *width* children once, then
+#: *audits* parent-joins-child verdicts streamed as the procs runtime
+#: streams its cross-process ones
+SERVICE_PARAMS = {"audits": 120_000, "width": 64}
 
 #: absolute RSS slack under the relative growth bound, so a tiny
 #: baseline cannot make the bound spuriously tight
@@ -423,54 +425,57 @@ def _read_rss_kb() -> int:
 
 
 def service_suite(scale: str) -> list[Measurement]:
-    """Both scales run the full soak.
+    """Both scales run the full soak, on the audit stream procs runs.
 
-    Every batch's verdicts are checked: a parent joining its own children
-    is TJ-permitted, so one False means the remote verdict stream is
-    wrong.  RSS is read after a gc on both ends of the soak; the client's
-    replay buffer is ack-pruned and the server's session state must not
+    A parent joining its own child is TJ-permitted, so the sidecar must
+    re-derive every audit and disagree with none: one mismatch means
+    the sidecar's verdicts are wrong, and the suite raises.  RSS is read
+    after a gc on both ends of the soak; the session's state must not
     grow with traffic.
     """
     import gc
 
-    from ..service.client import RemoteVerifier
+    from ..service.client import SessionClient
     from ..service.server import VerificationServer
 
     t0 = time.perf_counter()
-    joins, width, batch = (SERVICE_PARAMS[k] for k in ("joins", "width", "batch"))
+    audits, width = SERVICE_PARAMS["audits"], SERVICE_PARAMS["width"]
+    children = range(1, width + 1)
     with VerificationServer() as server:
         host, port = server.address
-        rv = RemoteVerifier(f"remote://{host}:{port}", "TJ-SP")
+        client = SessionClient(f"remote://{host}:{port}", "soak", tenant="soak")
         try:
-            root = rv.on_init()
-            children = [rv.on_fork(root) for _ in range(width)]
-            rv.check_joins(root, children)  # lazy allocations land before the baseline
+            client.connect()
+            client.init(0)
+            for child in children:
+                client.fork(0, child, child - 1, 1)
+                client.audit(0, child, True)  # lazy allocations land before the baseline
+            client.sync()
+            warm = client.audits_applied
             gc.collect()
             before = peak = _read_rss_kb()
-            done = offset = 0
             t_soak = time.perf_counter()
-            while done < joins:
-                group = [children[(offset + i) % width] for i in range(batch)]
-                offset = (offset + batch) % width
-                if not all(rv.check_joins(root, group)):
-                    raise RuntimeError("sidecar refused a parent-joins-child edge during soak")
-                done += len(group)
-                if done % (batch * 64) == 0:
+            for i in range(audits):
+                client.audit(0, children[i % width], True)
+                if i % 8192 == 0:
                     peak = max(peak, _read_rss_kb())
+            client.sync()
             elapsed = time.perf_counter() - t_soak
             gc.collect()
             after = _read_rss_kb()
-            snap = rv.service_snapshot()
-            if snap["degraded"]:
-                raise RuntimeError("client degraded during the in-process soak")
         finally:
-            rv.close()
+            client.close()
+    if client.audit_mismatches:
+        raise RuntimeError(
+            f"sidecar re-derived {client.audit_mismatches} parent-joins-child "
+            "audits differently"
+        )
+    applied = client.audits_applied - warm
     params = dict(SERVICE_PARAMS)
     return [
-        Measurement("service.joins", "count", done, params=params),
-        Measurement("service.joins_per_s", "1/s", done / elapsed),
-        Measurement("service.degradations", "count", snap["degradations"]),
-        Measurement("service.reconciles", "count", snap["reconciles"]),
+        Measurement("service.joins", "count", applied, params=params),
+        Measurement("service.joins_per_s", "1/s", applied / elapsed),
+        Measurement("service.degradations", "count", int(client.degraded)),
         Measurement("service.rss_before_kb", "kB", before),
         Measurement("service.rss_after_kb", "kB", after),
         Measurement("service.rss_peak_kb", "kB", max(peak, after)),

@@ -42,10 +42,10 @@ class HybridVerifier:
         journal: "object | None" = None,
         verifier: "Verifier | None" = None,
     ) -> None:
-        # An injected verifier (e.g. a RemoteVerifier speaking to the
-        # sidecar) replaces the locally-constructed one wholesale; the
-        # policy/fail_mode/journal arguments then belong to the caller's
-        # construction of it, not ours.
+        # An injected verifier (a procs worker's ShardVerifier) replaces
+        # the locally-constructed one wholesale; the policy/fail_mode/
+        # journal arguments then belong to the caller's construction of
+        # it, not ours.
         self.verifier = (
             verifier
             if verifier is not None
@@ -109,15 +109,14 @@ class HybridVerifier:
             if flagged:
                 self.detector.count_false_positive()
             return False
-        # While the verifier is unsound — policy quarantined, or a remote
-        # verifier degraded off its sidecar — the policy's soundness
-        # theorem is void: every blocking edge must face the precise
-        # cycle check (Armus-only mode).
+        # While the policy is quarantined its soundness theorem is void:
+        # every blocking edge must face the precise cycle check
+        # (Armus-only mode).
         self.detector.block(
             joiner_task,
             joinee_task,
             flagged=flagged,
-            force_check=self.verifier.unsound,
+            force_check=self.verifier.quarantined,
             entry=entry,
         )
         return True

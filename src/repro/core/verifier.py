@@ -209,26 +209,16 @@ class Verifier:
     # ------------------------------------------------------------------
     @property
     def quarantined(self) -> bool:
-        """True once the policy has been taken out of service."""
+        """True once the policy has been taken out of service: its
+        soundness theorem is void, so :class:`~repro.armus.hybrid.
+        HybridVerifier` and the supervision layer send every blocking
+        join to the precise cycle check."""
         return self._quarantine is not None
 
     @property
     def quarantine_error(self) -> Optional[PolicyQuarantinedError]:
         """The stored quarantine diagnosis, or None while healthy."""
         return self._quarantine
-
-    @property
-    def unsound(self) -> bool:
-        """True while the policy's soundness theorem cannot be relied on.
-
-        For a local verifier this is exactly :attr:`quarantined`;
-        subclasses with other ways of losing the policy (the
-        :class:`~repro.service.client.RemoteVerifier` while degraded)
-        widen it.  :class:`~repro.armus.hybrid.HybridVerifier` and the
-        supervision layer consult this — not ``quarantined`` — to decide
-        when every blocking join must face the precise cycle check.
-        """
-        return self._quarantine is not None
 
     def _degraded(self) -> bool:
         """Entry guard for every policy-facing call.

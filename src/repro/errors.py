@@ -27,8 +27,6 @@ __all__ = [
     "ServiceError",
     "ServiceProtocolError",
     "ServiceUnavailableError",
-    "ServiceBackpressureError",
-    "ServiceDegradedWarning",
     "TaskCancelledError",
     "RuntimeStateError",
     "TaskFailedError",
@@ -243,42 +241,8 @@ class ServiceProtocolError(ServiceError):
 class ServiceUnavailableError(ServiceError):
     """The sidecar could not be reached (connect/send/receive failure).
 
-    The :class:`~repro.service.client.RemoteVerifier` retries these with
-    its :class:`~repro.runtime.retry.RetryPolicy`; once the retry budget
-    is exhausted it degrades to local Armus-only checking instead of
-    letting this propagate into the program.
-    """
-
-
-class ServiceBackpressureError(ServiceError):
-    """The sidecar refused events because the session's inbox is full.
-
-    The server bounds per-session buffering: a client producing events
-    faster than its session worker can verify them gets this explicit
-    error instead of growing server memory without bound.  Carries the
-    session id and the inbox limit that was hit.
-    """
-
-    def __init__(self, session: str, limit: int, message: str | None = None):
-        self.session = session
-        self.limit = limit
-        super().__init__(
-            message
-            or f"session {session!r}: server inbox full (limit {limit}); slow down"
-        )
-
-    def __reduce__(self):
-        return (type(self), (self.session, self.limit, str(self)))
-
-
-class ServiceDegradedWarning(RuntimeWarning):
-    """The sidecar became unreachable; verification fell back to local.
-
-    Emitted once per degradation episode by the
-    :class:`~repro.service.client.RemoteVerifier`.  While degraded the
-    client blanket-permits joins and the runtime's Armus wait-for graph
-    force-checks every blocking join, so true deadlocks are still
-    avoided — the same fail-open-but-sound posture as policy quarantine.
+    :class:`~repro.service.client.SessionClient` degrades on it for good
+    instead of letting it propagate into the program.
     """
 
 

@@ -155,7 +155,6 @@ class IntrospectionServer:
                 {
                     "kind": "welcome",
                     "session": record["session"],
-                    "last_seq": -1,
                     "introspection": True,
                 }
             )
@@ -230,6 +229,6 @@ def fetch_stats(url: str, *, timeout: float = 5.0, session: str = "top-live") ->
                 return stats
             if kind == "error":
                 raise ServiceProtocolError(str(reply.get("message")))
-            # acks/pongs/quarantine announcements: keep reading
+            # pongs/quarantine announcements: keep reading
     finally:
         stream.sock.close()

@@ -31,7 +31,6 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence
 __all__ = [
     "NS_BUCKETS",
     "WAIT_NS_BUCKETS",
-    "RTT_NS_BUCKETS",
     "Counter",
     "Gauge",
     "Histogram",
@@ -76,26 +75,6 @@ WAIT_NS_BUCKETS: tuple[int, ...] = (
     1_000_000_000,
     5_000_000_000,
     30_000_000_000,
-)
-
-#: buckets (nanoseconds) for service round trips: a loopback
-#: check-verdict exchange lands in the tens of microseconds, a LAN hop
-#: in the hundreds, and a degraded/retrying client can stretch to
-#: seconds — the range must resolve all three regimes.
-RTT_NS_BUCKETS: tuple[int, ...] = (
-    10_000,
-    25_000,
-    50_000,
-    100_000,
-    250_000,
-    500_000,
-    1_000_000,
-    2_500_000,
-    10_000_000,
-    50_000_000,
-    250_000_000,
-    1_000_000_000,
-    5_000_000_000,
 )
 
 

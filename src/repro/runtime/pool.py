@@ -79,7 +79,7 @@ class WorkSharingRuntime(SupervisedJoinMixin):
         fallback: bool = True,
         fail_mode: str = "raise",
         journal: Union[None, str, object] = None,
-        verifier: Union[None, str, Verifier] = None,
+        verifier: Optional[Verifier] = None,
         workers: int = 4,
         max_workers: int = 256,
         default_join_timeout: Optional[float] = None,

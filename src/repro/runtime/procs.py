@@ -729,7 +729,7 @@ class ProcessRuntime(SupervisedJoinMixin):
         self._verifier: Optional[ShardVerifier] = None  # built by _open
         self._hybrid = None  # no Armus across processes
         self._journal = None
-        self._owns_journal = self._owns_verifier = False
+        self._owns_journal = False
 
         self._result_q = None  # opened by _open, released by _close
         self._workers: list[_WorkerHandle] = []
@@ -1268,7 +1268,10 @@ class ProcessRuntime(SupervisedJoinMixin):
         if not self.redispatch or entry.attempts + 1 >= 3:
             future.task.state = TaskState.FAILED
             future._set_exception(
-                ReproError(f"worker process died while running task {vid}")
+                ReproError(
+                    f"worker process died while running task {vid} "
+                    f"({self._dead_workers()})"
+                )
             )
             return
         # A fresh vertex under the original parent: the retry is a later
@@ -1279,20 +1282,39 @@ class ProcessRuntime(SupervisedJoinMixin):
         future.task.vertex = new_vid
         with self._lock:
             worker = self._pick_worker_locked()
-            if worker is None:
-                future.task.state = TaskState.FAILED
-                future._set_exception(
-                    ReproError("no live worker processes to redispatch to")
+            if worker is not None:
+                self.tasks_redispatched += 1
+                self._inflight[new_vid] = _Inflight(
+                    future, worker.index, entry.payload, entry.parent_vid,
+                    attempts=entry.attempts + 1,
                 )
-                return
-            self.tasks_redispatched += 1
-            self._inflight[new_vid] = _Inflight(
-                future, worker.index, entry.payload, entry.parent_vid,
-                attempts=entry.attempts + 1,
+        if worker is None:
+            future.task.state = TaskState.FAILED
+            future._set_exception(
+                ReproError(
+                    "no live worker processes to redispatch to "
+                    f"({self._dead_workers()})"
+                )
             )
+            return
         # Redispatch carries no trace context: the original dispatch span
         # may be long gone, so the retry's run span roots its own tree.
         worker.dispatch_q.put((new_vid, entry.payload, None))
+
+    def _dead_workers(self) -> str:
+        """Each dead worker's index and exit code (a negative code is the
+        signal that killed it)."""
+
+        def describe(w: _WorkerHandle) -> str:
+            # The code comes through the fork server's status pipe,
+            # which can trail the worker's pidfd.
+            w.proc.join(timeout=1.0)
+            code = w.proc.exitcode
+            if code is not None and code < 0:
+                return f"worker {w.index} killed by signal {-code}"
+            return f"worker {w.index} exit code {code}"
+
+        return "; ".join(describe(w) for w in self._workers if not w.alive)
 
     # run / join / join_batch come from SupervisedJoinMixin, driving the
     # parent's ShardVerifier as the in-process runtimes drive their own.

@@ -336,36 +336,25 @@ def resolve_verifier(
     fallback: bool,
     fail_mode: str,
     journal: "Union[None, str, object]",
-    verifier: "Union[None, str, Verifier]",
+    verifier: "Optional[Verifier]",
     runtime_name: str,
 ) -> tuple:
     """The construction block the blocking runtimes share.
 
     Resolves the journal (path string → owned :class:`TraceJournal`) and
-    the verifier: None builds the usual local verifier; a
-    ``"remote://host:port"`` string builds an *owned*
-    :class:`~repro.service.client.RemoteVerifier` (closed when the
-    runtime's ``run`` exits); a verifier instance is used as-is and left
-    open (tests and chaos harnesses inspect it after the run).  When
-    ``fallback`` is set the verifier — local or remote — sits inside a
-    :class:`HybridVerifier`, which is what makes remote degradation
-    sound: a degraded remote verifier reports ``unsound`` and Armus
-    force-checks every blocking join.
+    the verifier: None builds the usual local verifier; a verifier
+    instance (the procs worker engine's
+    :class:`~repro.runtime.procs.ShardVerifier`) is used as-is.  When
+    ``fallback`` is set the verifier sits inside a
+    :class:`HybridVerifier`.
 
-    Returns ``(hybrid, verifier, journal, owns_journal, owns_verifier)``.
+    Returns ``(hybrid, verifier, journal, owns_journal)``.
     """
     owns_journal = isinstance(journal, str)
     if owns_journal:
         from ..tools.journal import TraceJournal  # deferred: import cycle
 
         journal = TraceJournal(journal)
-    owns_verifier = isinstance(verifier, str)
-    if owns_verifier:
-        from ..service.client import RemoteVerifier  # deferred: import cycle
-
-        verifier = RemoteVerifier(
-            verifier, policy_obj, fail_mode=fail_mode, journal=journal
-        )
     if verifier is not None:
         hybrid = (
             HybridVerifier(policy_obj, fail_mode=fail_mode, verifier=verifier)
@@ -388,7 +377,7 @@ def resolve_verifier(
         journal.log_start(
             policy=policy_obj.name, runtime=runtime_name, fail_mode=fail_mode
         )
-    return hybrid, verifier_obj, journal, owns_journal, owns_verifier
+    return hybrid, verifier_obj, journal, owns_journal
 
 
 class _LatchArm:
@@ -455,7 +444,7 @@ class SupervisedJoinMixin:
     A host class calls :meth:`_init_runtime` from ``__init__`` once the
     fields its ``_metrics_snapshot`` reads exist (a host that builds its
     verifier later, in :meth:`_open`, sets ``_hybrid``/``_verifier``/
-    ``_journal``/``_owns_journal``/``_owns_verifier`` itself and calls
+    ``_journal``/``_owns_journal`` itself and calls
     :meth:`_init_supervision`), and gives :meth:`fork` a
     ``_dispatch(item)`` that hands a forked task's ``(task, future, fn,
     args, kwargs)`` to a thread running :meth:`_execute`.  It may
@@ -471,7 +460,7 @@ class SupervisedJoinMixin:
         fallback: bool,
         fail_mode: str,
         journal: Union[None, str, object],
-        verifier: Union[None, str, Verifier],
+        verifier: Optional[Verifier],
         **supervision: Any,
     ) -> None:
         """Build the verifier stack (:func:`resolve_verifier`), then the
@@ -481,7 +470,6 @@ class SupervisedJoinMixin:
             self._verifier,
             self._journal,
             self._owns_journal,
-            self._owns_verifier,
         ) = resolve_verifier(
             resolve_policy(policy),
             fallback=fallback,
@@ -677,8 +665,6 @@ class SupervisedJoinMixin:
                     tracer.end_span(handle, args={"task": root.name})
         finally:
             self._close()
-            if self._owns_verifier:
-                self._verifier.close()
             if self._journal is not None and self._owns_journal:
                 self._journal.close()
         self._reap_unjoined()
@@ -871,7 +857,7 @@ class SupervisedJoinMixin:
             def stale(record: BlockedJoin) -> bool:
                 if record.future is not future:
                     return False
-                if verifier.unsound:
+                if verifier.quarantined:
                     return True
                 try:
                     return not verifier.policy.permits(record.joiner.vertex, new_vertex)
@@ -1028,7 +1014,7 @@ class SupervisedJoinMixin:
         — and waits until the countdown latch fires.  Never raises
         timeouts, task failures or avoided deadlocks itself: on deadline
         expiry, a fail-fast failure, or an edge Armus refuses (possible
-        only while a forced edge is live or the verifier is unsound) it
+        only while a forced edge is live or the policy is quarantined) it
         simply returns, and the sequential harvest reproduces the exact
         sequential outcome (the earliest failing, refused or still
         pending future in input order wins).  Watchdog diagnoses and
@@ -1048,7 +1034,7 @@ class SupervisedJoinMixin:
         records = [BlockedJoin(joiner, f.task, f, wake=wake) for f in pending]
         if self._hybrid is None:
             self._store.add(*records)
-        elif not self._hybrid.detector.block_all(records, force_check=self._verifier.unsound):
+        elif not self._hybrid.detector.block_all(records, force_check=self._verifier.quarantined):
             return  # an edge would close a cycle: the harvest refuses its join
         arms = [_LatchArm(latch, f) for f in pending]
         self._wait(joiner, records, arms, latch.drained, deadline, timeout_value)

@@ -78,14 +78,8 @@ class TaskRuntime(SupervisedJoinMixin):
         (the runtime then creates the journal and closes it when
         :meth:`run` exits); None (default) disables journaling.
     verifier:
-        ``"remote://host:port"`` to verify against the verification
-        sidecar (the runtime builds a
-        :class:`~repro.service.client.RemoteVerifier` and closes it when
-        :meth:`run` exits), or a ready verifier instance (left open —
-        chaos harnesses inspect it after the run); None (default) builds
-        the local verifier from *policy*.  With ``fallback=True`` a
-        degraded remote verifier stays sound: Armus force-checks every
-        blocking join until the sidecar is back.
+        A ready :class:`~repro.core.verifier.Verifier` instance, used
+        as-is; None (default) builds the local verifier from *policy*.
     default_join_timeout:
         Runtime-wide deadline (seconds) applied to every join that does
         not pass an explicit ``timeout``; None (default) means unbounded.
@@ -117,7 +111,7 @@ class TaskRuntime(SupervisedJoinMixin):
         fallback: bool = True,
         fail_mode: str = "raise",
         journal: Union[None, str, object] = None,
-        verifier: Union[None, str, Verifier] = None,
+        verifier: Optional[Verifier] = None,
         default_join_timeout: Optional[float] = None,
         watchdog: Union[bool, float, StallWatchdog] = True,
         on_unjoined_failure: str = "warn",

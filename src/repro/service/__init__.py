@@ -7,11 +7,11 @@ multi-tenant service:
   from the trace-journal format;
 * :mod:`~repro.service.session` — one per-tenant verifier with bounded
   inbox and backpressure;
-* :mod:`~repro.service.server` — the sidecar: sessions, liveness,
-  crash-consistent journal recovery;
-* :mod:`~repro.service.client` — :class:`RemoteVerifier`, the
-  degradation-aware drop-in the runtimes select with
-  ``runtime(..., verifier="remote://host:port")``.
+* :mod:`~repro.service.server` — the sidecar: sessions, liveness and
+  the post-mortem journal;
+* :mod:`~repro.service.client` — :class:`SessionClient`, the one
+  client: :class:`~repro.runtime.procs.ProcessRuntime` streams its fork
+  announcements and cross-process verdicts through it for audit.
 
 See ``docs/service.md`` for the protocol and the failure-mode matrix.
 """
@@ -19,8 +19,7 @@ See ``docs/service.md`` for the protocol and the failure-mode matrix.
 from .. import _lazy
 
 _EXPORTS = {
-    "RemoteVerifier": ".client",
-    "RemoteVertex": ".client",
+    "SessionClient": ".client",
     "parse_remote_url": ".client",
     "ServiceJournal": ".server",
     "VerificationServer": ".server",

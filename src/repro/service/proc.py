@@ -1,13 +1,12 @@
 """Sidecar subprocess management for harnesses that need a *real* kill -9.
 
 The in-process :class:`~repro.service.server.VerificationServer` covers
-most tests, but the degradation/recovery story is only honest against a
-separate OS process that can die by ``SIGKILL`` mid-write.  This module
-spawns ``python -m repro.service.server`` and speaks its one-line
-startup contract (``LISTENING <host> <port>``), so the chaos runner,
-the subprocess test harness, and the CI smoke job all share one way of
-bringing a sidecar up, killing it, and bringing it back on the same
-port with the same journal.
+most tests, but degradation is only honest against a separate OS
+process that can die by ``SIGKILL`` mid-write.  This module spawns
+``python -m repro.service.server`` and speaks its one-line startup
+contract (``LISTENING <host> <port>``), so the procs runtime's
+``sidecar="auto"``, the chaos runner, joinbench and the tests share one
+way of bringing a sidecar up and killing it.
 """
 
 from __future__ import annotations
@@ -26,9 +25,8 @@ __all__ = ["SidecarProcess"]
 class SidecarProcess:
     """One sidecar child process with the startup-line handshake.
 
-    Parameters mirror ``repro.service.server.main``; ``port=0`` lets the
-    first incarnation pick a free port, which :meth:`restart` then pins
-    so resuming clients find the reborn server at the same address.
+    Parameters mirror ``repro.service.server.main``; ``port=0`` picks a
+    free port, read back from :attr:`address` or :attr:`url`.
     """
 
     def __init__(
@@ -37,9 +35,6 @@ class SidecarProcess:
         host: str = "127.0.0.1",
         port: int = 0,
         journal_path: "str | None" = None,
-        inbox_limit: "int | None" = None,
-        ack_every: "int | None" = None,
-        liveness_timeout: "float | None" = None,
         startup_timeout: float = 20.0,
         obs: bool = False,
         trace_id: "str | None" = None,
@@ -47,14 +42,11 @@ class SidecarProcess:
         self.host = host
         self.port = port
         self.journal_path = journal_path
-        self.inbox_limit = inbox_limit
-        self.ack_every = ack_every
-        self.liveness_timeout = liveness_timeout
         self.startup_timeout = startup_timeout
         self.obs = obs
         self.trace_id = trace_id
         self.proc: Optional[subprocess.Popen] = None
-        self.start()
+        self._start()
 
     # ------------------------------------------------------------------
     def _command(self) -> list[str]:
@@ -69,22 +61,13 @@ class SidecarProcess:
         ]
         if self.journal_path is not None:
             cmd += ["--journal", self.journal_path]
-        if self.inbox_limit is not None:
-            cmd += ["--inbox-limit", str(self.inbox_limit)]
-        if self.ack_every is not None:
-            cmd += ["--ack-every", str(self.ack_every)]
-        if self.liveness_timeout is not None:
-            cmd += ["--liveness-timeout", str(self.liveness_timeout)]
         if self.obs:
             cmd += ["--obs"]
             if self.trace_id is not None:
                 cmd += ["--trace-id", self.trace_id]
         return cmd
 
-    def start(self) -> None:
-        if self.proc is not None and self.proc.poll() is None:
-            raise RuntimeError("sidecar already running")
-        self._close_stdout()  # a restart replaces the dead child's pipe
+    def _start(self) -> None:
         env = os.environ.copy()
         env["PYTHONPATH"] = child_pythonpath(env)
         self.proc = subprocess.Popen(
@@ -137,12 +120,6 @@ class SidecarProcess:
             self.proc.wait(timeout=10)
         self._close_stdout()
 
-    def restart(self) -> None:
-        """Bring a (killed) sidecar back on the *same* port and journal."""
-        if self.alive():
-            raise RuntimeError("sidecar still alive; kill it before restart")
-        self.start()
-
     def stop(self) -> None:
         """Graceful-ish teardown for harness cleanup paths."""
         if self.proc is not None and self.proc.poll() is None:
@@ -154,9 +131,7 @@ class SidecarProcess:
         self._close_stdout()
 
     def _close_stdout(self) -> None:
-        """Close the startup-line pipe once the child is gone.  Not
-        sooner: a sidecar that recovered sessions prints ``RECOVERED``
-        after ``LISTENING``, and a closed pipe would fail that print."""
+        """Close the startup-line pipe once the child is gone."""
         if self.proc is not None and self.proc.stdout is not None:
             self.proc.stdout.close()
 

@@ -5,32 +5,24 @@ One :class:`VerificationServer` owns a listening socket, a set of
 with its own policy instance and worker thread), and an optional
 :class:`ServiceJournal`.  Connections are thin: a reader thread per
 socket validates frames and routes them to the session named in the
-``hello`` handshake.  Because sessions outlive connections, a client
-whose TCP link died (or that outlived a server restart, when a journal
-is configured) resumes by re-sending ``hello`` for the same session id
-and replaying everything past the ``last_seq`` the ``welcome`` quotes.
+``hello`` handshake.
 
-Crash consistency
------------------
+The journal
+-----------
 The server journal is written by the trace journal's own writer (see
 :mod:`repro.tools.journal`) — dense global ``seq``, readable by
 :func:`repro.tools.journal.read_journal` with its torn-tail tolerance —
-with a ``session`` column added to every record.  On restart the server
-*compacts*: it reads the old journal, rebuilds each session by replaying
-records through :meth:`Session.apply` (the exact code path live traffic
-takes, so recovery cannot drift from normal operation) while writing a
-fresh journal at ``path + ".compact"``, then atomically ``os.replace``\\ s
-it over the old file and keeps appending.  Compaction is what preserves
-the reader's seq-density invariant across restarts — naive re-appending
-would restart ``seq`` at the torn tail and corrupt the file for every
-later reader.
+with a ``session`` column added to every record.  It is a post-mortem
+record for ``repro journal-replay``, never read back by a server: a
+server refuses to start on a non-empty journal, because a second run
+appended to it would restart ``seq`` at 0 and every reader would reject
+the file.
 
 Liveness
 --------
 A sweeper thread closes connections that have been silent longer than
-``liveness_timeout`` (clients heartbeat with ``ping`` well inside it).
-Closing a connection never destroys its session — the tenant's verifier
-state waits for the resume.
+``liveness_timeout`` (clients ``ping`` well inside it).  Closing a
+connection leaves its session in place.
 """
 
 from __future__ import annotations
@@ -40,14 +32,14 @@ import json
 import os
 import signal
 import socket
+import sys
 import threading
-import warnings
 from time import monotonic
 from typing import Optional
 
-from ..errors import JournalCorruptError, ServiceProtocolError
+from ..errors import JournalError, ServiceProtocolError
 from ..obs import active as _active_telemetry
-from ..tools.journal import ServiceJournal, read_journal
+from ..tools.journal import ServiceJournal
 from .session import Session, Tenant
 from .wire import (
     CLIENT_KINDS,
@@ -114,13 +106,11 @@ class VerificationServer:
         :attr:`address` — the test harnesses and the CLI do).
     journal_path:
         When set, every session's stream is journalled through one
-        :class:`ServiceJournal`, and :meth:`start` first *recovers*:
-        live sessions are rebuilt from the journal (compacting it in the
-        process) so a ``kill -9`` of the sidecar loses nothing that was
-        flushed.
-    inbox_limit, ack_every:
-        Forwarded to every :class:`Session` (backpressure bound and
-        durability-ack cadence).
+        :class:`ServiceJournal`.  The file must be missing or empty:
+        :meth:`start` raises :class:`~repro.errors.JournalError` and
+        leaves it untouched otherwise.
+    inbox_limit:
+        Forwarded to every :class:`Session` (its backpressure bound).
     liveness_timeout:
         Seconds of silence after which a connection is presumed dead and
         closed.  Sessions survive; only the socket dies.
@@ -133,7 +123,6 @@ class VerificationServer:
         *,
         journal_path: "str | None" = None,
         inbox_limit: int = 1024,
-        ack_every: int = 256,
         liveness_timeout: float = 5.0,
         flush_every: int = 64,
     ) -> None:
@@ -141,7 +130,6 @@ class VerificationServer:
         self._requested_port = port
         self.journal_path = journal_path
         self.inbox_limit = inbox_limit
-        self.ack_every = ack_every
         self.liveness_timeout = liveness_timeout
         self.flush_every = flush_every
         self.journal: Optional[ServiceJournal] = None
@@ -154,9 +142,6 @@ class VerificationServer:
         self._threads: list[threading.Thread] = []
         self._stop = threading.Event()
         self._started = False
-        #: recovery summary of the last start(): sessions rebuilt, records replayed
-        self.recovered_sessions = 0
-        self.recovered_records = 0
         self.accepted = 0
         self.liveness_closes = 0
         self.protocol_errors = 0
@@ -178,9 +163,15 @@ class VerificationServer:
     def start(self) -> "VerificationServer":
         if self._started:
             raise RuntimeError("server already started")
+        path = self.journal_path
+        if path is not None:
+            if os.path.exists(path) and os.path.getsize(path) > 0:
+                raise JournalError(
+                    f"service journal {path} is not empty; a sidecar writes "
+                    "a fresh journal (move the old one aside to keep it)"
+                )
+            self.journal = ServiceJournal(path, flush_every=self.flush_every)
         self._started = True
-        if self.journal_path is not None:
-            self._recover()
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         listener.bind((self.host, self._requested_port))
@@ -228,98 +219,6 @@ class VerificationServer:
     def __exit__(self, exc_type, exc, tb) -> bool:
         self.stop()
         return False
-
-    # ------------------------------------------------------------------
-    # crash recovery: rebuild sessions, compact the journal
-    # ------------------------------------------------------------------
-    def _recover(self) -> None:
-        """Rebuild sessions from the previous incarnation's journal.
-
-        Replays through :meth:`Session.apply` — the live code path —
-        into a fresh compacted journal, then atomically replaces the old
-        file.  Verdict records are replayed as policy re-derivations so
-        the rebuilt sessions' ``joins_checked``/``joins_rejected`` match
-        what the dead server had counted (TJ verdicts are stable, so the
-        re-derived answers match too).  A journal corrupted beyond the
-        torn-tail tolerance is set aside (``path + ".corrupt"``) and the
-        server starts empty rather than guessing at tenant state.
-        """
-        path = self.journal_path
-        assert path is not None
-        if not os.path.exists(path) or os.path.getsize(path) == 0:
-            self.journal = ServiceJournal(path, flush_every=self.flush_every)
-            return
-        try:
-            result = read_journal(path)
-        except JournalCorruptError as exc:
-            corrupt = path + ".corrupt"
-            os.replace(path, corrupt)
-            warnings.warn(
-                f"service journal {path} unreadable ({exc}); moved to {corrupt}, "
-                "starting with no sessions",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            self.journal = ServiceJournal(path, flush_every=self.flush_every)
-            return
-        compact_path = path + ".compact"
-        journal = ServiceJournal(compact_path, flush_every=self.flush_every)
-        self.journal = journal
-        for record in result.records:
-            sid = record.get("session")
-            kind = record.get("kind")
-            if sid is None or kind is None:
-                continue  # foreign record; compaction drops it
-            if kind == "start":
-                try:
-                    # Routes through the tenant map, so a recovered
-                    # worker-group shares one verifier again.
-                    self._get_or_make_session(
-                        sid,
-                        record["policy"],
-                        record.get("fail_mode", "open"),
-                        record.get("tenant"),
-                    )
-                except ServiceProtocolError:
-                    continue  # conflicting start records; keep the first
-                continue
-            session = self.sessions.get(sid)
-            if session is None:
-                continue  # events before any start record: nothing to attach to
-            if kind in ("init", "fork", "join"):
-                try:
-                    session.apply(record, reply=None)
-                except Exception:  # noqa: BLE001 - one bad record must not kill recovery
-                    continue
-            elif kind == "verdict":
-                # Re-derive instead of trusting the stored bit: same
-                # stats, and the compact journal gets a fresh verdict
-                # record written by the session itself.
-                try:
-                    session.apply(
-                        {
-                            "kind": "recheck",
-                            "waiter": record["waiter"],
-                            "joinee": record["joinee"],
-                        },
-                        reply=None,
-                    )
-                except Exception:  # noqa: BLE001 - e.g. rids whose fork never flushed
-                    continue
-            elif kind == "quarantine":
-                # The bug may not re-trip on replay (the policy state
-                # that broke is gone); carry the diagnosis forward so
-                # the post-mortem record survives compaction.
-                journal.log_quarantine(
-                    sid, record.get("policy", "?"), record.get("site", "?"),
-                    record.get("error", ""),
-                )
-                session._quarantine_announced = True
-            self.recovered_records += 1
-        self.recovered_sessions = len(self.sessions)
-        journal.flush()
-        os.replace(compact_path, path)
-        journal.path = path
 
     # ------------------------------------------------------------------
     # accepting and serving connections
@@ -427,8 +326,6 @@ class VerificationServer:
             {
                 "kind": "welcome",
                 "session": sid,
-                "last_seq": session.applied_seq,
-                "quarantined": session.verifier.quarantined,
                 "fail_mode": session.fail_mode,
                 "journal": self.journal is not None,
             }
@@ -445,8 +342,8 @@ class VerificationServer:
         """Find or create *sid*, attaching it to its tenant if named.
 
         Caller holds ``_sessions_lock``.  Sessions under one tenant
-        share a verifier, so every member must agree on the policy —
-        a mismatched hello is refused just like a mismatched resume.
+        share a verifier, so every member must agree on the policy — a
+        hello that disagrees with its session or tenant is refused.
         """
         session = self.sessions.get(sid)
         if session is not None:
@@ -478,7 +375,6 @@ class VerificationServer:
             fail_mode,
             journal=self.journal,
             inbox_limit=self.inbox_limit,
-            ack_every=self.ack_every,
             telemetry=self._telemetry,
             tenant=tenant,
         )
@@ -520,8 +416,6 @@ class VerificationServer:
             "accepted": self.accepted,
             "liveness_closes": self.liveness_closes,
             "protocol_errors": self.protocol_errors,
-            "recovered_sessions": self.recovered_sessions,
-            "recovered_records": self.recovered_records,
         }
 
     def snapshot(self) -> dict:
@@ -542,9 +436,10 @@ def main(argv: "list[str] | None" = None) -> int:
     )
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=0, help="0 picks a free port")
-    parser.add_argument("--journal", default=None, help="server journal path (enables recovery)")
+    parser.add_argument(
+        "--journal", default=None, help="server journal path (missing or empty)"
+    )
     parser.add_argument("--inbox-limit", type=int, default=1024)
-    parser.add_argument("--ack-every", type=int, default=256)
     parser.add_argument("--liveness-timeout", type=float, default=5.0)
     parser.add_argument(
         "--obs",
@@ -569,10 +464,13 @@ def main(argv: "list[str] | None" = None) -> int:
         args.port,
         journal_path=args.journal,
         inbox_limit=args.inbox_limit,
-        ack_every=args.ack_every,
         liveness_timeout=args.liveness_timeout,
     )
-    server.start()
+    try:
+        server.start()
+    except JournalError as exc:
+        print(f"serve: {exc}", file=sys.stderr)
+        return 2
     host, port = server.address
 
     # SIGTERM must run the clean stop (drain sessions, flush + close the
@@ -583,12 +481,6 @@ def main(argv: "list[str] | None" = None) -> int:
     signal.signal(signal.SIGTERM, _on_sigterm)
     # The harness contract: one parseable line, flushed, then serve forever.
     print(f"LISTENING {host} {port}", flush=True)
-    if server.recovered_sessions:
-        print(
-            f"RECOVERED {server.recovered_sessions} sessions "
-            f"({server.recovered_records} records)",
-            flush=True,
-        )
     try:
         threading.Event().wait()
     except KeyboardInterrupt:

@@ -8,22 +8,19 @@ that ownership, because quarantine is a per-verifier property.
 Events arrive through a **bounded inbox** drained by a dedicated worker
 thread.  The bound is the backpressure mechanism: a client producing
 events faster than its session can verify them has its records refused
-with an explicit ``backpressure`` reply (the client raises
-:class:`~repro.errors.ServiceBackpressureError`) instead of growing
-server memory without bound.  Synchronous ``check`` queries ride the
-same inbox as the fire-and-forget state events, which is what makes
+with an explicit ``backpressure`` reply (the client degrades) instead of
+growing server memory without bound.  Synchronous ``check`` queries ride
+the same inbox as the fire-and-forget state events, which is what makes
 them *synchronous with respect to the stream*: a check is answered only
 after every earlier fork from the same client has been applied.  So is
 a ``sync``: its ``synced`` reply counts every earlier ``recheck``.
 
 Client vertex ids (``rid``) are dense ints assigned client-side; the
 session maps them to policy vertices.  ``applied_seq`` tracks the
-highest state-event sequence number applied, so a resuming client can
-replay exactly the gap (records with ``cseq > applied_seq``) and
-duplicates from an over-eager replay are dropped idempotently.  The
-watermark only ever advances contiguously: an event that arrives past a
-backpressure-refused predecessor is dropped rather than applied, so the
-``welcome``'s ``last_seq`` never overstates what the session holds.
+highest state-event sequence number applied, and it only ever advances
+by one: a state event whose ``cseq`` is not ``applied_seq + 1`` — a
+duplicate, or one that arrived past a backpressure-refused predecessor —
+is dropped and counted in ``gap_drops``.
 """
 
 from __future__ import annotations
@@ -59,8 +56,7 @@ class Tenant:
     is still queued in worker A's session: records that reference a
     not-yet-known rid are **parked** keyed by the missing rid and
     replayed the moment any member session inserts it; state events are
-    journalled at arrival (recovery replays them in arrival order and
-    parks identically), and synchronous checks simply answer late —
+    journalled at arrival, and synchronous checks simply answer late —
     which is exactly the stream-synchronous semantics a single session
     already has, lifted to the tenant.  A rid that never arrives (a
     client bug) parks its records forever; clients bound the wait with
@@ -116,16 +112,10 @@ class Session:
         the coercion is reported in the session's ``welcome``.
     journal:
         The server's shared :class:`~repro.tools.journal.ServiceJournal`
-        (or None); state events and verdicts are written through so a
-        restarted server rebuilds this session exactly.
+        (or None); state events and verdicts are written through for
+        ``repro journal-replay``.
     inbox_limit:
         Bound on queued-but-unapplied records for this session.
-    ack_every:
-        Send a durability ``ack`` (and flush the journal) every this
-        many state events, letting the client prune its replay buffer.
-        Acks are only sent when a journal is present — without one, a
-        restarted server has nothing to resume from and the client must
-        keep its full replay log.
     """
 
     def __init__(
@@ -136,7 +126,6 @@ class Session:
         *,
         journal: "object | None" = None,
         inbox_limit: int = 1024,
-        ack_every: int = 256,
         telemetry: "object | None" = None,
         tenant: "Tenant | None" = None,
     ) -> None:
@@ -156,11 +145,10 @@ class Session:
         self.journal = journal
         self.applied_seq = -1
         self.inbox_limit = inbox_limit
-        self.ack_every = max(1, ack_every)
         self.inbox: "queue.Queue" = queue.Queue(maxsize=inbox_limit)
         #: records refused because the inbox was full
         self.backpressure_refusals = 0
-        #: events dropped because an earlier record was refused (gap)
+        #: state events dropped for being out of sequence
         self.gap_drops = 0
         #: rechecks re-derived, and those whose client verdict disagreed
         self.rechecks = 0
@@ -196,7 +184,7 @@ class Session:
         """Queue *record*; returns False (after a backpressure reply) when full.
 
         *reply* is the connection's locked send function; the worker
-        uses it for verdicts/acks, the refusal path uses it directly.
+        uses it for replies, the refusal path uses it directly.
         """
         try:
             self.inbox.put_nowait((record, reply))
@@ -253,7 +241,7 @@ class Session:
             pass
 
     # ------------------------------------------------------------------
-    # record application (worker thread, or recovery replay)
+    # record application (worker thread)
     # ------------------------------------------------------------------
     def _vertex(self, rid: object) -> object:
         try:
@@ -263,12 +251,9 @@ class Session:
                 f"session {self.session_id!r}: unknown vertex rid {rid!r}"
             ) from None
 
-    def apply(self, record: dict, reply: Optional[Callable[[dict], None]] = None) -> None:
+    def apply(self, record: dict, reply: Callable[[dict], None]) -> None:
         """Apply one validated record; sends any reply through *reply*.
 
-        Also the recovery entry point: the server replays journal
-        records through this method (with ``reply=None``) to rebuild the
-        session, so live application and crash recovery cannot drift.
         Tenanted sessions serialize through the tenant lock — their
         worker threads interleave over shared verifier state.
         """
@@ -283,16 +268,10 @@ class Session:
         journal = self.journal
         if kind in ("init", "fork", "join"):
             cseq = record["cseq"]
-            if cseq <= self.applied_seq:
-                return  # duplicate from a replay; idempotent drop
             if cseq != self.applied_seq + 1:
-                # A gap: an earlier record was refused under backpressure
-                # and this one slipped in behind it.  Applying it would
-                # advance the resume watermark past the hole, and the
-                # refused record — which the client only replays for
-                # ``cseq > last_seq`` — would be lost forever.  Drop it;
-                # the client's replay buffer still holds both, and the
-                # next reconcile replays from the honest watermark.
+                # A duplicate, or an event that slipped in behind a
+                # refused one: applying it would fork a vertex twice or
+                # out of the client's order.  The refused client degrades.
                 with self._lock:
                     self.gap_drops += 1
                 return
@@ -301,9 +280,6 @@ class Session:
             self.applied_seq = cseq
             if journal is not None:
                 journal.log_event(self.session_id, record)
-                if cseq % self.ack_every == 0:
-                    journal.flush()
-                    self._safe_reply(reply, {"kind": "ack", "seq": cseq})
             self._announce_quarantine(reply)
         elif kind == "check":
             self._checks.inc()
@@ -422,10 +398,10 @@ class Session:
         self._safe_reply(reply, {"kind": "verdicts", "req": record["req"], "ok": oks})
 
     def _do_recheck(self, record: dict, reply) -> None:
-        # A verdict the client answered locally: a procs audit, carrying
-        # the ``ok`` the runtime acted on, or a reconcile replay.  Re-derive
-        # it and journal the verdict acted on, so `repro journal-replay`
-        # re-derives it too; a disagreement is counted.  No reply.
+        # A procs audit: a verdict the client decided locally, carrying
+        # the ``ok`` the runtime acted on.  Re-derive it and journal the
+        # verdict acted on, so `repro journal-replay` re-derives it too;
+        # a disagreement is counted.  No reply.
         waiter, joinee = record["waiter"], record["joinee"]
         if self._park_if_missing((waiter, joinee), record, reply):
             self._rechecks_parked += 1
@@ -437,7 +413,7 @@ class Session:
             return
         finally:
             self._end_check_span(handle, {"waiter": waiter, "joinee": joinee})
-        acted = record.get("ok", ok)
+        acted = record["ok"]
         self.rechecks += 1
         self.recheck_mismatches += acted != ok
         if self.journal is not None:

@@ -3,13 +3,13 @@
 The framing is deliberately minimal: every message is one journal-style
 record — a flat JSON object with a ``"kind"`` field — encoded UTF-8 and
 prefixed with a 4-byte big-endian length.  The record vocabulary is
-*derived from* the PR 4 trace-journal format (:mod:`repro.tools.journal`):
+*derived from* the trace-journal format (:mod:`repro.tools.journal`):
 the state-bearing kinds (``init``/``fork``/``join``/``verdict``/
 ``quarantine``) carry the same field names (``parent``/``child``,
 ``waiter``/``joinee``, ``ok``), so a server journal written from this
 stream is readable by the exact same torn-tail-tolerant
-:func:`~repro.tools.journal.read_journal`, and the session-rebuild
-replay is the journal replay of PR 4 with a ``session`` column added.
+:func:`~repro.tools.journal.read_journal`, and ``repro journal-replay``
+replays it as a trace journal with a ``session`` column added.
 
 Vertices travel as client-assigned dense integer ids (``rid``), exactly
 like the flat TJ-SP core's int handles — neither endpoint ever
@@ -17,8 +17,8 @@ serialises policy node objects.
 
 Client → server kinds
 ---------------------
-``hello``  open or resume a session (``session``, ``policy``,
-           ``fail_mode``, ``resume``, ``wire``);
+``hello``  open a session (``session``, ``policy``, ``fail_mode``,
+           ``wire``, optional ``tenant``);
 ``init``   root vertex (``task`` rid, ``cseq``);
 ``fork``   child vertex (``parent`` rid or null, ``child`` rid, ``cseq``);
 ``join``   a completed join — the KJ-learn event (``waiter``, ``joinee``,
@@ -26,9 +26,9 @@ Client → server kinds
 ``check``  synchronous join-permit query (``waiter``, ``joinee``, ``req``);
 ``check_batch``  one waiter against many joinees (``waiter``,
            ``joinees``, ``req``);
-``recheck``  re-derivation of a verdict the client answered locally
-           (``waiter``, ``joinee``, optional ``ok``: the verdict acted
-           on, journalled, a disagreement counted); no ``cseq``, no reply;
+``recheck``  an audit of a verdict the client decided locally
+           (``waiter``, ``joinee``, ``ok``: the verdict acted on,
+           journalled, a disagreement counted); no ``cseq``, no reply;
 ``sync``   barrier (``req``), answered after every earlier record;
 ``stats``  introspection query (``req``) — the server answers with its
            full stats snapshot;
@@ -38,25 +38,18 @@ Client → server kinds
 ``check``/``check_batch``/``recheck`` may additionally carry an
 optional trace context (``trace`` id string + ``span`` id int) captured
 at the client's join site; the server parents its ``join_check`` span
-under it so cross-process traces stitch.  The fields are optional and
-unknown fields are ignored, so they are compatible in both directions;
-a peer too old to know the ``stats`` or ``sync`` kind answers with an
-``error`` record (the vocabulary check below), and the ``hello``
-wire-version gate rejects genuinely incompatible peers before any of
-this.
+under it so cross-process traces stitch.  Unknown fields are ignored;
+the ``hello`` wire-version gate rejects incompatible peers.
 
 Server → client kinds
 ---------------------
-``welcome``       session granted (``session``, ``last_seq``,
-                  ``quarantined``);
+``welcome``       session granted (``session``, ``fail_mode``, ``journal``);
 ``verdict``       reply to ``check`` (``req``, ``ok``);
 ``verdicts``      reply to ``check_batch`` (``req``, ``ok`` list);
 ``synced``        reply to ``sync`` (``req``, ``applied`` rechecks,
                   ``mismatches`` among them);
 ``stats_reply``   reply to ``stats`` (``req``, ``stats`` object);
 ``pong``          heartbeat reply;
-``ack``           journal-durable watermark (``seq``): the client may
-                  drop replay-buffer entries at or below it;
 ``quarantine``    the session's policy was quarantined (``policy``,
                   ``site``, ``error``);
 ``backpressure``  the session inbox is full (``limit``);
@@ -96,7 +89,7 @@ __all__ = [
 ]
 
 #: protocol revision; ``hello`` carries it so mismatched peers fail fast
-WIRE_VERSION = 1
+WIRE_VERSION = 2
 
 #: hard bound on one frame's payload — a real record is a few hundred
 #: bytes (a large ``check_batch`` some tens of KB); anything bigger is a
@@ -128,7 +121,6 @@ SERVER_KINDS = frozenset(
         "synced",
         "stats_reply",
         "pong",
-        "ack",
         "quarantine",
         "backpressure",
         "error",
@@ -144,18 +136,17 @@ REQUIRED_FIELDS: dict[str, tuple[str, ...]] = {
     "join": ("waiter", "joinee", "cseq"),
     "check": ("waiter", "joinee", "req"),
     "check_batch": ("waiter", "joinees", "req"),
-    "recheck": ("waiter", "joinee"),
+    "recheck": ("waiter", "joinee", "ok"),
     "sync": ("req",),
     "stats": ("req",),
     "ping": (),
     "bye": (),
-    "welcome": ("session", "last_seq"),
+    "welcome": ("session",),
     "verdict": ("req", "ok"),
     "verdicts": ("req", "ok"),
     "synced": ("req", "applied", "mismatches"),
     "stats_reply": ("req", "stats"),
     "pong": (),
-    "ack": ("seq",),
     "quarantine": ("policy", "site", "error"),
     "backpressure": ("limit",),
     "error": ("message",),
@@ -296,12 +287,11 @@ def dial(
     hello: dict,
     *,
     timeout: float,
-    handshake_timeout: "float | None" = None,
 ) -> "tuple[RecordStream, dict]":
     """Connect, disable Nagle, send *hello*, and read a validated welcome.
 
-    *timeout* bounds the TCP connect and, unless *handshake_timeout* is
-    given, the handshake; the socket keeps that timeout afterwards.
+    *timeout* bounds the TCP connect and the handshake; the socket keeps
+    it afterwards.
     Returns the stream and the ``welcome`` record.  Raises
     :class:`ServiceUnavailableError` when the peer is unreachable or
     drops the connection, :class:`ServiceProtocolError` when it refuses
@@ -314,8 +304,6 @@ def dial(
         raise ServiceUnavailableError(f"cannot reach {host}:{port}: {exc}") from exc
     try:
         set_nodelay(sock)
-        if handshake_timeout is not None:
-            sock.settimeout(handshake_timeout)
         stream = RecordStream(sock)
         stream.send(hello)
         welcome = stream.recv()
@@ -326,7 +314,7 @@ def dial(
             raise ServiceProtocolError(welcome["message"])
         if kind != "welcome":
             raise ServiceProtocolError(f"expected welcome, got {kind!r}")
-    except OSError as exc:  # setsockopt/settimeout on a dying socket
+    except OSError as exc:  # setsockopt on a dying socket
         sock.close()
         raise ServiceUnavailableError(f"handshake failed: {exc}") from exc
     except BaseException:

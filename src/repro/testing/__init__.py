@@ -1,8 +1,8 @@
 """Deterministic fault injection and chaos testing for the runtimes.
 
 :mod:`repro.testing.faults` provides :class:`FaultPlan` — a seeded,
-site-keyed source of injected delays, verifier faults, policy crashes
-and sidecar faults — and :class:`FaultyPolicy`, a policy wrapper that
+site-keyed source of injected delays, verifier faults and policy
+crashes — and :class:`FaultyPolicy`, a policy wrapper that
 injects :class:`~repro.errors.InjectedFaultError` into the verification
 path.
 
@@ -22,11 +22,9 @@ from .chaos import (
     ChaosInvariantError,
     ChaosResult,
     ChaosSpec,
-    ServiceChaosResult,
     generate_spec,
     run_chaos_program,
     run_with_policy_quarantine,
-    run_with_service_faults,
 )
 
 __all__ = [
@@ -36,9 +34,7 @@ __all__ = [
     "FaultPlan",
     "FaultyPolicy",
     "PolicyBugError",
-    "ServiceChaosResult",
     "generate_spec",
     "run_chaos_program",
     "run_with_policy_quarantine",
-    "run_with_service_faults",
 ]

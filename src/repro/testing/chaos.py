@@ -38,9 +38,8 @@ identical with and without injected delays.
 
 The quarantine, procs and predict runners drive programs that are not
 ChaosSpecs — deadlock pairs under a crashing policy, dispatched
-subtrees on worker processes, planted cycles.  The sidecar runner walks
-a ChaosSpec against a remote verifier.  The sweep, verifier-fault,
-retry, quarantine and sidecar slices build their runtimes with
+subtrees on worker processes, planted cycles.  The sweep,
+verifier-fault, retry and quarantine slices build their runtimes with
 :func:`_make_runtime` and end with :func:`quiescence_violations`.
 """
 
@@ -74,7 +73,6 @@ __all__ = [
     "ChaosSpec",
     "ProcsChaosResult",
     "QuarantineChaosResult",
-    "ServiceChaosResult",
     "PredictChaosResult",
     "PredictSpec",
     "generate_predict_spec",
@@ -86,7 +84,6 @@ __all__ = [
     "run_predict_program",
     "run_procs_divergence",
     "run_with_policy_quarantine",
-    "run_with_service_faults",
 ]
 
 RUNTIMES = ("threaded", "pool")
@@ -99,8 +96,6 @@ _FLAKY_RATE = 0.6
 _QUARANTINE_PAIRS = 3
 #: leaves a fail-closed quarantine run forks and joins
 _QUARANTINE_LEAVES = 4
-#: how long the service runner's client waits on a silent sidecar
-_SERVICE_LIVENESS_TIMEOUT = 0.5
 
 
 class ChaosInvariantError(AssertionError):
@@ -222,7 +217,7 @@ def _make_runtime(
 ):
     """The blocking runtime a threaded/pool slice runs on.
 
-    *options* (``fail_mode``, ``verifier``) pass through to the runtime;
+    *options* (``fail_mode``) pass through to the runtime;
     the watchdog stays on and unjoined failures stay quiet, because the
     runners observe every failure themselves.
     """
@@ -640,281 +635,6 @@ def run_with_policy_quarantine(
         deadlock_pairs=_QUARANTINE_PAIRS if fail_mode == "open" else 0,
         deadlocks_avoided=avoided,
         quarantined_joins=quarantined_joins,
-    )
-
-
-@dataclass
-class ServiceChaosResult:
-    """Outcome of one :func:`run_with_service_faults` run."""
-
-    spec: ChaosSpec
-    policy_name: str
-    runtime: str
-    #: stats of the all-local reference run
-    local_stats: VerifierStats
-    #: client-side stats of the remote run (every check counted once)
-    remote_stats: VerifierStats
-    #: was the sidecar kill-9ed (per the plan)?
-    sidecar_killed: bool
-    #: join-check count at which the kill was scheduled
-    kill_after_checks: int
-    #: connection drops injected (sidecar stayed up)
-    drops_injected: int
-    #: degradation episodes the client went through
-    degradations: int
-    #: reconcile passes (gap replays) the client performed
-    reconciles: int
-    #: degraded-window checks the client replayed to the sidecar
-    rechecks_sent: int
-    #: verdict records recovered from the sidecar's journal
-    journal_verdicts: int
-    #: (joiner, joinee, local, remote) tuples that disagreed — must be empty
-    verdict_mismatches: list
-
-
-def _journal_task_ids(
-    records: list, session_id: str, spec: ChaosSpec
-) -> Optional[dict[int, int]]:
-    """Map a session's journalled rids to spec task ids via the fork tree.
-
-    A parent forks its children sequentially from its own thread in spec
-    order, and rids are assigned at fork time, so within one parent
-    ascending rid == ascending spec child id.  None when the journal has
-    no init record for the session or its tree does not match the spec.
-    """
-    tree: dict[int, list[int]] = {}
-    root: Optional[int] = None
-    for r in records:
-        if r.get("session") != session_id:
-            continue
-        if r.get("kind") == "init":
-            root = r["task"]
-        elif r.get("kind") == "fork":
-            tree.setdefault(r["parent"], []).append(r["child"])
-    if root is None:
-        return None
-    rid_to_tid = {root: 0}
-    stack = [root]
-    while stack:
-        prid = stack.pop()
-        kids_r = sorted(set(tree.get(prid, ())))
-        kids_t = spec.children.get(rid_to_tid[prid], ())
-        if len(kids_r) != len(kids_t):
-            return None
-        for rk, tk in zip(kids_r, kids_t):
-            rid_to_tid[rk] = tk
-            stack.append(rk)
-    return rid_to_tid
-
-
-def run_with_service_faults(
-    seed: int,
-    *,
-    policy: Union[str, JoinPolicy] = "TJ-SP",
-    runtime: str = "threaded",
-    max_tasks: int = 12,
-    service_crash_rate: float = 1.0,
-    connection_drop_rate: float = 0.0,
-    check: bool = True,
-) -> ServiceChaosResult:
-    """Kill -9 the verification sidecar mid-run; prove nothing diverged.
-
-    Runs the same seeded deadlock-free program twice: once all-local
-    through :func:`run_chaos_program` (the reference), once against a
-    real sidecar subprocess with faults injected per the
-    :class:`FaultPlan` —
-
-    * ``service_crash_rate`` decides whether the sidecar is SIGKILLed;
-      *when* is a deterministic join-check count drawn from the seed, so
-      the kill lands mid-workload rather than at a wall-clock instant;
-    * ``connection_drop_rate`` decides, per join-check count, whether
-      the client's TCP link is severed while the sidecar stays healthy.
-
-    Afterwards the sidecar is restarted on the same port with the same
-    journal (rebuilding its sessions), the client reconciles, and the
-    runner asserts:
-
-    * the remote runtime quiesced (:func:`quiescence_violations`) and
-      the workload completed with the exact planned fork/join counts on
-      the *client* — no unverified join ever unblocked;
-    * every verdict the sidecar's journal holds (live, recheck-replayed,
-      and restart-re-derived alike) equals the reference run's verdict
-      for that edge — zero divergence;
-    * the journal's verdict count reaches the client's ``joins_checked``
-      — reconcile restored the server's stats exactly;
-    * with no kill planned and no drop injected, the client never
-      degraded, reconciled or sent a recheck — every verdict reached the
-      sidecar as a live check, the path this slice claims to exercise.
-    """
-    import os
-    import tempfile
-    import time
-
-    from ..errors import ServiceDegradedWarning
-    from ..service.client import RemoteVerifier
-    from ..service.proc import SidecarProcess
-    from ..tools.journal import read_journal
-
-    spec = generate_spec(seed, max_tasks=max_tasks, crash_rate=0.0)
-    local = run_chaos_program(spec, policy=policy, runtime=runtime)
-
-    plan = FaultPlan(
-        seed=seed,
-        service_crash_rate=service_crash_rate,
-        connection_drop_rate=connection_drop_rate,
-    )
-    kill_planned = plan.service_crash(("sidecar", seed))
-    total = max(1, spec.total_joins)
-    kill_after = 1 + random.Random(f"{seed}|service-kill-point").randrange(total)
-    drop_points = sorted(
-        k for k in range(1, total + 1) if plan.connection_drop(("join-count", k))
-    )
-
-    policy_obj = resolve_policy(policy)
-    session_id = f"chaos-service-{seed}"
-
-    def session_verdicts(records: list) -> list:
-        return [
-            r
-            for r in records
-            if r.get("kind") == "verdict" and r.get("session") == session_id
-        ]
-
-    problems: list[str] = []
-    drops_done = 0
-
-    with tempfile.TemporaryDirectory(
-        prefix="repro-service-chaos-"
-    ) as journal_dir, warnings.catch_warnings():
-        warnings.simplefilter("ignore", ServiceDegradedWarning)
-        journal_path = os.path.join(journal_dir, f"sidecar-{seed}.jsonl")
-        sidecar = SidecarProcess(journal_path=journal_path, ack_every=8)
-        try:
-            rv = RemoteVerifier(
-                sidecar.url,
-                policy_obj,
-                fail_mode="open",
-                session=session_id,
-                liveness_timeout=_SERVICE_LIVENESS_TIMEOUT,
-            )
-            rt = _make_runtime(runtime, policy_obj, fail_mode="open", verifier=rv)
-
-            stop_monitor = threading.Event()
-
-            def monitor() -> None:
-                nonlocal drops_done
-                fired_kill = False
-                pending_drops = list(drop_points)
-                while not stop_monitor.wait(0.001):
-                    checked = rv.stats.joins_checked
-                    if kill_planned and not fired_kill and checked >= kill_after:
-                        sidecar.kill9()
-                        fired_kill = True
-                    while pending_drops and checked >= pending_drops[0]:
-                        pending_drops.pop(0)
-                        if sidecar.alive() and not rv.degraded:
-                            rv._test_drop_connection()
-                            drops_done += 1
-
-            monitor_thread = threading.Thread(target=monitor, daemon=True)
-            monitor_thread.start()
-            try:
-                walk = _walk(spec, rt, plan.without_faults())
-            finally:
-                stop_monitor.set()
-                monitor_thread.join(timeout=5.0)
-            problems += quiescence_violations(rt, walk.handles, walk.futures)
-
-            # The kill must happen even if the workload outran the monitor.
-            if kill_planned and sidecar.alive():
-                sidecar.kill9()
-            if not sidecar.alive():
-                sidecar.restart()
-
-            # Reconcile: reconnect (replays the event gap + rechecks), then
-            # wait for the journal to hold one verdict per client check.
-            remote_stats = rv.stats
-            deadline = time.monotonic() + 20.0
-            while time.monotonic() < deadline:
-                if rv.degraded:
-                    rv.try_reconnect()
-                n_verdicts = len(session_verdicts(read_journal(journal_path).records))
-                if not rv.degraded and n_verdicts >= remote_stats.joins_checked:
-                    break
-                time.sleep(0.05)
-            rv.close()
-        finally:
-            sidecar.stop()
-
-        records = read_journal(journal_path).records
-
-    verdict_records = session_verdicts(records)
-    verdict_mismatches: list = []
-    if local.verdicts is not None:
-        rid_to_tid = _journal_task_ids(records, session_id, spec)
-        if rid_to_tid is None:
-            problems.append("journal fork tree does not match the spec")
-            verdict_records = []
-        for r in verdict_records:
-            a = rid_to_tid.get(r["waiter"])
-            b = rid_to_tid.get(r["joinee"])
-            if a is None or b is None:
-                problems.append(f"verdict references unknown rid: {r}")
-                continue
-            want = local.verdicts.get((a, b))
-            if want is not None and bool(r["ok"]) != want:
-                verdict_mismatches.append((a, b, want, bool(r["ok"])))
-    n_verdicts = len(verdict_records)
-
-    if remote_stats.forks != spec.n_tasks:
-        problems.append(
-            f"remote forks {remote_stats.forks} != n_tasks {spec.n_tasks}"
-        )
-    if remote_stats.joins_checked != spec.total_joins:
-        problems.append(
-            f"remote joins_checked {remote_stats.joins_checked} "
-            f"!= planned {spec.total_joins}"
-        )
-    if kill_planned and rv.degradations < 1:
-        problems.append("sidecar was killed but the client never degraded")
-    if not kill_planned and drops_done == 0:
-        for what, count in (
-            ("degradations", rv.degradations),
-            ("reconciles", rv.reconciles),
-            ("rechecks sent", rv.rechecks_sent),
-        ):
-            if count:
-                problems.append(f"fault-free run, yet the client counted {count} {what}")
-    if n_verdicts < remote_stats.joins_checked:
-        problems.append(
-            f"journal verdicts {n_verdicts} < client checks "
-            f"{remote_stats.joins_checked}: reconcile did not restore stats"
-        )
-    if verdict_mismatches:
-        problems.append(
-            f"{len(verdict_mismatches)} verdicts diverged from the local run: "
-            f"{verdict_mismatches[:5]}"
-        )
-
-    if check and problems:
-        raise ChaosInvariantError(
-            f"seed {seed} policy {policy_obj.name} runtime {runtime} (service): "
-            + "; ".join(problems)
-        )
-    return ServiceChaosResult(
-        spec=spec,
-        policy_name=policy_obj.name,
-        runtime=runtime,
-        local_stats=local.stats,
-        remote_stats=remote_stats,
-        sidecar_killed=kill_planned,
-        kill_after_checks=kill_after,
-        drops_injected=drops_done,
-        degradations=rv.degradations,
-        reconciles=rv.reconciles,
-        rechecks_sent=rv.rechecks_sent,
-        journal_verdicts=n_verdicts,
-        verdict_mismatches=verdict_mismatches,
     )
 
 

@@ -63,15 +63,7 @@ class FaultPlan:
       *internal* policy bug, the kind the verifier's quarantine fault
       boundary must absorb — as opposed to an ``InjectedFaultError``,
       which the chaos contract requires to propagate unchanged under
-      ``fail_mode="raise"``);
-    * ``service_crash_rate`` — probability :meth:`service_crash` returns
-      True at a site; the service chaos runner kill-9s the verification
-      sidecar there (the client must degrade, stay sound, and reconcile
-      when the sidecar returns);
-    * ``connection_drop_rate`` — probability :meth:`connection_drop`
-      returns True; the harness severs the client's TCP link at that
-      site without touching the (healthy) sidecar, exercising the
-      degrade-and-resume path in isolation.
+      ``fail_mode="raise"``).
     """
 
     seed: int = 0
@@ -79,8 +71,6 @@ class FaultPlan:
     max_delay: float = 0.002
     verifier_fault_rate: float = 0.0
     policy_crash_rate: float = 0.0
-    service_crash_rate: float = 0.0
-    connection_drop_rate: float = 0.0
 
     def _rng(self, site: object) -> random.Random:
         return random.Random(f"{self.seed}|{site!r}")
@@ -111,14 +101,6 @@ class FaultPlan:
     def policy_crash(self, site: object) -> bool:
         return self.decide(("policy-crash", site), self.policy_crash_rate)
 
-    def service_crash(self, site: object) -> bool:
-        """Should the verification sidecar be kill-9ed at *site*?"""
-        return self.decide(("service-crash", site), self.service_crash_rate)
-
-    def connection_drop(self, site: object) -> bool:
-        """Should the client's sidecar connection be severed at *site*?"""
-        return self.decide(("connection-drop", site), self.connection_drop_rate)
-
     # ------------------------------------------------------------------
     def without_delays(self) -> "FaultPlan":
         """The same plan with delays stripped; fault decisions are keyed
@@ -132,8 +114,6 @@ class FaultPlan:
             delay_rate=0.0,
             verifier_fault_rate=0.0,
             policy_crash_rate=0.0,
-            service_crash_rate=0.0,
-            connection_drop_rate=0.0,
         )
 
 

@@ -28,23 +28,20 @@ Commands
     bound row, and exit 1 if any row FAILs.
 ``run <trace-file> [--runtime threaded|pool] [--policy P] [--timeout S]
 [--watchdog-interval S] [--no-watchdog] [--fail-mode raise|open|closed]
-[--journal PATH] [--verifier remote://HOST:PORT]``
+[--journal PATH]``
     Execute the trace on a *blocking* runtime under full supervision:
     join deadlines, stall watchdog, cancellation.  Joins refused or
     terminated by the supervision layer are reported, never hung.
-    ``--journal`` writes a crash-consistent trace journal of the run;
-    ``--verifier`` checks joins against a verification sidecar instead
-    of the in-process verifier (degrading to local Armus fallback if
-    the sidecar goes away).
+    ``--journal`` writes a crash-consistent trace journal of the run.
 ``serve [--host H] [--port P] [--journal PATH] [--inbox-limit N]
-[--ack-every N] [--liveness-timeout S] [--obs]``
-    Run the verification sidecar: a long-lived server that verifies
-    fork/join event streams for many client processes.  Prints
+[--liveness-timeout S] [--obs]``
+    Run the verification sidecar: a long-lived server that audits the
+    fork/join streams of many client processes.  Prints
     ``LISTENING <host> <port>`` once ready and blocks until SIGTERM;
-    with ``--journal`` it rebuilds live sessions from the journal on
-    restart.  ``--obs`` turns telemetry on in the sidecar so ``stats``
-    requests return metrics and trace state (and ``repro top --live``
-    can attach).
+    ``--journal`` writes a post-mortem journal to a path that must be
+    missing or empty (exit 2 otherwise, the file untouched).  ``--obs``
+    turns telemetry on in the sidecar so ``stats`` requests return
+    metrics and trace state (and ``repro top --live`` can attach).
 ``journal-replay <journal-file>``
     Reconstruct verifier state from a trace or sidecar journal
     (tolerating a crash-torn tail) and print the post-mortem: blocked
@@ -53,15 +50,12 @@ Commands
     if the journal file is missing or empty.
 ``chaos [--programs N] [--seed S] [--policies ...] [--runtimes ...]
 [--crash-rate R] [--delay-rate R] [--fault-rate R] [--max-tasks N]
-[--smoke] [--recovery] [--service]``
+[--smoke] [--recovery]``
     Run the deterministic fault-injection suite: seeded random fork/join
     programs across policies and runtimes, checking the supervised-
     runtime invariants.  ``--recovery`` adds the self-healing slice:
     policy-crash quarantine (fail-open and fail-closed) plus flaky-task
-    retry programs.  ``--service`` adds the sidecar slice: kill -9 the
-    verification sidecar mid-run and assert the client degrades, stays
-    sound, and reconciles to verdict equality with an all-local run.
-    Exits 1 on any violation.
+    retry programs.  Exits 1 on any violation.
 ``top (--live URL [--once] | --metrics FILE | --predict JOURNAL |
 <trace-file> [--runtime R] [--policy P] [--interval S])``
     The live telemetry view: with ``--live``, attach to a running
@@ -206,7 +200,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             watchdog=watchdog,
             fail_mode=args.fail_mode,
             journal=args.journal,
-            verifier=args.verifier,
         )
         rt = outcome.runtime
         print(f"runtime:          {args.runtime}")
@@ -222,14 +215,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             print(f"watchdog stalls:  {rt.watchdog.deadlocks_detected}")
         if rt.verifier.quarantined:
             print(f"QUARANTINED:      {rt.verifier.quarantine_error}")
-        if args.verifier:
-            snap = rt.verifier.service_snapshot()
-            print(f"verifier:         {args.verifier}")
-            print(
-                f"service:          degraded={snap['degraded']} "
-                f"degradations={snap['degradations']} "
-                f"reconciles={snap['reconciles']}"
-            )
         if args.journal:
             print(f"journal:          {args.journal}")
         _export_telemetry(session, args)
@@ -274,7 +259,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.journal:
         argv += ["--journal", args.journal]
     argv += ["--inbox-limit", str(args.inbox_limit)]
-    argv += ["--ack-every", str(args.ack_every)]
     argv += ["--liveness-timeout", str(args.liveness_timeout)]
     if args.obs:
         argv += ["--obs"]
@@ -392,18 +376,6 @@ def _chaos_body(args: argparse.Namespace) -> int:
         note_inline(result)
         return "".join(f"\n  {violation}" for violation in result.violations)
 
-    def service(seed: int, runtime: str) -> None:
-        result = chaos.run_with_service_faults(
-            seed, policy="TJ-SP", runtime=runtime, max_tasks=max_tasks
-        )
-        print(
-            f"service seed={seed} runtime={runtime}: "
-            f"killed={result.sidecar_killed} "
-            f"degradations={result.degradations} "
-            f"reconciles={result.reconciles} "
-            f"verdicts={result.journal_verdicts}"
-        )
-
     def failure(runner, *runner_args, **runner_kwargs) -> str:
         try:
             note_inline(runner(*runner_args, **runner_kwargs))
@@ -458,13 +430,6 @@ def _chaos_body(args: argparse.Namespace) -> int:
                     "--recovery", i,
                     policies="none", runtimes=runtime, max_tasks=max_tasks,
                     fault_rate=0, programs=0)
-    if args.service:
-        for runtime in runtimes:
-            for i in indices(half if args.smoke else max(2, programs // 2)):
-                seed = args.seed + i
-                add("service", f"service seed={seed} runtime={runtime}",
-                    partial(failure, service, seed, runtime), "--service", i,
-                    runtimes=runtime, max_tasks=max_tasks, fault_rate=0, programs=0)
 
     repro_printed = False
 
@@ -527,7 +492,7 @@ def _chaos_body(args: argparse.Namespace) -> int:
 
     print(
         f"chaos: {total} programs ({runs['fault']} with verifier faults, "
-        f"{runs['recovery']} recovery, {runs['service']} service, "
+        f"{runs['recovery']} recovery, "
         f"{runs['predict']} predict), "
         f"{total - bad} passed, {bad} failed, kernel={TJSpawnPathsFlat().backend}"
     )
@@ -883,11 +848,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="write a crash-consistent trace journal of the run",
     )
     p.add_argument(
-        "--verifier",
-        metavar="URL",
-        help="verify joins against a sidecar, e.g. remote://127.0.0.1:7461",
-    )
-    p.add_argument(
         "--trace-out",
         metavar="PATH",
         help="write a Perfetto/Chrome-trace JSON of the run",
@@ -904,9 +864,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=0, help="0 picks a free port")
-    p.add_argument("--journal", metavar="PATH", help="crash-recovery journal")
+    p.add_argument(
+        "--journal", metavar="PATH", help="post-mortem journal (missing or empty)"
+    )
     p.add_argument("--inbox-limit", type=int, default=1024)
-    p.add_argument("--ack-every", type=int, default=256)
     p.add_argument("--liveness-timeout", type=float, default=5.0)
     p.add_argument(
         "--obs",
@@ -1012,11 +973,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--journal-dir",
         metavar="DIR",
         help="where the predict slice writes its journals (default: tmp)",
-    )
-    p.add_argument(
-        "--service",
-        action="store_true",
-        help="add the sidecar kill-9 / degradation / reconcile slice",
     )
     p.add_argument(
         "--trace-out",

@@ -373,7 +373,7 @@ def _rid(value: object) -> str:
 
 
 #: optional state-event fields; edge/depth are the authoritative placement
-#: on tenant forks — recovery must not re-derive sibling order from replay
+#: on tenant forks — a replay must not re-derive sibling order from arrival
 _EVENT_FIELDS = ("task", "parent", "child", "waiter", "joinee", "edge", "depth")
 
 
@@ -400,7 +400,8 @@ class ServiceJournal(JournalWriter):
         fail_mode: str,
         tenant: "str | None" = None,
     ) -> None:
-        """A session came into existence; critical — resume depends on it."""
+        """A session came into existence; critical — a post-mortem replay
+        reads every later record of the session against it."""
         body = (
             f'"kind":"start","session":{json.dumps(session_id)},'
             f'"policy":{json.dumps(policy)},"fail_mode":{json.dumps(fail_mode)},'
@@ -423,11 +424,11 @@ class ServiceJournal(JournalWriter):
 
     def log_verdict(self, session_id: str, waiter: int, joinee: int, ok: bool) -> None:
         # Always critical: the verdict reply must not outrun durability.
-        # A kill -9 between an answered check and its flush would make the
-        # rebuilt session undercount — breaking the exact-stats contract
-        # reconcile-on-reconnect promises.  (A flush is a buffered write
-        # to the page cache, not an fsync; the cost is noise next to the
-        # network round trip the check already paid.)
+        # A kill -9 between an answered check and its flush would leave
+        # the post-mortem replay (`repro journal-replay`) short of a
+        # verdict a client acted on.  (A flush is a buffered write to the
+        # page cache, not an fsync; the cost is noise next to the network
+        # round trip the check already paid.)
         body = (
             f'"kind":"verdict","session":{json.dumps(session_id)},'
             f'"waiter":{_rid(waiter)},"joinee":{_rid(joinee)},'

@@ -147,7 +147,6 @@ def replay_on_threaded(
     watchdog: Union[bool, float] = True,
     fail_mode: str = "raise",
     journal: Optional[str] = None,
-    verifier: Union[None, str, object] = None,
 ) -> ReplayOutcome:
     """Run *trace* on a fresh blocking runtime (``"threaded"`` —
     thread-per-task :class:`~repro.runtime.threaded.TaskRuntime`, the
@@ -178,7 +177,6 @@ def replay_on_threaded(
             watchdog=watchdog,
             fail_mode=fail_mode,
             journal=journal,
-            verifier=verifier,
         )
     elif runtime == "pool":
         rt = WorkSharingRuntime(
@@ -188,7 +186,6 @@ def replay_on_threaded(
             watchdog=watchdog,
             fail_mode=fail_mode,
             journal=journal,
-            verifier=verifier,
         )
     else:
         raise ValueError(f"unknown runtime {runtime!r}; use 'threaded' or 'pool'")
@@ -395,7 +392,7 @@ def replay_journal(path: str) -> JournalReplay:
     namespace per tenant, or per session without a tenant, each with a
     policy made at its first ``start``, and names vertices
     ``<tenant or session>:<rid>``.  A tenant's forks are placed by their
-    journalled ``edge``/``depth``, as the sidecar's own recovery does.
+    journalled ``edge``/``depth``, as the live tenant placed them.
     """
     from .journal import read_journal
 

@@ -31,7 +31,6 @@ EXPECTED = {
     "telemetry.wall": ("telemetry.wall_s", "<", 120.0, 30.0, {}),
     "service.joins": ("service.joins", ">=", 100_000, 100_000, {}),
     "service.degradations": ("service.degradations", "<=", 0, 0, {}),
-    "service.reconciles": ("service.reconciles", "<=", 0, 0, {}),
     "service.rss_flat": ("service.rss_growth", "<=", 1.25, 1.25, {"rss_before_kb": 50_000}),
     "service.wall": ("service.wall_s", "<", 120.0, None, {}),
     "procs.divergences": ("procs.divergences", "<=", 0, 0, {}),

@@ -22,7 +22,6 @@ from repro.errors import (
     PolicyQuarantinedError,
     PolicyViolationError,
     ReproError,
-    ServiceBackpressureError,
     TaskCancelledError,
     TaskFailedError,
 )
@@ -102,7 +101,6 @@ def _every_public_error():
         DeadlockAvoidedError(cycle=(_Handle("a"), _Handle("b"), _Handle("a"))),
         DeadlockDetectedError(cycle=("a", "b", "a")),
         JoinTimeoutError(_Handle("joiner"), _Handle("joinee"), 1.5),
-        ServiceBackpressureError("sess-1", 1024),
         TaskCancelledError(_Handle("victim")),
         _failed_with_batch_index(),
         InjectedFaultError(site="join:4"),

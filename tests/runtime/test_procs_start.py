@@ -4,9 +4,10 @@ Every worker is a fork of one fork server per process, which preloads
 the worker's modules.  These tests pin that: workers are the server's
 children across runs, they inherit the preload instead of importing it,
 a killed server is relaunched with its preload on the next run, a server
-killed mid-run is not mistaken for the death of its workers, and an
-interpreter that exits reaps its server.  A finished runtime that stays
-referenced holds no file descriptor or named semaphore.
+killed mid-run is not mistaken for the death of its workers, workers
+that all die leave an error naming their exit codes, and an interpreter
+that exits reaps its server.  A finished runtime that stays referenced
+holds no file descriptor or named semaphore.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import time
 
 import pytest
 
+from repro.errors import TaskFailedError
 from repro.runtime import ProcessRuntime
 from repro.runtime import procs
 
@@ -179,3 +181,25 @@ def test_a_killed_workers_backlog_leaves_no_feeder_thread():
     assert rt.worker_deaths == 1
     assert _feeders() == feeders
     assert _held() == before
+
+
+class _ExitOnUnpickle:
+    """A dispatch argument whose unpickling exits the worker with code 3."""
+
+    def __reduce__(self):
+        return (os._exit, (3,))
+
+
+def test_when_every_worker_dies_the_error_names_each_exit_code():
+    """Both workers die unpickling the one dispatch (the second after its
+    redispatch); the root's join fails naming each dead worker's index
+    and exit code."""
+    rt = ProcessRuntime(workers=2, seg0=64, stripe=16)
+    with pytest.raises(TaskFailedError) as info:
+        rt.run(lambda: rt.join(rt.fork(nap, _ExitOnUnpickle())))
+    assert rt.worker_deaths == 2
+    assert rt.tasks_redispatched == 1
+    message = str(info.value.root_cause)
+    assert "no live worker processes to redispatch to" in message
+    assert "worker 0 exit code 3" in message
+    assert "worker 1 exit code 3" in message

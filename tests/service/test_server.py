@@ -1,15 +1,17 @@
-"""The verification sidecar server: sessions, parity, isolation, recovery.
+"""The verification sidecar server: sessions, parity, isolation, journal.
 
 Everything here runs an in-process :class:`VerificationServer` over real
 loopback TCP — the same sockets and threads as production, minus the
-subprocess boundary (covered by ``test_client_degradation`` and the
-chaos suite).  In-process matters for the fault tests: they reach into a
-live session and swap its policy for one that explodes, which no public
-surface allows (the registry contains no broken policies, by design).
+subprocess boundary (covered by the ``SidecarProcess`` pipe test below
+and ``tests/chaos/test_procs_faults.py``).  In-process matters for the
+fault tests: they reach into a live session and swap its policy for one
+that explodes, which no public surface allows (the registry contains no
+broken policies, by design).
 """
 
 from __future__ import annotations
 
+import gc
 import socket
 import sys
 import threading
@@ -21,15 +23,10 @@ import pytest
 from repro import obs
 from repro.core.policy import make_policy
 from repro.core.verifier import Verifier
-from repro.errors import (
-    JournalError,
-    PolicyQuarantinedError,
-    PolicyQuarantineWarning,
-    ServiceBackpressureError,
-    ServiceDegradedWarning,
-)
-from repro.service.client import RemoteVerifier, SessionClient, parse_remote_url
-from repro.service.server import ServiceJournal, VerificationServer
+from repro.errors import JournalError, PolicyQuarantineWarning
+from repro.service.client import SessionClient, parse_remote_url
+from repro.service.proc import SidecarProcess
+from repro.service.server import ServiceJournal, VerificationServer, main
 from repro.service.wire import WIRE_VERSION, RecordStream
 from repro.tools.journal import read_journal
 
@@ -67,10 +64,27 @@ def raw_session(
             "policy": policy,
             "fail_mode": fail_mode,
             "wire": wire,
-            "resume": False,
         }
     )
     return stream, stream.recv()
+
+
+def session_client(server: VerificationServer, session: str, **kwargs) -> SessionClient:
+    """A connected :class:`SessionClient` on *server*."""
+    client = SessionClient(remote_url(server), session, **kwargs)
+    assert client.connect(), client.degrade_reason
+    return client
+
+
+def program_client(server: VerificationServer, session: str) -> SessionClient:
+    """A non-tenant session holding the program root forks a, b; a forks
+    c — rids 0 (root), 1 (a), 2 (b), 3 (c)."""
+    client = session_client(server, session)
+    client.init(0)
+    client.fork(0, 1, 0, 1)
+    client.fork(0, 2, 1, 1)
+    client.fork(1, 3, 0, 2)
+    return client
 
 
 class _ExplodingPolicy:
@@ -88,9 +102,7 @@ class _ExplodingPolicy:
 
 @pytest.fixture()
 def server(tmp_path):
-    srv = VerificationServer(
-        journal_path=str(tmp_path / "service.jsonl"), ack_every=4, flush_every=1
-    )
+    srv = VerificationServer(journal_path=str(tmp_path / "service.jsonl"), flush_every=1)
     with srv:
         yield srv
 
@@ -101,8 +113,6 @@ class TestHandshake:
         try:
             assert welcome["kind"] == "welcome"
             assert welcome["session"] == "hs"
-            assert welcome["last_seq"] == -1  # nothing applied yet
-            assert welcome["quarantined"] is False
             assert welcome["fail_mode"] == "open"
             assert welcome["journal"] is True
         finally:
@@ -146,7 +156,6 @@ class TestHandshake:
                     "policy": "TJ-SP",
                     "fail_mode": "open",
                     "wire": WIRE_VERSION,
-                    "resume": True,
                 }
             )
             reply = stream.recv()
@@ -155,78 +164,59 @@ class TestHandshake:
         finally:
             stream.sock.close()
 
-    def test_resume_welcome_quotes_the_applied_watermark(self, server):
-        stream, _ = raw_session(server, "resume")
-        stream.send({"kind": "init", "task": 0, "cseq": 0})
-        stream.send({"kind": "fork", "parent": 0, "child": 1, "cseq": 1})
-        # a check is answered only after every earlier event applied
-        stream.send({"kind": "check", "waiter": 0, "joinee": 1, "req": 0})
-        while True:
-            reply = stream.recv()
-            if reply["kind"] == "verdict":
-                break
-        stream.sock.close()
-        again, welcome = raw_session(server, "resume")
-        try:
-            assert welcome["last_seq"] == 1
-        finally:
-            again.sock.close()
-
 
 class TestVerdictParity:
     """The sidecar must answer exactly as a local Verifier would."""
 
-    def _program(self, v):
-        """root forks a, b; a forks c.  Returns the four vertices."""
-        root = v.on_init()
-        a = v.on_fork(root)
-        b = v.on_fork(root)
-        c = v.on_fork(a)
-        return root, a, b, c
+    @staticmethod
+    def _local():
+        """:func:`program_client`'s program on a local verifier; returns
+        the verifier and the four vertices."""
+        local = Verifier(make_policy("TJ-SP"))
+        root = local.on_init()
+        a = local.on_fork(root)
+        b = local.on_fork(root)
+        return local, (root, a, b, local.on_fork(a))
 
     def test_single_checks_match_local(self, server):
-        local = Verifier(make_policy("TJ-SP"))
-        lroot, la, lb, lc = self._program(local)
-        with RemoteVerifier(remote_url(server), "TJ-SP", session="parity-1") as rv:
-            rroot, ra, rb, rc = self._program(rv)
-            pairs = [
-                ((lroot, la), (rroot, ra)),
-                ((lroot, lb), (rroot, rb)),
-                ((la, lc), (ra, rc)),
-                ((la, lb), (ra, rb)),  # sibling join: the interesting verdict
-                ((lb, lc), (rb, rc)),
-                ((lroot, lc), (rroot, rc)),
-            ]
+        local, v = self._local()
+        client = program_client(server, "parity-1")
+        try:
+            pairs = [(0, 1), (0, 2), (1, 3), (1, 2), (2, 3), (0, 3)]  # (1, 2): a sibling join
             verdicts = []
-            for (lw, lj), (rw, rj) in pairs:
-                want = local.check_join(lw, lj)
-                got = rv.check_join(rw, rj)
-                assert got == want
+            for w, j in pairs:
+                want = local.check_join(v[w], v[j])
+                assert client.check(w, j) == want
                 verdicts.append(want)
-            # the program must exercise both verdicts or parity is vacuous
+            # the program must produce both verdicts or parity is vacuous
             assert True in verdicts and False in verdicts
-            assert rv.stats.joins_checked == local.stats.joins_checked
-            assert rv.stats.joins_rejected == local.stats.joins_rejected
+            snap = server.session("parity-1").snapshot()
+            assert snap["joins_checked"] == local.stats.joins_checked == len(pairs)
+            assert snap["joins_rejected"] == local.stats.joins_rejected
+        finally:
+            client.close()
 
     def test_batch_checks_match_local(self, server):
-        local = Verifier(make_policy("TJ-SP"))
-        lroot, la, lb, lc = self._program(local)
-        with RemoteVerifier(remote_url(server), "TJ-SP", session="parity-2") as rv:
-            rroot, ra, rb, rc = self._program(rv)
-            want = local.check_joins(la, [lc, lb])
-            got = rv.check_joins(ra, [rc, rb])
-            assert got == want
-            assert rv.check_joins(rroot, []) == []
+        local, v = self._local()
+        client = program_client(server, "parity-2")
+        try:
+            want = local.check_joins(v[1], [v[3], v[2]])
+            assert True in want and False in want
+            assert client.check_batch(1, [3, 2]) == want
+            assert client.check_batch(0, []) == []
+        finally:
+            client.close()
 
     def test_server_session_counts_every_check(self, server):
-        with RemoteVerifier(remote_url(server), "TJ-SP", session="counts") as rv:
-            root, a, b, _ = self._program(rv)
-            rv.check_join(root, a)
-            rv.check_joins(root, [a, b])
+        client = program_client(server, "counts")
+        try:
+            client.check(0, 1)
+            client.check_batch(0, [1, 2])
             snap = server.session("counts").snapshot()
-            assert snap["joins_checked"] == 3
-            assert snap["forks"] == rv.stats.forks == 4
-            assert snap["vertices"] == 4
+            assert snap["checks"] == snap["joins_checked"] == 3
+            assert snap["forks"] == snap["vertices"] == 4
+        finally:
+            client.close()
 
 
 class TestProtocolFaults:
@@ -241,19 +231,20 @@ class TestProtocolFaults:
         finally:
             stream.sock.close()
 
-    def test_duplicate_events_are_dropped_idempotently(self, server):
-        # an over-eager resume replay must not double-apply state
-        stream, _ = raw_session(server, "dups")
+    def test_out_of_sequence_events_are_dropped_and_counted(self, server):
+        stream, _ = raw_session(server, "gaps")
         try:
             stream.send({"kind": "init", "task": 0, "cseq": 0})
             for _ in range(3):  # the same fork three times
                 stream.send({"kind": "fork", "parent": 0, "child": 1, "cseq": 1})
+            stream.send({"kind": "fork", "parent": 0, "child": 2, "cseq": 5})  # a gap
             stream.send({"kind": "check", "waiter": 0, "joinee": 1, "req": 0})
             while stream.recv()["kind"] != "verdict":
                 pass
-            snap = server.session("dups").snapshot()
-            assert snap["forks"] == 2  # init + one fork, not three
+            snap = server.session("gaps").snapshot()
+            assert snap["forks"] == 2  # init + one fork
             assert snap["applied_seq"] == 1
+            assert snap["gap_drops"] == 3  # two duplicates and the gap
         finally:
             stream.sock.close()
 
@@ -377,79 +368,57 @@ class TestQuarantineIsolation:
     def _poison(self, server, session_id: str) -> None:
         server.session(session_id).verifier.policy = _ExplodingPolicy()
 
-    def test_fail_open_client_adopts_the_quarantine_and_keeps_going(self, server):
-        with RemoteVerifier(remote_url(server), "TJ-SP", session="sick") as sick, \
-                RemoteVerifier(remote_url(server), "TJ-SP", session="healthy") as healthy:
-            s_root = sick.on_init()
-            s_kid = sick.on_fork(s_root)
-            h_root = healthy.on_init()
-            h_a = healthy.on_fork(h_root)
-            h_b = healthy.on_fork(h_root)
-            assert sick.check_join(s_root, s_kid) is True  # healthy so far
-
+    def test_fail_open_client_keeps_getting_answers(self, server):
+        sick = program_client(server, "sick")
+        healthy = program_client(server, "healthy")
+        try:
+            assert sick.check(0, 1) is True  # healthy so far
             self._poison(server, "sick")
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", PolicyQuarantineWarning)
                 # fail-open: the faulting check still answers True
-                assert sick.check_join(s_root, s_kid) is True
-                assert wait_until(lambda: sick.quarantined)
-            assert sick.unsound  # HybridVerifier force-checks from here on
+                assert sick.check(0, 1) is True
+                assert sick.check_batch(0, [1, 2]) == [True, True]
+            assert not sick.degraded
             assert server.session("sick").snapshot()["quarantined"] is True
 
             # the other tenant's session is a different policy instance:
             # verdicts stay real, nothing is quarantined
-            assert healthy.check_join(h_root, h_a) is True
-            assert healthy.check_join(h_a, h_b) is False
-            assert not healthy.quarantined
+            assert healthy.check(0, 1) is True
+            assert healthy.check(1, 2) is False
+            assert not healthy.degraded
             assert server.session("healthy").snapshot()["quarantined"] is False
+        finally:
+            sick.close()
+            healthy.close()
 
-    def test_fail_closed_client_gets_the_quarantine_raised(self, server):
-        with RemoteVerifier(
-            remote_url(server), "TJ-SP", fail_mode="closed", session="closed"
-        ) as rv:
-            root = rv.on_init()
-            kid = rv.on_fork(root)
-            assert rv.check_join(root, kid) is True
+    def test_fail_closed_client_degrades_naming_the_quarantine(self, server):
+        client = session_client(server, "closed", fail_mode="closed")
+        try:
+            client.init(0)
+            client.fork(0, 1, 0, 1)
+            assert client.check(0, 1) is True
             self._poison(server, "closed")
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", PolicyQuarantineWarning)
-                with pytest.raises(PolicyQuarantinedError):
-                    rv.check_join(root, kid)
-                # and every later check short-circuits client-side
-                with pytest.raises(PolicyQuarantinedError):
-                    rv.check_join(root, kid)
-
-    def test_an_adopted_quarantine_is_counted_only_as_policy_faults(self, server):
-        with obs.enabled(tracing=False) as tel, RemoteVerifier(
-            remote_url(server), session="once"
-        ) as rv, warnings.catch_warnings():
-            warnings.simplefilter("ignore", PolicyQuarantineWarning)
-            root = rv.on_init()
-            kid = rv.on_fork(root)
-            assert rv.check_join(root, kid) is True
-            self._poison(server, "once")
-            rv.check_join(root, kid)
-            assert wait_until(lambda: rv.quarantined)
-            snap = tel.snapshot()
-        # one fault in the sidecar session, one adoption in the client
-        assert rv.stats.policy_faults == server.session("once").verifier.stats.policy_faults == 1
-        assert snap["sources"]["verifier"]["policy_faults"] == 2
-        assert "quarantine" not in str(snap["counters"])
+                assert client.check(0, 1) is None
+            assert client.degraded
+            assert "quarantine" in client.degrade_reason
+            assert client.check(0, 1) is None  # degradation is permanent
+        finally:
+            client.close()
 
     def test_quarantine_survives_in_the_journal(self, server):
-        with RemoteVerifier(remote_url(server), "TJ-SP", session="post") as rv:
-            root = rv.on_init()
-            kid = rv.on_fork(root)
-            rv.check_join(root, kid)
+        client = program_client(server, "post")
+        try:
+            client.check(0, 1)
             self._poison(server, "post")
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", PolicyQuarantineWarning)
-                rv.check_join(root, kid)
-                assert wait_until(lambda: rv.quarantined)
-        assert server.journal is not None
+                client.check(0, 1)
+        finally:
+            client.close()
         server.journal.flush()
-        from repro.tools.journal import read_journal
-
         kinds = [
             r["kind"]
             for r in read_journal(server.journal.path).records
@@ -459,99 +428,33 @@ class TestQuarantineIsolation:
 
 
 class TestBackpressure:
-    def test_full_inbox_refuses_and_the_client_raises(self, tmp_path):
+    def test_full_inbox_refuses_and_the_client_degrades(self, tmp_path):
         with VerificationServer(
             journal_path=str(tmp_path / "bp.jsonl"), inbox_limit=4, flush_every=1
         ) as srv:
-            rv = RemoteVerifier(remote_url(srv), "TJ-SP", session="bp")
+            client = session_client(srv, "bp")
+            sess = None
             try:
-                root = rv.on_init()
-                kid = rv.on_fork(root)
-                assert rv.check_join(root, kid) is True  # session is live
+                client.init(0)
+                client.fork(0, 1, 0, 1)
+                assert client.check(0, 1) is True  # session is live
                 sess = srv.session("bp")
                 sess.drain_gate.clear()  # park the worker between records
-                try:
-                    forks = 20
-                    for _ in range(forks):
-                        rv.on_fork(root)  # fire-and-forget floods the inbox
-                    assert wait_until(lambda: sess.backpressure_refusals >= 1)
-                    assert wait_until(lambda: rv._backpressure is not None)
-                    # the refusal surfaces at the next synchronous call...
-                    with pytest.raises(ServiceBackpressureError):
-                        rv.check_join(root, kid)
-                finally:
-                    sess.drain_gate.set()
-                # ...but nothing is lost: the refused events sat in the
-                # replay buffer, and reconcile rounds re-deliver them.  A
-                # replay can itself overrun the tiny inbox, so recovery
-                # converges over several rounds — each one advances the
-                # server's applied watermark by at least the inbox bound.
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", ServiceDegradedWarning)
-                    for _ in range(50):
-                        if sess.snapshot()["forks"] == 2 + forks:
-                            break
-                        if not rv.degraded:
-                            rv._test_drop_connection()
-                        rv.try_reconnect()
-                        time.sleep(0.02)
-                assert wait_until(lambda: sess.snapshot()["forks"] == 2 + forks)
-
-                # the sticky refusal flag may have been re-set by late
-                # replies; once drained, checks flow again
-                def check_flows() -> bool:
-                    try:
-                        return rv.check_join(root, kid) is True
-                    except ServiceBackpressureError:
-                        return False
-
-                assert wait_until(check_flows)
-                assert sess.backpressure_refusals >= 1
+                for child in range(2, 22):
+                    client.fork(0, child, child - 1, 1)
+                client.flush()  # fire-and-forget floods the inbox
+                assert wait_until(lambda: sess.snapshot()["backpressure_refusals"] >= 1)
+                # the refusal surfaces at the next round trip, for good
+                assert client.check(0, 1) is None
+                assert client.degraded
+                assert "backpressure" in client.degrade_reason
             finally:
-                rv.close()
+                if sess is not None:
+                    sess.drain_gate.set()
+                client.close()
 
 
-class TestRestartRecovery:
-    def test_sessions_are_rebuilt_from_the_journal_with_exact_stats(self, tmp_path):
-        path = str(tmp_path / "svc.jsonl")
-        with VerificationServer(journal_path=path, ack_every=2, flush_every=1) as srv:
-            with RemoteVerifier(remote_url(srv), "TJ-SP", session="re") as rv:
-                root = rv.on_init()
-                kids = [rv.on_fork(root) for _ in range(3)]
-                assert rv.check_joins(root, kids) == [True, True, True]
-                assert rv.check_join(kids[0], kids[1]) is False
-                before = srv.session("re").snapshot()
-        # a clean stop flushed everything; a new server on the same
-        # journal must rebuild the session by replay, not guesswork
-        with VerificationServer(journal_path=path) as reborn:
-            assert reborn.recovered_sessions == 1
-            after = reborn.session("re").snapshot()
-            for key in ("forks", "joins_checked", "joins_rejected", "vertices",
-                        "applied_seq", "policy", "fail_mode"):
-                assert after[key] == before[key], key
-            # and the rebuilt session still answers — same verdicts
-            with RemoteVerifier(remote_url(reborn), "TJ-SP", session="re") as rv2:
-                pass  # resuming the session is itself the handshake check
-            assert reborn.session("re").snapshot()["quarantined"] is False
-
-    def test_restart_compacts_rather_than_corrupting_seq_density(self, tmp_path):
-        from repro.tools.journal import read_journal
-
-        path = str(tmp_path / "svc.jsonl")
-        with VerificationServer(journal_path=path, flush_every=1) as srv:
-            with RemoteVerifier(remote_url(srv), "TJ-SP", session="cmp") as rv:
-                root = rv.on_init()
-                kid = rv.on_fork(root)
-                rv.check_join(root, kid)
-        with VerificationServer(journal_path=path, flush_every=1) as srv2:
-            with RemoteVerifier(remote_url(srv2), "TJ-SP", session="cmp") as rv:
-                pass
-        # read_journal itself asserts dense seq; a naive re-append after
-        # replay would have broken it
-        result = read_journal(path)
-        assert not result.torn_tail
-        assert [r["seq"] for r in result.records] == list(range(len(result.records)))
-
+class TestJournal:
     def test_journal_records_keep_their_fields(self, tmp_path):
         path = str(tmp_path / "fields.jsonl")
         journal = ServiceJournal(path, flush_every=2)
@@ -575,23 +478,56 @@ class TestRestartRecovery:
              "error": "RuntimeError('bug')", "seq": 4},
         ]
 
-    def test_unreadable_journal_is_set_aside_not_trusted(self, tmp_path):
-        path = str(tmp_path / "svc.jsonl")
-        with open(path, "w") as fh:
-            fh.write('{"kind": "start", "seq": 0}\n')
-            fh.write("garbage that is not json\n")
-            fh.write('{"kind": "verdict", "seq": 9000}\n')  # seq gap: corrupt
-        with pytest.warns(RuntimeWarning, match="unreadable"):
-            srv = VerificationServer(journal_path=path)
+    def test_a_server_refuses_a_non_empty_journal(self, tmp_path, capsys):
+        path = str(tmp_path / "old.jsonl")
+        with VerificationServer(journal_path=path, flush_every=1) as srv:
+            client = program_client(srv, "old")
+            client.check(0, 1)
+            client.close()
+        with open(path, "rb") as fh:
+            before = fh.read()
+        assert before
+        srv = VerificationServer(journal_path=path)
+        with pytest.raises(JournalError, match="old.jsonl"):
             srv.start()
-        try:
-            assert srv.recovered_sessions == 0
-            assert srv.journal is not None  # fresh journal, same path
-            import os
+        # `repro serve` on the same file exits non-zero, naming it
+        assert main(["--port", "0", "--journal", path]) != 0
+        assert path in capsys.readouterr().err
+        with open(path, "rb") as fh:
+            assert fh.read() == before  # left byte-for-byte unchanged
+        # an existing empty file is a fresh journal
+        empty = tmp_path / "empty.jsonl"
+        empty.touch()
+        with VerificationServer(journal_path=str(empty)) as fresh:
+            assert fresh.journal is not None
 
-            assert os.path.exists(path + ".corrupt")
-        finally:
-            srv.stop()
+    def test_the_sidecar_journal_reports_as_any_journal_does(self, tmp_path):
+        with obs.enabled(tracing=False) as tel, VerificationServer(
+            journal_path=str(tmp_path / "svc.jsonl")
+        ) as srv:
+            client = program_client(srv, "s1")
+            try:
+                assert client.check(1, 2) is False  # a denial: a critical flush
+                snap = tel.snapshot()
+            finally:
+                client.close()
+            assert snap["sources"]["journal"]["records_written"] == srv.journal.records_written
+            assert snap["histograms"]["repro_journal_flush_ns"]["count"] >= 1
+
+
+class TestSidecarProcessLifecycle:
+    def test_kill_then_stop_leaves_no_pipe_open(self):
+        """A sidecar's stdout pipe closes once its child is gone."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            sidecar = SidecarProcess()
+            sidecar.kill9()
+            assert not sidecar.alive()
+            sidecar.stop()
+            del sidecar
+            gc.collect()
+        leaks = [w for w in caught if issubclass(w.category, ResourceWarning)]
+        assert leaks == [], [str(w.message) for w in leaks]
 
 
 class TestUrlParsing:

@@ -31,7 +31,7 @@ from .test_server import raw_session, remote_url, wait_until
 @pytest.fixture()
 def server(tmp_path):
     srv = VerificationServer(
-        journal_path=str(tmp_path / "service.jsonl"), ack_every=4, flush_every=1
+        journal_path=str(tmp_path / "service.jsonl"), flush_every=1
     )
     with srv:
         yield srv
@@ -64,7 +64,7 @@ class TestStatsWireKind:
     def test_reply_ships_trace_and_metrics_under_telemetry(self, tmp_path):
         with obs.enabled():
             srv = VerificationServer(
-                journal_path=str(tmp_path / "service.jsonl"), ack_every=4
+                journal_path=str(tmp_path / "service.jsonl")
             )
             with srv:
                 stream, _ = raw_session(srv, "traced")

@@ -96,8 +96,8 @@ class TestVocabulary:
         assert set(REQUIRED_FIELDS) == CLIENT_KINDS | SERVER_KINDS
 
     def test_validate_returns_the_kind(self):
-        record = {"kind": "ack", "seq": 12}
-        assert validate_record(record, SERVER_KINDS) == "ack"
+        record = {"kind": "synced", "req": 12, "applied": 3, "mismatches": 0}
+        assert validate_record(record, SERVER_KINDS) == "synced"
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ServiceProtocolError):
@@ -119,7 +119,7 @@ class TestVocabulary:
 
     def test_hello_carries_the_wire_version(self):
         assert "wire" in REQUIRED_FIELDS["hello"]
-        assert WIRE_VERSION == 1
+        assert WIRE_VERSION == 2
 
 
 class TestFrameCapBoundary:

@@ -300,7 +300,7 @@ class TestChaosCommand:
         assert "with verifier faults" in out
 
     @pytest.mark.parametrize(
-        "target", ["sweep", "verifier-faults", "retries", "service"]
+        "target", ["sweep", "verifier-faults", "retries"]
     )
     def test_repro_line_reruns_only_the_failed_slice(
         self, target, monkeypatch, capsys
@@ -331,22 +331,15 @@ class TestChaosCommand:
         def quarantine(seed, *, runtime, **_):
             outcome("quarantine", runtime, True)
 
-        def service(seed, *, runtime, **_):
-            outcome("service", runtime, True)
-            return SimpleNamespace(
-                sidecar_killed=True, degradations=1, reconciles=1, journal_verdicts=1
-            )
-
         monkeypatch.setattr(chaos, "run_chaos_program", program)
         monkeypatch.setattr(chaos, "run_with_policy_quarantine", quarantine)
-        monkeypatch.setattr(chaos, "run_with_service_faults", service)
 
-        rc = main(["chaos", "--smoke", "--recovery", "--service", "--seed", "0"])
+        rc = main(["chaos", "--smoke", "--recovery", "--seed", "0"])
         out = capsys.readouterr().out
         assert rc == 1
         [repro] = [line for line in out.splitlines() if line.startswith("repro: ")]
         assert {name for name, _ in calls} == {
-            "sweep", "verifier-faults", "quarantine", "retries", "service"
+            "sweep", "verifier-faults", "quarantine", "retries"
         }
 
         calls.clear()
