@@ -15,12 +15,13 @@ Pipeline (one journal):
    those the partial order cannot refute: a cycle dies only if some
    joinee's completion *must* precede its waiter's join issue (then
    that edge can never block, in any linearization).
-5. **Realize** — deterministic DFS over the simulator's scheduling
-   decisions under ``policy=None`` until candidate cycles actually
-   close.  Each realized cycle becomes a :class:`PredictedDeadlock`
-   whose witness :class:`~repro.runtime.explore.Schedule` replays the
-   deadlock exactly; the same witness is then replayed under each
-   avoidance policy to record its verdict along that schedule.
+5. **Realize** — :func:`~repro.runtime.explore.explore` walks the
+   simulator's scheduling decisions depth-first under ``policy=None``
+   until candidate cycles actually close.  Each realized cycle becomes
+   a :class:`PredictedDeadlock` whose witness
+   :class:`~repro.runtime.explore.Schedule` replays the deadlock
+   exactly; the same witness is then replayed under each avoidance
+   policy to record its verdict along that schedule.
 
 Realization makes the predictor *sound by construction*: nothing is
 flagged that the simulator has not already reproduced.  The partial
@@ -33,10 +34,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Optional, Sequence
 
 from ..errors import JournalError
-from ..runtime.explore import Schedule
+from ..runtime.explore import Schedule, explore
 from ..tools.journal import read_trace_journal
 from .order import TraceOrder, build_order
 from .program import SimOutcome, TraceProgram
@@ -107,7 +109,7 @@ class PredictedDeadlock:
 
     @classmethod
     def from_dict(cls, body: dict) -> "PredictedDeadlock":
-        if body.get("kind") != "predicted-deadlock":
+        if not isinstance(body, dict) or body.get("kind") != "predicted-deadlock":
             raise ValueError("not a predicted-deadlock witness file")
         if body.get("version", WITNESS_VERSION) != WITNESS_VERSION:
             raise ValueError(f"unsupported witness version {body.get('version')!r}")
@@ -329,7 +331,7 @@ def predict_deadlocks(
 ) -> PredictionReport:
     """Predict deadlocks reachable by re-scheduling journal *path*.
 
-    ``max_schedules`` bounds the deterministic DFS realization search;
+    ``max_schedules`` bounds the simulator runs of the realization walk;
     ``max_cycle_len`` bounds candidate cycle length; ``max_steps``
     bounds each simulated run (default: scaled to the program size).
     The search stops early once every candidate cycle (by task set) has
@@ -376,45 +378,37 @@ def predict_deadlocks(
         return report  # every cycle refuted without a single simulation
 
     # ------------------------------------------------------------------
-    # realization: deterministic DFS over scheduling decisions
+    # realization: the schedule explorer under policy=None
     # ------------------------------------------------------------------
+    def realize(prefix: Schedule) -> SimOutcome:
+        return program.run_sim(
+            None, fallback=False, schedule=prefix, max_steps=max_steps
+        )
+
     wanted = {frozenset(c) for c in report.candidates}
     found: dict[frozenset, PredictedDeadlock] = {}
-    stack: list[tuple[int, ...]] = [()]
-    visited: set[tuple[int, ...]] = set()
-    while stack and report.sim_runs < max_schedules and len(found) < len(wanted):
-        prefix = stack.pop()
-        outcome = program.run_sim(
-            None, fallback=False, schedule=Schedule(choices=prefix), max_steps=max_steps
-        )
+    for outcome in islice(explore(realize), max(max_schedules, 0)):
         report.sim_runs += 1
         report.sim_steps += outcome.steps
-        taken = outcome.schedule
-        if taken.choices in visited:
-            continue
-        visited.add(taken.choices)
-        if outcome.deadlock is not None:
-            key = frozenset(outcome.deadlock)
-            if key not in found:
-                pred = PredictedDeadlock(
-                    cycle=outcome.deadlock,
-                    schedule=taken,
-                    verdicts={},
-                    program=program,
-                    journal=path,
-                    clean_run=report.clean_run,
+        cycle = outcome.deadlock
+        if cycle is not None and frozenset(cycle) not in found:
+            pred = PredictedDeadlock(
+                cycle=cycle,
+                schedule=outcome.schedule,
+                verdicts={},
+                program=program,
+                journal=path,
+                clean_run=report.clean_run,
+            )
+            for policy in policies:
+                replay = program.run_sim(
+                    policy, fallback=True, schedule=outcome.schedule, max_steps=max_steps
                 )
-                for policy in policies:
-                    replay = program.run_sim(
-                        policy, fallback=True, schedule=taken, max_steps=max_steps
-                    )
-                    report.sim_steps += replay.steps
-                    pred.verdicts[policy] = replay.verdict
-                found[key] = pred
-        # open sibling branches at every decision at/after the prefix
-        for depth in range(len(prefix), len(taken.widths)):
-            for branch in range(1, taken.widths[depth]):
-                stack.append(taken.choices[:depth] + (branch,))
+                report.sim_steps += replay.steps
+                pred.verdicts[policy] = replay.verdict
+            found[frozenset(cycle)] = pred
+        if len(found) >= len(wanted):
+            break
 
     report.predictions = sorted(
         found.values(), key=lambda p: [_order_key(t) for t in p.cycle]
@@ -427,5 +421,5 @@ def read_witness(path: str) -> PredictedDeadlock:
     ``repro predict --witness-out`` CLI)."""
     try:
         return PredictedDeadlock.load(path)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, AttributeError, TypeError) as exc:
         raise JournalError(f"cannot load witness file {path!r}: {exc}") from exc

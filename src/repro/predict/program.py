@@ -24,7 +24,7 @@ exactly where the original did.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional, Sequence, Union
+from typing import Any, Optional, Union
 
 from ..core.policy import JoinPolicy
 from ..errors import (
@@ -145,7 +145,6 @@ class TraceProgram:
         fallback: bool = True,
         seed: Optional[int] = None,
         schedule: Optional[Schedule] = None,
-        director: Optional[Callable[[Sequence[TaskHandle]], int]] = None,
         max_steps: Optional[int] = None,
     ) -> "SimOutcome":
         """One deterministic run of the reconstructed program.
@@ -167,7 +166,6 @@ class TraceProgram:
             fallback=fallback,
             seed=seed,
             schedule=schedule,
-            director=director,
             strict=False,
             max_steps=max_steps,
         )

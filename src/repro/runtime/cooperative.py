@@ -76,17 +76,10 @@ class CooperativeRuntime:
         policy: Union[None, str, JoinPolicy] = "TJ-SP",
         *,
         fallback: bool = True,
-        scheduler: Optional[Callable[[int], int]] = None,
     ) -> None:
-        """``scheduler``, if given, picks which ready task runs next: it
-        receives the current ready-queue length and returns an index into
-        it.  The default (None) is FIFO.  Schedule exploration
-        (:mod:`repro.runtime.explore`) uses this hook to drive a program
-        through many interleavings deterministically."""
         policy_obj = resolve_policy(policy)
         self._hybrid: Optional[HybridVerifier] = HybridVerifier(policy_obj) if fallback else None
         self._verifier: Verifier = self._hybrid.verifier if self._hybrid else Verifier(policy_obj)
-        self._scheduler = scheduler
         self._ready: deque[TaskHandle] = deque()
         self._resume: dict[TaskHandle, _Resume] = {}
         self._gen: dict[TaskHandle, Generator] = {}
@@ -220,19 +213,10 @@ class CooperativeRuntime:
             self._step(self._select_task())
 
     def _select_task(self) -> TaskHandle:
-        """Pick the next ready task to step (the scheduling decision)."""
-        if self._scheduler is None:
-            return self._ready.popleft()
-        at = self._scheduler(len(self._ready))
-        if not 0 <= at < len(self._ready):
-            raise RuntimeStateError(
-                f"scheduler returned index {at} for queue of "
-                f"{len(self._ready)}"
-            )
-        self._ready.rotate(-at)
-        task = self._ready.popleft()
-        self._ready.rotate(at)
-        return task
+        """Pick the next ready task to step: FIFO.  The scheduling
+        decision :class:`~repro.runtime.sim.SimRuntime` seeds, replays
+        and records."""
+        return self._ready.popleft()
 
     def _on_idle(self) -> bool:
         """No task is ready.  Returns True when progress was made.

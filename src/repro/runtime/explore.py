@@ -1,41 +1,27 @@
-"""Systematic schedule exploration for cooperative programs.
+"""Schedules and systematic schedule exploration.
 
 The paper repeatedly appeals to *nondeterministic* behaviour — Listing 1
 "may" violate KJ, NQueens "potentially violates" it "due to variations
 in task scheduling" (Section 1).  This module turns those modal claims
-into checkable artifacts: it runs the same program under many
-interleavings of the cooperative runtime, either
-
-* **exhaustively** — depth-first over every scheduling decision up to a
-  bound (the stateless-model-checking discipline: each run replays a
-  decision prefix, then explores a new branch), or
-* **randomly** — seeded fuzzing for programs whose schedule tree is too
-  large.
-
-For each schedule it reports the policy verdicts (fallback activity,
-deadlocks avoided/detected) so one can assert statements like "there
-EXISTS a schedule where this program violates KJ" and "there is NO
-schedule where it violates TJ".
+into checkable artifacts.  A :class:`Schedule` names one interleaving of
+a cooperative program (the decisions :class:`~repro.runtime.sim.SimRuntime`
+took or is told to take), and :func:`explore` walks every interleaving
+depth-first: each run replays a decision prefix, then the recorded
+branching widths open the sibling branches — the stateless-model-checking
+discipline.  The caller's run function reports whatever it needs per
+schedule, so one can assert statements like "there EXISTS a schedule
+where this program violates KJ" and "there is NO schedule where it
+violates TJ"; the predictor (:mod:`repro.predict`) walks the same space
+to realize candidate deadlock cycles.
 """
 
 from __future__ import annotations
 
 import json
-import random
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Callable, Iterator, Optional, TypeVar
 
-from .cooperative import CooperativeRuntime
-from ..core.policy import JoinPolicy
-from ..errors import DeadlockDetectedError, ReproError
-
-__all__ = [
-    "Schedule",
-    "ScheduleOutcome",
-    "ExplorationResult",
-    "explore_schedules",
-    "fuzz_schedules",
-]
+__all__ = ["Schedule", "explore"]
 
 
 #: file-format version of a serialised schedule (bumped on layout change)
@@ -114,164 +100,28 @@ class Schedule:
             return cls.loads(fh.read())
 
 
-@dataclass
-class ScheduleOutcome:
-    """What one schedule did."""
-
-    schedule: tuple[int, ...]
-    result: Any = None
-    error: Optional[BaseException] = None
-    false_positives: int = 0
-    deadlocks_avoided: int = 0
-    deadlock_detected: bool = False
-    joins_checked: int = 0
-
-    @property
-    def ok(self) -> bool:
-        return self.error is None
-
-    def as_schedule(self, *, seed: Optional[int] = None) -> Schedule:
-        """The outcome's decision sequence as a replayable Schedule."""
-        return Schedule(choices=self.schedule, seed=seed)
+_Outcome = TypeVar("_Outcome")
 
 
-@dataclass
-class ExplorationResult:
-    """Aggregate over all explored schedules."""
+def explore(run: Callable[[Schedule], _Outcome]) -> Iterator[_Outcome]:
+    """Yield one outcome per schedule of a program, depth-first.
 
-    outcomes: list[ScheduleOutcome] = field(default_factory=list)
-    exhausted: bool = True  # False when the bound cut exploration short
-
-    @property
-    def schedules(self) -> int:
-        return len(self.outcomes)
-
-    @property
-    def any_fallback(self) -> bool:
-        return any(o.false_positives > 0 for o in self.outcomes)
-
-    @property
-    def all_fallback(self) -> bool:
-        return all(o.false_positives > 0 for o in self.outcomes)
-
-    @property
-    def any_deadlock(self) -> bool:
-        return any(o.deadlock_detected or o.deadlocks_avoided for o in self.outcomes)
-
-    def distinct_results(self) -> set:
-        return {repr(o.result) for o in self.outcomes if o.ok}
-
-
-class _ReplayScheduler:
-    """Replays a fixed decision prefix, then picks branch 0 and records
-    the queue width at each fresh decision point (to know the branching
-    structure for DFS)."""
-
-    def __init__(self, prefix: Sequence[int]) -> None:
-        self.prefix = list(prefix)
-        self.widths: list[int] = []  # queue width at each decision
-        self.choices: list[int] = []  # full decision sequence taken
-        self._at = 0
-
-    def __call__(self, width: int) -> int:
-        if width == 1:
-            choice = 0  # no real decision; do not count it
-        elif self._at < len(self.prefix):
-            choice = self.prefix[self._at]
-            self._at += 1
-        else:
-            self._at += 1
-            choice = 0
-        if width > 1:
-            self.widths.append(width)
-            self.choices.append(choice)
-        return choice
-
-
-def _run_one(
-    program: Callable[[CooperativeRuntime], Callable[[], Any]],
-    policy: Union[None, str, JoinPolicy],
-    fallback: bool,
-    scheduler: Callable[[int], int],
-) -> ScheduleOutcome:
-    rt = CooperativeRuntime(policy, fallback=fallback, scheduler=scheduler)
-    outcome = ScheduleOutcome(schedule=())
-    try:
-        outcome.result = rt.run(program(rt))
-    except DeadlockDetectedError as exc:
-        outcome.error = exc
-        outcome.deadlock_detected = True
-    except BaseException as exc:  # noqa: BLE001 - recorded, not swallowed silently
-        outcome.error = exc
-    outcome.joins_checked = rt.verifier.stats.joins_checked
-    if rt.detector is not None:
-        outcome.false_positives = rt.detector.stats.false_positives
-        outcome.deadlocks_avoided = rt.detector.stats.deadlocks_avoided
-    return outcome
-
-
-def explore_schedules(
-    program: Callable[[CooperativeRuntime], Callable[[], Any]],
-    *,
-    policy: Union[None, str, JoinPolicy] = "TJ-SP",
-    fallback: bool = True,
-    max_schedules: int = 2000,
-) -> ExplorationResult:
-    """Run *program* under every cooperative interleaving (DFS, bounded).
-
-    *program* is a factory: it receives a fresh runtime and returns the
-    root task callable (fresh per run — runtimes are single-shot).  Note
-    the policy must also be given by name/factory semantics so each run
-    verifies independently.
-
-    Exploration is depth-first over decision prefixes: a run is executed
-    with a fixed prefix of choices; the recorded branching widths then
-    seed the next unexplored sibling branch.  ``max_schedules`` bounds
-    the number of runs; ``exhausted`` reports whether the full tree fit.
+    ``run(prefix)`` executes the program once: it replays the prefix
+    :class:`Schedule`, takes index 0 at every later decision (as an
+    unseeded ``SimRuntime(schedule=prefix)`` does), and returns an
+    outcome whose ``schedule`` is the run's recorded Schedule, widths
+    included.  Each outcome is yielded before its sibling branches open,
+    so the caller bounds or stops the walk itself (``itertools.islice``,
+    ``break``); drained, the walk visits every schedule exactly once —
+    a branch differs from the run that opened it at its own depth, and
+    replay is deterministic, so no two prefixes give one schedule.
     """
-    result = ExplorationResult()
-    stack: list[list[int]] = [[]]  # prefixes to explore
-    seen: set[tuple[int, ...]] = set()
+    stack: list[tuple[int, ...]] = [()]
     while stack:
-        if len(result.outcomes) >= max_schedules:
-            result.exhausted = False
-            break
         prefix = stack.pop()
-        replay = _ReplayScheduler(prefix)
-        outcome = _run_one(program, policy, fallback, replay)
-        outcome.schedule = tuple(replay.choices)
-        if outcome.schedule in seen:
-            continue  # a shorter prefix already produced this schedule
-        seen.add(outcome.schedule)
-        result.outcomes.append(outcome)
-        # open sibling branches at every decision at/after the prefix end
-        for depth in range(len(prefix), len(replay.widths)):
-            for branch in range(1, replay.widths[depth]):
-                stack.append(replay.choices[:depth] + [branch])
-    return result
-
-
-def fuzz_schedules(
-    program: Callable[[CooperativeRuntime], Callable[[], Any]],
-    *,
-    policy: Union[None, str, JoinPolicy] = "TJ-SP",
-    fallback: bool = True,
-    runs: int = 50,
-    seed: int = 0,
-) -> ExplorationResult:
-    """Run *program* under ``runs`` seeded-random interleavings."""
-    result = ExplorationResult(exhausted=False)
-    for i in range(runs):
-        rng = random.Random(seed * 1_000_003 + i)
-        choices: list[int] = []
-
-        def scheduler(width: int, rng=rng, choices=choices) -> int:
-            pick = rng.randrange(width)
-            if width > 1:
-                choices.append(pick)
-            return pick
-
-        outcome = _run_one(program, policy, fallback, scheduler)
-        outcome.schedule = tuple(choices)
-        result.outcomes.append(outcome)
-    return result
+        outcome = run(Schedule(choices=prefix))
+        yield outcome
+        taken = outcome.schedule
+        for depth in range(len(prefix), len(taken.widths)):
+            for branch in range(1, taken.widths[depth]):
+                stack.append(taken.choices[:depth] + (branch,))

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import heapq
 import random
-from typing import Any, Callable, Optional, Sequence, Union
+from typing import Any, Optional, Union
 
 from .cooperative import CooperativeRuntime, _Resume
 from .explore import Schedule
@@ -124,13 +124,8 @@ class SimRuntime(CooperativeRuntime):
         choices drive the first ``len(schedule)`` decisions; later
         decisions fall back to the seed / FIFO default (a witness
         schedule is usually complete, so the fallback never engages on
-        an exact replay).
-    director:
-        Optional ``director(ready_tasks) -> index`` callable consulted
-        after the replayed prefix instead of the RNG — the predictor's
-        guided search hands the actual ready tasks to a cycle-driving
-        heuristic.  Directed decisions are recorded like any other, so
-        the resulting schedule replays without the director.
+        an exact replay; :func:`~repro.runtime.explore.explore` replays
+        prefixes and lets FIFO finish the run).
     default_join_timeout:
         When set, every blocking join gets a *virtual* deadline this
         many seconds out; expiry resumes the joiner with
@@ -152,17 +147,15 @@ class SimRuntime(CooperativeRuntime):
         fallback: bool = True,
         seed: Optional[int] = None,
         schedule: Optional[Schedule] = None,
-        director: Optional[Callable[[Sequence[TaskHandle]], int]] = None,
         default_join_timeout: Optional[float] = None,
         strict: bool = True,
         max_steps: int = 1_000_000,
     ) -> None:
-        super().__init__(policy, fallback=fallback, scheduler=None)
+        super().__init__(policy, fallback=fallback)
         self._rng = random.Random(f"sim|{seed}") if seed is not None else None
         self._seed = seed
         self._replay = schedule.choices if schedule is not None else ()
         self._replay_widths = schedule.widths if schedule is not None else ()
-        self._director = director
         self._strict = strict
         self._max_steps = max_steps
         self._decision = 0
@@ -205,8 +198,7 @@ class SimRuntime(CooperativeRuntime):
             )
         width = len(self._ready)
         if width == 1:
-            # Not a decision: matches the explorer's width>1 convention,
-            # so schedules transfer between the two unchanged.
+            # Not a decision: a Schedule records width>1 steps only.
             return self._ready.popleft()
         at = self._decide(width)
         self._decision += 1
@@ -233,13 +225,6 @@ class SimRuntime(CooperativeRuntime):
                         f"{at} out of range for width {width}"
                     )
             return at if 0 <= at < width else 0
-        if self._director is not None:
-            at = self._director(tuple(self._ready))
-            if not 0 <= at < width:
-                raise RuntimeStateError(
-                    f"director returned index {at} for queue of {width}"
-                )
-            return at
         if self._rng is not None:
             return self._rng.randrange(width)
         return 0  # FIFO

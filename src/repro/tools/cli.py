@@ -85,12 +85,14 @@ from __future__ import annotations
 import argparse
 import contextlib
 import sys
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence, TypeVar
 
 from ..core.policy import POLICY_REGISTRY
 from ..formal.actions import parse_trace
 
 __all__ = ["main"]
+
+_T = TypeVar("_T")
 
 #: small-scale parameters of the paper's six programs.  Its keys are
 #: :data:`repro.benchsuite.ALL_BENCHMARKS` in order and serve as the
@@ -221,33 +223,40 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0 if outcome.clean else 1
 
 
-def _require_readable(path: str, what: str) -> Optional[str]:
-    """One-line diagnosis when *path* is missing or empty, else None.
+def _load(command: str, what: str, path: str, reader: Callable[[str], _T]) -> Optional[_T]:
+    """``reader(path)``, or None after a one-line diagnosis on stderr.
 
-    The journal/metrics commands are post-mortem tools: pointing them at
-    a file that never got written is an operator mistake, not a program
-    crash, so they report it in one line and exit 2 instead of dumping a
+    The journal, witness and metrics commands are post-mortem tools:
+    pointing them at a file that is missing, a directory, empty or of
+    the wrong kind is an operator mistake, not a program crash, so the
+    command reports it in one line and exits 2 instead of dumping a
     traceback.
     """
     import os
 
+    from ..errors import JournalError
+
     if not os.path.exists(path):
-        return f"{what} file not found: {path}"
-    if os.path.isdir(path):
-        return f"{what} path is a directory, not a file: {path}"
-    if os.path.getsize(path) == 0:
-        return f"{what} file is empty: {path}"
+        problem = f"{what} file not found: {path}"
+    elif os.path.isdir(path):
+        problem = f"{what} path is a directory, not a file: {path}"
+    elif os.path.getsize(path) == 0:
+        problem = f"{what} file is empty: {path}"
+    else:
+        try:
+            return reader(path)
+        except JournalError as exc:  # its message names the file
+            problem = str(exc)
+    print(f"{command}: {problem}", file=sys.stderr)
     return None
 
 
 def _cmd_journal_replay(args: argparse.Namespace) -> int:
     from .replay import replay_journal
 
-    problem = _require_readable(args.journal, "journal")
-    if problem:
-        print(f"journal-replay: {problem}", file=sys.stderr)
+    replay = _load("journal-replay", "journal", args.journal, replay_journal)
+    if replay is None:
         return 2
-    replay = replay_journal(args.journal)
     print(replay.report())
     return 1 if replay.recheck_mismatches else 0
 
@@ -502,11 +511,18 @@ def _chaos_body(args: argparse.Namespace) -> int:
 def _cmd_predict(args: argparse.Namespace) -> int:
     from ..predict import predict_deadlocks
 
-    report = predict_deadlocks(
+    report = _load(
+        "predict",
+        "journal",
         args.journal,
-        policies=tuple(args.policies or ("TJ-SP", "KJ-VC")),
-        max_schedules=args.max_schedules,
+        lambda path: predict_deadlocks(
+            path,
+            policies=tuple(args.policies or ("TJ-SP", "KJ-VC")),
+            max_schedules=args.max_schedules,
+        ),
     )
+    if report is None:
+        return 2
     print(report.report())
     if args.trace_out:
         from .trace_export import journal_to_trace, write_chrome_trace
@@ -535,16 +551,27 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     from ..predict import TraceProgram, read_witness
 
     if args.schedule:
-        witness = read_witness(args.schedule)
+        witness = _load("simulate", "witness", args.schedule, read_witness)
+        if witness is None:
+            return 2
         program, schedule = witness.program, witness.schedule
         print(
             f"witness: cycle {' -> '.join(witness.cycle)} "
             f"({len(schedule)} decisions, journal {witness.journal or '?'})"
         )
     elif args.journal:
-        from ..tools.journal import read_journal
+        from ..errors import JournalError
+        from ..tools.journal import read_trace_journal
 
-        program = TraceProgram.from_records(read_journal(args.journal).records)
+        def reconstruct(path: str) -> TraceProgram:
+            try:
+                return TraceProgram.from_records(read_trace_journal(path, "simulate").records)
+            except ValueError as exc:  # no init record
+                raise JournalError(f"{path}: {exc}") from exc
+
+        program = _load("simulate", "journal", args.journal, reconstruct)
+        if program is None:
+            return 2
         schedule = None
     else:
         print("simulate needs --schedule WITNESS or --journal PATH")
@@ -697,28 +724,28 @@ def _cmd_top(args: argparse.Namespace) -> int:
     if args.live:
         return _top_live(args)
     if args.predict:
-        problem = _require_readable(args.predict, "journal")
-        if problem:
-            print(f"top: {problem}", file=sys.stderr)
-            return 2
         from ..obs.top import render_predictions
         from ..predict import predict_deadlocks
 
-        report = predict_deadlocks(
-            args.predict, policies=("TJ-SP", "KJ-VC")
+        report = _load(
+            "top",
+            "journal",
+            args.predict,
+            lambda path: predict_deadlocks(path, policies=("TJ-SP", "KJ-VC")),
         )
+        if report is None:
+            return 2
         print(render_predictions(report))
         if not args.metrics and not args.trace:
             return 0
         print()
     if args.metrics:
-        problem = _require_readable(args.metrics, "metrics")
-        if problem:
-            print(f"top: {problem}", file=sys.stderr)
+        from pathlib import Path
+
+        text = _load("top", "metrics", args.metrics, lambda path: Path(path).read_text())
+        if text is None:
             return 2
-        with open(args.metrics) as fh:
-            snap = _json.load(fh)
-        print(render_snapshot(snap))
+        print(render_snapshot(_json.loads(text)))
         return 0
     if not args.trace:
         print("top: a trace file (live mode) or --metrics FILE is required")

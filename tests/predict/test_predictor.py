@@ -49,6 +49,13 @@ class TestFlagging:
         assert not report.flagged
         assert not report.candidates
 
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_no_schedule_budget_simulates_nothing(self, mutual_journal, budget):
+        report = predict_deadlocks(mutual_journal, max_schedules=budget)
+        assert report.candidates
+        assert report.sim_runs == 0
+        assert not report.flagged
+
     def test_retry_journal_is_skipped_not_mispredicted(self, tmp_path):
         path = str(tmp_path / "retry.jsonl")
         records = [

@@ -1,11 +1,11 @@
-"""Cross-process determinism of the schedule explorers and the simulator.
+"""Cross-process determinism of the schedule explorer and the simulator.
 
-Same seed, two fresh interpreters: ``explore_schedules`` must enumerate
-the identical schedule set, ``fuzz_schedules`` must draw the identical
-random schedules with the identical outcomes, and ``SimRuntime`` must
-record the identical decision trace.  This is what makes a seed (or a
-witness file) a portable repro: hash randomisation or interpreter state
-must not leak into any scheduling decision.
+Same seed, two fresh interpreters: ``explore`` must enumerate the
+identical schedules in the identical order, seeded ``SimRuntime`` runs
+must draw the identical random schedules with the identical outcomes
+and decision traces.  This is what makes a seed (or a witness file) a
+portable repro: hash randomisation or interpreter state must not leak
+into any scheduling decision.
 """
 
 import json
@@ -20,9 +20,9 @@ _SRC = os.path.join(
 
 _CHILD = r"""
 import json
-import sys
+from types import SimpleNamespace
 
-from repro.runtime.explore import explore_schedules, fuzz_schedules
+from repro.runtime.explore import explore
 from repro.runtime.sim import SimRuntime
 
 
@@ -43,25 +43,25 @@ def program(rt):
     return main
 
 
-explored = explore_schedules(program, policy="TJ-SP", max_schedules=500)
-fuzzed = fuzz_schedules(program, policy="TJ-SP", runs=20, seed=5)
+def run(schedule=None, seed=None):
+    rt = SimRuntime("TJ-SP", schedule=schedule, seed=seed)
+    result = rt.run(program(rt))
+    return SimpleNamespace(schedule=rt.recorded_schedule, result=result, steps=rt.steps)
 
-sim = SimRuntime(None, seed=99)
-sim_result = sim.run(program(sim))
-witness = sim.recorded_schedule
+
+def facts(outcome):
+    return {
+        "result": repr(outcome.result),
+        "choices": list(outcome.schedule.choices),
+        "widths": list(outcome.schedule.widths),
+        "steps": outcome.steps,
+    }
+
 
 print(json.dumps({
-    "explored": sorted(
-        [list(o.schedule), repr(o.result)] for o in explored.outcomes
-    ),
-    "exhausted": explored.exhausted,
-    "fuzzed": [[list(o.schedule), repr(o.result)] for o in fuzzed.outcomes],
-    "sim": {
-        "result": repr(sim_result),
-        "choices": list(witness.choices),
-        "widths": list(witness.widths),
-        "steps": sim.steps,
-    },
+    "explored": [facts(o) for o in explore(run)],
+    "fuzzed": [facts(run(seed=k)) for k in range(20)],
+    "sim": facts(run(seed=99)),
 }, sort_keys=True))
 """
 
@@ -89,6 +89,5 @@ def test_explorers_and_simulator_agree_across_processes():
     assert first == second
     # sanity: the child actually explored multiple interleavings
     assert len(first["explored"]) > 1
-    assert first["exhausted"] is True
     assert len(first["fuzzed"]) == 20
     assert first["sim"]["widths"]  # the simulator faced real decisions

@@ -426,3 +426,67 @@ class TestPredictAndSimulateCommands:
         assert rc == 0
         assert "flagged journal=" in out
         assert "predict" in out.rsplit("chaos:", 1)[-1]
+
+
+def _sidecar_journal(path):
+    """A one-session sidecar journal: integer rids, a ``session`` on
+    every record — not a trace any simulator can run."""
+    from repro.tools.journal import ServiceJournal
+
+    with ServiceJournal(path) as journal:
+        journal.log_session("s1", "TJ-SP", "raise")
+        journal.log_event("s1", {"kind": "init", "cseq": 0, "task": 1})
+        journal.log_event("s1", {"kind": "fork", "cseq": 1, "parent": 1, "child": 2})
+
+
+class TestWrongFileExits2:
+    """A post-mortem command pointed at the wrong file prints one line
+    on stderr naming it and exits 2 — no traceback, nothing simulated."""
+
+    @pytest.fixture
+    def wrong(self, tmp_path):
+        from repro.runtime.explore import Schedule
+
+        files = {
+            "missing": tmp_path / "no-such.jsonl",
+            "directory": tmp_path,
+            "empty": tmp_path / "empty.jsonl",
+            "sidecar": tmp_path / "sidecar.jsonl",
+            "recorded-schedule": tmp_path / "recorded.json",
+            "list": tmp_path / "list.json",
+            "torn": tmp_path / "torn.jsonl",
+        }
+        files["empty"].write_text("")
+        # killed mid-way through its first record: no init to rebuild from
+        files["torn"].write_text('{"kind": "init", "se')
+        _sidecar_journal(str(files["sidecar"]))
+        # what `simulate --record-out` writes: a schedule, not a witness
+        Schedule(choices=(1, 0), widths=(2, 2)).save(str(files["recorded-schedule"]))
+        files["list"].write_text("[]\n")
+        return {name: str(path) for name, path in files.items()}
+
+    @pytest.mark.parametrize(
+        "command, kind",
+        [
+            ("predict", "missing"),
+            ("predict", "directory"),
+            ("predict", "sidecar"),
+            ("simulate --schedule", "missing"),
+            ("simulate --schedule", "recorded-schedule"),
+            ("simulate --schedule", "list"),
+            ("simulate --journal", "empty"),
+            ("simulate --journal", "sidecar"),
+            ("simulate --journal", "torn"),
+            ("journal-replay", "missing"),
+            ("top --predict", "sidecar"),
+            ("top --metrics", "empty"),
+        ],
+    )
+    def test_one_line_on_stderr_and_exit_2(self, command, kind, wrong, capsys):
+        path = wrong[kind]
+        rc = main(command.split() + [path])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert out == ""
+        assert err.startswith(command.split()[0] + ": ")
+        assert err.count("\n") == 1 and path in err
