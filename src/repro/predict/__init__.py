@@ -35,6 +35,7 @@ __all__ = [
     "SimOutcome",
     "TraceEvent",
     "TraceOrder",
+    "TraceProgram",
     "build_order",
     "predict_deadlocks",
     "read_witness",

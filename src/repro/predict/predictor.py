@@ -41,7 +41,7 @@ from ..errors import JournalError
 from ..runtime.explore import Schedule, explore
 from ..tools.journal import read_trace_journal
 from .order import TraceOrder, build_order
-from .program import SimOutcome, TraceProgram
+from .program import SimOutcome, TraceProgram, _task_sort_key
 
 __all__ = [
     "JoinIntent",
@@ -280,13 +280,13 @@ def _candidate_cycles(
     refuted = 0
 
     def canon(path: tuple[str, ...]) -> tuple[str, ...]:
-        at = min(range(len(path)), key=lambda i: _order_key(path[i]))
+        at = min(range(len(path)), key=lambda i: _task_sort_key(path[i]))
         return path[at:] + path[:at]
 
     def walk(start: str, path: list[str], on_path: set[str]) -> None:
         nonlocal refuted
         here = path[-1]
-        for nxt in sorted(usable.get(here, ()), key=_order_key):
+        for nxt in sorted(usable.get(here, ()), key=_task_sort_key):
             if nxt == start:
                 cycle = canon(tuple(path))
                 if cycle not in seen:
@@ -295,7 +295,7 @@ def _candidate_cycles(
                 continue
             if nxt in on_path or len(path) >= max_len:
                 continue
-            if _order_key(nxt) < _order_key(start):
+            if _task_sort_key(nxt) < _task_sort_key(start):
                 continue  # canonical start is the smallest task
             on_path.add(nxt)
             path.append(nxt)
@@ -308,14 +308,10 @@ def _candidate_cycles(
         done_at = order.completion_event(intent.joinee)
         if done_at is not None and order.must_precede(done_at, intent.issue_at):
             refuted += 1
-    for start in sorted(usable, key=_order_key):
+    for start in sorted(usable, key=_task_sort_key):
         walk(start, [start], {start})
-    candidates.sort(key=lambda c: (len(c), [_order_key(t) for t in c]))
+    candidates.sort(key=lambda c: (len(c), [_task_sort_key(t) for t in c]))
     return candidates, refuted
-
-
-def _order_key(name: str) -> tuple[int, str]:
-    return (int(name[1:]) if name[1:].isdigit() else -1, name)
 
 
 # ----------------------------------------------------------------------
@@ -411,7 +407,7 @@ def predict_deadlocks(
             break
 
     report.predictions = sorted(
-        found.values(), key=lambda p: [_order_key(t) for t in p.cycle]
+        found.values(), key=lambda p: [_task_sort_key(t) for t in p.cycle]
     )
     return report
 

@@ -1,13 +1,21 @@
-"""Reconstruct a runnable program from a trace journal.
+"""The fork/join skeleton of a program, and the two bodies that run it.
 
-The journal names tasks ``t0, t1, ...`` and records, for each, its
-forks and join *attempts* in program order — which is everything a
-fork/join program is, up to task bodies (pure computation does not
-affect the join structure).  :class:`TraceProgram` is that skeleton: a
-mapping ``task -> (("fork", child) | ("join", target), ...)``, directly
-executable on the cooperative/simulation runtimes.
+:class:`TraceProgram` maps each task to its forks and joins in program
+order — everything a fork/join program is, up to task bodies (pure
+computation does not affect the join structure).  It is built from a
+formal trace or a trace journal and runs as generator tasks on the
+simulator (:meth:`~TraceProgram.run_sim`: ``repro replay``/``simulate``,
+the predictor) or as blocking tasks on a thread or pool runtime
+(:meth:`~TraceProgram.run_blocking`: ``repro run``/``top``, the predict
+corpus).  Global interleaving is left to the scheduler, which is
+faithful because both policies are insensitive to it: the TJ order
+depends only on per-parent fork order, and KJ knowledge flows only along
+each task's own fork/join sequence.  (A join in a live execution also
+transfers the joinee's *final* knowledge, so online KJ knowledge is
+always a superset of the formal at-position knowledge; tests rely on
+exactly that direction.)
 
-Join attempts are recovered from the per-edge record patterns:
+Join attempts are recovered from a journal's per-edge record patterns:
 
 * ``verdict`` … ``join`` — a completed join;
 * ``verdict`` … ``block`` … ``unblock`` with **no** ``join`` — a join
@@ -23,21 +31,29 @@ exactly where the original did.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
-from typing import Any, Optional, Union
+from typing import Any, Optional, Sequence, TYPE_CHECKING, Union
 
 from ..core.policy import JoinPolicy
 from ..errors import (
     DeadlockAvoidedError,
     DeadlockDetectedError,
+    JoinTimeoutError,
+    PolicyQuarantinedError,
     PolicyViolationError,
     RuntimeStateError,
     TaskFailedError,
 )
+from ..formal.actions import Action, Fork
+from ..formal.trace import FreeFamily, validate_trace
 from ..runtime.context import require_current_task
 from ..runtime.explore import Schedule
 from ..runtime.sim import SimRuntime
 from ..runtime.task import TaskHandle
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..runtime.supervisor import SupervisedJoinMixin
 
 __all__ = ["SimOutcome", "TraceProgram"]
 
@@ -75,6 +91,27 @@ class TraceProgram:
         ]
 
     # ------------------------------------------------------------------
+    @classmethod
+    def from_trace(cls, trace: Sequence[Action]) -> "TraceProgram":
+        """The program a formal trace describes, each task's forks and
+        joins in trace order.  An empty or structurally invalid trace,
+        which would fork a task twice or wait forever for a future nobody
+        forks, raises ``ValueError`` naming the index, action and reason.
+        """
+        if not trace:
+            raise ValueError("trace is empty; it must start with init")
+        bad = validate_trace(trace, FreeFamily).first_violation
+        if bad is not None:
+            raise ValueError(f"trace action #{bad.index} {bad.action}: {bad.reason}")
+        actions: dict[str, list[tuple[str, str]]] = {trace[0].task: []}
+        for action in trace[1:]:
+            if isinstance(action, Fork):
+                actions[action.parent].append(("fork", action.child))
+                actions[action.child] = []
+            else:
+                actions[action.waiter].append(("join", action.joinee))
+        return cls(root=trace[0].task, actions={t: tuple(a) for t, a in actions.items()})
+
     @classmethod
     def from_records(cls, records: list[dict]) -> "TraceProgram":
         """Rebuild the program skeleton from ``read_journal`` records."""
@@ -136,7 +173,7 @@ class TraceProgram:
         )
 
     # ------------------------------------------------------------------
-    # execution on the deterministic simulator
+    # the generator body: the deterministic simulator
     # ------------------------------------------------------------------
     def run_sim(
         self,
@@ -147,15 +184,16 @@ class TraceProgram:
         schedule: Optional[Schedule] = None,
         max_steps: Optional[int] = None,
     ) -> "SimOutcome":
-        """One deterministic run of the reconstructed program.
+        """One deterministic run of the program on a fresh :class:`SimRuntime`.
 
         Policy refusals (``DeadlockAvoidedError`` under a fallback,
         ``PolicyViolationError`` without one) are caught *at the join*
-        and recorded — the reconstructed task skips the refused join and
-        carries on, exactly like the journal-producing harnesses.  A
-        real deadlock (``policy=None`` on a cycle-realizing schedule)
-        surfaces as the scheduler's ``DeadlockDetectedError`` and is
-        reported with the blocked cycle in journal task names.
+        and recorded — the task skips the refused join and carries on,
+        exactly like the journal-producing harnesses — as is a join on
+        the root, which has no future (``JoinOnRoot``).  A real deadlock
+        (``policy=None`` on a cycle-realizing schedule) surfaces as the
+        scheduler's ``DeadlockDetectedError`` and is reported with the
+        blocked cycle in the program's task names.
         """
         if max_steps is None:
             # generous for the program size, small enough that a
@@ -169,7 +207,7 @@ class TraceProgram:
             strict=False,
             max_steps=max_steps,
         )
-        outcome = SimOutcome()
+        outcome = SimOutcome(runtime=rt)
         futures: dict[str, Any] = {}
         names: dict[TaskHandle, str] = {}
         spin_budget = 4 * max(64, self.total_actions * (len(self.actions) + 1))
@@ -179,6 +217,9 @@ class TraceProgram:
             for kind, target in self.actions.get(name, ()):
                 if kind == "fork":
                     futures[target] = rt.fork(body, target)
+                    continue
+                if target == self.root:
+                    outcome.refusals.append((name, target, "JoinOnRoot"))
                     continue
                 spins = 0
                 while target not in futures:
@@ -197,6 +238,8 @@ class TraceProgram:
                     # A joinee killed by a refusal cascading up; the
                     # original harnesses swallow these at the join too.
                     outcome.refusals.append((name, target, "TaskFailedError"))
+                else:
+                    outcome.completed_joins.append((name, target))
             return name
 
         try:
@@ -215,22 +258,83 @@ class TraceProgram:
             outcome.deadlocks_avoided = rt.detector.stats.deadlocks_avoided
         return outcome
 
+    # ------------------------------------------------------------------
+    # the blocking body: a thread or pool runtime
+    # ------------------------------------------------------------------
+    def run_blocking(self, rt: "SupervisedJoinMixin") -> "SimOutcome":
+        """One run of the program on a blocking runtime the caller built
+        (a ``TaskRuntime`` or ``WorkSharingRuntime``, with its policy,
+        journal and supervision options); ``rt.run`` returns once every
+        forked task has terminated.
+
+        A join waits until the joinee's fork is issued, then joins its
+        future.  A join the verifier refuses or the supervision layer
+        ends (a deadline, a watchdog diagnosis, a quarantined policy, a
+        failed joinee, labelled by its cause) is recorded and skipped, as
+        is a join on the root; any other error propagates.
+        """
+        outcome = SimOutcome(runtime=rt)
+        futures: dict[str, Any] = {}
+        issued = {task: threading.Event() for task in self.actions}
+
+        def body(name: str):
+            for kind, target in self.actions[name]:
+                if kind == "fork":
+                    futures[target] = rt.fork(body, target)
+                    issued[target].set()
+                    continue
+                if target == self.root:
+                    outcome.refusals.append((name, target, "JoinOnRoot"))
+                    continue
+                issued[target].wait()
+                try:
+                    futures[target].join()
+                except (
+                    PolicyViolationError,
+                    DeadlockAvoidedError,
+                    DeadlockDetectedError,
+                    JoinTimeoutError,
+                    PolicyQuarantinedError,
+                ) as exc:
+                    outcome.refusals.append((name, target, type(exc).__name__))
+                except TaskFailedError as exc:
+                    cause = exc.__cause__ or exc
+                    outcome.refusals.append((name, target, type(cause).__name__))
+                else:
+                    outcome.completed_joins.append((name, target))
+            return name
+
+        outcome.result = rt.run(body, self.root)
+        if rt.detector is not None:
+            outcome.deadlocks_avoided = rt.detector.stats.deadlocks_avoided
+        return outcome
+
 
 @dataclass
 class SimOutcome:
-    """What one simulated run of a :class:`TraceProgram` did."""
+    """What one run of a :class:`TraceProgram` did, on either body."""
 
     result: Any = None
+    #: what ended a simulated run early (a blocking run raises it instead)
     error: Optional[BaseException] = None
-    #: the realized blocked cycle, in journal task names (None: no deadlock)
+    #: the realized blocked cycle, in the program's task names (None: no deadlock)
     deadlock: Optional[tuple[str, ...]] = None
-    #: joins the policy refused, as (waiter, joinee, error-class-name)
+    #: joins that completed, as (waiter, joinee), in completion order
+    completed_joins: list[tuple[str, str]] = field(default_factory=list)
+    #: joins refused or ended early, as (waiter, joinee, error-class-name)
     refusals: list[tuple[str, str, str]] = field(default_factory=list)
-    #: every scheduling decision of the run, replayable
+    #: every scheduling decision of a simulated run, replayable
     schedule: Optional[Schedule] = None
     steps: int = 0
     timeouts_fired: int = 0
     deadlocks_avoided: int = 0
+    #: the runtime the program ran on (its verifier and detector stats)
+    runtime: Any = None
+
+    @property
+    def clean(self) -> bool:
+        """Every join completed: no refusal, no deadlock, no error."""
+        return not self.refusals and self.deadlock is None and self.error is None
 
     @property
     def verdict(self) -> str:

@@ -968,7 +968,6 @@ def run_predict_program(
     *,
     policy: Union[None, str, JoinPolicy] = None,
     join_timeout: float = 0.1,
-    drain_timeout: float = 30.0,
 ) -> PredictSpec:
     """Execute a predict spec on the threaded runtime, journalling to
     *journal_path*.
@@ -977,64 +976,33 @@ def run_predict_program(
     ``default_join_timeout=join_timeout`` with the watchdog off, so a
     closed cycle is rescued by deadlines rather than diagnosed — the
     run completes cleanly and the journal records the block/unblock
-    pattern.  The root drains all forked tasks before returning so the
-    journal's ``complete`` records are durable before it closes.
+    pattern.  ``run`` waits for every forked task before it closes the
+    journal, so the ``complete`` records are durable.
     """
-    import time as _time
-
-    from ..errors import DeadlockDetectedError, JoinTimeoutError
+    from ..predict import TraceProgram
 
     spec = (
         spec_or_seed
         if isinstance(spec_or_seed, PredictSpec)
         else generate_predict_spec(spec_or_seed)
     )
-    rt = TaskRuntime(
-        policy,
-        fallback=True,
-        journal=journal_path,
-        default_join_timeout=join_timeout,
-        watchdog=False,
-        on_unjoined_failure="ignore",
+    program = TraceProgram(
+        root="0",
+        actions={
+            str(t): tuple((kind, str(target)) for kind, target in acts)
+            for t, acts in spec.actions.items()
+        },
     )
-    futures: dict[int, object] = {}
-    issued: dict[int, threading.Event] = {
-        t: threading.Event() for t in spec.actions
-    }
-    rescues = (
-        JoinTimeoutError,
-        DeadlockAvoidedError,
-        DeadlockDetectedError,
-        PolicyQuarantinedError,
-        TaskFailedError,
+    program.run_blocking(
+        TaskRuntime(
+            policy,
+            fallback=True,
+            journal=journal_path,
+            default_join_timeout=join_timeout,
+            watchdog=False,
+            on_unjoined_failure="ignore",
+        )
     )
-
-    def body(tid: int):
-        for kind, target in spec.actions[tid]:
-            if kind == "fork":
-                futures[target] = rt.fork(body, target)
-                issued[target].set()
-                continue
-            while not issued[target].wait(0.05):
-                pass
-            try:
-                futures[target].join()
-            except rescues:
-                pass
-            except Exception:  # policy violations without fallback, etc.
-                pass
-        if tid == 0:
-            deadline = _time.monotonic() + drain_timeout
-            while any(not f.done() for f in futures.values()):
-                if _time.monotonic() > deadline:
-                    raise ChaosInvariantError(
-                        f"predict seed {spec.seed}: forked tasks failed to "
-                        f"quiesce within {drain_timeout}s"
-                    )
-                _time.sleep(0.002)
-        return tid
-
-    rt.run(body, 0)
     return spec
 
 

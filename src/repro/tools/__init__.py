@@ -1,4 +1,4 @@
-"""Operational tooling: trace recording/replay, visualisation, CLI."""
+"""Operational tooling: trace recording, journal post-mortems, visualisation, CLI."""
 
 from .. import _lazy
 
@@ -9,9 +9,6 @@ _EXPORTS = {
     "JournalReplay": ".replay",
     "read_journal": ".journal",
     "replay_journal": ".replay",
-    "replay_on_runtime": ".replay",
-    "replay_on_threaded": ".replay",
-    "ReplayOutcome": ".replay",
     "render_fork_tree": ".viz",
     "render_permission_matrix": ".viz",
     "fork_tree_dot": ".viz",

@@ -9,8 +9,9 @@ Commands
     Render the fork tree (with TJ ranks), the TJ/KJ permission matrix,
     or Graphviz DOT.
 ``replay <trace-file> [--policy P] [--no-fallback]``
-    Execute the trace on the cooperative runtime under a verifier and
-    report completed/refused joins and fallback activity.
+    Execute the trace on the deterministic simulator under a verifier
+    and report completed/refused joins, fallback activity, and the
+    blocked cycle of a deadlock no policy refused.
 ``bench <name> [--policy P] [--param k=v ...]``
     Run one benchmark once and print verification/fallback statistics.
 ``table1 [--sizes ...]``
@@ -78,6 +79,10 @@ trace), ``--metrics-out`` (merged fleet metrics snapshot), and
 ``run`` and ``chaos`` additionally accept ``--trace-out PATH`` (write a
 Perfetto/Chrome-trace JSON of the execution) and ``--metrics-out PATH``
 (write the final metrics snapshot as JSON).
+
+A command pointed at an input file that is missing, empty, malformed or
+of the wrong kind, or at a trace that is not structurally valid (``check``
+names the problem), prints one line on stderr and exits 2.
 """
 
 from __future__ import annotations
@@ -108,12 +113,27 @@ _SMALL = {
 }
 
 
+def _read_trace(path: str) -> list:
+    """The formal trace in the text file at *path* (a :func:`_load` reader)."""
+    with open(path) as fh:
+        return parse_trace(fh.read())
+
+
+def _read_program(path: str):
+    """The trace file at *path* as a runnable
+    :class:`~repro.predict.TraceProgram` (a :func:`_load` reader)."""
+    from ..predict.program import TraceProgram
+
+    return TraceProgram.from_trace(_read_trace(path))
+
+
 def _cmd_check(args: argparse.Namespace) -> int:
     from ..formal.deadlock import find_join_cycle
     from ..formal.trace import KJFamily, TJFamily, validate_trace
 
-    with open(args.trace) as fh:
-        trace = parse_trace(fh.read())
+    trace = _load("check", "trace", args.trace, _read_trace)
+    if trace is None:
+        return 2
     family = {"TJ": TJFamily, "KJ": KJFamily}[args.policy]
     result = validate_trace(trace, family)
     cycle = find_join_cycle(trace)
@@ -131,8 +151,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
 def _cmd_viz(args: argparse.Namespace) -> int:
     from .viz import fork_tree_dot, render_fork_tree, render_permission_matrix
 
-    with open(args.trace) as fh:
-        trace = parse_trace(fh.read())
+    trace = _load("viz", "trace", args.trace, _read_trace)
+    if trace is None:
+        return 2
     if args.format == "tree":
         print(render_fork_tree(trace))
     elif args.format == "matrix":
@@ -142,22 +163,41 @@ def _cmd_viz(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_replay(args: argparse.Namespace) -> int:
-    from .replay import replay_on_runtime
+def _blocking_runtime(kind: str, policy: Optional[str], **options):
+    """A fresh ``--runtime`` runtime: thread-per-task or the work-sharing pool."""
+    if kind == "pool":
+        from ..runtime.pool import WorkSharingRuntime
 
-    with open(args.trace) as fh:
-        trace = parse_trace(fh.read())
-    policy = None if args.policy == "none" else args.policy
-    outcome = replay_on_runtime(trace, policy, fallback=not args.no_fallback)
-    rt = outcome.runtime
-    print(f"policy:           {args.policy}")
+        return WorkSharingRuntime(policy, **options)
+    from ..runtime.threaded import TaskRuntime
+
+    return TaskRuntime(policy, **options)
+
+
+def _print_joins(outcome) -> None:
+    """What a trace run did to its joins (``replay`` and ``run``)."""
     print(f"completed joins:  {len(outcome.completed_joins)}")
-    print(f"refused joins:    {len(outcome.refused_joins)}")
-    for waiter, joinee, kind in outcome.refused_joins:
+    print(f"refused joins:    {len(outcome.refusals)}")
+    for waiter, joinee, kind in outcome.refusals:
         print(f"  join({waiter}, {joinee}) refused: {kind}")
-    if rt.detector is not None:
-        print(f"false positives:  {rt.detector.stats.false_positives}")
-        print(f"deadlocks avoided: {rt.detector.stats.deadlocks_avoided}")
+    if outcome.deadlock is not None:
+        print("  blocked cycle: " + " -> ".join(outcome.deadlock + (outcome.deadlock[0],)))
+    elif outcome.error is not None:
+        print(f"run failed: {outcome.error!r}")
+    detector = outcome.runtime.detector
+    if detector is not None:
+        print(f"false positives:  {detector.stats.false_positives}")
+        print(f"deadlocks avoided: {detector.stats.deadlocks_avoided}")
+
+
+def _cmd_replay(args: argparse.Namespace) -> int:
+    program = _load("replay", "trace", args.trace, _read_program)
+    if program is None:
+        return 2
+    policy = None if args.policy == "none" else args.policy
+    outcome = program.run_sim(policy, fallback=not args.no_fallback)
+    print(f"policy:           {args.policy}")
+    _print_joins(outcome)
     return 0 if outcome.clean else 1
 
 
@@ -186,33 +226,25 @@ def _export_telemetry(session, args: argparse.Namespace) -> None:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    from .replay import replay_on_threaded
-
-    with open(args.trace) as fh:
-        trace = parse_trace(fh.read())
+    program = _load("run", "trace", args.trace, _read_program)
+    if program is None:
+        return 2
     policy = None if args.policy == "none" else args.policy
     watchdog = False if args.no_watchdog else args.watchdog_interval
     with _telemetry_scope(args) as session:
-        outcome = replay_on_threaded(
-            trace,
+        rt = _blocking_runtime(
+            args.runtime,
             policy,
             fallback=not args.no_fallback,
-            runtime=args.runtime,
             default_join_timeout=args.timeout,
             watchdog=watchdog,
             fail_mode=args.fail_mode,
             journal=args.journal,
         )
-        rt = outcome.runtime
+        outcome = program.run_blocking(rt)
         print(f"runtime:          {args.runtime}")
         print(f"policy:           {args.policy}")
-        print(f"completed joins:  {len(outcome.completed_joins)}")
-        print(f"refused joins:    {len(outcome.refused_joins)}")
-        for waiter, joinee, kind in outcome.refused_joins:
-            print(f"  join({waiter}, {joinee}) refused: {kind}")
-        if rt.detector is not None:
-            print(f"false positives:  {rt.detector.stats.false_positives}")
-            print(f"deadlocks avoided: {rt.detector.stats.deadlocks_avoided}")
+        _print_joins(outcome)
         if rt.watchdog is not None:
             print(f"watchdog stalls:  {rt.watchdog.deadlocks_detected}")
         if rt.verifier.quarantined:
@@ -226,11 +258,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _load(command: str, what: str, path: str, reader: Callable[[str], _T]) -> Optional[_T]:
     """``reader(path)``, or None after a one-line diagnosis on stderr.
 
-    The journal, witness and metrics commands are post-mortem tools:
-    pointing them at a file that is missing, a directory, empty or of
-    the wrong kind is an operator mistake, not a program crash, so the
-    command reports it in one line and exits 2 instead of dumping a
-    traceback.
+    Every command that reads a file (a trace, journal, witness or
+    metrics snapshot) reads it through here: pointing one at a file that
+    is missing, a directory, empty, malformed or of the wrong kind is an
+    operator mistake, not a program crash, so the command reports it in
+    one line and exits 2 instead of dumping a traceback.  A reader
+    signals a bad file with ``JournalError`` (naming the file) or
+    ``ValueError``.
     """
     import os
 
@@ -247,6 +281,8 @@ def _load(command: str, what: str, path: str, reader: Callable[[str], _T]) -> Op
             return reader(path)
         except JournalError as exc:  # its message names the file
             problem = str(exc)
+        except ValueError as exc:
+            problem = f"{path}: {exc}"
     print(f"{command}: {problem}", file=sys.stderr)
     return None
 
@@ -560,16 +596,14 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             f"({len(schedule)} decisions, journal {witness.journal or '?'})"
         )
     elif args.journal:
-        from ..errors import JournalError
         from ..tools.journal import read_trace_journal
 
-        def reconstruct(path: str) -> TraceProgram:
-            try:
-                return TraceProgram.from_records(read_trace_journal(path, "simulate").records)
-            except ValueError as exc:  # no init record
-                raise JournalError(f"{path}: {exc}") from exc
-
-        program = _load("simulate", "journal", args.journal, reconstruct)
+        program = _load(
+            "simulate",
+            "journal",
+            args.journal,
+            lambda path: TraceProgram.from_records(read_trace_journal(path, "simulate").records),
+        )
         if program is None:
             return 2
         schedule = None
@@ -715,8 +749,18 @@ def _top_live(args: argparse.Namespace) -> int:
         return 0
 
 
-def _cmd_top(args: argparse.Namespace) -> int:
+def _read_snapshot(path: str) -> dict:
+    """A saved metrics snapshot (a :func:`_load` reader)."""
     import json as _json
+
+    with open(path) as fh:
+        snapshot = _json.load(fh)
+    if not isinstance(snapshot, dict):  # None would read as _load's refusal
+        raise ValueError("not a metrics snapshot: its top level is not a JSON object")
+    return snapshot
+
+
+def _cmd_top(args: argparse.Namespace) -> int:
     import threading
 
     from ..obs.top import render_snapshot, render_top
@@ -740,29 +784,27 @@ def _cmd_top(args: argparse.Namespace) -> int:
             return 0
         print()
     if args.metrics:
-        from pathlib import Path
-
-        text = _load("top", "metrics", args.metrics, lambda path: Path(path).read_text())
-        if text is None:
+        snapshot = _load("top", "metrics", args.metrics, _read_snapshot)
+        if snapshot is None:
             return 2
-        print(render_snapshot(_json.loads(text)))
+        print(render_snapshot(snapshot))
         return 0
     if not args.trace:
         print("top: a trace file (live mode) or --metrics FILE is required")
         return 2
     from .. import obs
-    from .replay import replay_on_threaded
 
-    with open(args.trace) as fh:
-        trace = parse_trace(fh.read())
+    program = _load("top", "trace", args.trace, _read_program)
+    if program is None:
+        return 2
     policy = None if args.policy == "none" else args.policy
     box: dict = {}
     with obs.enabled() as session:
 
         def runner() -> None:
             try:
-                box["outcome"] = replay_on_threaded(
-                    trace, policy, runtime=args.runtime
+                box["outcome"] = program.run_blocking(
+                    _blocking_runtime(args.runtime, policy)
                 )
             except BaseException as exc:  # rendered, then reported via exit code
                 box["error"] = exc

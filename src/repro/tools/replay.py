@@ -1,263 +1,24 @@
-"""Execute a formal trace as a live program (the inverse of the recorder).
+"""Journal replay: the crash post-mortem.
 
-The recorder turns executions into traces; this module turns traces back
-into executions: each task of the trace becomes a cooperative-runtime
-task that performs its prescribed forks and joins in its own program
-order.  Global interleaving is left to the scheduler — which is faithful,
-because both policies are insensitive to it: the TJ order depends only on
-per-parent fork order, and KJ knowledge flows only along each task's own
-fork/join sequence.  (A join in a live execution also transfers the
-joinee's *final* knowledge, so online KJ knowledge is always a superset
-of the formal at-position knowledge; tests rely on exactly that
-direction.)
-
-This closes the loop for end-to-end property tests: a random TJ-valid
-trace, replayed on the real runtime under any TJ verifier, must complete
-with zero false positives; a deadlocking trace must be refused at
-runtime rather than hanging.
+:func:`replay_journal` reads a trace or sidecar journal, tolerating a
+crash-torn final record, and reconstructs what the verifier knew when
+the process stopped: the joins it was blocked on, quarantine and retry
+events, and every journalled verdict re-derived by a fresh policy.
+(Running a formal trace as a live program is
+:class:`~repro.predict.TraceProgram`'s job.)
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional
 
 from ..core.policy import JoinPolicy, make_policy
-from ..errors import (
-    DeadlockAvoidedError,
-    DeadlockDetectedError,
-    JoinTimeoutError,
-    PolicyViolationError,
-    TaskFailedError,
-)
-from ..formal.actions import Action, Fork, Init, Join, Task
-from ..runtime.cooperative import CooperativeRuntime
 from ..service.mirror import MirroredSpawnPaths
 
-__all__ = [
-    "JournalReplay",
-    "ReplayOutcome",
-    "replay_journal",
-    "replay_on_runtime",
-    "replay_on_threaded",
-]
+__all__ = ["JournalReplay", "replay_journal"]
 
 
-class ReplayOutcome:
-    """What happened when a trace ran for real."""
-
-    def __init__(self) -> None:
-        self.completed_joins: list[tuple[Task, Task]] = []
-        self.refused_joins: list[tuple[Task, Task, str]] = []
-        self.runtime: Optional[CooperativeRuntime] = None
-
-    @property
-    def clean(self) -> bool:
-        return not self.refused_joins
-
-
-def replay_on_runtime(
-    trace: list[Action],
-    policy: Union[None, str, JoinPolicy] = "TJ-SP",
-    *,
-    fallback: bool = True,
-) -> ReplayOutcome:
-    """Run *trace* on a fresh :class:`CooperativeRuntime`.
-
-    Each trace task is one generator task performing its actions in
-    program order; a join spins (cooperatively) until the joinee's future
-    exists, then joins it through the full verification pipeline.
-    Refused joins (policy faults without a fallback, or avoided
-    deadlocks) are recorded and skipped, so a replay under an active
-    policy always terminates and reports everything the verifier did.
-    """
-    rt = CooperativeRuntime(policy, fallback=fallback)
-    outcome = ReplayOutcome()
-    outcome.runtime = rt
-
-    if not trace or not isinstance(trace[0], Init):
-        raise ValueError("trace must start with init")
-
-    my_actions: dict[Task, list[Action]] = {trace[0].task: []}
-    for action in trace[1:]:
-        if isinstance(action, Fork):
-            my_actions.setdefault(action.parent, []).append(action)
-            my_actions.setdefault(action.child, [])
-        elif isinstance(action, Join):
-            my_actions.setdefault(action.waiter, []).append(action)
-
-    futures: dict[Task, object] = {}
-
-    def body(name: Task):
-        for action in my_actions[name]:
-            if isinstance(action, Fork):
-                futures[action.child] = rt.fork(body, action.child)
-                continue
-            assert isinstance(action, Join)
-            if action.joinee == trace[0].task:
-                # the root has no future; no policy ever permits joining
-                # it anyway — record the refusal and move on
-                outcome.refused_joins.append(
-                    (action.waiter, action.joinee, "JoinOnRoot")
-                )
-                continue
-            while action.joinee not in futures:
-                yield None  # the forking task has not issued it yet
-            try:
-                yield futures[action.joinee]
-            except (PolicyViolationError, DeadlockAvoidedError) as exc:
-                outcome.refused_joins.append(
-                    (action.waiter, action.joinee, type(exc).__name__)
-                )
-            except TaskFailedError:  # pragma: no cover - tasks never fail
-                raise
-            else:
-                outcome.completed_joins.append((action.waiter, action.joinee))
-        return name
-
-    rt.run(body, trace[0].task)
-    return outcome
-
-
-def _await_quiescence(futures: dict) -> None:
-    """Wait (uncheckedly) until every forked task has terminated.
-
-    Unlike the cooperative scheduler, the blocking runtime returns when
-    the *root* returns; tasks nobody joins may still be finishing their
-    trailing actions — and forking more.  Iterate until the future set
-    is stable and fully terminated.  Waits in short timed slices, never
-    a bare event wait, so Ctrl-C interrupts a replay gone wrong.
-    """
-    while True:
-        snapshot = list(futures.values())
-        for fut in snapshot:
-            while not fut._wait(0.05):
-                pass
-        if len(futures) == len(snapshot):
-            return
-
-
-def replay_on_threaded(
-    trace: list[Action],
-    policy: Union[None, str, JoinPolicy] = "TJ-SP",
-    *,
-    fallback: bool = True,
-    runtime: str = "threaded",
-    default_join_timeout: Optional[float] = None,
-    watchdog: Union[bool, float] = True,
-    fail_mode: str = "raise",
-    journal: Optional[str] = None,
-) -> ReplayOutcome:
-    """Run *trace* on a fresh blocking runtime (``"threaded"`` —
-    thread-per-task :class:`~repro.runtime.threaded.TaskRuntime`, the
-    default — or ``"pool"`` —
-    :class:`~repro.runtime.pool.WorkSharingRuntime`).
-
-    Same per-task program-order semantics as :func:`replay_on_runtime`,
-    with real threads and real blocking — the differential-testing
-    counterpart: the set of policy verdicts must agree with the
-    cooperative replay up to scheduling (TJ exactly; KJ within the
-    at-position/final-knowledge envelope).  Joins refused by the
-    verifier are recorded and skipped — as are joins terminated by the
-    supervision layer (``JoinTimeoutError``, a watchdog
-    ``DeadlockDetectedError``), so replaying a deadlocking trace with
-    verification disabled terminates with the stalls on record instead
-    of hanging the process.
-    """
-    import threading
-
-    from ..runtime.pool import WorkSharingRuntime
-    from ..runtime.threaded import TaskRuntime
-
-    if runtime == "threaded":
-        rt = TaskRuntime(
-            policy,
-            fallback=fallback,
-            default_join_timeout=default_join_timeout,
-            watchdog=watchdog,
-            fail_mode=fail_mode,
-            journal=journal,
-        )
-    elif runtime == "pool":
-        rt = WorkSharingRuntime(
-            policy,
-            fallback=fallback,
-            default_join_timeout=default_join_timeout,
-            watchdog=watchdog,
-            fail_mode=fail_mode,
-            journal=journal,
-        )
-    else:
-        raise ValueError(f"unknown runtime {runtime!r}; use 'threaded' or 'pool'")
-    outcome = ReplayOutcome()
-    outcome.runtime = rt  # type: ignore[assignment]
-
-    if not trace or not isinstance(trace[0], Init):
-        raise ValueError("trace must start with init")
-
-    my_actions: dict[Task, list[Action]] = {trace[0].task: []}
-    for action in trace[1:]:
-        if isinstance(action, Fork):
-            my_actions.setdefault(action.parent, []).append(action)
-            my_actions.setdefault(action.child, [])
-        elif isinstance(action, Join):
-            my_actions.setdefault(action.waiter, []).append(action)
-
-    futures: dict[Task, object] = {}
-    issued: dict[Task, threading.Event] = {
-        t: threading.Event() for t in my_actions
-    }
-    lock = threading.Lock()
-
-    def body(name: Task):
-        for action in my_actions[name]:
-            if isinstance(action, Fork):
-                fut = rt.fork(body, action.child)
-                futures[action.child] = fut
-                issued[action.child].set()
-                continue
-            assert isinstance(action, Join)
-            if action.joinee == trace[0].task:
-                with lock:
-                    outcome.refused_joins.append(
-                        (action.waiter, action.joinee, "JoinOnRoot")
-                    )
-                continue
-            while not issued[action.joinee].wait(0.05):
-                pass
-            try:
-                futures[action.joinee].join()
-            except (
-                PolicyViolationError,
-                DeadlockAvoidedError,
-                DeadlockDetectedError,
-                JoinTimeoutError,
-            ) as exc:
-                with lock:
-                    outcome.refused_joins.append(
-                        (action.waiter, action.joinee, type(exc).__name__)
-                    )
-            except TaskFailedError as exc:
-                # A joinee terminated by the supervision layer (watchdog
-                # diagnosis, timeout, cancellation) surfaces here; record
-                # the underlying refusal instead of crashing the replay.
-                with lock:
-                    outcome.refused_joins.append(
-                        (action.waiter, action.joinee, type(exc.__cause__ or exc).__name__)
-                    )
-            else:
-                with lock:
-                    outcome.completed_joins.append((action.waiter, action.joinee))
-        return name
-
-    rt.run(body, trace[0].task)
-    _await_quiescence(futures)
-    return outcome
-
-
-# ----------------------------------------------------------------------
-# journal replay: the crash post-mortem
-# ----------------------------------------------------------------------
 @dataclass
 class JournalReplay:
     """Verifier state reconstructed from a (possibly crash-torn) journal.

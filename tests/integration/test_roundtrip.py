@@ -8,7 +8,13 @@ from repro.core import TJSpawnPathsLegacy
 from repro.formal.actions import Fork, Join
 from repro.formal.deadlock import contains_deadlock
 from repro.formal.trace import is_structurally_valid, is_tj_valid
-from repro.tools import TraceRecordingPolicy, replay_on_runtime
+from repro.predict import TraceProgram
+from repro.tools import TraceRecordingPolicy
+
+
+def replay(trace, policy):
+    """*trace* run once on the deterministic simulator."""
+    return TraceProgram.from_trace(trace).run_sim(policy)
 
 
 def record(program_builder):
@@ -57,7 +63,7 @@ class TestRoundTrip:
         assert is_tj_valid(trace)
         assert not contains_deadlock(trace)
         # replay sees the same number of verification events
-        outcome = replay_on_runtime(trace, "TJ-SP")
+        outcome = replay(trace, "TJ-SP")
         assert outcome.clean
         assert len(outcome.completed_joins) == sum(
             isinstance(a, Join) for a in trace
@@ -70,7 +76,7 @@ class TestRoundTrip:
         result, trace, _ = record(queue_program)
         assert result == 15
         assert is_tj_valid(trace)
-        outcome = replay_on_runtime(trace, "TJ-SP")
+        outcome = replay(trace, "TJ-SP")
         assert outcome.clean
 
     def test_recorded_joins_match_live_joins(self):
@@ -99,6 +105,6 @@ class TestRoundTrip:
 
         _, trace1, _ = record(fib_program)
         recorder = TraceRecordingPolicy(TJSpawnPathsLegacy())
-        replay_on_runtime(trace1, recorder)
+        replay(trace1, recorder)
         trace2 = recorder.snapshot()
         assert canonical(trace1) == canonical(trace2)

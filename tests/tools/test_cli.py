@@ -1,9 +1,16 @@
 """Tests for the command-line interface."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from repro.core.tj_sp_flat import TJSpawnPathsFlat
 from repro.tools.cli import main
+
+SRC = pathlib.Path(__file__).resolve().parents[2] / "src"
 
 
 @pytest.fixture
@@ -23,6 +30,9 @@ fork(b, c)
 join(a, c)   # grandchild join
 join(a, b)
 """
+
+#: two siblings joining each other: a deadlock no policy is there to stop
+RING_TRACE = "init(r)\nfork(r, a)\nfork(r, b)\njoin(a, b)\njoin(b, a)\n"
 
 
 class TestCheckCommand:
@@ -114,6 +124,45 @@ class TestReplayCommand:
         out = capsys.readouterr().out
         assert rc == 1
         assert "PolicyViolationError" in out
+
+    def test_unprotected_deadlock_names_its_cycle(self, trace_file, capsys):
+        rc = main(
+            ["replay", trace_file(RING_TRACE), "--policy", "none", "--no-fallback"]
+        )
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert "blocked cycle: a -> b -> a" in out
+
+
+class TestIllFormedTraceExits2:
+    """A trace that forks from or of an unknown task, or joins one, is
+    refused in one line before anything runs; run, it would hang or
+    fork a task twice.  Each command runs in a subprocess under a
+    timeout, so a regression fails instead of hanging the suite."""
+
+    @pytest.mark.parametrize("command", ["replay", "run"])
+    @pytest.mark.parametrize(
+        "text, problem",
+        [
+            ("init(r)\nfork(x, a)\njoin(r, a)\n", "fork from unknown task 'x'"),
+            ("init(r)\njoin(r, x)\n", "join on unknown task"),
+            ("init(r)\nfork(r, a)\nfork(r, a)\n", "fork of existing task 'a'"),
+        ],
+        ids=["fork-from-unknown", "join-on-unknown", "fork-twice"],
+    )
+    def test_refused_in_one_line(self, command, text, problem, trace_file):
+        path = trace_file(text)
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.tools.cli", command, path],
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith(f"{command}: {path}: trace action #")
+        assert proc.stderr.count("\n") == 1 and problem in proc.stderr
 
 
 class TestReportCommands:
@@ -440,8 +489,9 @@ def _sidecar_journal(path):
 
 
 class TestWrongFileExits2:
-    """A post-mortem command pointed at the wrong file prints one line
-    on stderr naming it and exits 2 — no traceback, nothing simulated."""
+    """A command pointed at the wrong file (missing, a directory, empty,
+    malformed or of the wrong kind) prints one line on stderr naming it
+    and exits 2 — no traceback, nothing run."""
 
     @pytest.fixture
     def wrong(self, tmp_path):
@@ -455,6 +505,9 @@ class TestWrongFileExits2:
             "recorded-schedule": tmp_path / "recorded.json",
             "list": tmp_path / "list.json",
             "torn": tmp_path / "torn.jsonl",
+            "malformed-trace": tmp_path / "trace.txt",
+            "malformed-snapshot": tmp_path / "snapshot.json",
+            "null-snapshot": tmp_path / "null.json",
         }
         files["empty"].write_text("")
         # killed mid-way through its first record: no init to rebuild from
@@ -463,6 +516,9 @@ class TestWrongFileExits2:
         # what `simulate --record-out` writes: a schedule, not a witness
         Schedule(choices=(1, 0), widths=(2, 2)).save(str(files["recorded-schedule"]))
         files["list"].write_text("[]\n")
+        files["malformed-trace"].write_text("init(r)\nfork(r, a\n")
+        files["malformed-snapshot"].write_text("{")
+        files["null-snapshot"].write_text("null\n")
         return {name: str(path) for name, path in files.items()}
 
     @pytest.mark.parametrize(
@@ -480,6 +536,13 @@ class TestWrongFileExits2:
             ("journal-replay", "missing"),
             ("top --predict", "sidecar"),
             ("top --metrics", "empty"),
+            ("top --metrics", "malformed-snapshot"),
+            ("top --metrics", "null-snapshot"),
+        ]
+        + [
+            (command, kind)
+            for command in ("check", "viz", "replay", "run", "top")
+            for kind in ("missing", "malformed-trace")
         ],
     )
     def test_one_line_on_stderr_and_exit_2(self, command, kind, wrong, capsys):

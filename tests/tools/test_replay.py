@@ -1,11 +1,11 @@
-"""End-to-end tests: formal traces executed on the real runtime."""
+"""End-to-end tests: formal traces executed on the real runtimes."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 
-from repro.errors import DeadlockDetectedError
 from repro.formal.actions import Fork, Init, Join
 from repro.formal.deadlock import contains_deadlock
 from repro.formal.generators import (
@@ -13,42 +13,83 @@ from repro.formal.generators import (
     random_kj_valid_trace,
     random_tj_valid_trace,
 )
-from repro.tools.replay import replay_on_runtime, replay_on_threaded
+from repro.predict import TraceProgram
+from repro.runtime.pool import WorkSharingRuntime
+from repro.runtime.threaded import TaskRuntime
 
 from ..conftest import tj_valid_traces
+
+#: the two blocking runtimes ``run_blocking`` drives
+BLOCKING = (TaskRuntime, WorkSharingRuntime)
+
+
+def replay(trace, policy, **kwargs):
+    """*trace* run once on the deterministic simulator."""
+    return TraceProgram.from_trace(trace).run_sim(policy, **kwargs)
 
 
 class TestReplayBasics:
     def test_simple_trace(self):
         trace = [Init("r"), Fork("r", "a"), Join("r", "a")]
-        outcome = replay_on_runtime(trace, "TJ-SP")
+        outcome = replay(trace, "TJ-SP")
         assert outcome.clean
         assert outcome.completed_joins == [("r", "a")]
 
     def test_empty_or_malformed_trace_rejected(self):
         with pytest.raises(ValueError):
-            replay_on_runtime([], "TJ-SP")
+            TraceProgram.from_trace([])
         with pytest.raises(ValueError):
-            replay_on_runtime([Fork("r", "a")], "TJ-SP")
+            TraceProgram.from_trace([Fork("r", "a")])
+
+    @pytest.mark.parametrize(
+        "trace, problem",
+        [
+            (
+                [Init("r"), Fork("x", "a"), Join("r", "a")],
+                "#1 fork(x, a): fork from unknown task 'x'",
+            ),
+            ([Init("r"), Join("r", "x")], "#1 join(r, x): join on unknown task"),
+            (
+                [Init("r"), Fork("r", "a"), Fork("r", "a")],
+                "#2 fork(r, a): fork of existing task 'a'",
+            ),
+        ],
+        ids=["fork-from-unknown", "join-on-unknown", "fork-twice"],
+    )
+    def test_ill_formed_trace_names_index_action_and_reason(self, trace, problem):
+        """Run, each of these would wait forever for a future nobody
+        forks, or fork one task twice."""
+        with pytest.raises(ValueError, match=re.escape(problem)):
+            TraceProgram.from_trace(trace)
 
     def test_join_on_root_is_refused(self):
         trace = [Init("r"), Fork("r", "a"), Join("a", "r")]
-        outcome = replay_on_runtime(trace, "TJ-SP")
-        assert outcome.refused_joins == [("a", "r", "JoinOnRoot")]
+        outcome = replay(trace, "TJ-SP")
+        assert outcome.refusals == [("a", "r", "JoinOnRoot")]
 
     def test_verifier_saw_every_join(self):
         trace = random_tj_valid_trace(random.Random(0), 20, 25)
-        outcome = replay_on_runtime(trace, "TJ-SP")
+        outcome = replay(trace, "TJ-SP")
         joins = sum(isinstance(a, Join) for a in trace)
         assert len(outcome.completed_joins) == joins
         assert outcome.runtime.verifier.stats.joins_checked >= joins
+
+    def test_blocking_run_waits_for_unjoined_tasks(self):
+        """Nobody joins ``a``, which forks and joins ``b`` after the root
+        has returned: ``run`` waits for it all the same."""
+        program = TraceProgram.from_trace(
+            [Init("r"), Fork("r", "a"), Fork("a", "b"), Fork("b", "c"), Join("a", "b")]
+        )
+        for runtime in BLOCKING:
+            outcome = program.run_blocking(runtime("TJ-SP"))
+            assert outcome.completed_joins == [("a", "b")], runtime.__name__
 
 
 class TestReplayProperties:
     @settings(max_examples=40, deadline=None)
     @given(trace=tj_valid_traces(max_tasks=15, max_joins=15))
     def test_tj_valid_traces_replay_cleanly_under_tj(self, trace):
-        outcome = replay_on_runtime(trace, "TJ-SP")
+        outcome = replay(trace, "TJ-SP")
         assert outcome.clean
         assert outcome.runtime.detector.stats.false_positives == 0
         assert outcome.runtime.detector.stats.deadlocks_avoided == 0
@@ -60,7 +101,7 @@ class TestReplayProperties:
         for seed in range(8):
             trace = random_kj_valid_trace(random.Random(seed), 12, 15)
             for kj in ("KJ-SS", "KJ-VC"):
-                outcome = replay_on_runtime(trace, kj)
+                outcome = replay(trace, kj)
                 assert outcome.clean
                 assert outcome.runtime.detector.stats.false_positives == 0
 
@@ -70,20 +111,19 @@ class TestReplayProperties:
         for seed in range(5):
             trace = random_deadlocking_trace(random.Random(seed), 8, cycle_len=3)
             assert contains_deadlock(trace)
-            outcome = replay_on_runtime(trace, "TJ-SP")
+            outcome = replay(trace, "TJ-SP")
             assert not outcome.clean
-            refused = {
-                kind for _, _, kind in outcome.refused_joins
-            }
+            assert outcome.deadlock is None
+            refused = {kind for _, _, kind in outcome.refusals}
             assert refused <= {"PolicyViolationError", "DeadlockAvoidedError"}
             # the cycle was never allowed to form:
             assert outcome.runtime.detector.stats.deadlocks_avoided <= len(
-                outcome.refused_joins
+                outcome.refusals
             )
 
     def test_deadlocking_trace_detected_without_policy(self):
         """With verification off, the deterministic runtime detects the
-        planted deadlock instead of hanging."""
+        planted deadlock instead of hanging, and names its ring."""
         trace = [
             Init("r"),
             Fork("r", "a"),
@@ -91,32 +131,57 @@ class TestReplayProperties:
             Join("a", "b"),
             Join("b", "a"),
         ]
-        with pytest.raises(DeadlockDetectedError):
-            replay_on_runtime(trace, None, fallback=False)
+        outcome = replay(trace, None, fallback=False)
+        assert not outcome.clean
+        assert set(outcome.deadlock) == {"a", "b"}
+        assert outcome.verdict == "deadlock"
+
+    def test_joinee_of_a_deadlocked_forker_does_not_hang(self):
+        """The root waits for ``x``, which ``a`` forks only after its
+        join on ``b`` returns, and that join closes a cycle: the replay
+        reports the cycle instead of waiting for ``x`` forever."""
+        trace = [
+            Init("r"),
+            Fork("r", "a"),
+            Fork("r", "b"),
+            Join("a", "b"),
+            Join("b", "a"),
+            Fork("a", "x"),
+            Join("r", "x"),
+        ]
+        outcome = replay(trace, None, fallback=False)
+        assert set(outcome.deadlock) == {"a", "b"}
 
     def test_threaded_replay_matches_cooperative_for_tj(self):
         """Differential: the same TJ-valid traces replay cleanly with
-        identical completed-join sets on real threads."""
+        identical completed-join sets on real threads, one per task and
+        pooled."""
         for seed in range(6):
-            trace = random_tj_valid_trace(random.Random(seed), 12, 15)
-            coop = replay_on_runtime(trace, "TJ-SP")
-            threaded = replay_on_threaded(trace, "TJ-SP")
-            assert threaded.clean
-            assert sorted(map(str, threaded.completed_joins)) == sorted(
-                map(str, coop.completed_joins)
+            program = TraceProgram.from_trace(
+                random_tj_valid_trace(random.Random(seed), 12, 15)
             )
-            assert threaded.runtime.detector.stats.false_positives == 0
+            coop = program.run_sim("TJ-SP")
+            for runtime in BLOCKING:
+                threaded = program.run_blocking(runtime("TJ-SP"))
+                assert threaded.clean, runtime.__name__
+                assert sorted(threaded.completed_joins) == sorted(coop.completed_joins)
+                assert threaded.runtime.detector.stats.false_positives == 0
 
     def test_threaded_replay_avoids_planted_deadlocks(self):
         for seed in range(3):
-            trace = random_deadlocking_trace(random.Random(seed), 8, cycle_len=2)
-            outcome = replay_on_threaded(trace, "TJ-SP")
-            assert not outcome.clean  # something was refused, nothing hung
+            program = TraceProgram.from_trace(
+                random_deadlocking_trace(random.Random(seed), 8, cycle_len=2)
+            )
+            for runtime in BLOCKING:
+                outcome = program.run_blocking(runtime("TJ-SP"))
+                # something was refused, nothing hung
+                assert not outcome.clean, runtime.__name__
 
     def test_threaded_replay_join_on_root(self):
-        trace = [Init("r"), Fork("r", "a"), Join("a", "r")]
-        outcome = replay_on_threaded(trace, "TJ-SP")
-        assert outcome.refused_joins == [("a", "r", "JoinOnRoot")]
+        program = TraceProgram.from_trace([Init("r"), Fork("r", "a"), Join("a", "r")])
+        for runtime in BLOCKING:
+            outcome = program.run_blocking(runtime("TJ-SP"))
+            assert outcome.refusals == [("a", "r", "JoinOnRoot")], runtime.__name__
 
     @settings(max_examples=30, deadline=None)
     @given(trace=tj_valid_traces(max_tasks=12, max_joins=10))
@@ -129,7 +194,7 @@ class TestReplayProperties:
         from repro.formal.trace import KJFamily, validate_trace
 
         offline = validate_trace(trace, KJFamily)
-        outcome = replay_on_runtime(trace, "KJ-SS")
+        outcome = replay(trace, "KJ-SS")
         assert outcome.clean  # fallback admits everything: no deadlock
         online_fp = outcome.runtime.detector.stats.false_positives
         assert online_fp <= len(offline.rejected_joins)
