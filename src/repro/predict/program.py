@@ -81,6 +81,19 @@ class TraceProgram:
     def total_actions(self) -> int:
         return sum(len(a) for a in self.actions.values())
 
+    @property
+    def _spin_budget(self) -> int:
+        """Yields a join of :meth:`run_sim` waits for its joinee's fork."""
+        return 4 * max(64, self.total_actions * (len(self.actions) + 1))
+
+    @property
+    def replay_max_steps(self) -> int:
+        """A ``max_steps`` for :meth:`run_sim` that no run reaches (each
+        task's first step, and per action a whole spin budget and one
+        yield), so a trace replay ends only by finishing, by a spin budget
+        or by deadlock detection, however long its joiners spin."""
+        return len(self.actions) + self.total_actions * (self._spin_budget + 1)
+
     def join_edges(self) -> list[tuple[str, str]]:
         """Every (waiter, joinee) join attempt, in reconstruction order."""
         return [
@@ -196,8 +209,9 @@ class TraceProgram:
         blocked cycle in the program's task names.
         """
         if max_steps is None:
-            # generous for the program size, small enough that a
-            # stalled-issuance livelock dies quickly during search
+            # the predictor's search cap: linear in the program's size,
+            # so a stalled-issuance livelock dies quickly, and a long
+            # spin can reach it too (a replay passes replay_max_steps)
             max_steps = 200 * (self.total_actions + len(self.actions) + 1)
         rt = SimRuntime(
             policy,
@@ -210,7 +224,7 @@ class TraceProgram:
         outcome = SimOutcome(runtime=rt)
         futures: dict[str, Any] = {}
         names: dict[TaskHandle, str] = {}
-        spin_budget = 4 * max(64, self.total_actions * (len(self.actions) + 1))
+        spin_budget = self._spin_budget
 
         def body(name: str):
             names[require_current_task()] = name
@@ -254,8 +268,6 @@ class TraceProgram:
         outcome.schedule = rt.recorded_schedule
         outcome.steps = rt.steps
         outcome.timeouts_fired = rt.timeouts_fired
-        if rt.detector is not None:
-            outcome.deadlocks_avoided = rt.detector.stats.deadlocks_avoided
         return outcome
 
     # ------------------------------------------------------------------
@@ -305,8 +317,6 @@ class TraceProgram:
             return name
 
         outcome.result = rt.run(body, self.root)
-        if rt.detector is not None:
-            outcome.deadlocks_avoided = rt.detector.stats.deadlocks_avoided
         return outcome
 
 
@@ -327,7 +337,6 @@ class SimOutcome:
     schedule: Optional[Schedule] = None
     steps: int = 0
     timeouts_fired: int = 0
-    deadlocks_avoided: int = 0
     #: the runtime the program ran on (its verifier and detector stats)
     runtime: Any = None
 

@@ -195,7 +195,9 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     if program is None:
         return 2
     policy = None if args.policy == "none" else args.policy
-    outcome = program.run_sim(policy, fallback=not args.no_fallback)
+    outcome = program.run_sim(
+        policy, fallback=not args.no_fallback, max_steps=program.replay_max_steps
+    )
     print(f"policy:           {args.policy}")
     _print_joins(outcome)
     return 0 if outcome.clean else 1

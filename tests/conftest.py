@@ -116,6 +116,26 @@ def traces_with_arbitrary_joins(draw, max_tasks: int = 20, max_joins: int = 15):
     return trace
 
 
+def spinning_joiners_trace(waiters: int, depth: int) -> list:
+    """A TJ-valid trace whose joiners spin long on a live runtime: ``r``
+    forks ``s`` and *waiters* tasks ``w*``, which all join ``x``; ``s``
+    forks ``x`` only after ``y``'s fork/join chain of *depth* tasks
+    returns."""
+    chain = ["y"] + [f"c{i}" for i in range(depth)]
+    links = list(zip(chain, chain[1:]))
+    return [
+        Init("r"),
+        Fork("r", "s"),
+        *(Fork("r", f"w{i}") for i in range(waiters)),
+        Fork("s", "y"),
+        *(Fork(parent, child) for parent, child in links),
+        *(Join(parent, child) for parent, child in reversed(links)),
+        Join("s", "y"),
+        Fork("s", "x"),
+        *(Join(f"w{i}", "x") for i in range(waiters)),
+    ]
+
+
 @pytest.fixture(params=["TJ-GT", "TJ-JP", "TJ-SP", "TJ-OM"])
 def tj_policy_name(request):
     """Parametrise a test over all four TJ verifier algorithms."""

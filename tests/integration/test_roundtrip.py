@@ -13,8 +13,12 @@ from repro.tools import TraceRecordingPolicy
 
 
 def replay(trace, policy):
-    """*trace* run once on the deterministic simulator."""
-    return TraceProgram.from_trace(trace).run_sim(policy)
+    """*trace* run once on the deterministic simulator; an error it ends
+    in is raised, so it fails the calling test."""
+    outcome = TraceProgram.from_trace(trace).run_sim(policy)
+    if outcome.error is not None:
+        raise outcome.error
+    return outcome
 
 
 def record(program_builder):

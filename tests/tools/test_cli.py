@@ -8,7 +8,10 @@ import sys
 import pytest
 
 from repro.core.tj_sp_flat import TJSpawnPathsFlat
+from repro.formal.actions import Join
 from repro.tools.cli import main
+
+from ..conftest import spinning_joiners_trace
 
 SRC = pathlib.Path(__file__).resolve().parents[2] / "src"
 
@@ -132,6 +135,15 @@ class TestReplayCommand:
         out = capsys.readouterr().out
         assert rc == 1
         assert "blocked cycle: a -> b -> a" in out
+
+    def test_long_spinning_joiners_finish_clean(self, trace_file, capsys):
+        """700 joiners spin through a 700-deep fork/join chain, longer
+        than the predictor's search cap allows (test_replay.py)."""
+        trace = spinning_joiners_trace(700, 700)
+        rc = main(["replay", trace_file("\n".join(map(str, trace)))])
+        out = capsys.readouterr().out
+        assert rc == 0, out
+        assert f"completed joins:  {sum(isinstance(a, Join) for a in trace)}" in out
 
 
 class TestIllFormedTraceExits2:

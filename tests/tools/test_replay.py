@@ -17,15 +17,21 @@ from repro.predict import TraceProgram
 from repro.runtime.pool import WorkSharingRuntime
 from repro.runtime.threaded import TaskRuntime
 
-from ..conftest import tj_valid_traces
+from ..conftest import spinning_joiners_trace, tj_valid_traces
 
 #: the two blocking runtimes ``run_blocking`` drives
 BLOCKING = (TaskRuntime, WorkSharingRuntime)
 
 
 def replay(trace, policy, **kwargs):
-    """*trace* run once on the deterministic simulator."""
-    return TraceProgram.from_trace(trace).run_sim(policy, **kwargs)
+    """*trace* run once on the deterministic simulator under ``repro
+    replay``'s step cap.  An error that is not a detected deadlock is
+    raised, so it fails the calling test."""
+    program = TraceProgram.from_trace(trace)
+    outcome = program.run_sim(policy, max_steps=program.replay_max_steps, **kwargs)
+    if outcome.error is not None and outcome.deadlock is None:
+        raise outcome.error
+    return outcome
 
 
 class TestReplayBasics:
@@ -63,9 +69,13 @@ class TestReplayBasics:
             TraceProgram.from_trace(trace)
 
     def test_join_on_root_is_refused(self):
-        trace = [Init("r"), Fork("r", "a"), Join("a", "r")]
+        """``a`` skips its join on the root and carries on to the end,
+        which ``r``'s join on ``a`` observes."""
+        trace = [Init("r"), Fork("r", "a"), Join("a", "r"), Join("r", "a")]
         outcome = replay(trace, "TJ-SP")
+        assert outcome.error is None
         assert outcome.refusals == [("a", "r", "JoinOnRoot")]
+        assert outcome.completed_joins == [("r", "a")]
 
     def test_verifier_saw_every_join(self):
         trace = random_tj_valid_trace(random.Random(0), 20, 25)
@@ -112,8 +122,9 @@ class TestReplayProperties:
             trace = random_deadlocking_trace(random.Random(seed), 8, cycle_len=3)
             assert contains_deadlock(trace)
             outcome = replay(trace, "TJ-SP")
-            assert not outcome.clean
+            assert outcome.error is None
             assert outcome.deadlock is None
+            assert outcome.refusals
             refused = {kind for _, _, kind in outcome.refusals}
             assert refused <= {"PolicyViolationError", "DeadlockAvoidedError"}
             # the cycle was never allowed to form:
@@ -152,6 +163,18 @@ class TestReplayProperties:
         outcome = replay(trace, None, fallback=False)
         assert set(outcome.deadlock) == {"a", "b"}
 
+    def test_long_spinning_joiners_are_not_cut_short(self):
+        """``s`` forks ``x`` only after a fork/join chain of depth D
+        returns, while N older tasks already spin on ``x``'s future:
+        about 2·N·D scheduler steps, more than the predictor's search cap
+        (linear in the program's size), and the replay finishes clean."""
+        trace = spinning_joiners_trace(700, 700)
+        outcome = replay(trace, "TJ-SP")
+        assert outcome.clean
+        assert len(outcome.completed_joins) == sum(isinstance(a, Join) for a in trace)
+        program = TraceProgram.from_trace(trace)
+        assert outcome.steps > 200 * (program.total_actions + len(program.actions) + 1)
+
     def test_threaded_replay_matches_cooperative_for_tj(self):
         """Differential: the same TJ-valid traces replay cleanly with
         identical completed-join sets on real threads, one per task and
@@ -161,6 +184,7 @@ class TestReplayProperties:
                 random_tj_valid_trace(random.Random(seed), 12, 15)
             )
             coop = program.run_sim("TJ-SP")
+            assert coop.clean
             for runtime in BLOCKING:
                 threaded = program.run_blocking(runtime("TJ-SP"))
                 assert threaded.clean, runtime.__name__
@@ -175,13 +199,16 @@ class TestReplayProperties:
             for runtime in BLOCKING:
                 outcome = program.run_blocking(runtime("TJ-SP"))
                 # something was refused, nothing hung
-                assert not outcome.clean, runtime.__name__
+                assert outcome.refusals, runtime.__name__
 
     def test_threaded_replay_join_on_root(self):
-        program = TraceProgram.from_trace([Init("r"), Fork("r", "a"), Join("a", "r")])
+        program = TraceProgram.from_trace(
+            [Init("r"), Fork("r", "a"), Join("a", "r"), Join("r", "a")]
+        )
         for runtime in BLOCKING:
             outcome = program.run_blocking(runtime("TJ-SP"))
             assert outcome.refusals == [("a", "r", "JoinOnRoot")], runtime.__name__
+            assert outcome.completed_joins == [("r", "a")], runtime.__name__
 
     @settings(max_examples=30, deadline=None)
     @given(trace=tj_valid_traces(max_tasks=12, max_joins=10))
