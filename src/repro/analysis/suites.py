@@ -668,14 +668,14 @@ def predict_suite(scale: str) -> list[Measurement]:
     from ..predict import predict_deadlocks
     from ..runtime.cooperative import CooperativeRuntime
     from ..runtime.sim import SimRuntime
-    from ..testing.chaos import run_predict_program
+    from ..testing.chaos import generate_predict_spec, run_predict_program
     from ..tools.journal import read_journal
 
     p = PREDICT_PARAMS
     with tempfile.TemporaryDirectory(prefix="repro-predict-bench-") as tmp:
         paths = [f"{tmp}/predict-{p['seed'] + k}.jsonl" for k in range(p["programs"])]
         for k, path in enumerate(paths):
-            run_predict_program(p["seed"] + k, path)
+            run_predict_program(generate_predict_spec(p["seed"] + k)[0], path)
         events = sum(len(read_journal(path).records) for path in paths)
         t0 = time.perf_counter()
         reports = [predict_deadlocks(path, max_schedules=p["max_schedules"]) for path in paths]

@@ -112,8 +112,9 @@ def random_kj_valid_trace(
             tasks.append(child)
             forks_left -= 1
         else:
+            # sorted: set order follows PYTHONHASHSEED, the trace must not
             known = [
-                (a, b) for a in tasks for b in knowledge.knowledge_of(a) if a != b
+                (a, b) for a in tasks for b in sorted(knowledge.knowledge_of(a)) if a != b
             ]
             joins_left -= 1
             if not known:

@@ -1,13 +1,22 @@
 """The fork/join skeleton of a program, and the two bodies that run it.
 
-:class:`TraceProgram` maps each task to its forks and joins in program
-order — everything a fork/join program is, up to task bodies (pure
-computation does not affect the join structure).  It is built from a
-formal trace or a trace journal and runs as generator tasks on the
+:class:`TraceProgram` maps each task to its actions in program order —
+everything a fork/join program is, up to task bodies (pure computation
+does not affect the join structure).  It is built from a formal trace or
+a trace journal, or generated by the chaos and predict corpora
+(:mod:`repro.testing.chaos`), and runs as generator tasks on the
 simulator (:meth:`~TraceProgram.run_sim`: ``repro replay``/``simulate``,
 the predictor) or as blocking tasks on a thread or pool runtime
-(:meth:`~TraceProgram.run_blocking`: ``repro run``/``top``, the predict
-corpus).  Global interleaving is left to the scheduler, which is
+(:meth:`~TraceProgram.run_blocking`: ``repro run``/``top``, the chaos
+and predict corpora).  An action is a pair of strings: ``("fork",
+child)``, ``("join", joinee)``, ``("join_batch", joinee)`` (a run of
+them is one ``join_batch`` call; the simulator joins them one by one),
+``("crash", task)`` (the task raises ``InjectedFaultError``) or
+``("fail", "n")`` (the task raises ``RuntimeError`` on each of its
+first *n* runs; the blocking body forks it with a retry policy, the
+simulator has none).
+
+Global interleaving is left to the scheduler, which is
 faithful because both policies are insensitive to it: the TJ order
 depends only on per-parent fork order, and KJ knowledge flows only along
 each task's own fork/join sequence.  (A join in a live execution also
@@ -33,12 +42,15 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import itemgetter
 from typing import Any, Optional, Sequence, TYPE_CHECKING, Union
 
 from ..core.policy import JoinPolicy
 from ..errors import (
     DeadlockAvoidedError,
     DeadlockDetectedError,
+    InjectedFaultError,
     JoinTimeoutError,
     PolicyQuarantinedError,
     PolicyViolationError,
@@ -49,8 +61,8 @@ from ..formal.actions import Action, Fork
 from ..formal.trace import FreeFamily, validate_trace
 from ..runtime.context import require_current_task
 from ..runtime.explore import Schedule
+from ..runtime.retry import RetryPolicy
 from ..runtime.sim import SimRuntime
-from ..runtime.task import TaskHandle
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..runtime.supervisor import SupervisedJoinMixin
@@ -58,6 +70,16 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["SimOutcome", "TraceProgram"]
 
 PROGRAM_VERSION = 1
+
+_JOIN_KINDS = ("join", "join_batch")
+#: the action kinds whose target is a task of the program
+_TASK_KINDS = ("fork",) + _JOIN_KINDS
+_KINDS = _TASK_KINDS + ("crash", "fail")
+#: a join a verifier fault aborted is retried at most this often
+_MAX_FAULT_RETRIES = 50
+#: join errors the blocking body records as refusals
+_REFUSALS = (TaskFailedError, PolicyViolationError, DeadlockAvoidedError,
+             DeadlockDetectedError, JoinTimeoutError, PolicyQuarantinedError)
 
 
 class _IssuanceStalled(RuntimeStateError):
@@ -67,7 +89,8 @@ class _IssuanceStalled(RuntimeStateError):
 
 @dataclass(frozen=True)
 class TraceProgram:
-    """The fork/join skeleton of one journalled run."""
+    """The fork/join skeleton of one program: a trace, a journalled run,
+    or a generated chaos or predict program."""
 
     root: str
     #: task -> its actions in program order
@@ -95,12 +118,13 @@ class TraceProgram:
         return len(self.actions) + self.total_actions * (self._spin_budget + 1)
 
     def join_edges(self) -> list[tuple[str, str]]:
-        """Every (waiter, joinee) join attempt, in reconstruction order."""
+        """Every (waiter, joinee) join attempt, batched ones included, in
+        reconstruction order."""
         return [
             (task, target)
             for task in self.tasks
             for kind, target in self.actions[task]
-            if kind == "join"
+            if kind in _JOIN_KINDS
         ]
 
     # ------------------------------------------------------------------
@@ -175,15 +199,24 @@ class TraceProgram:
 
     @classmethod
     def from_dict(cls, body: dict) -> "TraceProgram":
+        """The program of a witness file; an unknown action kind, a fork
+        or join of a task the program does not have, or a ``fail`` count
+        that is not a non-negative integer raises ``ValueError``."""
         if body.get("version", PROGRAM_VERSION) != PROGRAM_VERSION:
             raise ValueError(f"unsupported program version {body.get('version')!r}")
-        return cls(
-            root=body["root"],
-            actions={
-                t: tuple((str(k), str(v)) for k, v in acts)
-                for t, acts in body["actions"].items()
-            },
-        )
+        actions = {
+            t: tuple((str(k), str(v)) for k, v in acts)
+            for t, acts in body["actions"].items()
+        }
+        for task, acts in actions.items():
+            for kind, target in acts:
+                if kind not in _KINDS:
+                    raise ValueError(f"task {task}: unknown action kind {kind!r}")
+                if kind in _TASK_KINDS and target not in actions:
+                    raise ValueError(f"task {task}: {kind} of {target!r}, which is no task")
+                if kind == "fail" and not target.isdecimal():
+                    raise ValueError(f"task {task}: fail count {target!r} is not an integer >= 0")
+        return cls(root=body["root"], actions=actions)
 
     # ------------------------------------------------------------------
     # the generator body: the deterministic simulator
@@ -203,10 +236,11 @@ class TraceProgram:
         ``PolicyViolationError`` without one) are caught *at the join*
         and recorded — the task skips the refused join and carries on,
         exactly like the journal-producing harnesses — as is a join on
-        the root, which has no future (``JoinOnRoot``).  A real deadlock
-        (``policy=None`` on a cycle-realizing schedule) surfaces as the
-        scheduler's ``DeadlockDetectedError`` and is reported with the
-        blocked cycle in the program's task names.
+        the root, which has no future (``JoinOnRoot``), and a join on a
+        task that crashed or failed (``TaskFailedError``).  A real
+        deadlock (``policy=None`` on a cycle-realizing schedule) surfaces
+        as the scheduler's ``DeadlockDetectedError`` and is reported with
+        the blocked cycle in the program's task names.
         """
         if max_steps is None:
             # the predictor's search cap: linear in the program's size,
@@ -222,16 +256,22 @@ class TraceProgram:
             max_steps=max_steps,
         )
         outcome = SimOutcome(runtime=rt)
-        futures: dict[str, Any] = {}
-        names: dict[TaskHandle, str] = {}
+        futures, handles = outcome.futures, outcome.handles
         spin_budget = self._spin_budget
 
         def body(name: str):
-            names[require_current_task()] = name
+            handles[name] = require_current_task()
             for kind, target in self.actions.get(name, ()):
                 if kind == "fork":
                     futures[target] = rt.fork(body, target)
                     continue
+                if kind == "crash":
+                    raise InjectedFaultError(site=("task", name))
+                if kind == "fail":
+                    if int(target):
+                        raise RuntimeError(f"flaky task {name} attempt 1")
+                    continue
+                # a join; a join_batch run is joined one by one
                 if target == self.root:
                     outcome.refusals.append((name, target, "JoinOnRoot"))
                     continue
@@ -249,8 +289,9 @@ class TraceProgram:
                 except (PolicyViolationError, DeadlockAvoidedError) as exc:
                     outcome.refusals.append((name, target, type(exc).__name__))
                 except TaskFailedError:
-                    # A joinee killed by a refusal cascading up; the
-                    # original harnesses swallow these at the join too.
+                    # A joinee that crashed, failed, or was killed by a
+                    # refusal cascading up; the original harnesses
+                    # swallow these at the join too.
                     outcome.refusals.append((name, target, "TaskFailedError"))
                 else:
                     outcome.completed_joins.append((name, target))
@@ -259,6 +300,7 @@ class TraceProgram:
         try:
             outcome.result = rt.run(body, self.root)
         except DeadlockDetectedError as exc:
+            names = {handle: name for name, handle in handles.items()}
             outcome.deadlock = tuple(
                 names.get(t, getattr(t, "name", "?")) for t in exc.cycle
             )
@@ -273,7 +315,7 @@ class TraceProgram:
     # ------------------------------------------------------------------
     # the blocking body: a thread or pool runtime
     # ------------------------------------------------------------------
-    def run_blocking(self, rt: "SupervisedJoinMixin") -> "SimOutcome":
+    def run_blocking(self, rt: "SupervisedJoinMixin", plan: Any = None) -> "SimOutcome":
         """One run of the program on a blocking runtime the caller built
         (a ``TaskRuntime`` or ``WorkSharingRuntime``, with its policy,
         journal and supervision options); ``rt.run`` returns once every
@@ -283,37 +325,91 @@ class TraceProgram:
         future.  A join the verifier refuses or the supervision layer
         ends (a deadline, a watchdog diagnosis, a quarantined policy, a
         failed joinee, labelled by its cause) is recorded and skipped, as
-        is a join on the root; any other error propagates.
+        is a join on the root.  A join that raises ``InjectedFaultError``
+        (a verifier fault: no statistic, no waits-for edge) is counted in
+        ``faults`` and retried, at most 50 times.  Any other error
+        propagates.  *plan* (a ``FaultPlan``, or anything with its
+        ``sleep(site)``) sleeps at ``("start", name)`` and
+        ``("pre-join", name, target)``.
         """
         outcome = SimOutcome(runtime=rt)
-        futures: dict[str, Any] = {}
+        futures, handles, starts = outcome.futures, outcome.handles, outcome.starts
         issued = {task: threading.Event() for task in self.actions}
+        retry = {
+            task: RetryPolicy(max_attempts=int(n) + 1, base_delay=0.0005, max_delay=0.002)
+            for task, acts in self.actions.items()
+            for kind, n in acts
+            if kind == "fail"
+        }
+        guard = threading.Lock()
+
+        def sleep(site: tuple) -> None:
+            if plan is not None:
+                plan.sleep(site)
+
+        def issued_future(name: str, target: str):
+            """*target*'s future once its fork is issued (None for the
+            root, which has none: a refusal)."""
+            if target == self.root:
+                outcome.refusals.append((name, target, "JoinOnRoot"))
+                return None
+            issued[target].wait()
+            return futures[target]
+
+        def settle(name: str, target: str, result: Any) -> None:
+            """A join's end: its joinee's value, or an error that refused it
+            (a failed joinee's is labelled by its cause)."""
+            if not isinstance(result, _REFUSALS):
+                outcome.completed_joins.append((name, target))
+                return
+            cause = result.__cause__ if isinstance(result, TaskFailedError) else None
+            outcome.refusals.append((name, target, type(cause or result).__name__))
+
+        def join(name: str, target: str) -> None:
+            sleep(("pre-join", name, target))
+            future = issued_future(name, target)
+            if future is None:
+                return
+            for attempt in range(1, _MAX_FAULT_RETRIES + 1):
+                try:
+                    result = future.join()
+                except InjectedFaultError:
+                    with guard:
+                        outcome.faults += 1
+                    if attempt < _MAX_FAULT_RETRIES:
+                        continue
+                    raise
+                except _REFUSALS as exc:
+                    result = exc
+                return settle(name, target, result)
+
+        def join_batch(name: str, targets: list[str]) -> None:
+            batch = [(t, f) for t in targets if (f := issued_future(name, t)) is not None]
+            results = rt.join_batch([f for _, f in batch], return_exceptions=True)
+            for (target, _), result in zip(batch, results):
+                settle(name, target, result)
 
         def body(name: str):
-            for kind, target in self.actions[name]:
-                if kind == "fork":
-                    futures[target] = rt.fork(body, target)
-                    issued[target].set()
+            handles[name] = require_current_task()
+            with guard:
+                run = starts[name] = starts.get(name, 0) + 1
+            sleep(("start", name))
+            for kind, group in groupby(self.actions[name], key=itemgetter(0)):
+                targets = [target for _, target in group]
+                if kind == "join_batch":
+                    join_batch(name, targets)
                     continue
-                if target == self.root:
-                    outcome.refusals.append((name, target, "JoinOnRoot"))
-                    continue
-                issued[target].wait()
-                try:
-                    futures[target].join()
-                except (
-                    PolicyViolationError,
-                    DeadlockAvoidedError,
-                    DeadlockDetectedError,
-                    JoinTimeoutError,
-                    PolicyQuarantinedError,
-                ) as exc:
-                    outcome.refusals.append((name, target, type(exc).__name__))
-                except TaskFailedError as exc:
-                    cause = exc.__cause__ or exc
-                    outcome.refusals.append((name, target, type(cause).__name__))
-                else:
-                    outcome.completed_joins.append((name, target))
+                for target in targets:
+                    if kind == "fork":
+                        futures[target] = rt.fork(body, target, retry=retry.get(target))
+                        issued[target].set()
+                    elif kind == "crash":
+                        raise InjectedFaultError(site=("task", name))
+                    elif kind == "fail":
+                        if run <= int(target):
+                            raise RuntimeError(f"flaky task {name} attempt {run}")
+                    else:
+                        join(name, target)
             return name
 
         outcome.result = rt.run(body, self.root)
@@ -339,6 +435,14 @@ class SimOutcome:
     timeouts_fired: int = 0
     #: the runtime the program ran on (its verifier and detector stats)
     runtime: Any = None
+    #: task name -> the TaskHandle of its last run
+    handles: dict[str, Any] = field(default_factory=dict)
+    #: task name -> its Future (the root has none)
+    futures: dict[str, Any] = field(default_factory=dict)
+    #: task name -> body runs; a retried task runs more than once (blocking body)
+    starts: dict[str, int] = field(default_factory=dict)
+    #: joins a verifier fault aborted, each one retried (blocking body)
+    faults: int = 0
 
     @property
     def clean(self) -> bool:

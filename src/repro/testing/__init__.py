@@ -7,13 +7,15 @@ injects :class:`~repro.errors.InjectedFaultError` into the verification
 path.
 
 :mod:`repro.testing.chaos` generates seeded random fork/join programs
-(deadlock-free by construction) and runs them through one runner,
-:func:`run_chaos_program`, under any registered policy on either
+(deadlock-free by construction) as :class:`~repro.predict.TraceProgram`
+skeletons and runs them through one runner, :func:`run_chaos_program`,
+on the skeleton's blocking body, under any registered policy on either
 blocking runtime, with crashes, delays, verifier faults and flaky
 retried leaves injected.  It checks a battery of invariants: verifier
-statistics exactly match the program spec, the run quiesces (waits-for
-graph empty, no task leaks a BLOCKED state), and —
-for ``stable_permits`` policies — the permission verdicts are identical
+statistics exactly match the program, the run quiesces (waits-for
+graph empty, no task leaks a BLOCKED state), every TJ verdict agrees
+with the formal TJ order of the program's fork tree, and — for
+``stable_permits`` policies — the permission verdicts are identical
 with and without injected delays.
 """
 
@@ -21,7 +23,6 @@ from .faults import FaultPlan, FaultyPolicy, PolicyBugError
 from .chaos import (
     ChaosInvariantError,
     ChaosResult,
-    ChaosSpec,
     generate_spec,
     run_chaos_program,
     run_with_policy_quarantine,
@@ -30,7 +31,6 @@ from .chaos import (
 __all__ = [
     "ChaosInvariantError",
     "ChaosResult",
-    "ChaosSpec",
     "FaultPlan",
     "FaultyPolicy",
     "PolicyBugError",

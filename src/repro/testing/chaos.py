@@ -1,9 +1,10 @@
 """Seeded random fork/join programs with invariant checking.
 
 :func:`generate_spec` derives a whole program — task tree, join
-schedule, crash sites — from one integer seed, so a chaos failure is
-reproducible from its seed alone.  Programs are **deadlock-free by
-construction**:
+schedule, crash sites — from one integer seed, as a
+:class:`~repro.predict.TraceProgram` of tasks ``t0`` (the root), ``t1``,
+…, so a chaos failure is reproducible from its seed alone.  Programs are
+**deadlock-free by construction**:
 
 * every parent joins all of its children (so the tree quiesces);
 * a task may additionally join an *older* sibling — the waits-on
@@ -15,32 +16,35 @@ construction**:
   policies — which is exactly how the suite exercises the Armus
   false-positive path under load).
 
-Injected crashes fire *after* a task has performed all of its joins, so
-a crashed task never abandons children; every crash is observed by the
-parent's join as :class:`~repro.errors.TaskFailedError` and swallowed by
-the harness, which records it.
+Injected crashes (``crash`` actions) fire *after* a task has performed
+all of its joins, so a crashed task never abandons children; every crash
+is observed by a joiner as :class:`~repro.errors.TaskFailedError` and
+recorded as a refusal.
 
-:func:`run_chaos_program` is the one runner of a :class:`ChaosSpec`.  It
-also injects what its :class:`FaultPlan` schedules — delays, and
-``permits`` faults at ``verifier_fault_rate`` (each faulted join is
-retried) — and, with ``fail_attempts``, flaky leaves that a retry
-policy re-runs to success.  After the run it checks (raising
-:class:`ChaosInvariantError` on any violation) that the runtime
-quiesced (:func:`quiescence_violations`), that the accounting is exact
-(``forks == n_tasks + retries``, ``joins_checked == attempts - faults
-== total_joins``), that no join was refused, and that the observed
-failures equal the planned crash set.
+:func:`run_chaos_program` runs a program through the one blocking body,
+:meth:`TraceProgram.run_blocking <repro.predict.TraceProgram.run_blocking>`,
+with the delays and ``permits`` faults its :class:`FaultPlan` schedules
+and, with ``fail_attempts``, flaky leaves that a retry policy re-runs to
+success.  After the run it checks (raising :class:`ChaosInvariantError`
+on any violation) that the runtime quiesced
+(:func:`quiescence_violations`), that the accounting is exact (``forks
+== n_tasks + retries``, ``joins_checked`` == completed + refused ==
+planned joins), that the refused joins are exactly those on planned
+crashes, and, under a TJ policy, that every verdict agrees with
+:class:`~repro.formal.TJOrderOracle` on the program's fork tree
+(Thm 3.17).
 
 For ``stable_permits`` policies the result also carries the post-hoc
 permission verdict of every join edge (queried directly from the policy,
 which is side-effect free), so callers can assert the verdict stream is
 identical with and without injected delays.
 
-The quarantine, procs and predict runners drive programs that are not
-ChaosSpecs — deadlock pairs under a crashing policy, dispatched
-subtrees on worker processes, planted cycles.  The sweep,
-verifier-fault, retry and quarantine slices build their runtimes with
-:func:`_make_runtime` and end with :func:`quiescence_violations`.
+:func:`run_predict_program` runs the predict corpus through the same
+body.  The quarantine runner (which checks mid-run that a sacrificial
+join tripped the quarantine) and the procs runner (subtrees dispatched
+to worker processes) drive programs a skeleton cannot state.  The
+sweep, verifier-fault, retry and quarantine slices build their runtimes
+with :func:`_make_runtime` and end with :func:`quiescence_violations`.
 """
 
 from __future__ import annotations
@@ -48,21 +52,20 @@ from __future__ import annotations
 import random
 import threading
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from ..core.policy import JoinPolicy
 from ..core.verifier import VerifierStats
 from ..errors import (
     DeadlockAvoidedError,
-    InjectedFaultError,
     PolicyQuarantinedError,
     PolicyQuarantineWarning,
-    TaskFailedError,
 )
+from ..formal.tj_relation import TJOrderOracle
+from ..predict import SimOutcome, TraceProgram
 from ..runtime.context import require_current_task
 from ..runtime.pool import WorkSharingRuntime
-from ..runtime.retry import RetryPolicy
 from ..runtime.task import TaskState
 from ..runtime.threaded import TaskRuntime, resolve_policy
 from .faults import FaultPlan, FaultyPolicy
@@ -70,11 +73,9 @@ from .faults import FaultPlan, FaultyPolicy
 __all__ = [
     "ChaosInvariantError",
     "ChaosResult",
-    "ChaosSpec",
     "ProcsChaosResult",
     "QuarantineChaosResult",
     "PredictChaosResult",
-    "PredictSpec",
     "generate_predict_spec",
     "generate_spec",
     "quiescence_violations",
@@ -88,8 +89,6 @@ __all__ = [
 
 RUNTIMES = ("threaded", "pool")
 
-#: a join a verifier fault aborted is retried at most this often
-_MAX_FAULT_RETRIES = 50
 #: share of the join-free leaves a ``fail_attempts`` run makes flaky
 _FLAKY_RATE = 0.6
 #: true deadlock pairs a fail-open quarantine run seeds
@@ -102,62 +101,22 @@ class ChaosInvariantError(AssertionError):
     """A supervised-runtime invariant did not hold after a chaos run."""
 
 
-@dataclass(frozen=True)
-class ChaosSpec:
-    """A fully determined chaos program (everything derives from the seed)."""
-
-    seed: int
-    n_tasks: int
-    #: task id -> ids of the children it forks (ascending)
-    children: dict[int, tuple[int, ...]]
-    #: task id -> older siblings it joins before joining its children
-    sibling_joins: dict[int, tuple[int, ...]]
-    #: task id -> grandchildren it joins after joining its children
-    grandchild_joins: dict[int, tuple[int, ...]]
-    #: parents that join their children via ``join_batch``
-    batch_parents: frozenset[int]
-    #: tasks that raise InjectedFaultError after completing their joins
-    crash_tasks: frozenset[int]
-
-    @property
-    def total_joins(self) -> int:
-        """Join checks the program performs (== expected ``joins_checked``)."""
-        return sum(
-            len(self.children.get(t, ()))
-            + len(self.sibling_joins.get(t, ()))
-            + len(self.grandchild_joins.get(t, ()))
-            for t in range(self.n_tasks)
-        )
-
-    def join_edges(self) -> list[tuple[int, int]]:
-        """Every (joiner, joinee) pair, in a deterministic order."""
-        edges: list[tuple[int, int]] = []
-        for t in range(self.n_tasks):
-            for s in self.sibling_joins.get(t, ()):
-                edges.append((t, s))
-            for c in self.children.get(t, ()):
-                edges.append((t, c))
-            for g in self.grandchild_joins.get(t, ()):
-                edges.append((t, g))
-        return edges
-
-
 @dataclass
 class ChaosResult:
     """What one chaos run produced (after passing the invariant checks)."""
 
-    spec: ChaosSpec
+    program: TraceProgram
     policy_name: str
     runtime: str
     stats: VerifierStats
     #: (joiner, joinee) -> permitted?  Only for stable_permits policies.
-    verdicts: Optional[dict[tuple[int, int], bool]]
-    #: task ids whose failure was observed at a join
-    failures_observed: frozenset[int]
+    verdicts: Optional[dict[tuple[str, str], bool]]
+    #: tasks whose failure was observed at a join
+    failures_observed: frozenset[str]
     false_positives: int = 0
     deadlocks_avoided: int = 0
     #: leaves forked with a retry policy (each fails ``fail_attempts`` times)
-    flaky_tasks: frozenset[int] = frozenset()
+    flaky_tasks: frozenset[str] = frozenset()
     #: re-forks the supervisor performed
     retries: int = 0
     #: join attempts a verifier fault aborted (each one was retried)
@@ -167,45 +126,45 @@ class ChaosResult:
     inline_joins: int = 0
 
 
-def generate_spec(seed: int, *, max_tasks: int = 12, crash_rate: float = 0.0) -> ChaosSpec:
-    """Derive a deadlock-free program spec from *seed*."""
+def _name(i: int) -> str:
+    return f"t{i}"
+
+
+def generate_spec(seed: int, *, max_tasks: int = 12, crash_rate: float = 0.0) -> TraceProgram:
+    """Derive a deadlock-free program from *seed*.
+
+    Each task's actions are, in order: its forks, its older-sibling
+    joins, its child joins (``join_batch`` for a batch parent), its
+    grandchild joins, then its ``crash``.
+    """
     if max_tasks < 3:
         raise ValueError("max_tasks must be at least 3")
     rng = random.Random(f"chaos-spec|{seed}")
     n = rng.randint(3, max_tasks)
-    parent: dict[int, int] = {i: rng.randrange(0, i) for i in range(1, n)}
-    children: dict[int, list[int]] = {t: [] for t in range(n)}
-    for i in range(1, n):
-        children[parent[i]].append(i)
-
-    sibling_joins: dict[int, list[int]] = {}
+    parent = {i: rng.randrange(0, i) for i in range(1, n)}
+    children = {t: [i for i in range(1, n) if parent[i] == t] for t in range(n)}
+    sibling_joins: dict[int, list[int]] = {t: [] for t in range(n)}
     for i in range(1, n):
         older = [j for j in children[parent[i]] if j < i]
         if older and rng.random() < 0.35:
-            sibling_joins.setdefault(i, []).append(rng.choice(older))
-
-    grandchild_joins: dict[int, list[int]] = {}
+            sibling_joins[i] = [rng.choice(older)]
+    grandchild_joins = {
+        t: [g for c in children[t] for g in children[c] if rng.random() < 0.3]
+        for t in range(n)
+    }
+    batch_parents = {t for t in range(n) if len(children[t]) >= 2 and rng.random() < 0.5}
+    crash_tasks = {i for i in range(1, n) if crash_rate > 0.0 and rng.random() < crash_rate}
+    actions = {}
     for t in range(n):
-        for c in children[t]:
-            for g in children[c]:
-                if rng.random() < 0.3:
-                    grandchild_joins.setdefault(t, []).append(g)
-
-    batch_parents = frozenset(
-        t for t in range(n) if len(children[t]) >= 2 and rng.random() < 0.5
-    )
-    crash_tasks = frozenset(
-        i for i in range(1, n) if crash_rate > 0.0 and rng.random() < crash_rate
-    )
-    return ChaosSpec(
-        seed=seed,
-        n_tasks=n,
-        children={t: tuple(c) for t, c in children.items()},
-        sibling_joins={t: tuple(s) for t, s in sibling_joins.items()},
-        grandchild_joins={t: tuple(g) for t, g in grandchild_joins.items()},
-        batch_parents=batch_parents,
-        crash_tasks=crash_tasks,
-    )
+        child_join = "join_batch" if t in batch_parents else "join"
+        actions[_name(t)] = tuple(
+            [("fork", _name(c)) for c in children[t]]
+            + [("join", _name(s)) for s in sibling_joins[t]]
+            + [(child_join, _name(c)) for c in children[t]]
+            + [("join", _name(g)) for g in grandchild_joins[t]]
+            + [("crash", _name(t))] * (t in crash_tasks)
+        )
+    return TraceProgram(root=_name(0), actions=actions)
 
 
 def _make_runtime(
@@ -260,126 +219,65 @@ def quiescence_violations(rt, handles: dict, futures: dict) -> list[str]:
     return problems
 
 
-@dataclass
-class _Walk:
-    """What one execution of a ChaosSpec left behind."""
+def _flaky_leaves(
+    program: TraceProgram, seed: int, fail_attempts: int
+) -> tuple[TraceProgram, frozenset[str]]:
+    """Prepend a ``fail`` action to seeded join-free leaves.
 
-    #: task id -> TaskHandle of its last run
-    handles: dict = field(default_factory=dict)
-    #: task id -> Future (the root has none)
-    futures: dict = field(default_factory=dict)
-    #: task ids whose failure surfaced at some join
-    observed: set = field(default_factory=set)
-    #: join calls made, faulted ones included
-    attempts: int = 0
-    #: join calls a verifier fault aborted
-    faults: int = 0
-    #: flaky task id -> body runs
-    runs: dict = field(default_factory=dict)
-
-
-def _walk(
-    spec: ChaosSpec,
-    rt,
-    plan: FaultPlan,
-    flaky: frozenset[int] = frozenset(),
-    fail_attempts: int = 0,
-) -> _Walk:
-    """Execute *spec* on runtime *rt*: the one walk every slice shares.
-
-    A join that raises :class:`InjectedFaultError` (a verifier fault,
-    recorded before any statistic or edge) is retried; each retry is a
-    fresh fault site.  Tasks in *flaky* are forked with a retry policy
-    and fail their first *fail_attempts* runs.
-    """
-    walk = _Walk()
-    guard = threading.Lock()
-    retry = None
-    if flaky:
-        retry = RetryPolicy(
-            max_attempts=fail_attempts + 1, base_delay=0.0005, max_delay=0.002,
-            seed=spec.seed,
-        )
-
-    def join(tid: int, target: int) -> None:
-        plan.sleep(("pre-join", tid, target))
-        for _ in range(_MAX_FAULT_RETRIES):
-            with guard:
-                walk.attempts += 1
-            try:
-                walk.futures[target].join()
-                return
-            except InjectedFaultError:
-                with guard:
-                    walk.faults += 1
-            except TaskFailedError:
-                with guard:
-                    walk.observed.add(target)
-                return
-        raise ChaosInvariantError(
-            f"join {tid}->{target} still faulting after {_MAX_FAULT_RETRIES} "
-            f"retries (seed {spec.seed})"
-        )
-
-    def body(tid: int):
-        walk.handles[tid] = require_current_task()
-        plan.sleep(("start", tid))
-        kids = spec.children.get(tid, ())
-        for cid in kids:
-            walk.futures[cid] = rt.fork(body, cid, retry=retry if cid in flaky else None)
-        for sib in spec.sibling_joins.get(tid, ()):
-            join(tid, sib)
-        if tid in spec.batch_parents:
-            outcomes = rt.join_batch(
-                [walk.futures[c] for c in kids], return_exceptions=True
-            )
-            with guard:
-                walk.attempts += len(kids)
-                walk.observed.update(
-                    c for c, o in zip(kids, outcomes) if isinstance(o, TaskFailedError)
-                )
-        else:
-            for c in kids:
-                join(tid, c)
-        for g in spec.grandchild_joins.get(tid, ()):
-            join(tid, g)
-        if tid in flaky:
-            with guard:
-                walk.runs[tid] = run = walk.runs.get(tid, 0) + 1
-            if run <= fail_attempts:
-                raise RuntimeError(f"flaky task {tid} attempt {run}")
-        if tid in spec.crash_tasks:
-            raise InjectedFaultError(site=("task", tid))
-        return tid
-
-    rt.run(body, 0)
-    return walk
-
-
-def _flaky_leaves(spec: ChaosSpec) -> tuple[ChaosSpec, frozenset[int]]:
-    """Pick the seeded flaky tasks among the join-free leaves.
-
-    A join-free leaf (no children, no sibling joins) forks and joins
+    A join-free leaf (no forks, no sibling joins) forks and joins
     nothing, so re-running its body cannot change the join accounting.
     When every leaf joins a sibling, the youngest leaf is freed of its
     sibling joins so that one candidate exists.
     """
-    leaves = [t for t in range(1, spec.n_tasks) if not spec.children.get(t)]
-    eligible = [t for t in leaves if not spec.sibling_joins.get(t)]
+    actions = dict(program.actions)
+    leaves = [
+        t for t in program.tasks
+        if t != program.root and all(kind != "fork" for kind, _ in actions[t])
+    ]
+    eligible = [t for t in leaves if all(kind != "join" for kind, _ in actions[t])]
     if not eligible:
         victim = leaves[-1]
-        spec = replace(
-            spec,
-            sibling_joins={t: s for t, s in spec.sibling_joins.items() if t != victim},
-        )
+        actions[victim] = tuple(a for a in actions[victim] if a[0] != "join")
         eligible = [victim]
-    rng = random.Random(f"chaos-retry|{spec.seed}")
-    n_flaky = max(1, round(len(eligible) * _FLAKY_RATE))
-    return spec, frozenset(rng.sample(eligible, n_flaky))
+    rng = random.Random(f"chaos-retry|{seed}")
+    flaky = frozenset(rng.sample(eligible, max(1, round(len(eligible) * _FLAKY_RATE))))
+    for t in flaky:
+        actions[t] = (("fail", str(fail_attempts)),) + actions[t]
+    return TraceProgram(program.root, actions), flaky
+
+
+def _tj_order_violations(
+    program: TraceProgram, policy: JoinPolicy, outcome: SimOutcome
+) -> list[str]:
+    """Every ordered pair of tasks that ran once on which ``permits``
+    disagrees with the TJ order of the program's fork tree.
+
+    A retried task is left out: its retry re-forks it as a younger
+    sibling, at a time the program does not fix.
+    """
+    order = TJOrderOracle()
+    order.init(program.root)
+    todo = [program.root]
+    while todo:
+        parent = todo.pop()
+        for kind, child in program.actions[parent]:
+            if kind == "fork":
+                order.fork(parent, child)
+                todo.append(child)
+    once = [t for t in program.tasks if outcome.starts.get(t) == 1]
+    problems = []
+    for a in once:
+        for b in once:
+            if a == b:
+                continue
+            want = order.less(a, b)
+            if policy.permits(outcome.handles[a].vertex, outcome.handles[b].vertex) != want:
+                problems.append(f"permits({a}, {b}) is {not want}, the TJ order says {want}")
+    return problems
 
 
 def run_chaos_program(
-    spec_or_seed: Union[int, ChaosSpec],
+    seed: int,
     *,
     policy: Union[None, str, JoinPolicy] = "TJ-SP",
     runtime: str = "threaded",
@@ -393,89 +291,98 @@ def run_chaos_program(
 
     *plan* schedules the delays and, through ``verifier_fault_rate``,
     faults raised from inside ``permits``.  A faulted call records no
-    statistic and no waits-for edge, so the runner retries the join; it
-    then also joins one at a time, since a fault inside a batch
-    ``check_joins`` would discard the whole batch's accounting.  With
-    *fail_attempts*, a seeded share of the join-free leaves fails that
-    many times before its retry policy re-runs it to success.
+    statistic and no waits-for edge, so the body retries the join; the
+    program then also joins one at a time (``join_batch`` becomes
+    ``join``), since a fault inside a batch ``check_joins`` would
+    discard the whole batch's accounting.  With *fail_attempts*, a
+    seeded share of the join-free leaves fails that many times before
+    its retry policy re-runs it to success.
 
     With ``check=True`` (default) any violated invariant raises
     :class:`ChaosInvariantError`; with ``check=False`` violations are
     collected into ``result.violations`` instead (the CLI uses this to
     report all of them).
     """
-    if isinstance(spec_or_seed, ChaosSpec):
-        spec = spec_or_seed
-    else:
-        spec = generate_spec(spec_or_seed, max_tasks=max_tasks, crash_rate=crash_rate)
+    program = generate_spec(seed, max_tasks=max_tasks, crash_rate=crash_rate)
     if plan is None:
-        plan = FaultPlan(seed=spec.seed)
+        plan = FaultPlan(seed=seed)
     inner = resolve_policy(policy)
     faulty = None
     if plan.verifier_fault_rate > 0:
-        spec = replace(spec, batch_parents=frozenset())
+        program = TraceProgram(program.root, {
+            task: tuple(("join" if kind == "join_batch" else kind, target) for kind, target in acts)
+            for task, acts in program.actions.items()
+        })
         faulty = FaultyPolicy(inner, plan)
-    flaky: frozenset[int] = frozenset()
+    flaky: frozenset[str] = frozenset()
     if fail_attempts:
-        spec, flaky = _flaky_leaves(spec)
+        program, flaky = _flaky_leaves(program, seed, fail_attempts)
     rt = _make_runtime(runtime, faulty or inner)
-    walk = _walk(spec, rt, plan, flaky, fail_attempts)
+    outcome = program.run_blocking(rt, plan)
 
     stats = rt.verifier.stats
     detector = rt.detector
+    n_tasks = len(program.actions)
     retries = fail_attempts * len(flaky)
-    joined = walk.attempts - walk.faults
+    joined = len(outcome.completed_joins) + len(outcome.refusals)
+    planned = len(program.join_edges())
     injected = faulty.faults_injected if faulty else 0
-    runs = {tid: walk.runs.get(tid, 0) for tid in sorted(flaky)}
+    runs = {t: outcome.starts.get(t, 0) for t in program.tasks if t in flaky}
+    observed = {joinee for _, joinee, _ in outcome.refusals}
+    crashes = {t for t, acts in program.actions.items() if ("crash", t) in acts}
+    not_crashes = [r for r in outcome.refusals if r[2] != "InjectedFaultError"]
     checks = [
-        (set(walk.futures) == set(range(1, spec.n_tasks)),
-         f"expected futures for tasks 1..{spec.n_tasks - 1}, got {sorted(walk.futures)}"),
+        (set(outcome.futures) == set(program.actions) - {program.root},
+         f"expected futures for tasks t1..t{n_tasks - 1}, got {sorted(outcome.futures)}"),
         (not detector or detector.stats.deadlocks_avoided == 0,
          "deadlock-free program had a join refused"),
+        (not not_crashes,
+         f"joins refused for a cause other than a planned crash: {not_crashes}"),
         (rt.tasks_retried == retries,
          f"tasks_retried {rt.tasks_retried} != expected {retries}"),
-        (stats.forks == spec.n_tasks + retries,
-         f"forks {stats.forks} != n_tasks + retries {spec.n_tasks + retries}"),
+        (stats.forks == n_tasks + retries,
+         f"forks {stats.forks} != n_tasks + retries {n_tasks + retries}"),
         (stats.joins_checked == joined,
-         f"joins_checked {stats.joins_checked} != attempts - faults {joined}"),
-        (joined == spec.total_joins,
-         f"successful joins {joined} != planned {spec.total_joins}"),
-        (walk.faults == injected,
-         f"harness saw {walk.faults} faults, policy injected {injected}"),
+         f"joins_checked {stats.joins_checked} != completed + refused joins {joined}"),
+        (joined == planned,
+         f"successful joins {joined} != planned {planned}"),
+        (outcome.faults == injected,
+         f"harness saw {outcome.faults} faults, policy injected {injected}"),
         (all(n == fail_attempts + 1 for n in runs.values()),
          f"flaky task runs {runs}, expected {fail_attempts + 1} each"),
-        (walk.observed == set(spec.crash_tasks),
-         f"observed failures {sorted(walk.observed)} != planned "
-         f"{sorted(spec.crash_tasks)}"),
+        (observed == crashes,
+         f"observed failures {sorted(observed)} != planned {sorted(crashes)}"),
     ]
-    violations = quiescence_violations(rt, walk.handles, walk.futures)
+    violations = quiescence_violations(rt, outcome.handles, outcome.futures)
     violations += [message for ok, message in checks if not ok]
+    if inner.name.startswith("TJ-"):
+        violations += _tj_order_violations(program, inner, outcome)
 
-    verdicts: Optional[dict[tuple[int, int], bool]] = None
+    verdicts: Optional[dict[tuple[str, str], bool]] = None
     if inner.stable_permits and not violations:
+        vertex = {t: handle.vertex for t, handle in outcome.handles.items()}
         verdicts = {
-            (a, b): inner.permits(walk.handles[a].vertex, walk.handles[b].vertex)
-            for a, b in spec.join_edges()
+            (a, b): inner.permits(vertex[a], vertex[b]) for a, b in program.join_edges()
         }
 
     policy_name = rt.policy.name
     if check and violations:
         raise ChaosInvariantError(
-            f"seed {spec.seed} policy {policy_name} runtime {runtime}: "
+            f"seed {seed} policy {policy_name} runtime {runtime}: "
             + "; ".join(violations)
         )
     return ChaosResult(
-        spec=spec,
+        program=program,
         policy_name=policy_name,
         runtime=runtime,
         stats=stats,
         verdicts=verdicts,
-        failures_observed=frozenset(walk.observed),
+        failures_observed=frozenset(observed),
         false_positives=detector.stats.false_positives if detector else 0,
         deadlocks_avoided=detector.stats.deadlocks_avoided if detector else 0,
         flaky_tasks=flaky,
         retries=rt.tasks_retried,
-        faults=walk.faults,
+        faults=outcome.faults,
         violations=violations,
         inline_joins=getattr(rt, "inline_joins", 0),
     )
@@ -851,38 +758,6 @@ def run_procs_divergence(
 # ----------------------------------------------------------------------
 # the predict loop: lucky journals, counterfactual deadlocks
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class PredictSpec:
-    """A seeded fork/join program that *can* deadlock — but whose
-    recorded runs complete cleanly.
-
-    Unlike :class:`ChaosSpec` (deadlock-free by construction), a
-    predict spec deliberately plants conflicting-direction join intents
-    (sibling cycles).  :func:`run_predict_program` executes it under a
-    small ``default_join_timeout``: on schedules where a cycle closes,
-    the deadline rescues the blocked joins and every task still
-    terminates — leaving a journal of a *clean* run whose
-    ``block``/``unblock``-without-``join`` pattern is exactly what the
-    predictor (:mod:`repro.predict`) needs to flag the cycle other
-    schedules realize.
-    """
-
-    seed: int
-    #: task id -> its actions in program order, mirroring
-    #: :class:`repro.predict.TraceProgram` (root is task 0)
-    actions: dict[int, tuple[tuple[str, int], ...]]
-    #: the planted join cycles, as task-id tuples (empty: a safe spec)
-    planted_cycles: tuple[tuple[int, ...], ...]
-
-    @property
-    def n_tasks(self) -> int:
-        return len(self.actions)
-
-    @property
-    def has_cycle(self) -> bool:
-        return bool(self.planted_cycles)
-
-
 @dataclass
 class PredictChaosResult:
     """What one :func:`run_predict_loop` sweep established."""
@@ -906,10 +781,13 @@ class PredictChaosResult:
 
 def generate_predict_spec(
     seed: int, *, max_children: int = 4, cycle_rate: float = 0.75
-) -> PredictSpec:
-    """Derive a predict-corpus program from *seed*.
+) -> tuple[TraceProgram, tuple[tuple[str, ...], ...]]:
+    """Derive a predict-corpus program from *seed*, with its planted
+    join cycles (empty: a safe program).
 
-    The root forks 2..``max_children`` children (some of which fork a
+    Unlike the chaos programs (deadlock-free by construction), a predict
+    program can deadlock, yet its recorded runs complete cleanly.  The
+    root forks 2..``max_children`` children (some of which fork a
     grandchild) and joins them all at the end.  With probability
     ``cycle_rate`` a cycle of 2 or 3 siblings is planted — each member
     joins the next around the ring; ring direction ignores sibling age,
@@ -919,22 +797,19 @@ def generate_predict_spec(
     """
     rng = random.Random(f"predict-spec|{seed}")
     n_children = rng.randint(2, max(2, max_children))
-    children = list(range(1, n_children + 1))
-    next_id = n_children + 1
-    actions: dict[int, list[tuple[str, int]]] = {0: []}
+    children = [_name(i) for i in range(1, n_children + 1)]
+    actions: dict[str, list[tuple[str, str]]] = {_name(0): []}
     for c in children:
         actions[c] = []
     # a couple of grandchildren: forked and joined by their parent
-    grandchildren: dict[int, int] = {}
+    grandchildren: dict[str, str] = {}
     for c in children:
         if rng.random() < 0.4:
-            g = next_id
-            next_id += 1
-            grandchildren[c] = g
+            g = grandchildren[c] = _name(len(actions))
             actions[g] = []
 
-    planted: list[tuple[int, ...]] = []
-    in_cycle: set[int] = set()
+    planted: list[tuple[str, ...]] = []
+    in_cycle: set[str] = set()
     if len(children) >= 2 and rng.random() < cycle_rate:
         size = rng.choice((2, 3)) if len(children) >= 3 else 2
         ring = rng.sample(children, size)
@@ -943,57 +818,38 @@ def generate_predict_spec(
         for at, member in enumerate(ring):
             actions[member].append(("join", ring[(at + 1) % size]))
 
-    for c in children:
-        if c not in in_cycle:
-            older = [s for s in children if s < c]
-            if older and rng.random() < 0.5:
-                actions[c].append(("join", rng.choice(older)))
+    for k, c in enumerate(children):
+        if c not in in_cycle and k and rng.random() < 0.5:
+            actions[c].append(("join", rng.choice(children[:k])))
 
     # forks first in every task's program order, then the joins above
-    for c in children:
-        if c in grandchildren:
-            g = grandchildren[c]
-            actions[c] = [("fork", g)] + actions[c] + [("join", g)]
-    actions[0] = [("fork", c) for c in children] + [("join", c) for c in children]
-    return PredictSpec(
-        seed=seed,
-        actions={t: tuple(a) for t, a in actions.items()},
-        planted_cycles=tuple(planted),
-    )
+    for c, g in grandchildren.items():
+        actions[c] = [("fork", g)] + actions[c] + [("join", g)]
+    actions[_name(0)] = [("fork", c) for c in children] + [("join", c) for c in children]
+    program = TraceProgram(root=_name(0), actions={t: tuple(a) for t, a in actions.items()})
+    return program, tuple(planted)
 
 
 def run_predict_program(
-    spec_or_seed: Union[int, PredictSpec],
+    program: TraceProgram,
     journal_path: str,
     *,
     policy: Union[None, str, JoinPolicy] = None,
     join_timeout: float = 0.1,
-) -> PredictSpec:
-    """Execute a predict spec on the threaded runtime, journalling to
-    *journal_path*.
+) -> SimOutcome:
+    """Run a predict-corpus program on the threaded runtime, journalling
+    to *journal_path*.
 
     Every join (including the planted cycles) runs under
     ``default_join_timeout=join_timeout`` with the watchdog off, so a
     closed cycle is rescued by deadlines rather than diagnosed — the
-    run completes cleanly and the journal records the block/unblock
-    pattern.  ``run`` waits for every forked task before it closes the
+    run completes cleanly and the journal records the
+    ``block``/``unblock``-without-``join`` pattern from which the
+    predictor (:mod:`repro.predict`) flags the cycle other schedules
+    realize.  ``run`` waits for every forked task before it closes the
     journal, so the ``complete`` records are durable.
     """
-    from ..predict import TraceProgram
-
-    spec = (
-        spec_or_seed
-        if isinstance(spec_or_seed, PredictSpec)
-        else generate_predict_spec(spec_or_seed)
-    )
-    program = TraceProgram(
-        root="0",
-        actions={
-            str(t): tuple((kind, str(target)) for kind, target in acts)
-            for t, acts in spec.actions.items()
-        },
-    )
-    program.run_blocking(
+    return program.run_blocking(
         TaskRuntime(
             policy,
             fallback=True,
@@ -1003,7 +859,6 @@ def run_predict_program(
             on_unjoined_failure="ignore",
         )
     )
-    return spec
 
 
 def run_predict_loop(
@@ -1050,7 +905,8 @@ def run_predict_loop(
     for k in todo:
         program_seed = seed + k
         path = f"{journal_dir}/predict-{program_seed}.jsonl"
-        spec = run_predict_program(program_seed, path)
+        program, planted = generate_predict_spec(program_seed)
+        run_predict_program(program, path)
         result.journals.append(path)
         report = predict_deadlocks(
             path, policies=policies, max_schedules=max_schedules
@@ -1059,11 +915,11 @@ def run_predict_loop(
         if report.skipped is not None:
             result.violations.append(f"{where}: prediction skipped: {report.skipped}")
             continue
-        if spec.has_cycle and not report.flagged:
+        if planted and not report.flagged:
             result.violations.append(
-                f"{where}: planted cycle {spec.planted_cycles} was not flagged"
+                f"{where}: planted cycle {planted} was not flagged"
             )
-        if not spec.has_cycle and report.flagged:
+        if not planted and report.flagged:
             result.violations.append(
                 f"{where}: cycle-free program was flagged: "
                 f"{[p.cycle for p in report.predictions]}"

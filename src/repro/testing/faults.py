@@ -9,10 +9,12 @@ fault at exactly the same sites — and a plan with delays stripped
 (:meth:`FaultPlan.without_delays`) makes *identical* fault decisions,
 which is what lets the chaos suite assert that verdict streams do not
 depend on timing.  (Task crashes are part of the program, not the plan:
-:func:`~repro.testing.chaos.generate_spec` draws them from the seed.)
+:func:`~repro.testing.chaos.generate_spec` draws them from the seed and
+writes them as ``crash`` actions of the generated program.)
 
 Sites are arbitrary hashable-and-reprable keys chosen by the harness,
-conventionally tuples like ``("task", 7)`` or ``("join", 3, 5)``.  Key
+conventionally tuples like ``("start", "t7")`` or
+``("pre-join", "t3", "t5")``, keyed by task name.  Key
 sites by *program structure*, never by wall-clock order, or determinism
 is lost.
 """

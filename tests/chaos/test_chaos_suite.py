@@ -5,19 +5,22 @@ runtimes with crashes and scheduling delays injected from a seeded
 :class:`FaultPlan`.  After each run, :func:`run_chaos_program` asserts
 the supervised-runtime invariants (exact verifier stats, empty Armus
 graph, no leaked BLOCKED states, no watchdog firings, every planned
-crash observed).  ``ChaosInvariantError`` from any of the ~200+
+crash observed, every TJ verdict equal to the formal TJ order of the
+program's fork tree).  ``ChaosInvariantError`` from any of the ~200+
 programs is a real bug, not flake: the schedule perturbations are
 deterministic per seed, so failures replay.
 """
 
 from __future__ import annotations
 
+import re
 from types import SimpleNamespace
 
 import pytest
 
 from repro.armus.graph import Entry
-from repro.core.policy import POLICY_REGISTRY
+from repro.core.policy import POLICY_REGISTRY, JoinPolicy
+from repro.core.tj_sp_flat import FlatTreePy
 from repro.runtime import TaskRuntime
 from repro.runtime.task import TaskState
 from repro.testing import FaultPlan, generate_spec, run_chaos_program
@@ -70,16 +73,72 @@ class TestDelayEquivalence:
     )
     def test_verdicts_identical_with_and_without_delays(self, policy, runtime):
         for seed in range(4):
-            spec = generate_spec(seed, max_tasks=9, crash_rate=0.0)
             plan = FaultPlan(seed=seed, delay_rate=0.5, max_delay=0.003)
             delayed = run_chaos_program(
-                spec, policy=policy, runtime=runtime, plan=plan
+                seed, policy=policy, runtime=runtime, plan=plan, max_tasks=9
             )
             calm = run_chaos_program(
-                spec, policy=policy, runtime=runtime, plan=plan.without_delays()
+                seed, policy=policy, runtime=runtime, plan=plan.without_delays(),
+                max_tasks=9,
             )
             assert delayed.verdicts == calm.verdicts
             assert delayed.violations == [] and calm.violations == []
+
+
+class FlippedSiblings(FlatTreePy):
+    """The py kernel's climb with its sibling test flipped: a planted bug
+    that the Armus fallback hides, since in a deadlock-free program it
+    permits every join the kernel wrongly denies."""
+
+    def permits(self, a: int, b: int) -> bool:
+        if a == b:
+            return False
+        parent, la, lb = self.parent, -1, -1
+        while a != b:
+            if a > b:
+                la, a = a, parent[a]
+            else:
+                lb, b = b, parent[b]
+        if la < 0 or lb < 0:
+            return la < 0
+        return la < lb  # the kernel's own test reads la > lb
+
+
+class KernelPolicy(JoinPolicy):
+    """TJ-SP over the given kernel, so one test body runs on the shipped
+    kernel and on a planted-bug one."""
+
+    name = "TJ-SP"
+    stable_permits = True
+
+    def __init__(self, kernel: FlatTreePy) -> None:
+        self.kernel = kernel
+
+    def add_child(self, parent):
+        return self.kernel.add_child(-1 if parent is None else parent)
+
+    def permits(self, joiner, joinee) -> bool:
+        return self.kernel.permits(joiner, joinee)
+
+
+@pytest.mark.parametrize("runtime", RUNTIMES)
+class TestTJOrderOracle:
+    """Every TJ verdict of a chaos run is judged by the formal TJ order of
+    the program's fork tree, so a wrong verdict fails the run even when
+    nothing else notices it."""
+
+    @pytest.mark.parametrize("kernel, planted_bug", [(FlatTreePy, False), (FlippedSiblings, True)])
+    def test_a_wrong_verdict_is_a_violation_naming_its_pair(self, kernel, planted_bug, runtime):
+        violations = []
+        for seed in range(6):
+            violations += run_chaos_program(
+                seed, policy=KernelPolicy(kernel()), runtime=runtime,
+                max_tasks=10, crash_rate=0.15, check=False,
+            ).violations
+        assert bool(violations) == planted_bug
+        # the oracle alone sees the bug, and names each pair it judged
+        pair = re.compile(r"permits\(t\d+, t\d+\) is (True|False), the TJ order says (True|False)")
+        assert all(pair.fullmatch(v) for v in violations)
 
 
 @pytest.mark.parametrize("runtime", RUNTIMES)

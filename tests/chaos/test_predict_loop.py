@@ -14,16 +14,17 @@ class TestSpecGeneration:
         assert generate_predict_spec(3) == generate_predict_spec(3)
 
     def test_corpus_mixes_cyclic_and_acyclic_programs(self):
-        specs = [generate_predict_spec(seed) for seed in range(8)]
-        assert any(s.has_cycle for s in specs)
-        assert any(not s.has_cycle for s in specs)
+        planted = [generate_predict_spec(seed)[1] for seed in range(8)]
+        assert any(planted)
+        assert not all(planted)
 
     def test_planted_cycles_are_real_join_rings(self):
-        spec = generate_predict_spec(0)
-        for cycle in spec.planted_cycles:
+        program, planted = generate_predict_spec(0)
+        assert planted
+        for cycle in planted:
             for i, task in enumerate(cycle):
                 target = cycle[(i + 1) % len(cycle)]
-                assert ("join", target) in spec.actions[task]
+                assert ("join", target) in program.actions[task]
 
 
 class TestPredictLoop:

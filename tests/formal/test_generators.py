@@ -1,6 +1,10 @@
 """Unit tests for the random trace generators."""
 
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -74,6 +78,27 @@ class TestRandomGenerators:
         t1 = random_tj_valid_trace(random.Random(42), 12, 12)
         t2 = random_tj_valid_trace(random.Random(42), 12, 12)
         assert t1 == t2
+
+    def test_kj_traces_do_not_depend_on_the_hash_seed(self):
+        """One seed, one trace, in every interpreter: the knowledge sets
+        the generator draws from are sets of strings, whose iteration
+        order follows PYTHONHASHSEED."""
+        code = (
+            "import random, zlib\n"
+            "from repro.formal.generators import random_kj_valid_trace\n"
+            "traces = [random_kj_valid_trace(random.Random(s), 12, 16) for s in range(20)]\n"
+            "print(zlib.crc32(repr(traces).encode()))\n"
+        )
+        src = str(pathlib.Path(__file__).resolve().parents[2] / "src")
+        digests = {
+            subprocess.run(
+                [sys.executable, "-c", code],
+                capture_output=True, text=True, check=True, timeout=60,
+                env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": hash_seed},
+            ).stdout
+            for hash_seed in ("1", "2")
+        }
+        assert len(digests) == 1
 
     def test_join_counts(self):
         trace = random_tj_valid_trace(random.Random(3), 10, 7)

@@ -14,8 +14,9 @@ def mutual_journal(tmp_path_factory):
     """A journal of a *clean* run whose program can deadlock: root forks
     t1 and t2 which mutually join, all joins deadline-rescued."""
     path = str(tmp_path_factory.mktemp("journals") / "mutual.jsonl")
-    spec = run_predict_program(0, path)
-    assert spec.has_cycle  # seed 0 plants a cycle
+    program, planted = generate_predict_spec(0)
+    assert planted  # seed 0 plants a cycle
+    run_predict_program(program, path)
     return path
 
 
@@ -41,10 +42,10 @@ class TestFlagging:
                 assert verdict != "deadlock", policy
 
     def test_cycle_free_program_is_not_flagged(self, tmp_path):
-        spec = generate_predict_spec(4)  # seed 4 plants no cycle
-        assert not spec.has_cycle
+        program, planted = generate_predict_spec(4)  # seed 4 plants no cycle
+        assert not planted
         path = str(tmp_path / "acyclic.jsonl")
-        run_predict_program(spec, path)
+        run_predict_program(program, path)
         report = predict_deadlocks(path)
         assert not report.flagged
         assert not report.candidates

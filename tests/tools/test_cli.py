@@ -415,10 +415,10 @@ class TestChaosCommand:
 class TestPredictAndSimulateCommands:
     @pytest.fixture
     def flagged_journal(self, tmp_path):
-        from repro.testing.chaos import run_predict_program
+        from repro.testing.chaos import generate_predict_spec, run_predict_program
 
         path = str(tmp_path / "predict.jsonl")
-        run_predict_program(0, path)  # seed 0 plants a cycle
+        run_predict_program(generate_predict_spec(0)[0], path)  # seed 0 plants a cycle
         return path
 
     def test_predict_flags_and_writes_a_witness(
@@ -507,6 +507,7 @@ class TestWrongFileExits2:
 
     @pytest.fixture
     def wrong(self, tmp_path):
+        from repro.predict import PredictedDeadlock, TraceProgram
         from repro.runtime.explore import Schedule
 
         files = {
@@ -520,6 +521,8 @@ class TestWrongFileExits2:
             "malformed-trace": tmp_path / "trace.txt",
             "malformed-snapshot": tmp_path / "snapshot.json",
             "null-snapshot": tmp_path / "null.json",
+            "misspelled-fork": tmp_path / "frok.json",
+            "fork-of-no-task": tmp_path / "no-task.json",
         }
         files["empty"].write_text("")
         # killed mid-way through its first record: no init to rebuild from
@@ -531,6 +534,13 @@ class TestWrongFileExits2:
         files["malformed-trace"].write_text("init(r)\nfork(r, a\n")
         files["malformed-snapshot"].write_text("{")
         files["null-snapshot"].write_text("null\n")
+        # witnesses whose program the simulator would run into the ground
+        for kind, fork in (("misspelled-fork", ("frok", "t1")), ("fork-of-no-task", ("fork", "t9"))):
+            program = TraceProgram(root="t0", actions={"t0": (fork, ("join", "t1")), "t1": ()})
+            PredictedDeadlock(
+                cycle=("t0", "t1"), schedule=Schedule(choices=(), widths=()),
+                verdicts={}, program=program,
+            ).save(str(files[kind]))
         return {name: str(path) for name, path in files.items()}
 
     @pytest.mark.parametrize(
@@ -542,6 +552,8 @@ class TestWrongFileExits2:
             ("simulate --schedule", "missing"),
             ("simulate --schedule", "recorded-schedule"),
             ("simulate --schedule", "list"),
+            ("simulate --schedule", "misspelled-fork"),
+            ("simulate --schedule", "fork-of-no-task"),
             ("simulate --journal", "empty"),
             ("simulate --journal", "sidecar"),
             ("simulate --journal", "torn"),
